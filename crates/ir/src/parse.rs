@@ -137,8 +137,12 @@ impl Parser<'_> {
         } else if c.try_word("hash") {
             c.expect_char('[')?;
             let slots = c.unsigned()?;
+            if slots < 3 {
+                // Double hashing steps by `1 + key % (slots - 2)`.
+                return Err(c.fail(format!("hash table needs at least 3 slots, got {slots}")));
+            }
             c.expect_char('x')?;
-            let max_probes = c.unsigned()? as u32;
+            let max_probes = c.u32()?;
             c.expect_char(']')?;
             TableKind::Hash { slots, max_probes }
         } else {
@@ -170,11 +174,11 @@ impl Parser<'_> {
         c.expect_char('(')?;
         c.expect_word("params")?;
         c.expect_char('=')?;
-        let param_count = c.unsigned()? as u32;
+        let param_count = c.u32()?;
         c.expect_char(',')?;
         c.expect_word("regs")?;
         c.expect_char('=')?;
-        let reg_count = c.unsigned()? as u32;
+        let reg_count = c.u32()?;
         c.expect_char(')')?;
         c.expect_char('{')?;
         c.expect_end()?;
@@ -550,11 +554,22 @@ impl<'a> Cursor<'a> {
         Ok(v)
     }
 
+    /// An unsigned number that must fit a `u32` field.
+    fn u32(&mut self) -> Result<u32> {
+        let v = self.unsigned()?;
+        u32::try_from(v).map_err(|_| self.fail(format!("{v} does not fit in 32 bits")))
+    }
+
     fn signed(&mut self) -> Result<i64> {
         self.skip_ws();
         let neg = self.try_char('-');
-        let v = self.unsigned()? as i64;
-        Ok(if neg { -v } else { v })
+        let v = self.unsigned()?;
+        let v = if neg {
+            0i64.checked_sub_unsigned(v)
+        } else {
+            i64::try_from(v).ok()
+        };
+        v.ok_or_else(|| self.fail("number does not fit in 64 signed bits"))
     }
 
     fn reg(&mut self) -> Result<Reg> {
@@ -563,7 +578,7 @@ impl<'a> Cursor<'a> {
             return Err(self.fail(format!("expected register at {:?}", self.rest())));
         }
         self.pos += 1;
-        Ok(Reg(self.unsigned()? as u32))
+        Ok(Reg(self.u32()?))
     }
 
     fn block_id(&mut self) -> Result<BlockId> {
@@ -572,7 +587,7 @@ impl<'a> Cursor<'a> {
             return Err(self.fail(format!("expected block at {:?}", self.rest())));
         }
         self.pos += 1;
-        Ok(BlockId(self.unsigned()? as u32))
+        Ok(BlockId(self.u32()?))
     }
 
     fn table_id(&mut self) -> Result<TableId> {
@@ -581,7 +596,7 @@ impl<'a> Cursor<'a> {
             return Err(self.fail(format!("expected table at {:?}", self.rest())));
         }
         self.pos += 1;
-        Ok(TableId(self.unsigned()? as u32))
+        Ok(TableId(self.u32()?))
     }
 
     fn func_ref(&mut self, names: &HashMap<String, FuncId>) -> Result<FuncId> {
@@ -726,6 +741,67 @@ b1: ; entry
         let text = "func @f(params=0, regs=0) {\nb0:\n  ret\n}\nfunc @f(params=0, regs=0) {\nb0:\n  ret\n}\n";
         let e = parse_module(text).unwrap_err();
         assert!(e.message.contains("duplicate"));
+    }
+
+    fn table_line(kind: &str) -> String {
+        format!("table t0 func=@f {kind} hot=4\nfunc @f(params=0, regs=0) {{\nb0:\n  ret\n}}\n")
+    }
+
+    #[test]
+    fn tiny_hash_tables_rejected() {
+        for slots in 0..3 {
+            let e = parse_module(&table_line(&format!("hash[{slots}x3]"))).unwrap_err();
+            assert_eq!(e.line, 1, "{slots} slots");
+            assert!(e.message.contains("at least 3 slots"), "{e}");
+        }
+        let m = parse_module(&table_line("hash[3x3]")).expect("3 slots parse");
+        assert_eq!(
+            m.tables[0].kind,
+            TableKind::Hash {
+                slots: 3,
+                max_probes: 3
+            }
+        );
+    }
+
+    #[test]
+    fn values_over_u32_rejected_not_truncated() {
+        let big = (1u64 << 32) + 3;
+        let e = parse_module(&table_line(&format!("hash[701x{big}]"))).unwrap_err();
+        assert!(e.message.contains("32 bits"), "{e}");
+        for header in [
+            format!("func @f(params={big}, regs=0) {{"),
+            format!("func @f(params=0, regs={big}) {{"),
+        ] {
+            let e = parse_module(&format!("{header}\nb0:\n  ret\n}}\n")).unwrap_err();
+            assert_eq!(e.line, 1, "{header}");
+            assert!(e.message.contains("32 bits"), "{e}");
+        }
+        let e = parse_module(&format!(
+            "func @f(params=0, regs=1) {{\nb0:\n  r{big} = const 1\n  ret\n}}\n"
+        ))
+        .unwrap_err();
+        assert_eq!(e.line, 3);
+    }
+
+    #[test]
+    fn signed_immediates_cover_i64() {
+        for v in [i64::MIN, i64::MAX, -1, 0] {
+            let text = format!("func @f(params=0, regs=1) {{\nb0:\n  r0 = const {v}\n  ret\n}}\n");
+            let m = parse_module(&text).expect("in range");
+            assert_eq!(
+                m.functions[0].blocks[0].insts[0],
+                Inst::Const {
+                    dst: Reg(0),
+                    value: v
+                }
+            );
+        }
+        let e = parse_module(
+            "func @f(params=0, regs=1) {\nb0:\n  r0 = const 9223372036854775808\n  ret\n}\n",
+        )
+        .unwrap_err();
+        assert_eq!(e.line, 3);
     }
 
     #[test]

@@ -198,7 +198,7 @@ pub(crate) fn traced(
     seed: u64,
     benchmark: &str,
 ) -> Result<(RunResult, ModuleEdgeProfile, ModulePathProfile), PipelineError> {
-    let r = run(
+    let mut r = run(
         module,
         "main",
         &RunOptions::default().with_seed(seed).traced(),
@@ -207,7 +207,8 @@ pub(crate) fn traced(
         benchmark: benchmark.to_owned(),
         error,
     })?;
-    let (Some(edges), Some(paths)) = (r.edge_profile.clone(), r.path_profile.clone()) else {
+    // The profiles move out: no caller reads them through the result.
+    let (Some(edges), Some(paths)) = (r.edge_profile.take(), r.path_profile.take()) else {
         return Err(PipelineError::NotTraced {
             benchmark: benchmark.to_owned(),
         });

@@ -3,8 +3,9 @@
 //! The tracer observes every taken CFG edge and maintains, per activation,
 //! the current Ball–Larus path (started at function entry or a loop
 //! header, ended at a `return` or a taken back edge — §3.1). Paths are
-//! interned in a per-function trie so the per-edge cost is one hash lookup,
-//! and the full [`ModulePathProfile`] is reconstructed on demand.
+//! interned in a per-function prefix trie so the per-edge cost is one
+//! child step (two array loads, no hashing), and the full
+//! [`ModulePathProfile`] is reconstructed on demand.
 //!
 //! This is the reproduction's *reference* profile: unlike PP
 //! instrumentation it has no hash-table losses and no truncation, so
@@ -63,58 +64,89 @@ impl EdgeClassifier {
     }
 }
 
-/// Path-interning trie for one function.
+/// Marks an absent root or child in a [`PathTrie`].
+const NONE: u32 = u32::MAX;
+
+/// Path-interning trie for one function: a prefix forest with one root
+/// per start block.
 ///
-/// Each node is a distinct path prefix; the per-edge transition is one
-/// `HashMap` lookup. Node 0 is unused; roots are created per start block.
-#[derive(Clone, Debug, Default)]
+/// Each node is a distinct path prefix. Every edge out of a node leaves
+/// the block its prefix ends at, so a node's children are keyed by
+/// successor index alone: the first step from a node allocates one child
+/// slot per successor of that block, and each later step is two array
+/// loads.
+#[derive(Clone, Debug)]
 struct PathTrie {
-    /// Root state per start block.
-    roots: HashMap<BlockId, u32>,
-    /// `(state, edge) -> state` transitions.
-    trans: HashMap<(u32, EdgeRef), u32>,
-    /// Per-state data: parent state, incoming edge, start block, count of
-    /// paths *ending* at this state.
+    /// Root state per start block (`NONE` until first entered).
+    roots: Vec<u32>,
+    /// Per-state data, in creation order.
     nodes: Vec<TrieNode>,
+    /// Child-slot arena: node `n`'s child along successor `s` is
+    /// `kids[n.kids + s]` (`NONE` until first taken).
+    kids: Vec<u32>,
 }
 
 #[derive(Clone, Copy, Debug)]
 struct TrieNode {
+    /// Parent state (`NONE` for roots).
     parent: u32,
+    /// Incoming edge; for roots, `via.from` is the start block.
     via: EdgeRef,
-    start: BlockId,
+    /// Offset of this node's child slots in [`PathTrie::kids`] (`NONE`
+    /// until the first step out of the node).
+    kids: u32,
+    /// Paths *ending* at this state.
     count: u64,
 }
 
 impl PathTrie {
-    fn root(&mut self, start: BlockId) -> u32 {
-        if let Some(&s) = self.roots.get(&start) {
-            return s;
+    fn new(f: &Function) -> Self {
+        Self {
+            roots: vec![NONE; f.blocks.len()],
+            nodes: Vec::new(),
+            kids: Vec::new(),
         }
-        let id = self.nodes.len() as u32;
+    }
+
+    fn push(&mut self, parent: u32, via: EdgeRef) -> u32 {
+        let id = u32::try_from(self.nodes.len()).expect("path trie overflowed u32 states");
         self.nodes.push(TrieNode {
-            parent: u32::MAX,
-            via: EdgeRef::new(start, 0), // unused for roots
-            start,
+            parent,
+            via,
+            kids: NONE,
             count: 0,
         });
-        self.roots.insert(start, id);
         id
     }
 
-    fn step(&mut self, state: u32, edge: EdgeRef) -> u32 {
-        if let Some(&s) = self.trans.get(&(state, edge)) {
+    fn root(&mut self, start: BlockId) -> u32 {
+        let s = self.roots[start.index()];
+        if s != NONE {
             return s;
         }
-        let id = self.nodes.len() as u32;
-        let start = self.nodes[state as usize].start;
-        self.nodes.push(TrieNode {
-            parent: state,
-            via: edge,
-            start,
-            count: 0,
-        });
-        self.trans.insert((state, edge), id);
+        let id = self.push(NONE, EdgeRef::new(start, 0));
+        self.roots[start.index()] = id;
+        id
+    }
+
+    /// Extends `state` by `edge`, which must leave the block the state's
+    /// prefix ends at; `succs` is that block's successor count.
+    #[inline]
+    fn step(&mut self, state: u32, edge: EdgeRef, succs: usize) -> u32 {
+        debug_assert!(edge.succ_index() < succs, "successor out of range");
+        let mut base = self.nodes[state as usize].kids;
+        if base == NONE {
+            base = u32::try_from(self.kids.len()).expect("path trie overflowed u32 slots");
+            self.kids.resize(self.kids.len() + succs, NONE);
+            self.nodes[state as usize].kids = base;
+        }
+        let slot = base as usize + edge.succ_index();
+        let child = self.kids[slot];
+        if child != NONE {
+            return child;
+        }
+        let id = self.push(state, edge);
+        self.kids[slot] = id;
         id
     }
 
@@ -126,14 +158,14 @@ impl PathTrie {
     fn key_of(&self, state: u32) -> PathKey {
         let mut edges = Vec::new();
         let mut cur = state;
-        while self.nodes[cur as usize].parent != u32::MAX {
+        while self.nodes[cur as usize].parent != NONE {
             let n = &self.nodes[cur as usize];
             edges.push(n.via);
             cur = n.parent;
         }
         edges.reverse();
         PathKey {
-            start: self.nodes[state as usize].start,
+            start: self.nodes[cur as usize].via.from,
             edges,
         }
     }
@@ -279,7 +311,7 @@ impl Tracer {
         Self {
             edges: ModuleEdgeProfile::zeroed(module),
             classifiers: module.functions.iter().map(EdgeClassifier::new).collect(),
-            tries: vec![PathTrie::default(); module.functions.len()],
+            tries: module.functions.iter().map(PathTrie::new).collect(),
             sequence: None,
             faults: None,
             delta: None,
@@ -376,7 +408,8 @@ impl Tracer {
 
     /// Called when edge `e` of `func` is taken; `target` is the block the
     /// edge leads to. Updates the edge profile and advances (or ends and
-    /// restarts) the current path.
+    /// restarts) the current path. `e` must leave the block `cursor`'s
+    /// path currently ends at.
     pub fn take_edge(
         &mut self,
         func: FuncId,
@@ -397,25 +430,27 @@ impl Tracer {
                 d.tick();
             }
         }
-        let trie = &mut self.tries[func.index()];
-        match self.classifiers[func.index()].kind(e) {
+        let fi = func.index();
+        let kinds = &self.classifiers[fi].kinds[e.from.index()];
+        let (kind, succs) = (kinds[e.succ_index()], kinds.len());
+        let trie = &mut self.tries[fi];
+        match kind {
             EdgeKind::Forward => {
-                cursor.state = trie.step(cursor.state, e);
+                cursor.state = trie.step(cursor.state, e, succs);
             }
             EdgeKind::Back => {
                 // The back edge belongs to the ending path (it is its
                 // terminating branch), then a fresh path starts at the
                 // header.
-                let end_state = trie.step(cursor.state, e);
+                let end_state = trie.step(cursor.state, e, succs);
                 if !self.drop_path_event() {
-                    let trie = &mut self.tries[func.index()];
-                    trie.end_path(end_state);
+                    self.tries[fi].end_path(end_state);
                     if let Some(seq) = &mut self.sequence {
                         seq.push((func, end_state));
                     }
                     self.delta_path(func, end_state);
                 }
-                cursor.state = self.tries[func.index()].root(target);
+                cursor.state = self.tries[fi].root(target);
             }
         }
     }
