@@ -325,10 +325,11 @@ impl Aggregator {
     ///
     /// Refuses frames whose payload fails the strict persist_v2 loaders
     /// or whose shape does not match the module, sequenced frames that
-    /// jump past the client's watermark (`seq-gap`), and server-side
-    /// frame kinds (`Ack`/`Reject`) arriving inbound. `Hello` payloads
-    /// are validated by the transport layer; here they are accepted as
-    /// opaque.
+    /// jump past the client's watermark (`seq-gap`), unsequenced delta
+    /// kinds (`protocol`: they bypass the WAL and the watermark), and
+    /// server-side frame kinds (`Ack`/`Reject`) arriving inbound.
+    /// `Hello` payloads are validated by the transport layer; here they
+    /// are accepted as opaque.
     pub fn ingest_frame(&self, frame: &Frame) -> Result<IngestOutcome, IngestError> {
         let started = Instant::now();
         let out = self.ingest_frame_inner(frame);
@@ -343,36 +344,18 @@ impl Aggregator {
     fn ingest_frame_inner(&self, frame: &Frame) -> Result<IngestOutcome, IngestError> {
         match frame.kind {
             FrameKind::Hello | FrameKind::Done => Ok(IngestOutcome::Applied),
-            FrameKind::EdgeDelta => {
-                let profile = read_edge_profile_v2(&self.module, &frame.payload).map_err(|e| {
-                    IngestError {
-                        class: "payload",
-                        detail: format!("edge delta: {e}"),
-                    }
-                })?;
-                self.submit_edges(profile)?;
-                Ok(IngestOutcome::Applied)
-            }
-            FrameKind::PathDelta => {
-                let profile = read_path_profile_v2(&self.module, &frame.payload).map_err(|e| {
-                    IngestError {
-                        class: "payload",
-                        detail: format!("path delta: {e}"),
-                    }
-                })?;
-                self.submit_paths(profile)?;
-                Ok(IngestOutcome::Applied)
-            }
             FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta => self.apply_seq(frame, true),
-            FrameKind::Ack | FrameKind::Reject | FrameKind::StatsResponse => Err(IngestError {
+            // Unsequenced deltas would bypass the WAL and the watermark;
+            // the rest are answered by the transport tier or flow
+            // server-to-client only.
+            FrameKind::EdgeDelta
+            | FrameKind::PathDelta
+            | FrameKind::Ack
+            | FrameKind::Reject
+            | FrameKind::StatsRequest
+            | FrameKind::StatsResponse => Err(IngestError {
                 class: "protocol",
-                detail: format!("{} frames flow server-to-client only", frame.kind),
-            }),
-            FrameKind::StatsRequest => Err(IngestError {
-                class: "protocol",
-                detail: "stats-request is answered by the transport tier, \
-                         not merged"
-                    .to_owned(),
+                detail: format!("{} frames are not ingested", frame.kind),
             }),
         }
     }
@@ -782,9 +765,10 @@ fn record_merge(obs: &ppp_obs::ObsCtx, bench: &str, shard: &str, started: Instan
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppp_ir::wire::encode_frame;
+    use ppp_ir::wire::{encode_frame, encode_seq_payload};
     use ppp_ir::{
-        write_edge_profile_v2, write_path_profile_v2, BlockId, EdgeRef, FunctionBuilder, Reg,
+        write_edge_profile_v2, write_path_profile_v2, BlockId, EdgeRef, FuncId, FunctionBuilder,
+        PathKey, Reg,
     };
 
     fn test_module(funcs: usize) -> Arc<Module> {
@@ -871,12 +855,12 @@ mod tests {
         let mut stream = Vec::new();
         stream.extend(encode_frame(FrameKind::Hello, b"hi"));
         stream.extend(encode_frame(
-            FrameKind::EdgeDelta,
-            write_edge_profile_v2(&m, &d).as_bytes(),
+            FrameKind::SeqEdgeDelta,
+            &encode_seq_payload(0, 1, write_edge_profile_v2(&m, &d).as_bytes()),
         ));
         stream.extend(encode_frame(
-            FrameKind::PathDelta,
-            write_path_profile_v2(&m, &paths).as_bytes(),
+            FrameKind::SeqPathDelta,
+            &encode_seq_payload(0, 2, write_path_profile_v2(&m, &paths).as_bytes()),
         ));
         stream.extend(encode_frame(FrameKind::Done, b""));
         let report = agg.ingest_stream(&stream);
@@ -892,8 +876,8 @@ mod tests {
         let agg = Aggregator::new("t", Arc::clone(&m), AggConfig::default());
         let d = delta_for(&m, 0, 3);
         let good = encode_frame(
-            FrameKind::EdgeDelta,
-            write_edge_profile_v2(&m, &d).as_bytes(),
+            FrameKind::SeqEdgeDelta,
+            &encode_seq_payload(0, 1, write_edge_profile_v2(&m, &d).as_bytes()),
         );
 
         // Flip a payload byte: CRC refuses the frame at the wire layer.
@@ -915,8 +899,8 @@ mod tests {
         // (wrong profile kind) is rejected at the payload layer.
         let paths = ModulePathProfile::with_capacity(2);
         let wrong = encode_frame(
-            FrameKind::EdgeDelta,
-            write_path_profile_v2(&m, &paths).as_bytes(),
+            FrameKind::SeqEdgeDelta,
+            &encode_seq_payload(0, 1, write_path_profile_v2(&m, &paths).as_bytes()),
         );
         let report = agg.ingest_stream(&wrong);
         assert_eq!(report.rejected.len(), 1);
@@ -924,6 +908,39 @@ mod tests {
 
         let (edges, _) = agg.snapshot();
         assert!(edges.funcs.iter().all(|f| f.is_zero()), "nothing merged");
+    }
+
+    #[test]
+    fn unsequenced_delta_frames_are_refused_as_protocol() {
+        let m = test_module(2);
+        let agg = Aggregator::new("t", Arc::clone(&m), AggConfig::default());
+        let mut paths = ModulePathProfile::with_capacity(2);
+        paths.func_mut(FuncId(0)).record(
+            m.function(FuncId(0)),
+            PathKey {
+                start: BlockId(0),
+                edges: vec![EdgeRef::new(BlockId(0), 0)],
+            },
+            4,
+        );
+        for frame in [
+            Frame::new(
+                FrameKind::EdgeDelta,
+                write_edge_profile_v2(&m, &delta_for(&m, 1, 9)).into_bytes(),
+            ),
+            Frame::new(
+                FrameKind::PathDelta,
+                write_path_profile_v2(&m, &paths).into_bytes(),
+            ),
+        ] {
+            let err = agg
+                .ingest_frame(&frame)
+                .expect_err("unsequenced delta refused");
+            assert_eq!(err.class, "protocol", "{}: {err}", frame.kind);
+        }
+        let (edges, paths) = agg.snapshot();
+        assert!(edges.funcs.iter().all(|f| f.is_zero()), "nothing merged");
+        assert!(paths.funcs.iter().all(|f| f.paths.is_empty()));
     }
 
     #[test]

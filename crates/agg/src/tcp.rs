@@ -564,10 +564,7 @@ fn serve_connection(
                 send_ack(stream, client_id, a.watermark(client_id)).map_err(|e| e.to_string())?;
                 agg = Some(a);
             }
-            FrameKind::EdgeDelta
-            | FrameKind::PathDelta
-            | FrameKind::SeqEdgeDelta
-            | FrameKind::SeqPathDelta => {
+            FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta => {
                 let Some(a) = &agg else {
                     let _ = send_reject(stream, "no-hello", "delta before hello");
                     return Err("delta before hello".to_owned());
@@ -620,8 +617,14 @@ fn serve_connection(
                     .write_all(&encode_frame(FrameKind::StatsResponse, doc.as_bytes()))
                     .map_err(|e| e.to_string())?;
             }
-            FrameKind::Ack | FrameKind::Reject | FrameKind::StatsResponse => {
-                let msg = format!("client sent a server-only {} frame", frame.kind);
+            FrameKind::EdgeDelta
+            | FrameKind::PathDelta
+            | FrameKind::Ack
+            | FrameKind::Reject
+            | FrameKind::StatsResponse => {
+                // Server-only kinds, and unsequenced deltas: those would
+                // bypass the WAL and the watermark, so an ack would lie.
+                let msg = format!("clients may not send {} frames", frame.kind);
                 let _ = send_reject(stream, "protocol", &msg);
                 return Err(msg);
             }
@@ -960,15 +963,7 @@ impl FrameSink for ResilientSink {
                 self.with_retry("delta", |sink| sink.deliver_window())
             }
             Some(FrameKind::Done) => self.finish_done(bytes),
-            _ => {
-                // Legacy/unsequenced frames cannot be safely retried
-                // (no dedup), so they get exactly one delivery attempt.
-                self.with_retry("frame", |sink| {
-                    sink.ensure_session()?;
-                    let stream = sink.stream.as_mut().ok_or("no session")?;
-                    stream.write_all(bytes).map_err(|e| e.to_string())
-                })
-            }
+            _ => Err("a delta session carries only hello, sequenced deltas and done".to_owned()),
         }
     }
 }
@@ -979,7 +974,10 @@ mod tests {
     use crate::service::AggClient;
     use crate::shard::AggConfig;
     use crate::wal::DurOptions;
-    use ppp_ir::{BlockId, EdgeRef, FunctionBuilder, ModuleEdgeProfile, ModulePathProfile, Reg};
+    use ppp_ir::{
+        write_edge_profile_v2, BlockId, EdgeRef, FunctionBuilder, ModuleEdgeProfile,
+        ModulePathProfile, Reg,
+    };
     use std::path::PathBuf;
 
     fn test_module() -> Arc<Module> {
@@ -1097,6 +1095,32 @@ mod tests {
         let agg = service.get("tcp-test").expect("still registered");
         let (edges, _) = agg.snapshot();
         assert_eq!(edges.funcs[0].entries(), 1, "prior merge survived");
+        server.shutdown();
+    }
+
+    #[test]
+    fn unsequenced_delta_gets_a_protocol_reject_and_no_ack() {
+        let m = test_module();
+        let (server, service) = start_server(&m);
+        let (delta, _) = one_delta(&m);
+        let hello = Hello {
+            bench: "tcp-test".to_owned(),
+            funcs: 1,
+            scale_bits: 0,
+            worker: 4,
+        };
+        let sink = TcpSink::connect(server.addr()).expect("connect");
+        let client = AggClient::open(Arc::clone(&m), sink, 1, &hello).expect("open");
+        let mut sink = client.into_sink();
+        let container = write_edge_profile_v2(&m, &delta);
+        sink.send_frame(&encode_frame(FrameKind::EdgeDelta, container.as_bytes()))
+            .expect("send raw");
+        match sink.read_ack() {
+            Err(e) => assert!(e.contains("rejected: protocol"), "{e}"),
+            Ok(w) => panic!("unsequenced delta was acked at watermark {w}"),
+        }
+        let agg = service.get("tcp-test").expect("registered");
+        assert!(agg.snapshot().0.funcs[0].is_zero(), "nothing merged");
         server.shutdown();
     }
 

@@ -56,7 +56,6 @@ mod loops;
 mod module;
 mod parse;
 mod path;
-mod persist;
 mod persist_v2;
 mod profile;
 pub mod transform;
@@ -75,13 +74,11 @@ pub use loops::{analyze_loops, LoopForest, NaturalLoop};
 pub use module::{Module, TableDecl, TableKind};
 pub use parse::{parse_module, ParseError};
 pub use path::{FuncPathProfile, ModulePathProfile, PathKey, PathStats};
-pub use persist::{
-    read_edge_profile, read_path_profile, write_edge_profile, write_path_profile, ProfileParseError,
-};
 pub use persist_v2::{
     crc32, read_edge_profile_stale, read_edge_profile_v2, read_path_profile_stale,
     read_path_profile_v2, salvage_edge_profile, salvage_path_profile, write_edge_profile_v2,
-    write_path_profile_v2, ProfileLoadError, Salvaged, SectionFault, StaleReport, PROFILE_MAGIC,
+    write_path_profile_v2, ProfileLoadError, ProfileParseError, Salvaged, SectionFault,
+    StaleReport, PROFILE_MAGIC,
 };
 pub use profile::{
     FlowViolation, FlowViolationKind, FuncEdgeProfile, ModuleEdgeProfile, ProfileStats,

@@ -1,10 +1,11 @@
-//! Hardened profile persistence: the versioned, checksummed v2 container.
+//! Profile persistence: the versioned, checksummed v2 container.
 //!
-//! The v1 format ([`crate::persist`]) is a bare line format: a flipped
-//! byte silently becomes a different count and a truncated file parses as
-//! a smaller profile. Staged optimizers cannot afford either (§1: path
-//! profiles *feed* optimization decisions), so v2 wraps the same record
-//! grammar in an integrity-protected container:
+//! Staged optimizers collect a profile in one run and consume it in a
+//! later compile (§1). A bare line format would let a flipped byte
+//! silently become a different count and a truncated file parse as a
+//! smaller profile, and path profiles *feed* optimization decisions, so
+//! v2 wraps a line-oriented record grammar in an integrity-protected
+//! container:
 //!
 //! ```text
 //! ppp-profile v2 edge funcs 2
@@ -44,13 +45,30 @@ use crate::function::Function;
 use crate::ids::{BlockId, EdgeRef, FuncId};
 use crate::module::Module;
 use crate::path::{FuncPathProfile, ModulePathProfile, PathKey};
-use crate::persist::ProfileParseError;
 use crate::profile::{FuncEdgeProfile, ModuleEdgeProfile};
 use std::fmt;
 use std::fmt::Write as _;
 
 /// Magic token opening every v2 profile artifact.
 pub const PROFILE_MAGIC: &str = "ppp-profile";
+
+/// A record inside a profile section that failed to parse or referenced
+/// a block or successor outside the function's shape.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct ProfileParseError {
+    /// 1-based line number within the section payload.
+    pub line: usize,
+    /// Description.
+    pub message: String,
+}
+
+impl fmt::Display for ProfileParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.message)
+    }
+}
+
+impl std::error::Error for ProfileParseError {}
 
 /// Typed errors from loading a persisted v2 profile.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -1142,10 +1160,49 @@ mod tests {
             },
             7,
         );
+        p.func_mut(FuncId(0)).record(
+            f,
+            PathKey {
+                start: BlockId(0),
+                edges: vec![EdgeRef::new(BlockId(0), 1), EdgeRef::new(BlockId(2), 0)],
+            },
+            3,
+        );
         let text = write_path_profile_v2(&m, &p);
         let back = read_path_profile_v2(&m, text.as_bytes()).expect("loads");
-        assert_eq!(p.total_unit_flow(), back.total_unit_flow());
-        assert_eq!(p.distinct_paths(), back.distinct_paths());
+        assert_eq!(p, back);
+    }
+
+    #[test]
+    fn bad_references_rejected() {
+        let m = sample();
+        for (kind, main) in [
+            ("edge", "edge b9 0 1\n"),
+            ("edge", "edge b0 5 1\n"),
+            ("edge", "nope\n"),
+            ("path", "path b0 3 : b0#7\n"),
+            ("path", "path b0 3 : b1#0\n"),
+        ] {
+            let text = write_container(&m, kind, |i| [main, ""][i].to_owned());
+            let r = if kind == "edge" {
+                read_edge_profile_v2(&m, text.as_bytes()).map(|_| ())
+            } else {
+                read_path_profile_v2(&m, text.as_bytes()).map(|_| ())
+            };
+            assert!(
+                matches!(r, Err(ProfileLoadError::Record { func: 0, .. })),
+                "{main:?}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn comments_and_blank_lines_skipped() {
+        let m = sample();
+        let main = "\n; a comment\nentries 2 ; trailing\n";
+        let text = write_container(&m, "edge", |i| [main, ""][i].to_owned());
+        let p = read_edge_profile_v2(&m, text.as_bytes()).expect("loads");
+        assert_eq!(p.func(FuncId(0)).entries(), 2);
     }
 
     #[test]

@@ -26,17 +26,17 @@
 //! - **crc** is the CRC-32 ([`crate::crc32`]) of the payload
 //!   bytes — a flipped payload byte rejects the *frame*, not the stream.
 //!
-//! [`FrameKind::EdgeDelta`] and [`FrameKind::PathDelta`] payloads are
-//! whole v2 profile containers (see [`crate::write_edge_profile_v2`]) holding the
-//! *delta* counts accumulated since the worker's previous flush; the
-//! aggregator merges them with saturating adds, which are commutative
-//! and associative, so any arrival order yields byte-identical merged
-//! profiles.
+//! Delta payloads are whole v2 profile containers (see
+//! [`crate::write_edge_profile_v2`]) holding the *delta* counts
+//! accumulated since the worker's previous flush; the aggregator merges
+//! them with saturating adds, which are commutative and associative, so
+//! any arrival order yields byte-identical merged profiles.
 //!
 //! # Sequenced frames and idempotent retry
 //!
-//! [`FrameKind::SeqEdgeDelta`] / [`FrameKind::SeqPathDelta`] carry the
-//! same containers behind a 16-byte prefix ([`SEQ_HEADER_LEN`]):
+//! Deltas travel only as [`FrameKind::SeqEdgeDelta`] /
+//! [`FrameKind::SeqPathDelta`], which carry the container behind a
+//! 16-byte prefix ([`SEQ_HEADER_LEN`]):
 //!
 //! ```text
 //! | client id u64 LE | sequence u64 LE | v2 container ... |
@@ -72,10 +72,12 @@ pub enum FrameKind {
     /// Session opener: a text payload identifying the worker and the
     /// benchmark/module the following deltas belong to.
     Hello = 1,
-    /// An edge-profile delta: a v2 `edge` container of counts
-    /// accumulated since the previous flush.
+    /// A bare v2 `edge` container. Used only as a record in aggregator
+    /// checkpoint files; the aggregator refuses it on the wire, where
+    /// deltas must be [`FrameKind::SeqEdgeDelta`].
     EdgeDelta = 2,
-    /// A path-profile delta: a v2 `path` container.
+    /// A bare v2 `path` container; a checkpoint record only, like
+    /// [`FrameKind::EdgeDelta`].
     PathDelta = 3,
     /// Orderly end of stream; the receiver acknowledges after merging
     /// everything that came before.

@@ -1,17 +1,16 @@
-//! Seeded byte-damage fuzz over the profile persist formats.
+//! Seeded byte-damage fuzz over the v2 profile persist format.
 //!
 //! Contract: a loader handed arbitrary damaged bytes returns either a
 //! clean parse or a typed [`ppp_ir::ProfileLoadError`] — it never
 //! panics. The sweep covers every truncation point of both v2 artifacts
 //! plus a seed-loop of multi-byte corruptions (including invalid UTF-8),
-//! through all three strictness levels (strict, salvage, stale), and the
-//! legacy v1 text loaders.
+//! through all three strictness levels (strict, salvage, stale).
 
 use ppp_ir::{
-    read_edge_profile, read_edge_profile_stale, read_edge_profile_v2, read_path_profile,
-    read_path_profile_stale, read_path_profile_v2, salvage_edge_profile, salvage_path_profile,
-    write_edge_profile, write_edge_profile_v2, write_path_profile, write_path_profile_v2, BlockId,
-    EdgeRef, FuncId, FunctionBuilder, Module, ModuleEdgeProfile, ModulePathProfile, PathKey, Reg,
+    read_edge_profile_stale, read_edge_profile_v2, read_path_profile_stale, read_path_profile_v2,
+    salvage_edge_profile, salvage_path_profile, write_edge_profile_v2, write_path_profile_v2,
+    BlockId, EdgeRef, FuncId, FunctionBuilder, Module, ModuleEdgeProfile, ModulePathProfile,
+    PathKey, Reg,
 };
 
 const SEEDS: u64 = 300;
@@ -177,35 +176,5 @@ fn salvage_never_half_applies_a_section() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn legacy_v1_loaders_survive_the_same_damage() {
-    let m = sample_module();
-    let edge = write_edge_profile(&m, &sample_edges(&m));
-    let path = write_path_profile(&sample_paths(&m));
-    for seed in 0..SEEDS {
-        let mut rng = Rng(seed ^ 0x1234);
-        // v1 is a text format; damage it as text (char-boundary safe) by
-        // splicing random ASCII, and also truncate at char boundaries.
-        let mangle = |rng: &mut Rng, s: &str| -> String {
-            let mut t: Vec<char> = s.chars().collect();
-            if t.is_empty() {
-                return String::new();
-            }
-            for _ in 0..=rng.below(6) {
-                let at = rng.below(t.len() as u64) as usize;
-                t[at] = (rng.below(96) as u8 + 32) as char;
-            }
-            if rng.below(4) == 0 {
-                t.truncate(rng.below(t.len() as u64 + 1) as usize);
-            }
-            t.into_iter().collect()
-        };
-        let _ = read_edge_profile(&m, &mangle(&mut rng, &edge));
-        let _ = read_path_profile(&m, &mangle(&mut rng, &path));
-        let _ = read_edge_profile(&m, &mangle(&mut rng, &path));
-        let _ = read_path_profile(&m, &mangle(&mut rng, &edge));
     }
 }

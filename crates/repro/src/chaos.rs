@@ -22,12 +22,12 @@ use ppp_agg::{AggConfig, Aggregator, DurOptions, Hello, IngestOutcome, ReadError
 use ppp_core::ProfilerConfig;
 use ppp_faults::{FaultPlan, FaultSite};
 use ppp_ir::{
-    encode_frame, encode_seq_payload, salvage_edge_profile, salvage_path_profile,
-    write_edge_profile_v2, write_path_profile_v2, Frame, FrameKind, Module, ModuleEdgeProfile,
-    SectionFault, WireError,
+    encode_seq_payload, salvage_edge_profile, salvage_path_profile, write_edge_profile_v2,
+    write_path_profile_v2, Frame, FrameKind, Module, ModuleEdgeProfile, SectionFault, WireError,
 };
 use ppp_match::read_edge_profile_matched;
-use ppp_vm::{run, HaltReason, RunOptions};
+use ppp_obs::json::escape;
+use ppp_vm::{run, HaltReason, RunOptions, SplitMix64};
 use ppp_workloads::spec2000_suite;
 use std::fmt;
 use std::sync::Arc;
@@ -104,28 +104,16 @@ impl ChaosOutcome {
         format!(
             "{{\"benchmark\":\"{}\",\"site\":\"{}\",\"seed\":{},\"verdict\":\"{}\",\
              \"lint_clean\":{},\"estimator_ok\":{},\"detail\":\"{}\",\"degradation\":{}}}",
-            json_escape(&self.benchmark),
+            escape(&self.benchmark),
             self.site,
             self.seed,
             self.verdict,
             self.lint_clean,
             self.estimator_ok,
-            json_escape(&self.detail),
+            escape(&self.detail),
             self.report.to_json(),
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 fn record_faults(report: &mut DegradationReport, faults: &[SectionFault]) {
@@ -175,31 +163,8 @@ fn damage_bytes(plan: &FaultPlan, bytes: &mut Vec<u8>) -> String {
     }
 }
 
-/// Encodes the frame stream one healthy worker would send for `prep`:
-/// `Hello`, one edge delta, one path delta, `Done`.
-fn worker_frames(prep: &PreparedBenchmark) -> Vec<Vec<u8>> {
-    let hello = Hello {
-        bench: prep.name.clone(),
-        funcs: prep.module.functions.len(),
-        scale_bits: 0,
-        worker: 0,
-    };
-    vec![
-        encode_frame(FrameKind::Hello, &hello.encode()),
-        encode_frame(
-            FrameKind::EdgeDelta,
-            write_edge_profile_v2(&prep.module, &prep.edges).as_bytes(),
-        ),
-        encode_frame(
-            FrameKind::PathDelta,
-            write_path_profile_v2(&prep.module, &prep.truth).as_bytes(),
-        ),
-        encode_frame(FrameKind::Done, b""),
-    ]
-}
-
-/// The sequenced (durable-protocol) frame stream one worker would
-/// send: `Hello`, a seq edge delta, a seq path delta, `Done`.
+/// The frame stream one healthy worker would send for `prep`: `Hello`,
+/// a seq edge delta, a seq path delta, `Done`.
 fn seq_worker_frames(prep: &PreparedBenchmark) -> Vec<Frame> {
     let hello = Hello {
         bench: prep.name.clone(),
@@ -227,6 +192,10 @@ fn seq_worker_frames(prep: &PreparedBenchmark) -> Vec<Frame> {
         ),
         Frame::new(FrameKind::Done, b"".to_vec()),
     ]
+}
+
+fn encode_stream(frames: &[Frame]) -> Vec<u8> {
+    frames.iter().flat_map(Frame::encode).collect()
 }
 
 /// A reader that yields a fixed prefix of bytes, then times out — the
@@ -504,7 +473,7 @@ pub fn chaos_scenario(
         FaultSite::TruncateFrame => {
             // A worker dying mid-send: the frame stream is cut at a
             // seed-chosen byte, possibly mid-header or mid-payload.
-            let mut stream: Vec<u8> = worker_frames(prep).concat();
+            let mut stream = encode_stream(&seq_worker_frames(prep));
             let full = stream.len();
             let cut = plan.truncate_bytes(&mut stream);
             let detail = format!("truncated the frame stream at byte {cut} of {full}");
@@ -513,7 +482,7 @@ pub fn chaos_scenario(
         FaultSite::CorruptFrame => {
             // Bit rot on the wire: the per-frame CRC (or the header
             // magic/kind/length checks) must refuse the damaged frame.
-            let mut stream: Vec<u8> = worker_frames(prep).concat();
+            let mut stream = encode_stream(&seq_worker_frames(prep));
             let hits = plan.corrupt_bytes(&mut stream, 4);
             let detail = format!("flipped frame-stream bytes at offsets {hits:?}");
             wire_fault_scenario(prep, detail, &stream)
@@ -521,9 +490,9 @@ pub fn chaos_scenario(
         FaultSite::KillConnection => {
             // The connection drops between frames: a seed-chosen prefix
             // of whole frames arrives, and `Done` never does.
-            let frames = worker_frames(prep);
+            let frames = seq_worker_frames(prep);
             let delivered = plan.frames_delivered(frames.len());
-            let stream: Vec<u8> = frames[..delivered].concat();
+            let stream = encode_stream(&frames[..delivered]);
             let detail = format!(
                 "killed the worker connection after {delivered} of {} frames",
                 frames.len()
@@ -603,10 +572,7 @@ pub fn chaos_scenario(
             // A slowloris peer: the byte stream stalls mid-frame. The
             // frame reader must surface the typed `timed-out` error —
             // never block forever, never mistake the stall for damage.
-            let stream: Vec<u8> = seq_worker_frames(prep)
-                .iter()
-                .flat_map(Frame::encode)
-                .collect();
+            let stream = encode_stream(&seq_worker_frames(prep));
             let cut = plan.stall_offset(stream.len());
             let mut reader = StallReader {
                 data: &stream[..cut],
@@ -738,7 +704,7 @@ pub fn chaos_scenario(
             let bytes = write_edge_profile_v2(module, &prep.edges).into_bytes();
             let mut stale = module.clone();
             stale.functions.rotate_left(1);
-            let mut rng = crate::drift::SplitMix64(seed ^ 0x57A1_E5AA);
+            let mut rng = SplitMix64::new(seed ^ 0x57A1_E5AA);
             crate::drift::split_blocks(&mut stale, &mut rng);
             let detail = format!(
                 "rotated and block-split the {}-function module under a persisted profile",

@@ -34,26 +34,13 @@ use ppp_ir::{
 use ppp_lint::Code;
 use ppp_match::read_edge_profile_matched;
 use ppp_opt::{inline_module_witnessed, unroll_module_witnessed, InlineOptions, UnrollOptions};
+use ppp_vm::SplitMix64;
 use ppp_workloads::spec2000_suite;
 use std::fmt;
 
-/// Deterministic local RNG (SplitMix64). `ppp-faults` keeps its stream
-/// private, and drift perturbations must not share a stream with fault
-/// injection anyway — the two sweeps are seeded independently.
-pub(crate) struct SplitMix64(pub(crate) u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
+/// A uniform index in `[0, n)`, one draw per call.
+fn below(rng: &mut SplitMix64, n: usize) -> usize {
+    rng.below(n as i64) as usize
 }
 
 fn fnv(s: &str) -> u64 {
@@ -129,8 +116,8 @@ pub(crate) fn split_blocks(m: &mut Module, rng: &mut SplitMix64) {
         if candidates.is_empty() {
             continue;
         }
-        let picks = 1 + rng.below(2.min(candidates.len()));
-        let start = rng.below(candidates.len());
+        let picks = 1 + below(rng, 2.min(candidates.len()));
+        let start = below(rng, candidates.len());
         for i in 0..picks {
             let b = candidates[(start + i) % candidates.len()];
             let mid = f.blocks[b].insts.len() / 2;
@@ -156,7 +143,7 @@ fn add_branches(m: &mut Module, rng: &mut SplitMix64) {
         if jumps.is_empty() {
             continue;
         }
-        let b = jumps[rng.below(jumps.len())];
+        let b = jumps[below(rng, jumps.len())];
         let Terminator::Jump { target } = f.blocks[b].term else {
             unreachable!();
         };
@@ -205,7 +192,7 @@ fn remove_branches(m: &mut Module, rng: &mut SplitMix64) {
         if candidates.is_empty() {
             continue;
         }
-        let b = candidates[rng.below(candidates.len())];
+        let b = candidates[below(rng, candidates.len())];
         let Terminator::Branch { else_target, .. } = f.blocks[b].term else {
             unreachable!();
         };
@@ -257,7 +244,7 @@ fn change_call_sites(m: &mut Module, rng: &mut SplitMix64) {
                 if options.is_empty() {
                     continue;
                 }
-                let new_callee = options[rng.below(options.len())];
+                let new_callee = options[below(rng, options.len())];
                 if let Inst::Call { callee, .. } = &mut m.functions[fi].blocks[bi].insts[ii] {
                     *callee = new_callee;
                 }
@@ -402,7 +389,7 @@ pub fn drift_prepared(
         let mut span = obs.span("drift.scenario");
         span.set("bench", prep.name.as_str());
         span.set("scenario", scenario.name());
-        let mut rng = SplitMix64(seed ^ fnv(&prep.name) ^ ((si as u64) << 32));
+        let mut rng = SplitMix64::new(seed ^ fnv(&prep.name) ^ ((si as u64) << 32));
         let new_module = apply_scenario(scenario, prep, options, &mut rng)?;
 
         // Fresh ground truth and fresh guidance on the perturbed module.
@@ -646,7 +633,7 @@ mod tests {
         let suite = spec2000_suite();
         let entry = suite.iter().find(|e| e.spec.name == "bzip2").unwrap();
         let prep = prepare_benchmark(entry, &tiny()).expect("prepare");
-        let mut rng = SplitMix64(99);
+        let mut rng = SplitMix64::new(99);
         let mut m = prep.module.clone();
         split_blocks(&mut m, &mut rng);
         let old_blocks: usize = prep.module.functions.iter().map(|f| f.blocks.len()).sum();

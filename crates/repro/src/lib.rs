@@ -80,7 +80,7 @@ pub use predict::{
     PredictOutcome, WINS_REQUIRED,
 };
 pub use reports::{all_reports, fig10, fig11, fig12, fig13, fig9, run_suite, table1, table2};
-pub use top::{render_stats, top, TopOptions};
+pub use top::{render_stats, top};
 pub use trace::{trace_benchmark, trace_benchmark_json};
 
 /// Serializes tests that touch process-global observation state (the

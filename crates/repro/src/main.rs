@@ -8,8 +8,7 @@ use ppp_repro::{
     predict_table, regressions_json, regressions_table, run_suite, serve, table1, table2, top,
     trace_benchmark, trace_benchmark_json, validate_benchmark, wall_trends, wall_trends_table,
 };
-use ppp_repro::{ArgCursor, DriveOptions, PipelineOptions, TopOptions, Transport};
-use std::time::Duration;
+use ppp_repro::{ArgCursor, DriveOptions, PipelineOptions, Transport};
 
 fn main() {
     // All diagnostics flow through the observation sink to stderr, so
@@ -36,7 +35,6 @@ fn main() {
     let mut trace: Option<String> = None;
     let mut top_cmd: Option<String> = None;
     let mut once = false;
-    let mut interval_ms: u64 = 1000;
     let mut flight_dir = "target/ppp-flight".to_owned();
     let mut addr = "127.0.0.1:7011".to_owned();
     let mut max_conns: usize = 64;
@@ -74,7 +72,6 @@ fn main() {
             "serve" => serve_cmd = true,
             "top" => top_cmd = Some(ok(cur.value("top", "host:port"))),
             "--once" => once = true,
-            "--interval" => interval_ms = ok(cur.parsed("--interval", "milliseconds")),
             "--flight-dir" => flight_dir = ok(cur.value("--flight-dir", "a directory path")),
             "--addr" => addr = ok(cur.value("--addr", "host:port")),
             "--connect" => connect = Some(ok(cur.value("--connect", "host:port"))),
@@ -135,12 +132,7 @@ fn main() {
         let target: std::net::SocketAddr = target
             .parse()
             .unwrap_or_else(|_| usage(&format!("top: bad address {target:?}")));
-        let top_options = TopOptions {
-            interval: Duration::from_millis(interval_ms.max(50)),
-            once,
-            ..TopOptions::default()
-        };
-        std::process::exit(match top(target, &top_options) {
+        std::process::exit(match top(target, once) {
             Ok(()) => 0,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -736,7 +728,7 @@ fn usage(err: &str) -> ! {
          [--flight-dir DIR] \
          | serve [--addr HOST:PORT] [--shards K] [--max-conns N] \
          [--checkpoint-dir DIR] [--checkpoint-every N] [--flight-dir DIR] \
-         | top HOST:PORT [--once] [--interval MS]"
+         | top HOST:PORT [--once]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

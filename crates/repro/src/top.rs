@@ -13,26 +13,11 @@ use ppp_obs::json::{self, Json};
 use std::net::SocketAddr;
 use std::time::Duration;
 
-/// Dashboard configuration (`repro top` flags).
-#[derive(Clone, Copy, Debug)]
-pub struct TopOptions {
-    /// Delay between refreshes.
-    pub interval: Duration,
-    /// Render a single page and exit (`--once`) instead of looping.
-    pub once: bool,
-    /// Per-request connect/read deadline.
-    pub timeout: Duration,
-}
+/// Delay between dashboard refreshes.
+const REFRESH: Duration = Duration::from_secs(1);
 
-impl Default for TopOptions {
-    fn default() -> Self {
-        Self {
-            interval: Duration::from_secs(1),
-            once: false,
-            timeout: Duration::from_secs(2),
-        }
-    }
-}
+/// Per-request connect/read deadline.
+const TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Sum of every registry counter named `name`, across label sets.
 fn counter_total(registry: &Json, name: &str) -> u64 {
@@ -130,19 +115,19 @@ pub fn render_stats(doc: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Polls the server at `addr` and prints the dashboard: once
-/// (`options.once`) or in a clear-screen refresh loop until the
+/// Polls the server at `addr` and prints the dashboard: once (`once`,
+/// the `--once` flag) or in a clear-screen refresh loop until the
 /// process is interrupted.
 ///
 /// # Errors
 ///
 /// Returns a message on a connect/transport failure or an unparseable
 /// reply.
-pub fn top(addr: SocketAddr, options: &TopOptions) -> Result<(), String> {
+pub fn top(addr: SocketAddr, once: bool) -> Result<(), String> {
     loop {
-        let doc = ppp_agg::fetch_stats(addr, options.timeout)?;
+        let doc = ppp_agg::fetch_stats(addr, TIMEOUT)?;
         let page = render_stats(&doc)?;
-        if options.once {
+        if once {
             println!("{addr}\n{page}");
             return Ok(());
         }
@@ -150,7 +135,7 @@ pub fn top(addr: SocketAddr, options: &TopOptions) -> Result<(), String> {
         print!("\x1b[2J\x1b[H{addr}\n{page}");
         use std::io::Write as _;
         std::io::stdout().flush().ok();
-        std::thread::sleep(options.interval);
+        std::thread::sleep(REFRESH);
     }
 }
 

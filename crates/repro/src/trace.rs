@@ -15,13 +15,13 @@
 //! `ppp-jit` loop (`jit.replay`) rides along too, putting the
 //! `jit.generation` spans and `ppp_jit_*` metrics in the same dump.
 
-use crate::drift::{split_blocks, SplitMix64};
+use crate::drift::split_blocks;
 use crate::pipeline::{run_benchmark, PipelineError, PipelineOptions};
 use ppp_agg::{AggClient, AggConfig, AggService, DurOptions, Hello, InProcSink};
 use ppp_ir::write_edge_profile_v2;
 use ppp_match::read_edge_profile_matched;
 use ppp_obs::{ObsCtx, SpanTree};
-use ppp_vm::RunOptions;
+use ppp_vm::{RunOptions, SplitMix64};
 use ppp_workloads::{generate, SuiteEntry};
 use std::sync::Arc;
 
@@ -119,7 +119,7 @@ fn replay_matched_stale(ctx: &ObsCtx, entry: &SuiteEntry, options: &PipelineOpti
     };
     let bytes = write_edge_profile_v2(&module, &edges);
     let mut newer = module.clone();
-    split_blocks(&mut newer, &mut SplitMix64(options.seed ^ 0x7_1ACE));
+    split_blocks(&mut newer, &mut SplitMix64::new(options.seed ^ 0x7_1ACE));
     match read_edge_profile_matched(&module, &newer, bytes.as_bytes()) {
         Ok((_, msr)) => {
             span.set("lossless", msr.is_lossless());

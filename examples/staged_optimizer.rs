@@ -4,7 +4,8 @@
 //! instrumentation this library inserted:
 //!
 //! 1. **stage 0**: instrument all edges, run, decode an edge profile,
-//!    persist it to text (what a profile file on disk would hold);
+//!    persist it in the checksummed v2 container (what a profile file on
+//!    disk would hold);
 //! 2. **stage 1**: reload the edge profile, inline + unroll + scalar-opt
 //!    the program (the paper's §7.3 staging), re-collect edges on the
 //!    optimized code;
@@ -17,7 +18,7 @@
 use ppp::core::{
     edge_instrument, instrument_module, measured_paths, normalize_module, ProfilerConfig,
 };
-use ppp::ir::{read_edge_profile, write_edge_profile, Module, ModuleEdgeProfile};
+use ppp::ir::{read_edge_profile_v2, write_edge_profile_v2, Module, ModuleEdgeProfile};
 use ppp::opt::{inline_module, optimize_module, unroll_module, InlineOptions, UnrollOptions};
 use ppp::vm::{run, RunOptions};
 use ppp::workloads::{generate, BenchmarkSpec};
@@ -39,7 +40,7 @@ fn main() {
 
     // Stage 0: collect and persist an edge profile.
     let (edges0, cost_instr, cost_base) = collect_edges(&module);
-    let profile_file = write_edge_profile(&module, &edges0);
+    let profile_file = write_edge_profile_v2(&module, &edges0);
     println!(
         "stage 0: edge-instrumented run (+{:.1}% overhead), profile persisted ({} bytes)",
         100.0 * (cost_instr as f64 / cost_base as f64 - 1.0),
@@ -47,7 +48,7 @@ fn main() {
     );
 
     // Stage 1: reload and optimize.
-    let edges0 = read_edge_profile(&module, &profile_file).expect("profile reloads");
+    let edges0 = read_edge_profile_v2(&module, profile_file.as_bytes()).expect("profile reloads");
     let inline = inline_module(&mut module, &edges0, &InlineOptions::default());
     let (edges1, _, _) = collect_edges(&module);
     let unroll = unroll_module(&mut module, &edges1, &UnrollOptions::default());

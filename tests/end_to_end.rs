@@ -169,15 +169,13 @@ fn profiles_roundtrip_through_persistence() {
     let edges = traced.edge_profile.unwrap();
     let paths = traced.path_profile.unwrap();
 
-    let etext = ppp::ir::write_edge_profile(&m, &edges);
-    let eback = ppp::ir::read_edge_profile(&m, &etext).expect("edge profile parses");
+    let etext = ppp::ir::write_edge_profile_v2(&m, &edges);
+    let eback = ppp::ir::read_edge_profile_v2(&m, etext.as_bytes()).expect("edge profile loads");
     assert_eq!(edges, eback);
 
-    let ptext = ppp::ir::write_path_profile(&paths);
-    let pback = ppp::ir::read_path_profile(&m, &ptext).expect("path profile parses");
-    assert_eq!(paths.total_unit_flow(), pback.total_unit_flow());
-    assert_eq!(paths.distinct_paths(), pback.distinct_paths());
-    assert_eq!(paths.total_branch_flow(), pback.total_branch_flow());
+    let ptext = ppp::ir::write_path_profile_v2(&m, &paths);
+    let pback = ppp::ir::read_path_profile_v2(&m, ptext.as_bytes()).expect("path profile loads");
+    assert_eq!(paths, pback);
 
     // A reloaded edge profile drives instrumentation identically.
     let plan_a = instrument_module(&m, Some(&edges), &ProfilerConfig::ppp());
