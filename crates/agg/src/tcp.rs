@@ -41,6 +41,7 @@ use ppp_ir::wire::{
     split_seq_payload, Frame, FrameKind, WireError, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
 };
 use ppp_ir::Module;
+use ppp_obs::json;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -406,41 +407,30 @@ fn send_reject(stream: &mut TcpStream, class: &str, detail: &str) -> std::io::Re
 /// and without touching any shard queue — reading stats never disturbs
 /// ingestion.
 fn stats_json(service: &AggService, started: Instant, frames: u64) -> String {
-    let mut benches = Vec::new();
-    for key in service.keys() {
-        let Some(agg) = service.get(&key) else {
-            continue;
-        };
-        let depths = agg
-            .queue_depths()
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        let watermarks = agg
-            .watermarks()
-            .iter()
-            .map(|(c, s)| format!("{{\"client\":{c},\"seq\":{s}}}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        benches.push(format!(
-            "{{\"bench\":\"{}\",\"shards\":{},\"queue_depths\":[{depths}],\
-             \"watermarks\":[{watermarks}],\"frames_since_checkpoint\":{},\
-             \"backpressure_stalls\":{}}}",
-            ppp_obs::json::escape(&key),
-            agg.shards(),
-            agg.frames_since_checkpoint(),
-            agg.backpressure_stalls(),
-        ));
-    }
-    format!(
-        "{{\"schema\":\"{STATS_SCHEMA}\",\"uptime_ms\":{},\"frames_accepted\":{frames},\
-         \"durable\":{},\"benches\":[{}],\"registry\":{}}}",
-        started.elapsed().as_millis(),
-        service.is_durable(),
-        benches.join(","),
-        ppp_obs::global().metrics().to_json(),
-    )
+    json::object(|o| {
+        o.field("schema", STATS_SCHEMA)
+            .field("uptime_ms", started.elapsed().as_millis())
+            .field("frames_accepted", frames)
+            .field("durable", service.is_durable())
+            .objs(
+                "benches",
+                service
+                    .keys()
+                    .into_iter()
+                    .filter_map(|key| Some((service.get(&key)?, key))),
+                |o, (agg, key)| {
+                    o.field("bench", key)
+                        .field("shards", agg.shards())
+                        .field("queue_depths", agg.queue_depths())
+                        .objs("watermarks", agg.watermarks(), |o, (c, s)| {
+                            o.field("client", c).field("seq", s);
+                        })
+                        .field("frames_since_checkpoint", agg.frames_since_checkpoint())
+                        .field("backpressure_stalls", agg.backpressure_stalls());
+                },
+            )
+            .field("registry", ppp_obs::global().metrics());
+    })
 }
 
 /// Requests one live-introspection document from the server at `addr`:

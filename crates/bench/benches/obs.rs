@@ -3,6 +3,7 @@
 //! metrics registry, and the render/serialize surfaces.
 
 use ppp_bench::harness::bench;
+use ppp_obs::json::ToJson;
 use ppp_obs::{ObsCtx, Registry};
 
 fn spans() {

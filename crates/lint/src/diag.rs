@@ -15,7 +15,7 @@
 //! | `PPP5xx`  | static branch prediction & frequency estimation (`ppp-est`) |
 
 use ppp_ir::{BlockId, FuncId};
-use ppp_obs::json::escape;
+use ppp_obs::json::{self, ToJson};
 use std::fmt;
 
 /// Diagnostic severity, ordered `Info < Warning < Error`.
@@ -369,37 +369,27 @@ impl LintReport {
     pub fn has(&self, code: Code) -> bool {
         self.diagnostics.iter().any(|d| d.code == code)
     }
+}
 
-    /// Machine-readable JSON rendering of the whole report.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
-        s.push_str(&format!(
-            "  \"counts\": {{\"error\": {}, \"warning\": {}, \"info\": {}}},\n",
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-            self.count(Severity::Info)
-        ));
-        s.push_str("  \"diagnostics\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    {");
-            s.push_str(&format!("\"code\": \"{}\", ", d.code.as_str()));
-            s.push_str(&format!("\"severity\": \"{}\", ", d.severity().as_str()));
-            s.push_str(&format!("\"func\": \"{}\", ", escape(&d.func_name)));
-            match d.block {
-                Some(b) => s.push_str(&format!("\"block\": {}, ", b.index())),
-                None => s.push_str("\"block\": null, "),
-            }
-            s.push_str(&format!("\"message\": \"{}\"}}", escape(&d.message)));
-        }
-        if !self.diagnostics.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}");
-        s
+/// Machine-readable JSON rendering of the whole report (compact):
+/// `clean`, per-severity `counts`, and the `diagnostics` in order.
+impl ToJson for LintReport {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("clean", self.is_clean())
+                .obj("counts", |o| {
+                    o.field("error", self.count(Severity::Error))
+                        .field("warning", self.count(Severity::Warning))
+                        .field("info", self.count(Severity::Info));
+                })
+                .objs("diagnostics", &self.diagnostics, |o, d| {
+                    o.field("code", d.code.as_str())
+                        .field("severity", d.severity().as_str())
+                        .field("func", &d.func_name)
+                        .field("block", d.block.map(|b| b.index()))
+                        .field("message", &d.message);
+                });
+        });
     }
 }
 
@@ -480,11 +470,10 @@ mod tests {
             message: "line\nbreak".into(),
         });
         let j = r.to_json();
-        assert!(j.contains("\"clean\": false"));
-        assert!(j.contains("we\\\"ird"));
-        assert!(j.contains("line\\nbreak"));
-        assert!(j.contains("\"block\": null"));
-        assert!(j.contains("\"warning\": 1"));
+        assert_eq!(
+            j,
+            r#"{"clean":false,"counts":{"error":0,"warning":1,"info":0},"diagnostics":[{"code":"PPP002","severity":"warning","func":"we\"ird","block":null,"message":"line\nbreak"}]}"#
+        );
     }
 
     #[test]

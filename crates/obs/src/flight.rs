@@ -74,20 +74,13 @@ impl FlightRecorder {
     /// Renders the post-mortem document: the retained records plus a
     /// snapshot of `registry`, under the [`FLIGHT_SCHEMA`] tag.
     pub fn dump_json(&self, reason: &str, registry: &Registry) -> String {
-        let records = self.records();
-        let body = records
-            .iter()
-            .map(Record::to_json_line)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"schema\":\"{}\",\"reason\":\"{}\",\"records_seen\":{},\
-             \"records\":[{body}],\"registry\":{}}}",
-            FLIGHT_SCHEMA,
-            json::escape(reason),
-            self.seen(),
-            registry.to_json(),
-        )
+        json::object(|o| {
+            o.field("schema", FLIGHT_SCHEMA)
+                .field("reason", reason)
+                .field("records_seen", self.seen())
+                .field("records", self.records())
+                .field("registry", registry);
+        })
     }
 }
 

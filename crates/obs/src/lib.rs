@@ -15,10 +15,10 @@
 //!   loop has zero obs calls, so the no-op-sink overhead bound (<2%)
 //!   holds by construction.
 //! - **Sinks never panic and never touch stdout.** Diagnostics go to
-//!   stderr (text or JSON-lines), keeping `--format json` stdout pure.
-//! - **Metrics survive round trips.** Counters are exact `u64` end to
-//!   end — including `u64::MAX` saturation values — via the built-in
-//!   integer-preserving JSON parser.
+//!   stderr, keeping `--format json` stdout pure.
+//! - **One JSON writer.** Every artifact is written through
+//!   [`json::ToJson`] and [`json::object`]; counters stay exact `u64`
+//!   end to end, including `u64::MAX` saturation values.
 //!
 //! ## Quick tour
 //!
@@ -60,10 +60,10 @@ pub use metrics::{
     Histogram, MetricKey, MetricValue, Registry, HISTOGRAM_BUCKETS, LABEL_OTHER,
     MAX_LABEL_CARDINALITY,
 };
-pub use sink::{
-    CollectSink, JsonLinesSink, Level, NoopSink, Obs, Record, RecordKind, TextSink, Value,
-};
+pub use sink::{CollectSink, Level, NoopSink, Obs, Record, RecordKind, TextSink, Value};
 pub use span::{global, install_global, ObsCtx, Span};
+
+use json::ToJson;
 
 /// One node of a reconstructed span tree.
 #[derive(Clone, Debug)]
@@ -200,52 +200,6 @@ impl SpanTree {
         Self::build(&combined)
     }
 
-    /// Renders the tree as a JSON document (`roots` + `orphan_events`),
-    /// for `repro trace --format json` and machine consumers.
-    pub fn to_json(&self) -> String {
-        let roots = self
-            .roots
-            .iter()
-            .map(Self::node_to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        let orphans = self
-            .orphan_events
-            .iter()
-            .map(Record::to_json_line)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{{\"roots\":[{roots}],\"orphan_events\":[{orphans}]}}")
-    }
-
-    fn node_to_json(node: &SpanNode) -> String {
-        let fields = node
-            .fields
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json::escape(k), v.to_json()))
-            .collect::<Vec<_>>()
-            .join(",");
-        let events = node
-            .events
-            .iter()
-            .map(Record::to_json_line)
-            .collect::<Vec<_>>()
-            .join(",");
-        let children = node
-            .children
-            .iter()
-            .map(Self::node_to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"name\":\"{}\",\"id\":{},\"elapsed_us\":{},\"fields\":{{{fields}}},\
-             \"events\":[{events}],\"children\":[{children}]}}",
-            json::escape(&node.name),
-            node.id,
-            node.elapsed_us,
-        )
-    }
-
     /// Renders the tree as an indented per-stage breakdown. Each line
     /// shows the span name, elapsed wall-time, its share of the parent's
     /// time, and any fields.
@@ -283,6 +237,34 @@ impl SpanTree {
         for child in &node.children {
             Self::render_node(child, node.elapsed_us.max(1), depth + 1, out);
         }
+    }
+}
+
+/// The tree as a JSON document (`roots` + `orphan_events`), for
+/// `repro trace --format json` and machine consumers.
+impl ToJson for SpanTree {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("roots", &self.roots)
+                .field("orphan_events", &self.orphan_events);
+        });
+    }
+}
+
+impl ToJson for SpanNode {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("name", &self.name)
+                .field("id", self.id)
+                .field("elapsed_us", self.elapsed_us)
+                .obj("fields", |o| {
+                    for (k, v) in &self.fields {
+                        o.field(k, v);
+                    }
+                })
+                .field("events", &self.events)
+                .field("children", &self.children);
+        });
     }
 }
 

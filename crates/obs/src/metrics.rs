@@ -18,7 +18,7 @@
 //! own `ppp_obs_type_conflicts_total` counter — observability must never
 //! panic the pipeline it observes.
 
-use crate::json::{self, Json};
+use crate::json::{self, ToJson};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -397,132 +397,36 @@ impl Registry {
         }
         out
     }
+}
 
-    /// Renders every metric as a JSON document (stable order, exact
-    /// integers). [`Registry::from_json`] parses it back losslessly.
-    pub fn to_json(&self) -> String {
-        let mut items = Vec::new();
-        for (key, value) in self.snapshot() {
-            let labels = key
-                .labels
-                .iter()
-                .map(|(k, v)| format!("\"{}\":\"{}\"", json::escape(k), json::escape(v)))
-                .collect::<Vec<_>>()
-                .join(",");
-            let body = match value {
-                MetricValue::Counter(c) => format!("\"type\":\"counter\",\"value\":{c}"),
-                MetricValue::Gauge(g) => {
-                    format!("\"type\":\"gauge\",\"value\":{}", json::fmt_f64(g))
-                }
-                MetricValue::Histogram(h) => {
-                    // Sparse buckets: [index, count] pairs.
-                    let buckets = h
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &c)| c > 0)
-                        .map(|(i, &c)| format!("[{i},{c}]"))
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    format!(
-                        "\"type\":\"histogram\",\"count\":{},\"sum\":{},\"buckets\":[{buckets}]",
-                        h.count, h.sum
-                    )
-                }
-            };
-            items.push(format!(
-                "{{\"name\":\"{}\",\"labels\":{{{labels}}},{body}}}",
-                json::escape(&key.name)
-            ));
-        }
-        format!("{{\"metrics\":[{}]}}", items.join(","))
-    }
-
-    /// Parses a [`Registry::to_json`] document back into a registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the document is not valid metrics JSON.
-    pub fn from_json(doc: &str) -> Result<Self, String> {
-        let v = json::parse(doc).map_err(|e| e.to_string())?;
-        let items = v
-            .get("metrics")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"metrics\" array")?;
-        let reg = Registry::new();
-        let mut map = reg.inner.lock().expect("registry lock");
-        for item in items {
-            let name = item
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("metric missing name")?;
-            let mut labels: Vec<(String, String)> = Vec::new();
-            if let Some(obj) = item.get("labels").and_then(Json::as_obj) {
-                for (k, val) in obj {
-                    labels.push((
-                        k.clone(),
-                        val.as_str().ok_or("non-string label value")?.to_owned(),
-                    ));
-                }
-            }
-            labels.sort();
-            let key = MetricKey {
-                name: name.to_owned(),
-                labels,
-            };
-            let ty = item
-                .get("type")
-                .and_then(Json::as_str)
-                .ok_or("metric missing type")?;
-            let value = match ty {
-                "counter" => MetricValue::Counter(
-                    item.get("value")
-                        .and_then(Json::as_u64)
-                        .ok_or("counter missing integer value")?,
-                ),
-                "gauge" => MetricValue::Gauge(
-                    item.get("value")
-                        .and_then(Json::as_f64)
-                        .ok_or("gauge missing value")?,
-                ),
-                "histogram" => {
-                    let mut h = Histogram {
-                        count: item
-                            .get("count")
-                            .and_then(Json::as_u64)
-                            .ok_or("histogram missing count")?,
-                        sum: item
-                            .get("sum")
-                            .and_then(Json::as_u64)
-                            .ok_or("histogram missing sum")?,
-                        ..Histogram::default()
-                    };
-                    for pair in item
-                        .get("buckets")
-                        .and_then(Json::as_arr)
-                        .ok_or("histogram missing buckets")?
-                    {
-                        let pair = pair.as_arr().ok_or("bucket entry not a pair")?;
-                        let (i, c) = match pair {
-                            [i, c] => (
-                                i.as_u64().ok_or("bucket index")? as usize,
-                                c.as_u64().ok_or("bucket count")?,
-                            ),
-                            _ => return Err("bucket entry not a pair".into()),
-                        };
-                        if i >= HISTOGRAM_BUCKETS {
-                            return Err(format!("bucket index {i} out of range"));
-                        }
-                        h.buckets[i] = c;
+/// Every metric as a JSON document (`{"metrics":[...]}` in key order,
+/// exact integers; histograms carry sparse `[index, count]` buckets).
+impl ToJson for Registry {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.objs("metrics", self.snapshot(), |o, (key, value)| {
+                o.field("name", &key.name).obj("labels", |o| {
+                    for (k, v) in &key.labels {
+                        o.field(k, v);
                     }
-                    MetricValue::Histogram(h)
-                }
-                other => return Err(format!("unknown metric type {other:?}")),
-            };
-            map.insert(key, value);
-        }
-        drop(map);
-        Ok(reg)
+                });
+                match value {
+                    MetricValue::Counter(c) => o.field("type", "counter").field("value", c),
+                    MetricValue::Gauge(g) => o.field("type", "gauge").field("value", g),
+                    MetricValue::Histogram(h) => o
+                        .field("type", "histogram")
+                        .field("count", h.count)
+                        .field("sum", h.sum)
+                        .arr("buckets", |a| {
+                            for (i, &c) in h.buckets.iter().enumerate().filter(|(_, &c)| c > 0) {
+                                a.arr(|p| {
+                                    p.item(i).item(c);
+                                });
+                            }
+                        }),
+                };
+            });
+        });
     }
 }
 
@@ -632,6 +536,7 @@ mod tests {
 
     #[test]
     fn json_round_trip_is_lossless() {
+        use crate::json::Json;
         let r = Registry::new();
         r.inc_by("c_total", &[("k", "v with \"quotes\"")], u64::MAX);
         r.set_gauge("g", &[], 0.125);
@@ -639,10 +544,25 @@ mod tests {
             r.observe("h_units", &[("b", "mcf")], v);
         }
         let doc = r.to_json();
-        let back = Registry::from_json(&doc).expect("parses");
-        assert_eq!(r.snapshot(), back.snapshot());
-        // And the round-tripped document is identical, too.
-        assert_eq!(doc, back.to_json());
+        assert_eq!(
+            doc,
+            r#"{"metrics":[{"name":"c_total","labels":{"k":"v with \"quotes\""},"type":"counter","value":18446744073709551615},{"name":"g","labels":{},"type":"gauge","value":0.125},{"name":"h_units","labels":{"b":"mcf"},"type":"histogram","count":3,"sum":1099511627781,"buckets":[[0,1],[3,1],[41,1]]}]}"#
+        );
+        let v = json::parse(&doc).expect("parses");
+        let m = v.need_arr("metrics").unwrap();
+        assert_eq!(m[0].need_u64("value"), Ok(u64::MAX));
+        assert_eq!(
+            m[0].get("labels").and_then(|l| l.need_str("k").ok()),
+            Some("v with \"quotes\"")
+        );
+        assert_eq!(m[1].need_f64("value"), Ok(0.125));
+        assert_eq!(m[2].need_u64("sum"), Ok(1 + 4 + (1 << 40)));
+        let buckets = m[2].need_arr("buckets").unwrap();
+        assert_eq!(
+            buckets[2],
+            Json::Arr(vec![Json::Int(41), Json::Int(1)]),
+            "2^40 lands in bucket 41"
+        );
     }
 
     #[test]
@@ -717,15 +637,6 @@ mod tests {
         assert_eq!(
             r.counter_value("ppp_retry_resent_frames_total", &[("client", "0")]),
             1
-        );
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_documents() {
-        assert!(Registry::from_json("{}").is_err());
-        assert!(Registry::from_json(r#"{"metrics":[{"name":"x"}]}"#).is_err());
-        assert!(
-            Registry::from_json(r#"{"metrics":[{"name":"x","type":"alien","value":1}]}"#).is_err()
         );
     }
 }

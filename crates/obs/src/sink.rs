@@ -13,14 +13,12 @@
 //!   is watching. Observation cost with this sink installed is the cost
 //!   of building the record, which the pipeline only does at stage
 //!   boundaries (never per instruction).
-//! - [`JsonLinesSink`] — one JSON object per line to any `Write`
-//!   (typically stderr, keeping stdout pure for `--format json`).
 //! - [`TextSink`] — human-oriented one-line diagnostics, also typically
 //!   stderr; replaces the ad-hoc `eprintln!` warnings.
 //! - [`CollectSink`] — buffers records in memory for tests and for
 //!   `repro trace`'s breakdown tree.
 
-use crate::json;
+use crate::json::{self, ToJson};
 use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -87,18 +85,6 @@ pub enum Value {
     Bool(bool),
 }
 
-impl Value {
-    pub(crate) fn to_json(&self) -> String {
-        match self {
-            Value::U64(v) => v.to_string(),
-            Value::I64(v) => v.to_string(),
-            Value::F64(v) => json::fmt_f64(*v),
-            Value::Str(s) => format!("\"{}\"", json::escape(s)),
-            Value::Bool(b) => b.to_string(),
-        }
-    }
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -107,6 +93,18 @@ impl fmt::Display for Value {
             Value::F64(v) => write!(f, "{v}"),
             Value::Str(s) => write!(f, "{s}"),
             Value::Bool(b) => write!(f, "{b}"),
+        }
+    }
+}
+
+impl ToJson for Value {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::U64(v) => v.write_json(out),
+            Value::I64(v) => v.write_json(out),
+            Value::F64(v) => v.write_json(out),
+            Value::Str(s) => s.write_json(out),
+            Value::Bool(b) => b.write_json(out),
         }
     }
 }
@@ -174,33 +172,30 @@ impl Record {
     pub fn field(&self, name: &str) -> Option<&Value> {
         self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
+}
 
-    /// Renders the record as a single JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        let mut out = format!(
-            "{{\"kind\":\"{}\",\"level\":\"{}\",\"span\":{},\"parent\":{},\"name\":\"{}\",\"at_us\":{}",
-            self.kind.as_str(),
-            self.level.as_str(),
-            self.span,
-            self.parent,
-            json::escape(&self.name),
-            self.at_us
-        );
-        if let Some(e) = self.elapsed_us {
-            out.push_str(&format!(",\"elapsed_us\":{e}"));
-        }
-        if !self.fields.is_empty() {
-            out.push_str(",\"fields\":{");
-            for (i, (k, v)) in self.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", json::escape(k), v.to_json()));
+/// The record as one JSON object; `elapsed_us` and `fields` appear only
+/// when present.
+impl ToJson for Record {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("kind", self.kind.as_str())
+                .field("level", self.level.as_str())
+                .field("span", self.span)
+                .field("parent", self.parent)
+                .field("name", &self.name)
+                .field("at_us", self.at_us);
+            if let Some(e) = self.elapsed_us {
+                o.field("elapsed_us", e);
             }
-            out.push('}');
-        }
-        out.push('}');
-        out
+            if !self.fields.is_empty() {
+                o.obj("fields", |o| {
+                    for (k, v) in &self.fields {
+                        o.field(k, v);
+                    }
+                });
+            }
+        });
     }
 }
 
@@ -227,34 +222,6 @@ impl Obs for NoopSink {
 
     fn enabled(&self) -> bool {
         false
-    }
-}
-
-/// Writes one JSON object per record to a shared writer.
-pub struct JsonLinesSink {
-    out: Mutex<Box<dyn Write + Send>>,
-}
-
-impl JsonLinesSink {
-    /// Wraps any writer (commonly `std::io::stderr()`).
-    pub fn new(out: Box<dyn Write + Send>) -> Self {
-        Self {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// A sink writing to stderr.
-    pub fn stderr() -> Self {
-        Self::new(Box::new(std::io::stderr()))
-    }
-}
-
-impl Obs for JsonLinesSink {
-    fn record(&self, rec: &Record) {
-        if let Ok(mut w) = self.out.lock() {
-            // Telemetry write failures are not the pipeline's problem.
-            let _ = writeln!(w, "{}", rec.to_json_line());
-        }
     }
 }
 
@@ -359,7 +326,7 @@ mod tests {
 
     #[test]
     fn record_json_line_parses_back() {
-        let line = rec().to_json_line();
+        let line = rec().to_json();
         let v = crate::json::parse(&line).expect("valid JSON");
         assert_eq!(v.get("kind").unwrap().as_str(), Some("event"));
         assert_eq!(v.get("span").unwrap().as_u64(), Some(3));
@@ -376,7 +343,7 @@ mod tests {
         let mut r = rec();
         r.kind = RecordKind::SpanEnd;
         r.elapsed_us = Some(99);
-        let v = crate::json::parse(&r.to_json_line()).unwrap();
+        let v = crate::json::parse(&r.to_json()).unwrap();
         assert_eq!(v.get("elapsed_us").unwrap().as_u64(), Some(99));
     }
 
@@ -399,30 +366,6 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].name, "first");
         assert_eq!(got[1].name, "second");
-    }
-
-    #[test]
-    fn json_lines_sink_writes_lines() {
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let sink = JsonLinesSink::new(Box::new(Shared(buf.clone())));
-        sink.record(&rec());
-        sink.record(&rec());
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            crate::json::parse(line).expect("each line is standalone JSON");
-        }
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! recorded for trend-watching but never gated.
 
 use crate::pipeline::{run_benchmark, BenchmarkRun, PipelineOptions};
-use ppp_obs::json::{self, Json};
+use ppp_obs::json;
 use ppp_obs::Value;
 use ppp_workloads::{spec2000_suite, BenchClass};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Version of the baseline artifact schema. Bump when a field changes
@@ -180,70 +179,32 @@ pub fn collect_baseline(only: Option<&str>, options: &PipelineOptions) -> BenchB
 
 /// Serializes a baseline as its canonical JSON artifact.
 pub fn baseline_json(b: &BenchBaseline) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema_version\":{},\"kind\":\"{BASELINE_KIND}\",\"seed\":{},\"scale\":{},\"hot_ratio\":{},\"total_wall_ms\":{},\"benchmarks\":[",
-        b.schema_version,
-        b.seed,
-        json::fmt_f64(b.scale),
-        json::fmt_f64(b.hot_ratio),
-        json::fmt_f64(b.total_wall_ms())
-    );
-    for (i, r) in b.benchmarks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"class\":\"{}\",\"wall_ms\":{},\"baseline_cost\":{},\"dynamic_paths\":{},\"distinct_paths\":{},\"degradation_rung\":\"{}\",\"profilers\":[",
-            json::escape(&r.name),
-            json::escape(&r.class),
-            json::fmt_f64(r.wall_ms),
-            r.baseline_cost,
-            r.dynamic_paths,
-            r.distinct_paths,
-            json::escape(&r.degradation_rung)
-        );
-        for (j, p) in r.profilers.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"label\":\"{}\",\"overhead\":{},\"accuracy\":{},\"coverage\":{},\"measured\":{},\"hashed\":{},\"lost_paths\":{}}}",
-                json::escape(&p.label),
-                json::fmt_f64(p.overhead),
-                json::fmt_f64(p.accuracy),
-                json::fmt_f64(p.coverage),
-                json::fmt_f64(p.measured),
-                json::fmt_f64(p.hashed),
-                p.lost_paths
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-fn need_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing number {key:?}"))
-}
-
-fn need_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing integer {key:?}"))
-}
-
-fn need_str(v: &Json, key: &str) -> Result<String, String> {
-    Ok(v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing string {key:?}"))?
-        .to_owned())
+    json::object(|o| {
+        o.field("schema_version", b.schema_version)
+            .field("kind", BASELINE_KIND)
+            .field("seed", b.seed)
+            .field("scale", b.scale)
+            .field("hot_ratio", b.hot_ratio)
+            .field("total_wall_ms", b.total_wall_ms())
+            .objs("benchmarks", &b.benchmarks, |o, r| {
+                o.field("name", &r.name)
+                    .field("class", &r.class)
+                    .field("wall_ms", r.wall_ms)
+                    .field("baseline_cost", r.baseline_cost)
+                    .field("dynamic_paths", r.dynamic_paths)
+                    .field("distinct_paths", r.distinct_paths)
+                    .field("degradation_rung", &r.degradation_rung)
+                    .objs("profilers", &r.profilers, |o, p| {
+                        o.field("label", &p.label)
+                            .field("overhead", p.overhead)
+                            .field("accuracy", p.accuracy)
+                            .field("coverage", p.coverage)
+                            .field("measured", p.measured)
+                            .field("hashed", p.hashed)
+                            .field("lost_paths", p.lost_paths);
+                    });
+            });
+    })
 }
 
 /// Parses a baseline artifact back from its JSON form.
@@ -255,48 +216,40 @@ fn need_str(v: &Json, key: &str) -> Result<String, String> {
 /// but [`compare_baselines`] will refuse it.
 pub fn baseline_from_json(doc: &str) -> Result<BenchBaseline, String> {
     let v = json::parse(doc).map_err(|e| e.to_string())?;
-    let kind = need_str(&v, "kind")?;
+    let kind = v.need_str("kind")?;
     if kind != BASELINE_KIND {
         return Err(format!("not a {BASELINE_KIND} artifact (kind={kind:?})"));
     }
     let mut benchmarks = Vec::new();
-    for r in v
-        .get("benchmarks")
-        .and_then(Json::as_arr)
-        .ok_or("missing \"benchmarks\" array")?
-    {
+    for r in v.need_arr("benchmarks")? {
         let mut profilers = Vec::new();
-        for p in r
-            .get("profilers")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"profilers\" array")?
-        {
+        for p in r.need_arr("profilers")? {
             profilers.push(BenchProfilerRecord {
-                label: need_str(p, "label")?,
-                overhead: need_f64(p, "overhead")?,
-                accuracy: need_f64(p, "accuracy")?,
-                coverage: need_f64(p, "coverage")?,
-                measured: need_f64(p, "measured")?,
-                hashed: need_f64(p, "hashed")?,
-                lost_paths: need_u64(p, "lost_paths")?,
+                label: p.need_str("label")?.to_owned(),
+                overhead: p.need_f64("overhead")?,
+                accuracy: p.need_f64("accuracy")?,
+                coverage: p.need_f64("coverage")?,
+                measured: p.need_f64("measured")?,
+                hashed: p.need_f64("hashed")?,
+                lost_paths: p.need_u64("lost_paths")?,
             });
         }
         benchmarks.push(BenchRecord {
-            name: need_str(r, "name")?,
-            class: need_str(r, "class")?,
-            wall_ms: need_f64(r, "wall_ms")?,
-            baseline_cost: need_u64(r, "baseline_cost")?,
-            dynamic_paths: need_u64(r, "dynamic_paths")?,
-            distinct_paths: need_u64(r, "distinct_paths")?,
-            degradation_rung: need_str(r, "degradation_rung")?,
+            name: r.need_str("name")?.to_owned(),
+            class: r.need_str("class")?.to_owned(),
+            wall_ms: r.need_f64("wall_ms")?,
+            baseline_cost: r.need_u64("baseline_cost")?,
+            dynamic_paths: r.need_u64("dynamic_paths")?,
+            distinct_paths: r.need_u64("distinct_paths")?,
+            degradation_rung: r.need_str("degradation_rung")?.to_owned(),
             profilers,
         });
     }
     Ok(BenchBaseline {
-        schema_version: need_u64(&v, "schema_version")?,
-        seed: need_u64(&v, "seed")?,
-        scale: need_f64(&v, "scale")?,
-        hot_ratio: need_f64(&v, "hot_ratio")?,
+        schema_version: v.need_u64("schema_version")?,
+        seed: v.need_u64("seed")?,
+        scale: v.need_f64("scale")?,
+        hot_ratio: v.need_f64("hot_ratio")?,
         benchmarks,
     })
 }
@@ -541,39 +494,28 @@ pub fn wall_trends_table(trends: &[WallTrend]) -> String {
 
 /// Renders the wall-time trend as JSON.
 pub fn wall_trends_json(trends: &[WallTrend]) -> String {
-    let items = trends
-        .iter()
-        .map(|w| {
-            format!(
-                "{{\"bench\":\"{}\",\"old_ms\":{},\"new_ms\":{},\"ratio\":{}}}",
-                json::escape(&w.bench),
-                json::fmt_f64(w.old_ms),
-                json::fmt_f64(w.new_ms),
-                json::fmt_f64(w.ratio)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("{{\"wall_trends\":[{items}]}}")
+    json::object(|o| {
+        o.objs("wall_trends", trends, |o, w| {
+            o.field("bench", &w.bench)
+                .field("old_ms", w.old_ms)
+                .field("new_ms", w.new_ms)
+                .field("ratio", w.ratio);
+        });
+    })
 }
 
 /// Renders a comparison outcome as JSON.
 pub fn regressions_json(regs: &[Regression]) -> String {
-    let items = regs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"bench\":\"{}\",\"profiler\":\"{}\",\"quantity\":\"{}\",\"old\":{},\"new\":{}}}",
-                json::escape(&r.bench),
-                json::escape(&r.profiler),
-                json::escape(&r.quantity),
-                json::fmt_f64(r.old),
-                json::fmt_f64(r.new)
-            )
+    json::object(|o| {
+        o.objs("regressions", regs, |o, r| {
+            o.field("bench", &r.bench)
+                .field("profiler", &r.profiler)
+                .field("quantity", &r.quantity)
+                .field("old", r.old)
+                .field("new", r.new);
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("{{\"regressions\":[{items}],\"count\":{}}}", regs.len())
+        .field("count", regs.len());
+    })
 }
 
 #[cfg(test)]
@@ -716,7 +658,7 @@ mod tests {
         let doc = baseline_json(&b);
         assert!(doc.contains("\"total_wall_ms\":"));
         let v = json::parse(&doc).expect("parses");
-        let total = v.get("total_wall_ms").and_then(Json::as_f64).unwrap();
+        let total = v.need_f64("total_wall_ms").unwrap();
         assert!((total - b.total_wall_ms()).abs() < 1e-9);
         // Derived on write: round-tripping reproduces it byte-exact.
         let back = baseline_from_json(&doc).expect("parses");

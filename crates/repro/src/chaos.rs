@@ -26,10 +26,11 @@ use ppp_ir::{
     write_path_profile_v2, Frame, FrameKind, Module, ModuleEdgeProfile, SectionFault, WireError,
 };
 use ppp_match::read_edge_profile_matched;
-use ppp_obs::json::escape;
+use ppp_obs::json::{self, ToJson};
 use ppp_vm::{run, HaltReason, RunOptions, SplitMix64};
 use ppp_workloads::spec2000_suite;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How one injected fault played out.
@@ -98,21 +99,21 @@ impl ChaosOutcome {
     pub fn ok(&self) -> bool {
         self.verdict != ChaosVerdict::Silent && self.lint_clean && self.estimator_ok
     }
+}
 
-    /// Renders the outcome as a JSON object (stable keys).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"benchmark\":\"{}\",\"site\":\"{}\",\"seed\":{},\"verdict\":\"{}\",\
-             \"lint_clean\":{},\"estimator_ok\":{},\"detail\":\"{}\",\"degradation\":{}}}",
-            escape(&self.benchmark),
-            self.site,
-            self.seed,
-            self.verdict,
-            self.lint_clean,
-            self.estimator_ok,
-            escape(&self.detail),
-            self.report.to_json(),
-        )
+/// The outcome as a JSON object (stable keys).
+impl ToJson for ChaosOutcome {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("benchmark", &self.benchmark)
+                .field("site", self.site.name())
+                .field("seed", self.seed)
+                .field("verdict", self.verdict.name())
+                .field("lint_clean", self.lint_clean)
+                .field("estimator_ok", self.estimator_ok)
+                .field("detail", &self.detail)
+                .field("degradation", &self.report);
+        });
     }
 }
 
@@ -221,11 +222,20 @@ impl std::io::Read for StallReader<'_> {
 }
 
 /// Scratch directory (inside `target/`) for one durable chaos
-/// scenario, wiped before use.
+/// scenario, wiped before use. The name is unique per process and call,
+/// so sweeps running at once (tests at different scales) never replay
+/// each other's WAL.
 fn chaos_scratch(prep: &PreparedBenchmark, site: FaultSite, seed: u64) -> std::path::PathBuf {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../target/ppp-scratch/chaos")
-        .join(format!("{}-{}-{seed}", prep.name, site.name()));
+        .join(format!(
+            "{}-{}-{seed}-{}-{call}",
+            prep.name,
+            site.name(),
+            std::process::id()
+        ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -531,7 +541,7 @@ pub fn chaos_scenario(
                 }
                 Ok((agg, rec.summary()))
             };
-            match crash_recover() {
+            let outcome = match crash_recover() {
                 Ok((agg, recovery)) => {
                     let (snap_edges, snap_paths) = agg.snapshot();
                     let identical = write_edge_profile_v2(module, &snap_edges)
@@ -566,7 +576,9 @@ pub fn chaos_scenario(
                     let detail = "crash + recovery failed".to_owned();
                     (detail, report, false, false, est)
                 }
-            }
+            };
+            let _ = std::fs::remove_dir_all(&dir);
+            outcome
         }
         FaultSite::StallConnection => {
             // A slowloris peer: the byte stream stalls mid-frame. The
@@ -1014,16 +1026,6 @@ pub fn chaos_table(outcomes: &[ChaosOutcome]) -> String {
     )
 }
 
-/// Renders chaos outcomes as a JSON array.
-pub fn chaos_json(outcomes: &[ChaosOutcome]) -> String {
-    let body = outcomes
-        .iter()
-        .map(ChaosOutcome::to_json)
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("[{body}]")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1138,7 +1140,7 @@ mod tests {
         let prep = prepare_benchmark(entry, &options).expect("pipeline completes");
         let a = chaos_prepared(&prep, 42, &options);
         let b = chaos_prepared(&prep, 42, &options);
-        assert_eq!(chaos_json(&a), chaos_json(&b));
+        assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]
@@ -1156,7 +1158,7 @@ mod tests {
         let a = chaos_suite(None, 701, &sequential).expect("sequential sweep");
         let b = chaos_suite(None, 701, &parallel).expect("parallel sweep");
         assert_eq!(a.len(), FaultSite::ALL.len() * spec2000_suite().len());
-        assert_eq!(chaos_json(&a), chaos_json(&b));
+        assert_eq!(a.to_json(), b.to_json());
         assert_eq!(chaos_table(&a), chaos_table(&b));
     }
 
@@ -1168,7 +1170,7 @@ mod tests {
         let prep = prepare_benchmark(entry, &options).expect("pipeline completes");
         let outcomes = chaos_prepared(&prep, 7, &options);
         let table = chaos_table(&outcomes);
-        let json = chaos_json(&outcomes);
+        let json = outcomes.to_json();
         for site in FaultSite::ALL {
             assert!(table.contains(site.name()), "table missing {site}");
             assert!(json.contains(site.name()), "json missing {site}");

@@ -30,7 +30,7 @@
 //! reserved for the degenerate empty-module case.
 
 use ppp_ir::{FuncId, Module, ModuleEdgeProfile, ModulePathProfile};
-use ppp_obs::json::escape;
+use ppp_obs::json::{self, ToJson};
 use std::fmt;
 
 /// One rung of the degradation ladder, ordered best to worst.
@@ -115,37 +115,22 @@ impl DegradationReport {
             detail: detail.into(),
         });
     }
+}
 
-    /// Renders the report as a JSON object (stable keys; used by
-    /// `repro chaos --format json`).
-    pub fn to_json(&self) -> String {
-        let events = self
-            .events
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"cause\":\"{}\",\"detail\":\"{}\"}}",
-                    escape(&e.cause),
-                    escape(&e.detail)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let names = |v: &[String]| {
-            v.iter()
-                .map(|n| format!("\"{}\"", escape(n)))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        format!(
-            "{{\"rung\":\"{}\",\"degraded\":{},\"quarantined\":[{}],\"rebuilt\":[{}],\
-             \"dropped_flow\":{},\"events\":[{events}]}}",
-            self.rung(),
-            self.degraded(),
-            names(&self.quarantined),
-            names(&self.rebuilt),
-            self.dropped_flow,
-        )
+/// The report as a JSON object (stable keys; used by
+/// `repro chaos --format json`).
+impl ToJson for DegradationReport {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("rung", self.rung().name())
+                .field("degraded", self.degraded())
+                .field("quarantined", &self.quarantined)
+                .field("rebuilt", &self.rebuilt)
+                .field("dropped_flow", self.dropped_flow)
+                .objs("events", &self.events, |o, e| {
+                    o.field("cause", &e.cause).field("detail", &e.detail);
+                });
+        });
     }
 }
 
@@ -545,9 +530,25 @@ mod tests {
         let mut e = good_edges(&m);
         e.func_mut(FuncId(0)).bump_edge(EdgeRef::new(BlockId(0), 0));
         let (_, r) = ingest_guidance(&m, Some(e), None);
-        let j = r.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"rung\":\"salvaged-functions\""));
-        assert!(j.contains("\"degraded\":true"));
+        let v = json::parse(&r.to_json()).expect("report JSON parses");
+        assert_eq!(v.need_str("rung"), Ok("salvaged-functions"));
+        assert_eq!(v.get("degraded"), Some(&json::Json::Bool(true)));
+        assert_eq!(v.need_u64("dropped_flow"), Ok(r.dropped_flow));
+        let names = |key: &str| -> Vec<String> {
+            let items = v.need_arr(key).expect(key);
+            items
+                .iter()
+                .map(|n| n.as_str().expect(key).to_owned())
+                .collect()
+        };
+        assert_eq!(names("quarantined"), r.quarantined);
+        assert_eq!(names("rebuilt"), r.rebuilt);
+        let events = v.need_arr("events").expect("events");
+        assert_eq!(events.len(), r.events.len());
+        assert!(!events.is_empty());
+        for (got, want) in events.iter().zip(&r.events) {
+            assert_eq!(got.need_str("cause"), Ok(want.cause.as_str()));
+            assert_eq!(got.need_str("detail"), Ok(want.detail.as_str()));
+        }
     }
 }

@@ -33,6 +33,7 @@ use ppp_ir::{
 };
 use ppp_lint::Code;
 use ppp_match::read_edge_profile_matched;
+use ppp_obs::json::{self, Fixed4, ToJson};
 use ppp_opt::{inline_module_witnessed, unroll_module_witnessed, InlineOptions, UnrollOptions};
 use ppp_vm::SplitMix64;
 use ppp_workloads::spec2000_suite;
@@ -342,37 +343,36 @@ impl DriftOutcome {
     pub fn ok(&self) -> bool {
         self.conservative && (self.scenario != DriftScenario::Identity || self.lossless)
     }
+}
 
-    /// One outcome as a JSON object (stable keys).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"benchmark\":\"{}\",\"scenario\":\"{}\",\"ok\":{},\"lossless\":{},\
-             \"conservative\":{},\"rung\":\"{}\",\"matched_ratio\":{:.4},\
-             \"anchor_paired\":{},\"dropped_flow\":{},\
-             \"diagnostics\":{{\"ppp401\":{},\"ppp402\":{},\"ppp403\":{},\"ppp404\":{}}},\
-             \"fresh_accuracy\":{:.4},\"transferred_accuracy\":{:.4},\
-             \"accuracy_decay\":{:.4},\"fresh_coverage\":{:.4},\
-             \"transferred_coverage\":{:.4},\"coverage_decay\":{:.4}}}",
-            self.benchmark,
-            self.scenario,
-            self.ok(),
-            self.lossless,
-            self.conservative,
-            self.report.rung(),
-            self.matched_ratio,
-            self.anchor_paired,
-            self.dropped_flow,
-            self.diag_counts[0],
-            self.diag_counts[1],
-            self.diag_counts[2],
-            self.diag_counts[3],
-            self.fresh_accuracy,
-            self.transferred_accuracy,
-            self.accuracy_decay(),
-            self.fresh_coverage,
-            self.transferred_coverage,
-            self.coverage_decay(),
-        )
+/// One outcome as a JSON object (stable keys; ratios to four decimals).
+impl ToJson for DriftOutcome {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("benchmark", &self.benchmark)
+                .field("scenario", self.scenario.name())
+                .field("ok", self.ok())
+                .field("lossless", self.lossless)
+                .field("conservative", self.conservative)
+                .field("rung", self.report.rung().name())
+                .field("matched_ratio", Fixed4(self.matched_ratio))
+                .field("anchor_paired", self.anchor_paired)
+                .field("dropped_flow", self.dropped_flow)
+                .obj("diagnostics", |o| {
+                    for (code, n) in ["ppp401", "ppp402", "ppp403", "ppp404"]
+                        .into_iter()
+                        .zip(self.diag_counts)
+                    {
+                        o.field(code, n);
+                    }
+                })
+                .field("fresh_accuracy", Fixed4(self.fresh_accuracy))
+                .field("transferred_accuracy", Fixed4(self.transferred_accuracy))
+                .field("accuracy_decay", Fixed4(self.accuracy_decay()))
+                .field("fresh_coverage", Fixed4(self.fresh_coverage))
+                .field("transferred_coverage", Fixed4(self.transferred_coverage))
+                .field("coverage_decay", Fixed4(self.coverage_decay()));
+        });
     }
 }
 
@@ -559,16 +559,13 @@ pub fn drift_table(outcomes: &[DriftOutcome]) -> String {
 /// Renders drift outcomes as a JSON document (stable keys; consumed by
 /// the CI accuracy-decay artifact).
 pub fn drift_json(outcomes: &[DriftOutcome], seed: u64) -> String {
-    let body = outcomes
-        .iter()
-        .map(DriftOutcome::to_json)
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"kind\":\"ppp-drift\",\"seed\":{seed},\"scenarios\":{},\"ok\":{},\"outcomes\":[{body}]}}",
-        outcomes.len(),
-        outcomes.iter().all(DriftOutcome::ok),
-    )
+    json::object(|o| {
+        o.field("kind", "ppp-drift")
+            .field("seed", seed)
+            .field("scenarios", outcomes.len())
+            .field("ok", outcomes.iter().all(DriftOutcome::ok))
+            .field("outcomes", outcomes);
+    })
 }
 
 #[cfg(test)]

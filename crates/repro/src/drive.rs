@@ -654,55 +654,44 @@ pub fn drive_table(r: &DriveReport) -> String {
 
 /// Renders a drive report as JSON (stable keys).
 pub fn drive_json(r: &DriveReport) -> String {
-    let verdict = |v: Option<bool>| match v {
-        Some(b) => b.to_string(),
-        None => "null".to_owned(),
+    let quant = |o: &mut json::Obj<'_>, key: &str, q: &Option<Quantiles>| {
+        match q {
+            Some(q) => o.obj(key, |o| {
+                o.field("count", q.count)
+                    .field("p50_us", q.p50)
+                    .field("p95_us", q.p95)
+                    .field("p99_us", q.p99);
+            }),
+            None => o.field(key, ()),
+        };
     };
-    let benches = r
-        .benches
-        .iter()
-        .map(|b| {
-            format!(
-                "{{\"bench\":\"{}\",\"runs\":{},\"deltas\":{},\"frames\":{},\"bytes\":{},\
-                 \"events\":{},\"deterministic\":{},\"lint_clean\":{}}}",
-                json::escape(&b.bench),
-                b.runs,
-                b.deltas,
-                b.frames,
-                b.bytes,
-                b.events,
-                verdict(b.deterministic),
-                verdict(b.lint_clean),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let quant = |q: &Option<Quantiles>| match q {
-        Some(q) => format!(
-            "{{\"count\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
-            q.count, q.p50, q.p95, q.p99
-        ),
-        None => "null".to_owned(),
-    };
-    format!(
-        "{{\"workers\":{},\"shards\":{},\"repeats\":{},\"transport\":\"{}\",\
-         \"wall_ms\":{},\"events_per_sec\":{},\"frames\":{},\"bytes\":{},\"kills\":{},\"ok\":{},\
-         \"latency\":{{\"ingest\":{},\"queue_wait\":{},\"wal_fsync\":{}}},\
-         \"benchmarks\":[{benches}]}}",
-        r.workers,
-        r.shards,
-        r.repeats,
-        json::escape(&r.transport),
-        json::fmt_f64(r.wall_ms),
-        json::fmt_f64(r.events_per_sec),
-        r.frames(),
-        r.bytes(),
-        r.kills,
-        r.ok(),
-        quant(&r.ingest_latency),
-        quant(&r.queue_wait),
-        quant(&r.wal_fsync),
-    )
+    json::object(|o| {
+        o.field("workers", r.workers)
+            .field("shards", r.shards)
+            .field("repeats", r.repeats)
+            .field("transport", &r.transport)
+            .field("wall_ms", r.wall_ms)
+            .field("events_per_sec", r.events_per_sec)
+            .field("frames", r.frames())
+            .field("bytes", r.bytes())
+            .field("kills", r.kills)
+            .field("ok", r.ok())
+            .obj("latency", |o| {
+                quant(o, "ingest", &r.ingest_latency);
+                quant(o, "queue_wait", &r.queue_wait);
+                quant(o, "wal_fsync", &r.wal_fsync);
+            })
+            .objs("benchmarks", &r.benches, |o, b| {
+                o.field("bench", &b.bench)
+                    .field("runs", b.runs)
+                    .field("deltas", b.deltas)
+                    .field("frames", b.frames)
+                    .field("bytes", b.bytes)
+                    .field("events", b.events)
+                    .field("deterministic", b.deterministic)
+                    .field("lint_clean", b.lint_clean);
+            });
+    })
 }
 
 /// Hosts a standalone aggregation server (`repro serve`).

@@ -17,7 +17,6 @@ use ppp_jit::{run_jit, JitError, JitOptions, JitOutcome};
 use ppp_obs::json;
 use ppp_obs::Value;
 use ppp_workloads::{generate, spec2000_suite};
-use std::fmt::Write as _;
 
 /// Version of the `ppp-jit` artifact schema.
 pub const JIT_SCHEMA_VERSION: u64 = 1;
@@ -107,97 +106,68 @@ pub fn jit_gate(outcomes: &[JitOutcome]) -> Result<(), String> {
 
 /// Renders a sweep as the `ppp-jit/v1` JSON artifact.
 pub fn jit_json(outcomes: &[JitOutcome], jopts: &JitOptions) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema_version\":{JIT_SCHEMA_VERSION},\"kind\":\"{JIT_KIND}\",\"seed\":{},\
-         \"scale\":{},\"hot_threshold\":{},\"epsilon\":{},\"generation_cap\":{},\"benchmarks\":[",
-        jopts.seed,
-        json::fmt_f64(jopts.scale),
-        json::fmt_f64(jopts.hot_threshold),
-        json::fmt_f64(jopts.epsilon),
-        jopts.generations
-    );
-    for (i, o) in outcomes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"bench\":\"{}\",\"steady_state\":{},\"generations_to_steady\":{},\
-             \"initial_cost\":{},\"final_cost\":{},\"total_speedup\":{},\"swaps\":{},\
-             \"monotone\":{},\"witness_clean\":{},\"transfers_conservative\":{},\
-             \"wall_ms\":{},\"generations\":[",
-            json::escape(&o.bench),
-            o.steady_state,
-            o.generations_run,
-            o.initial_cost,
-            o.final_cost,
-            json::fmt_f64(o.total_speedup),
-            o.swaps,
-            o.monotone_costs(),
-            o.witness_clean(),
-            o.transfers_conservative(),
-            json::fmt_f64(o.wall_ms)
-        );
-        for (j, g) in o.generations.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let transfer = match &g.transfer {
-                None => "null".to_owned(),
-                Some(t) => format!(
-                    "{{\"pairs\":{},\"anchor_pairs\":{},\"unmatched_old\":{},\
-                     \"unmatched_new\":{},\"transferred_edges\":{},\"dropped_flow\":{},\
-                     \"moved_flow\":{},\"renormalized_funcs\":{},\"zeroed_funcs\":{},\
-                     \"coverage\":{},\"identity\":{},\"conservative\":{}}}",
-                    t.pairs,
-                    t.anchor_pairs,
-                    t.unmatched_old,
-                    t.unmatched_new,
-                    t.transferred_edges,
-                    t.dropped_flow,
-                    t.moved_flow,
-                    t.renormalized_funcs,
-                    t.zeroed_funcs,
-                    json::fmt_f64(t.coverage),
-                    t.identity,
-                    t.conservative
-                ),
-            };
-            let _ = write!(
-                out,
-                "{{\"generation\":{},\"candidate_cost\":{},\"cost_after\":{},\
-                 \"improvement\":{},\"speedup_vs_initial\":{},\"promoted\":{},\
-                 \"serve_cost\":{},\"serve_prof_cost\":{},\"overhead\":{},\
-                 \"deltas_streamed\":{},\"instrumented_routines\":{},\
-                 \"static_prof_insts\":{},\"hot_functions\":{},\"total_functions\":{},\
-                 \"inlined_sites\":{},\"unrolled_loops\":{},\"witness_clean\":{},\
-                 \"transfer\":{transfer},\"wall_ms\":{}}}",
-                g.generation,
-                g.candidate_cost,
-                g.cost_after,
-                json::fmt_f64(g.improvement),
-                json::fmt_f64(g.speedup_vs_initial),
-                g.promoted,
-                g.serve_cost,
-                g.serve_prof_cost,
-                json::fmt_f64(g.overhead),
-                g.deltas_streamed,
-                g.instrumented_routines,
-                g.static_prof_insts,
-                g.hot_functions,
-                g.total_functions,
-                g.inline.inlined_sites,
-                g.unroll.counted_unrolled + g.unroll.generic_unrolled,
-                g.witness_clean(),
-                json::fmt_f64(g.wall_ms)
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+    json::object(|o| {
+        o.field("schema_version", JIT_SCHEMA_VERSION)
+            .field("kind", JIT_KIND)
+            .field("seed", jopts.seed)
+            .field("scale", jopts.scale)
+            .field("hot_threshold", jopts.hot_threshold)
+            .field("epsilon", jopts.epsilon)
+            .field("generation_cap", jopts.generations)
+            .objs("benchmarks", outcomes, |o, b| {
+                o.field("bench", &b.bench)
+                    .field("steady_state", b.steady_state)
+                    .field("generations_to_steady", b.generations_run)
+                    .field("initial_cost", b.initial_cost)
+                    .field("final_cost", b.final_cost)
+                    .field("total_speedup", b.total_speedup)
+                    .field("swaps", b.swaps)
+                    .field("monotone", b.monotone_costs())
+                    .field("witness_clean", b.witness_clean())
+                    .field("transfers_conservative", b.transfers_conservative())
+                    .field("wall_ms", b.wall_ms)
+                    .objs("generations", &b.generations, |o, g| {
+                        o.field("generation", g.generation)
+                            .field("candidate_cost", g.candidate_cost)
+                            .field("cost_after", g.cost_after)
+                            .field("improvement", g.improvement)
+                            .field("speedup_vs_initial", g.speedup_vs_initial)
+                            .field("promoted", g.promoted)
+                            .field("serve_cost", g.serve_cost)
+                            .field("serve_prof_cost", g.serve_prof_cost)
+                            .field("overhead", g.overhead)
+                            .field("deltas_streamed", g.deltas_streamed)
+                            .field("instrumented_routines", g.instrumented_routines)
+                            .field("static_prof_insts", g.static_prof_insts)
+                            .field("hot_functions", g.hot_functions)
+                            .field("total_functions", g.total_functions)
+                            .field("inlined_sites", g.inline.inlined_sites)
+                            .field(
+                                "unrolled_loops",
+                                g.unroll.counted_unrolled + g.unroll.generic_unrolled,
+                            )
+                            .field("witness_clean", g.witness_clean());
+                        match &g.transfer {
+                            None => o.field("transfer", ()),
+                            Some(t) => o.obj("transfer", |o| {
+                                o.field("pairs", t.pairs)
+                                    .field("anchor_pairs", t.anchor_pairs)
+                                    .field("unmatched_old", t.unmatched_old)
+                                    .field("unmatched_new", t.unmatched_new)
+                                    .field("transferred_edges", t.transferred_edges)
+                                    .field("dropped_flow", t.dropped_flow)
+                                    .field("moved_flow", t.moved_flow)
+                                    .field("renormalized_funcs", t.renormalized_funcs)
+                                    .field("zeroed_funcs", t.zeroed_funcs)
+                                    .field("coverage", t.coverage)
+                                    .field("identity", t.identity)
+                                    .field("conservative", t.conservative);
+                            }),
+                        };
+                        o.field("wall_ms", g.wall_ms);
+                    });
+            });
+    })
 }
 
 /// Renders a sweep as a human-readable table.

@@ -51,8 +51,8 @@ pub use bench::{
     BASELINE_SCHEMA_VERSION,
 };
 pub use chaos::{
-    chaos_benchmark, chaos_json, chaos_prepared, chaos_scenario, chaos_suite, chaos_table,
-    ChaosOutcome, ChaosVerdict,
+    chaos_benchmark, chaos_prepared, chaos_scenario, chaos_suite, chaos_table, ChaosOutcome,
+    ChaosVerdict,
 };
 pub use cli::ArgCursor;
 pub use degrade::{
@@ -81,7 +81,7 @@ pub use predict::{
 };
 pub use reports::{all_reports, fig10, fig11, fig12, fig13, fig9, run_suite, table1, table2};
 pub use top::{render_stats, top};
-pub use trace::{trace_benchmark, trace_benchmark_json};
+pub use trace::{trace_benchmark, Trace};
 
 /// Serializes tests that touch process-global observation state (the
 /// global context, its metrics registry, the flight recorder): one

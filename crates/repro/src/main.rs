@@ -1,14 +1,16 @@
 //! CLI entry: regenerate the paper's tables and figures.
 
+use ppp_obs::json::{self, ToJson};
 use ppp_repro::{
-    all_reports, baseline_from_json, baseline_json, baseline_table, chaos_json, chaos_suite,
-    chaos_table, collect_baseline, compare_baselines, drift_json, drift_suite, drift_table, drive,
-    drive_json, drive_table, fig10, fig11, fig12, fig13, fig9, inspect_benchmark, jit_gate,
-    jit_json, jit_options, jit_suite, jit_table, lint_benchmark, predict_json, predict_suite,
-    predict_table, regressions_json, regressions_table, run_suite, serve, table1, table2, top,
-    trace_benchmark, trace_benchmark_json, validate_benchmark, wall_trends, wall_trends_table,
+    all_reports, baseline_from_json, baseline_json, baseline_table, chaos_suite, chaos_table,
+    collect_baseline, compare_baselines, drift_json, drift_suite, drift_table, drive, drive_json,
+    drive_table, fig10, fig11, fig12, fig13, fig9, inspect_benchmark, jit_gate, jit_json,
+    jit_options, jit_suite, jit_table, lint_benchmark, predict_json, predict_suite, predict_table,
+    regressions_json, regressions_table, run_suite, serve, table1, table2, top, trace_benchmark,
+    validate_benchmark, wall_trends, wall_trends_table,
 };
 use ppp_repro::{ArgCursor, DriveOptions, PipelineOptions, Transport};
+use ppp_workloads::SuiteEntry;
 
 fn main() {
     // All diagnostics flow through the observation sink to stderr, so
@@ -218,13 +220,31 @@ fn main() {
         std::process::exit(run_trace(&name, &format, out.as_deref(), &trace_options));
     }
     if let Some(only) = lint {
-        std::process::exit(run_lint(only.as_deref(), &format, &options));
+        std::process::exit(run_checks(
+            false,
+            only.as_deref(),
+            &format,
+            out.as_deref(),
+            &options,
+        ));
     }
     if let Some(only) = validate {
-        std::process::exit(run_validate(only.as_deref(), &format, &options));
+        std::process::exit(run_checks(
+            true,
+            only.as_deref(),
+            &format,
+            out.as_deref(),
+            &options,
+        ));
     }
     if let Some(only) = chaos {
-        std::process::exit(run_chaos(only.as_deref(), seed, &format, &options));
+        std::process::exit(run_chaos(
+            only.as_deref(),
+            seed,
+            &format,
+            out.as_deref(),
+            &options,
+        ));
     }
     if let Some(only) = drift {
         std::process::exit(run_drift(
@@ -245,17 +265,13 @@ fn main() {
         ));
     }
     if let Some(name) = inspect {
-        let suite = ppp_workloads::spec2000_suite();
-        let entry = suite
-            .iter()
-            .find(|e| e.spec.name == name)
-            .unwrap_or_else(|| usage(&format!("unknown benchmark {name:?}")));
+        let entry = entry(&name);
         for config in [
             ppp_core::ProfilerConfig::pp(),
             ppp_core::ProfilerConfig::tpp(),
             ppp_core::ProfilerConfig::ppp(),
         ] {
-            println!("{}", inspect_benchmark(entry, &config, &options));
+            println!("{}", inspect_benchmark(&entry, &config, &options));
         }
         return;
     }
@@ -291,6 +307,50 @@ fn main() {
     }
 }
 
+/// The one output path of every artifact-producing subcommand: writes
+/// the JSON `doc` to `--out` when given, then prints `doc` under
+/// `--format json` and `table()` otherwise. Returns `false` when the
+/// file cannot be written.
+fn emit(doc: &str, table: impl FnOnce() -> String, format: &str, out: Option<&str>) -> bool {
+    if !write_out(doc, out) {
+        return false;
+    }
+    match format {
+        "json" => println!("{doc}"),
+        _ => println!("{}", table()),
+    }
+    true
+}
+
+/// Writes the JSON `doc` to `--out` when given; `false` when the file
+/// cannot be written.
+fn write_out(doc: &str, out: Option<&str>) -> bool {
+    if let Some(path) = out {
+        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
+            eprintln!("error: cannot write {path}: {e}");
+            return false;
+        }
+    }
+    true
+}
+
+/// The suite entry named `name`; an unknown name is a usage error. The
+/// one benchmark-name check behind every subcommand.
+fn entry(name: &str) -> SuiteEntry {
+    ppp_workloads::spec2000_suite()
+        .into_iter()
+        .find(|e| e.spec.name == name)
+        .unwrap_or_else(|| usage(&format!("unknown benchmark {name:?}")))
+}
+
+/// Exits with a usage error unless every name in `names` is a suite
+/// benchmark.
+fn check_names<'a>(names: impl IntoIterator<Item = &'a str>) {
+    for name in names {
+        entry(name);
+    }
+}
+
 /// Runs (or diffs) perf baselines; returns the exit code (0 = clean,
 /// 1 = regressions found, 2 = bad input).
 #[allow(clippy::too_many_arguments)]
@@ -303,12 +363,7 @@ fn run_bench(
     threshold: f64,
     options: &PipelineOptions,
 ) -> i32 {
-    if let Some(name) = only {
-        let suite = ppp_workloads::spec2000_suite();
-        if !suite.iter().any(|e| e.spec.name == name) {
-            usage(&format!("unknown benchmark {name:?}"));
-        }
-    }
+    check_names(only);
     let load = |path: &str| match std::fs::read_to_string(path)
         .map_err(|e| e.to_string())
         .and_then(|doc| baseline_from_json(&doc))
@@ -319,47 +374,41 @@ fn run_bench(
             std::process::exit(2);
         }
     };
-    if let Some(old_path) = compare {
-        let old = load(old_path);
-        let new = match against {
-            Some(new_path) => load(new_path),
-            None => collect_baseline(only, options),
+    let Some(old_path) = compare else {
+        let baseline = collect_baseline(only, options);
+        let doc = baseline_json(&baseline);
+        return if emit(&doc, || baseline_table(&baseline), format, out) {
+            0
+        } else {
+            2
         };
-        let regs = match compare_baselines(&old, &new, threshold) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: baselines incomparable: {e}");
-                return 2;
-            }
-        };
-        match format {
-            "json" => println!("{}", regressions_json(&regs)),
-            _ => {
-                println!("{}", regressions_table(&regs));
-                // Wall-clock movement is recorded and shown, never
-                // gated: the exit code below depends only on the
-                // cost-model regressions.
-                let trends = wall_trends(&old, &new);
-                if !trends.is_empty() {
-                    println!("\n{}", wall_trends_table(&trends));
-                }
-            }
-        }
-        return i32::from(!regs.is_empty());
-    }
-    let baseline = collect_baseline(only, options);
-    let doc = baseline_json(&baseline);
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("error: cannot write {path}: {e}");
+    };
+    let old = load(old_path);
+    let new = match against {
+        Some(new_path) => load(new_path),
+        None => collect_baseline(only, options),
+    };
+    let regs = match compare_baselines(&old, &new, threshold) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: baselines incomparable: {e}");
             return 2;
         }
+    };
+    // Wall-clock movement is recorded and shown, never gated: the exit
+    // code depends only on the cost-model regressions.
+    let table = || {
+        let trends = wall_trends(&old, &new);
+        let mut text = regressions_table(&regs);
+        if !trends.is_empty() {
+            text.push_str(&format!("\n\n{}", wall_trends_table(&trends)));
+        }
+        text
+    };
+    if !emit(&regressions_json(&regs), table, format, out) {
+        return 2;
     }
-    match format {
-        "json" => println!("{doc}"),
-        _ => println!("{}", baseline_table(&baseline)),
-    }
-    0
+    i32::from(!regs.is_empty())
 }
 
 /// Runs the closed re-optimization loop over the suite (or one
@@ -374,14 +423,7 @@ fn run_jit_cmd(
     jopts: &ppp_jit::JitOptions,
     workers: usize,
 ) -> i32 {
-    if let Some(names) = only {
-        let suite = ppp_workloads::spec2000_suite();
-        for name in names.split(',') {
-            if !suite.iter().any(|e| e.spec.name == name) {
-                usage(&format!("unknown benchmark {name:?}"));
-            }
-        }
-    }
+    check_names(only.into_iter().flat_map(|n| n.split(',')));
     let outcomes = match jit_suite(only, jopts, workers) {
         Ok(o) => o,
         Err(e) => {
@@ -389,16 +431,13 @@ fn run_jit_cmd(
             return 2;
         }
     };
-    let doc = jit_json(&outcomes, jopts);
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("error: cannot write {path}: {e}");
-            return 2;
-        }
-    }
-    match format {
-        "json" => println!("{doc}"),
-        _ => println!("{}", jit_table(&outcomes)),
+    if !emit(
+        &jit_json(&outcomes, jopts),
+        || jit_table(&outcomes),
+        format,
+        out,
+    ) {
+        return 2;
     }
     match jit_gate(&outcomes) {
         Ok(()) => 0,
@@ -411,27 +450,15 @@ fn run_jit_cmd(
 
 /// Replays one benchmark with spans on and prints the breakdown — as a
 /// text tree or (`--format json`) a schema-versioned span+metric
-/// artifact, optionally written to `--out`; returns the exit code.
+/// artifact, which `--out` receives either way; returns the exit code.
 fn run_trace(name: &str, format: &str, out: Option<&str>, options: &PipelineOptions) -> i32 {
-    let suite = ppp_workloads::spec2000_suite();
-    let entry = suite
-        .iter()
-        .find(|e| e.spec.name == name)
-        .unwrap_or_else(|| usage(&format!("unknown benchmark {name:?}")));
-    let rendered = match format {
-        "json" => trace_benchmark_json(entry, options),
-        _ => trace_benchmark(entry, options),
-    };
-    match rendered {
-        Ok(text) => {
-            if let Some(path) = out {
-                if let Err(e) = std::fs::write(path, format!("{text}\n")) {
-                    eprintln!("error: cannot write {path}: {e}");
-                    return 2;
-                }
+    match trace_benchmark(&entry(name), options) {
+        Ok(trace) => {
+            if emit(&trace.to_json(), || trace.text(), format, out) {
+                0
+            } else {
+                2
             }
-            println!("{text}");
-            0
         }
         Err(e) => {
             eprintln!("error: {e}");
@@ -440,108 +467,73 @@ fn run_trace(name: &str, format: &str, out: Option<&str>, options: &PipelineOpti
     }
 }
 
-/// Lints every pipeline-produced instrumentation plan; returns the exit
-/// code (0 = all clean).
-fn run_lint(only: Option<&str>, format: &str, options: &PipelineOptions) -> i32 {
-    let suite = ppp_workloads::spec2000_suite();
-    let entries: Vec<_> = match only {
-        Some(name) => vec![suite
-            .iter()
-            .find(|e| e.spec.name == name)
-            .unwrap_or_else(|| usage(&format!("unknown benchmark {name:?}")))],
-        None => suite.iter().collect(),
+/// Lints every pipeline-produced instrumentation plan or, with
+/// `validate`, translation-validates the witnessed pipeline stages of
+/// each benchmark; returns the exit code (0 = all clean: lint tolerates
+/// info-level diagnostics, validation tolerates none). Text results are
+/// printed per benchmark as they finish; the JSON document is printed
+/// (`--format json`) or written (`--out`) once the suite is done.
+fn run_checks(
+    validate: bool,
+    only: Option<&str>,
+    format: &str,
+    out: Option<&str>,
+    options: &PipelineOptions,
+) -> i32 {
+    let (group, item) = if validate {
+        ("stages", "stage")
+    } else {
+        ("configs", "config")
     };
+    let entries = match only {
+        Some(name) => vec![entry(name)],
+        None => ppp_workloads::spec2000_suite(),
+    };
+    let stream = format != "json";
     let mut dirty = false;
-    let mut json_benches = Vec::new();
-    for entry in entries {
-        let reports = match lint_benchmark(entry, options) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                dirty = true;
-                continue;
-            }
-        };
-        let mut json_configs = Vec::new();
-        for (label, report) in &reports {
-            dirty |= !report.is_clean();
-            match format {
-                "json" => json_configs.push(format!(
-                    "{{\"config\":\"{label}\",\"report\":{}}}",
-                    report.to_json()
-                )),
-                _ => {
+    let doc = json::array(|a| {
+        for entry in &entries {
+            let name = &entry.spec.name;
+            let checked = if validate {
+                validate_benchmark(entry, options)
+            } else {
+                lint_benchmark(entry, options)
+            };
+            let reports = match checked {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    dirty = true;
+                    continue;
+                }
+            };
+            for (label, report) in &reports {
+                dirty |= if validate {
+                    !report.is_empty()
+                } else {
+                    !report.is_clean()
+                };
+                if stream {
                     if report.is_empty() {
-                        println!("{}/{label}: clean", entry.spec.name);
+                        println!("{name}/{label}: clean");
                     } else {
-                        println!("{}/{label}:\n{report}", entry.spec.name);
+                        println!("{name}/{label}:\n{report}");
                     }
                 }
             }
+            a.obj(|o| {
+                o.field("benchmark", name)
+                    .objs(group, &reports, |o, (label, report)| {
+                        o.field(item, label).field("report", report);
+                    });
+            });
         }
-        if format == "json" {
-            json_benches.push(format!(
-                "{{\"benchmark\":\"{}\",\"configs\":[{}]}}",
-                entry.spec.name,
-                json_configs.join(",")
-            ));
-        }
+    });
+    if !write_out(&doc, out) {
+        return 2;
     }
-    if format == "json" {
-        println!("[{}]", json_benches.join(","));
-    }
-    i32::from(dirty)
-}
-
-/// Translation-validates the witnessed pipeline stages of each benchmark;
-/// returns the exit code (0 = every stage clean).
-fn run_validate(only: Option<&str>, format: &str, options: &PipelineOptions) -> i32 {
-    let suite = ppp_workloads::spec2000_suite();
-    let entries: Vec<_> = match only {
-        Some(name) => vec![suite
-            .iter()
-            .find(|e| e.spec.name == name)
-            .unwrap_or_else(|| usage(&format!("unknown benchmark {name:?}")))],
-        None => suite.iter().collect(),
-    };
-    let mut dirty = false;
-    let mut json_benches = Vec::new();
-    for entry in entries {
-        let stages = match validate_benchmark(entry, options) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                dirty = true;
-                continue;
-            }
-        };
-        let mut json_stages = Vec::new();
-        for (stage, report) in &stages {
-            dirty |= !report.is_empty();
-            match format {
-                "json" => json_stages.push(format!(
-                    "{{\"stage\":\"{stage}\",\"report\":{}}}",
-                    report.to_json()
-                )),
-                _ => {
-                    if report.is_empty() {
-                        println!("{}/{stage}: clean", entry.spec.name);
-                    } else {
-                        println!("{}/{stage}:\n{report}", entry.spec.name);
-                    }
-                }
-            }
-        }
-        if format == "json" {
-            json_benches.push(format!(
-                "{{\"benchmark\":\"{}\",\"stages\":[{}]}}",
-                entry.spec.name,
-                json_stages.join(",")
-            ));
-        }
-    }
-    if format == "json" {
-        println!("[{}]", json_benches.join(","));
+    if !stream {
+        println!("{doc}");
     }
     i32::from(dirty)
 }
@@ -549,13 +541,14 @@ fn run_validate(only: Option<&str>, format: &str, options: &PipelineOptions) -> 
 /// Sweeps every fault site across the suite (or one benchmark); returns
 /// the exit code (0 = every scenario completed with no silent
 /// degradation and lint-clean surviving guidance).
-fn run_chaos(only: Option<&str>, seed: u64, format: &str, options: &PipelineOptions) -> i32 {
-    if let Some(name) = only {
-        let suite = ppp_workloads::spec2000_suite();
-        if !suite.iter().any(|e| e.spec.name == name) {
-            usage(&format!("unknown benchmark {name:?}"));
-        }
-    }
+fn run_chaos(
+    only: Option<&str>,
+    seed: u64,
+    format: &str,
+    out: Option<&str>,
+    options: &PipelineOptions,
+) -> i32 {
+    check_names(only);
     let outcomes = match chaos_suite(only, seed, options) {
         Ok(o) => o,
         Err(e) => {
@@ -563,9 +556,8 @@ fn run_chaos(only: Option<&str>, seed: u64, format: &str, options: &PipelineOpti
             return 2;
         }
     };
-    match format {
-        "json" => println!("{}", chaos_json(&outcomes)),
-        _ => println!("{}", chaos_table(&outcomes)),
+    if !emit(&outcomes.to_json(), || chaos_table(&outcomes), format, out) {
+        return 2;
     }
     i32::from(outcomes.iter().any(|o| !o.ok()))
 }
@@ -581,12 +573,7 @@ fn run_drift(
     out: Option<&str>,
     options: &PipelineOptions,
 ) -> i32 {
-    if let Some(name) = only {
-        let suite = ppp_workloads::spec2000_suite();
-        if !suite.iter().any(|e| e.spec.name == name) {
-            usage(&format!("unknown benchmark {name:?}"));
-        }
-    }
+    check_names(only);
     let outcomes = match drift_suite(only, seed, options) {
         Ok(o) => o,
         Err(e) => {
@@ -594,16 +581,13 @@ fn run_drift(
             return 2;
         }
     };
-    let doc = drift_json(&outcomes, seed);
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("error: cannot write {path}: {e}");
-            return 2;
-        }
-    }
-    match format {
-        "json" => println!("{doc}"),
-        _ => println!("{}", drift_table(&outcomes)),
+    if !emit(
+        &drift_json(&outcomes, seed),
+        || drift_table(&outcomes),
+        format,
+        out,
+    ) {
+        return 2;
     }
     i32::from(outcomes.iter().any(|o| !o.ok()))
 }
@@ -619,12 +603,7 @@ fn run_predict(
     out: Option<&str>,
     options: &PipelineOptions,
 ) -> i32 {
-    if let Some(name) = only {
-        let suite = ppp_workloads::spec2000_suite();
-        if !suite.iter().any(|e| e.spec.name == name) {
-            usage(&format!("unknown benchmark {name:?}"));
-        }
-    }
+    check_names(only);
     let predict_options = PipelineOptions { seed, ..*options };
     let outcomes = match predict_suite(only, &predict_options) {
         Ok(o) => o,
@@ -633,16 +612,13 @@ fn run_predict(
             return 2;
         }
     };
-    let doc = predict_json(&outcomes, seed);
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("error: cannot write {path}: {e}");
-            return 2;
-        }
-    }
-    match format {
-        "json" => println!("{doc}"),
-        _ => println!("{}", predict_table(&outcomes)),
+    if !emit(
+        &predict_json(&outcomes, seed),
+        || predict_table(&outcomes),
+        format,
+        out,
+    ) {
+        return 2;
     }
     i32::from(!ppp_repro::predict_gate(&outcomes))
 }
@@ -685,16 +661,8 @@ fn run_drive(only: Option<&str>, format: &str, out: Option<&str>, options: &Driv
             return 2;
         }
     };
-    let doc = drive_json(&report);
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("error: cannot write {path}: {e}");
-            return 2;
-        }
-    }
-    match format {
-        "json" => println!("{doc}"),
-        _ => println!("{}", drive_table(&report)),
+    if !emit(&drive_json(&report), || drive_table(&report), format, out) {
+        return 2;
     }
     i32::from(!report.ok())
 }
@@ -712,9 +680,9 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: ppp-repro [--scale X] [--quick] [--no-ablations] \
          [table1|table2|fig9|fig10|fig11|fig12|fig13|all] \
-         | inspect <benchmark> | lint [benchmark] [--format text|json] \
-         | validate [benchmark] [--format text|json] \
-         | chaos [benchmark] [--seed S] [--workers N] [--format text|json] \
+         | inspect <benchmark> | lint [benchmark] [--format text|json] [--out FILE] \
+         | validate [benchmark] [--format text|json] [--out FILE] \
+         | chaos [benchmark] [--seed S] [--workers N] [--format text|json] [--out FILE] \
          | drift [benchmark] [--seed S] [--workers N] [--format text|json] [--out FILE] \
          | predict [benchmark] [--seed S] [--workers N] [--format text|json] [--out FILE] \
          | bench [benchmark] [--format text|json] [--out FILE] \

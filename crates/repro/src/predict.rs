@@ -29,6 +29,7 @@ use ppp_core::{accuracy, edge_profile_coverage, edge_profile_estimate, FlowKind}
 use ppp_est::{estimate_module, EstOptions};
 use ppp_ir::ModuleEdgeProfile;
 use ppp_lint::Code;
+use ppp_obs::json::{self, Fixed4, ToJson};
 use ppp_workloads::spec2000_suite;
 
 /// Suite-level gate: of 18 benchmarks, the heuristic estimate must
@@ -87,33 +88,33 @@ impl PredictOutcome {
     pub fn ok(&self) -> bool {
         self.conservative
     }
+}
 
-    /// One outcome as a JSON object (stable keys).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"benchmark\":\"{}\",\"ok\":{},\"conservative\":{},\
-             \"beats_uniform\":{},\"branches\":{},\"loops\":{},\
-             \"zeroed_funcs\":{},\
-             \"diagnostics\":{{\"ppp501\":{},\"ppp502\":{},\"ppp503\":{},\"ppp504\":{}}},\
-             \"est_accuracy\":{:.4},\"uniform_accuracy\":{:.4},\"lift\":{:.4},\
-             \"est_coverage\":{:.4},\"uniform_coverage\":{:.4}}}",
-            self.benchmark,
-            self.ok(),
-            self.conservative,
-            self.beats_uniform(),
-            self.branches,
-            self.loops,
-            self.zeroed_funcs,
-            self.diag_counts[0],
-            self.diag_counts[1],
-            self.diag_counts[2],
-            self.diag_counts[3],
-            self.est_accuracy,
-            self.uniform_accuracy,
-            self.lift(),
-            self.est_coverage,
-            self.uniform_coverage,
-        )
+/// One outcome as a JSON object (stable keys; ratios to four decimals).
+impl ToJson for PredictOutcome {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("benchmark", &self.benchmark)
+                .field("ok", self.ok())
+                .field("conservative", self.conservative)
+                .field("beats_uniform", self.beats_uniform())
+                .field("branches", self.branches)
+                .field("loops", self.loops)
+                .field("zeroed_funcs", self.zeroed_funcs)
+                .obj("diagnostics", |o| {
+                    for (code, n) in ["ppp501", "ppp502", "ppp503", "ppp504"]
+                        .into_iter()
+                        .zip(self.diag_counts)
+                    {
+                        o.field(code, n);
+                    }
+                })
+                .field("est_accuracy", Fixed4(self.est_accuracy))
+                .field("uniform_accuracy", Fixed4(self.uniform_accuracy))
+                .field("lift", Fixed4(self.lift()))
+                .field("est_coverage", Fixed4(self.est_coverage))
+                .field("uniform_coverage", Fixed4(self.uniform_coverage));
+        });
     }
 }
 
@@ -276,19 +277,18 @@ pub fn predict_table(outcomes: &[PredictOutcome]) -> String {
 /// Renders predict outcomes as a JSON document (stable keys; consumed by
 /// the CI estimate-quality artifact `PREDICT_ci.json`).
 pub fn predict_json(outcomes: &[PredictOutcome], seed: u64) -> String {
-    let body = outcomes
-        .iter()
-        .map(PredictOutcome::to_json)
-        .collect::<Vec<_>>()
-        .join(",");
-    let wins = outcomes.iter().filter(|o| o.beats_uniform()).count();
-    format!(
-        "{{\"kind\":\"ppp-predict\",\"seed\":{seed},\"benchmarks\":{},\
-         \"wins\":{wins},\"wins_required\":{},\"ok\":{},\"outcomes\":[{body}]}}",
-        outcomes.len(),
-        wins_required(outcomes.len()),
-        predict_gate(outcomes),
-    )
+    json::object(|o| {
+        o.field("kind", "ppp-predict")
+            .field("seed", seed)
+            .field("benchmarks", outcomes.len())
+            .field(
+                "wins",
+                outcomes.iter().filter(|o| o.beats_uniform()).count(),
+            )
+            .field("wins_required", wins_required(outcomes.len()))
+            .field("ok", predict_gate(outcomes))
+            .field("outcomes", outcomes);
+    })
 }
 
 #[cfg(test)]

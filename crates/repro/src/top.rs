@@ -21,17 +21,13 @@ const TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Sum of every registry counter named `name`, across label sets.
 fn counter_total(registry: &Json, name: &str) -> u64 {
-    registry
-        .get("metrics")
-        .and_then(Json::as_arr)
-        .map(|items| {
-            items
-                .iter()
-                .filter(|m| m.get("name").and_then(Json::as_str) == Some(name))
-                .filter_map(|m| m.get("value").and_then(Json::as_u64))
-                .sum()
-        })
-        .unwrap_or(0)
+    registry.need_arr("metrics").map_or(0, |items| {
+        items
+            .iter()
+            .filter(|m| m.need_str("name") == Ok(name))
+            .filter_map(|m| m.need_u64("value").ok())
+            .sum()
+    })
 }
 
 /// Renders one Stats document as a dashboard page.
@@ -42,14 +38,14 @@ fn counter_total(registry: &Json, name: &str) -> u64 {
 /// [`STATS_SCHEMA`] JSON.
 pub fn render_stats(doc: &str) -> Result<String, String> {
     let v = json::parse(doc).map_err(|e| format!("stats document unparseable: {e}"))?;
-    let schema = v.get("schema").and_then(Json::as_str).unwrap_or("?");
+    let schema = v.need_str("schema").unwrap_or("?");
     if schema != STATS_SCHEMA {
         return Err(format!(
             "unexpected stats schema {schema:?} (want {STATS_SCHEMA:?})"
         ));
     }
-    let uptime_ms = v.get("uptime_ms").and_then(Json::as_u64).unwrap_or(0);
-    let frames = v.get("frames_accepted").and_then(Json::as_u64).unwrap_or(0);
+    let uptime_ms = v.need_u64("uptime_ms").unwrap_or(0);
+    let frames = v.need_u64("frames_accepted").unwrap_or(0);
     let durable = matches!(v.get("durable"), Some(Json::Bool(true)));
     let mut out = format!(
         "ppp-agg: up {:.1} s, {frames} frame(s) accepted{}\n",
@@ -66,7 +62,7 @@ pub fn render_stats(doc: &str) -> Result<String, String> {
             counter_total(reg, ppp_obs::names::FLIGHT_DUMPS),
         ));
     }
-    let benches = v.get("benches").and_then(Json::as_arr).unwrap_or(&[]);
+    let benches = v.need_arr("benches").unwrap_or(&[]);
     if benches.is_empty() {
         out.push_str("(no benchmarks registered)\n");
         return Ok(out);
@@ -80,35 +76,23 @@ pub fn render_stats(doc: &str) -> Result<String, String> {
         "Stalls",
     ]);
     for b in benches {
-        let depths = b
-            .get("queue_depths")
-            .and_then(Json::as_arr)
-            .map(|d| {
-                d.iter()
-                    .filter_map(Json::as_u64)
-                    .map(|n| n.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            })
-            .unwrap_or_else(|| "?".to_owned());
+        let num = |key: &str| b.need_u64(key).map_or("?".to_owned(), |n| n.to_string());
+        let depths = b.need_arr("queue_depths").map_or("?".to_owned(), |d| {
+            let d: Vec<String> = d
+                .iter()
+                .filter_map(Json::as_u64)
+                .map(|n| n.to_string())
+                .collect();
+            d.join(",")
+        });
         t.row([
-            b.get("bench")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_owned(),
-            b.get("shards")
-                .and_then(Json::as_u64)
-                .map_or_else(|| "?".to_owned(), |n| n.to_string()),
+            b.need_str("bench").unwrap_or("?").to_owned(),
+            num("shards"),
             depths,
-            b.get("watermarks")
-                .and_then(Json::as_arr)
-                .map_or_else(|| "?".to_owned(), |w| w.len().to_string()),
-            b.get("frames_since_checkpoint")
-                .and_then(Json::as_u64)
-                .map_or_else(|| "?".to_owned(), |n| n.to_string()),
-            b.get("backpressure_stalls")
-                .and_then(Json::as_u64)
-                .map_or_else(|| "?".to_owned(), |n| n.to_string()),
+            b.need_arr("watermarks")
+                .map_or("?".to_owned(), |w| w.len().to_string()),
+            num("frames_since_checkpoint"),
+            num("backpressure_stalls"),
         ]);
     }
     out.push_str(&t.render());

@@ -20,6 +20,7 @@ use crate::pipeline::{run_benchmark, PipelineError, PipelineOptions};
 use ppp_agg::{AggClient, AggConfig, AggService, DurOptions, Hello, InProcSink};
 use ppp_ir::write_edge_profile_v2;
 use ppp_match::read_edge_profile_matched;
+use ppp_obs::json::{self, ToJson};
 use ppp_obs::{ObsCtx, SpanTree};
 use ppp_vm::{RunOptions, SplitMix64};
 use ppp_workloads::{generate, SuiteEntry};
@@ -180,12 +181,25 @@ fn replay_jit_loop(ctx: &ObsCtx, entry: &SuiteEntry, options: &PipelineOptions) 
 /// Schema tag of the JSON trace artifact (`repro trace --format json`).
 pub const TRACE_SCHEMA: &str = "ppp-trace/v1";
 
-/// Replays `entry` under a collecting context and returns the run, the
-/// reconstructed span tree, and the replay's private metric registry.
-fn trace_replay(
+/// One traced replay: the run, its reconstructed span tree, and the
+/// replay's private metric registry. [`Trace::text`] renders it for
+/// people; its [`ToJson`] form is the [`TRACE_SCHEMA`] artifact.
+pub struct Trace {
+    run: crate::pipeline::BenchmarkRun,
+    tree: SpanTree,
+    ctx: ObsCtx,
+}
+
+/// Replays `entry` under a collecting context, restoring the previous
+/// global context afterwards.
+///
+/// # Errors
+///
+/// Propagates the pipeline's error when the benchmark cannot run.
+pub fn trace_benchmark(
     entry: &SuiteEntry,
     options: &PipelineOptions,
-) -> Result<(crate::pipeline::BenchmarkRun, SpanTree, ObsCtx), PipelineError> {
+) -> Result<Trace, PipelineError> {
     let previous = ppp_obs::global();
     let (ctx, collect) = ObsCtx::collecting();
     ppp_obs::install_global(ctx.clone());
@@ -199,55 +213,35 @@ fn trace_replay(
     ppp_obs::install_global(previous);
     let run = outcome?;
     let tree = SpanTree::build(&collect.records());
-    Ok((run, tree, ctx))
+    Ok(Trace { run, tree, ctx })
 }
 
-/// Replays `entry` with span collection enabled and renders the
-/// per-stage breakdown tree plus the run's metric dump.
-///
-/// # Errors
-///
-/// Propagates the pipeline's error when the benchmark cannot run.
-pub fn trace_benchmark(
-    entry: &SuiteEntry,
-    options: &PipelineOptions,
-) -> Result<String, PipelineError> {
-    let (run, tree, ctx) = trace_replay(entry, options)?;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "trace: {} ({} profilers, degradation rung {})\n\n",
-        run.name,
-        run.profilers.len(),
-        run.degradation.rung().name()
-    ));
-    out.push_str(&tree.render());
-    out.push_str("\nmetrics:\n");
-    out.push_str(&ctx.metrics().render_prometheus());
-    Ok(out)
+impl Trace {
+    /// The per-stage breakdown tree plus the run's metric dump.
+    pub fn text(&self) -> String {
+        format!(
+            "trace: {} ({} profilers, degradation rung {})\n\n{}\nmetrics:\n{}",
+            self.run.name,
+            self.run.profilers.len(),
+            self.run.degradation.rung().name(),
+            self.tree.render(),
+            self.ctx.metrics().render_prometheus()
+        )
+    }
 }
 
-/// Replays `entry` like [`trace_benchmark`] but renders a
-/// machine-readable [`TRACE_SCHEMA`] document: the span tree as nested
-/// JSON plus the full metric registry snapshot.
-///
-/// # Errors
-///
-/// Propagates the pipeline's error when the benchmark cannot run.
-pub fn trace_benchmark_json(
-    entry: &SuiteEntry,
-    options: &PipelineOptions,
-) -> Result<String, PipelineError> {
-    let (run, tree, ctx) = trace_replay(entry, options)?;
-    Ok(format!(
-        "{{\"schema\":\"{}\",\"benchmark\":\"{}\",\"profilers\":{},\"rung\":\"{}\",\
-         \"spans\":{},\"metrics\":{}}}",
-        TRACE_SCHEMA,
-        ppp_obs::json::escape(&run.name),
-        run.profilers.len(),
-        run.degradation.rung().name(),
-        tree.to_json(),
-        ctx.metrics().to_json(),
-    ))
+/// The span tree as nested JSON plus the full metric registry snapshot.
+impl ToJson for Trace {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("schema", TRACE_SCHEMA)
+                .field("benchmark", &self.run.name)
+                .field("profilers", self.run.profilers.len())
+                .field("rung", self.run.degradation.rung().name())
+                .field("spans", &self.tree)
+                .field("metrics", self.ctx.metrics());
+        });
+    }
 }
 
 #[cfg(test)]
@@ -264,7 +258,9 @@ mod tests {
             scale: 0.02,
             ..PipelineOptions::default()
         };
-        let text = trace_benchmark(entry, &options).expect("trace completes");
+        let text = trace_benchmark(entry, &options)
+            .expect("trace completes")
+            .text();
         // The breakdown covers both pipeline halves and the VM runs…
         assert!(text.contains("pipeline.prepare"), "{text}");
         assert!(text.contains("stage.profile@opt"), "{text}");
@@ -307,7 +303,7 @@ mod tests {
 
     #[test]
     fn trace_json_is_a_parseable_schema_versioned_artifact() {
-        use ppp_obs::json::{self, Json};
+        use ppp_obs::json::Json;
         let _obs = crate::obs_test_lock();
         let suite = spec2000_suite();
         let entry = suite.iter().find(|e| e.spec.name == "mcf").unwrap();
@@ -315,7 +311,9 @@ mod tests {
             scale: 0.02,
             ..PipelineOptions::default()
         };
-        let doc = trace_benchmark_json(entry, &options).expect("trace completes");
+        let doc = trace_benchmark(entry, &options)
+            .expect("trace completes")
+            .to_json();
         let v = json::parse(&doc).expect("trace JSON parses");
         assert_eq!(v.get("schema").and_then(Json::as_str), Some(TRACE_SCHEMA));
         assert_eq!(v.get("benchmark").and_then(Json::as_str), Some("mcf"));

@@ -49,6 +49,20 @@ fn parallel_baseline_matches_sequential() {
     assert_eq!(baseline_json(&a), baseline_json(&b));
 }
 
+/// The committed `BENCH_seed.json` re-emits byte for byte: parsing a
+/// line and writing it again through the one JSON writer changes
+/// nothing, so the CI perf gate compares like with like.
+#[test]
+fn committed_seed_baseline_re_emits_byte_identically() {
+    let doc = include_str!("../../../BENCH_seed.json");
+    assert!(doc.ends_with('\n'));
+    for line in doc.lines() {
+        let back = baseline_from_json(line).expect("committed baseline parses");
+        assert_eq!(back.benchmarks.len(), 18);
+        assert_eq!(baseline_json(&back), line);
+    }
+}
+
 /// `repro bench --format json` output (the artifact `baseline_json`
 /// prints verbatim) parses back and covers all 18 benchmarks with the
 /// Figure 9–13 quantities.
