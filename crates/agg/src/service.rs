@@ -18,9 +18,7 @@ use crate::wal::DurOptions;
 use ppp_ir::wire::{
     encode_frame, encode_seq_payload, encode_seq_payload_traced, FrameKind, TraceContext,
 };
-use ppp_ir::{
-    write_edge_profile_v2, write_path_profile_v2, Module, ModuleEdgeProfile, ModulePathProfile,
-};
+use ppp_ir::{encode_edge_delta, encode_path_delta, Module, ModuleEdgeProfile, ModulePathProfile};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -389,8 +387,8 @@ impl<S: FrameSink> AggClient<S> {
         ppp_obs::global()
             .metrics()
             .observe("ppp_agg_batch_deltas", &[], self.batched as u64);
-        let edges = write_edge_profile_v2(&self.module, &self.batch_edges);
-        let paths = write_path_profile_v2(&self.module, &self.batch_paths);
+        let edges = encode_edge_delta(&self.module, &self.batch_edges);
+        let paths = encode_path_delta(&self.module, &self.batch_paths);
         // The send span's id rides inside the frames, so it must be
         // open (and allocated) before the payloads are encoded; it
         // closes when this flush returns, covering the delivery.
@@ -405,18 +403,13 @@ impl<S: FrameSink> AggClient<S> {
             (Some(span), Some(tid)) => {
                 let ctx = TraceContext::sampled(tid, span.id());
                 (
-                    encode_seq_payload_traced(self.client, self.next_seq, &ctx, edges.as_bytes()),
-                    encode_seq_payload_traced(
-                        self.client,
-                        self.next_seq + 1,
-                        &ctx,
-                        paths.as_bytes(),
-                    ),
+                    encode_seq_payload_traced(self.client, self.next_seq, &ctx, &edges),
+                    encode_seq_payload_traced(self.client, self.next_seq + 1, &ctx, &paths),
                 )
             }
             _ => (
-                encode_seq_payload(self.client, self.next_seq, edges.as_bytes()),
-                encode_seq_payload(self.client, self.next_seq + 1, paths.as_bytes()),
+                encode_seq_payload(self.client, self.next_seq, &edges),
+                encode_seq_payload(self.client, self.next_seq + 1, &paths),
             ),
         };
         self.send(FrameKind::SeqEdgeDelta, &seq_edges)?;

@@ -23,9 +23,7 @@ use ppp_ir::wire::{
     decode_frame, split_seq_payload, split_trace_context, Frame, FrameKind, WireError,
     FRAME_HEADER_LEN,
 };
-use ppp_ir::{
-    read_edge_profile_v2, read_path_profile_v2, Module, ModuleEdgeProfile, ModulePathProfile,
-};
+use ppp_ir::{decode_edge_delta, decode_path_delta, Module, ModuleEdgeProfile, ModulePathProfile};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
@@ -323,8 +321,9 @@ impl Aggregator {
     ///
     /// # Errors
     ///
-    /// Refuses frames whose payload fails the strict persist_v2 loaders
-    /// or whose shape does not match the module, sequenced frames that
+    /// Refuses frames whose payload is not a binary delta
+    /// ([`ppp_ir::delta`]) of the module (`payload`: a persist_v2 text
+    /// payload is refused too), sequenced frames that
     /// jump past the client's watermark (`seq-gap`), unsequenced delta
     /// kinds (`protocol`: they bypass the WAL and the watermark), and
     /// server-side frame kinds (`Ack`/`Reject`) arriving inbound.
@@ -390,26 +389,22 @@ impl Aggregator {
             s.set("seq", seq);
             s
         });
-        // Decode and shape-check the container before touching any
+        // Decode the delta against the module before touching any
         // durable state: a damaged payload must be refused, not logged.
+        // The decoder builds module-shaped profiles, so no separate
+        // shape check is needed.
         let msg = match frame.kind {
             FrameKind::SeqEdgeDelta => {
                 let profile =
-                    read_edge_profile_v2(&self.module, container).map_err(|e| IngestError {
+                    decode_edge_delta(&self.module, container).map_err(|e| IngestError {
                         class: "payload",
                         detail: format!("seq edge delta: {e}"),
                     })?;
-                if !profile.shape_matches(&self.module) {
-                    return Err(IngestError {
-                        class: "shape-mismatch",
-                        detail: "seq edge delta shape does not match module".to_owned(),
-                    });
-                }
                 Msg::Edges(Arc::new(profile), Instant::now())
             }
             FrameKind::SeqPathDelta => {
                 let profile =
-                    read_path_profile_v2(&self.module, container).map_err(|e| IngestError {
+                    decode_path_delta(&self.module, container).map_err(|e| IngestError {
                         class: "payload",
                         detail: format!("seq path delta: {e}"),
                     })?;
@@ -767,8 +762,8 @@ mod tests {
     use super::*;
     use ppp_ir::wire::{encode_frame, encode_seq_payload};
     use ppp_ir::{
-        write_edge_profile_v2, write_path_profile_v2, BlockId, EdgeRef, FuncId, FunctionBuilder,
-        PathKey, Reg,
+        encode_edge_delta, encode_path_delta, write_edge_profile_v2, write_path_profile_v2,
+        BlockId, EdgeRef, FuncId, FunctionBuilder, PathKey, Reg,
     };
 
     fn test_module(funcs: usize) -> Arc<Module> {
@@ -856,11 +851,11 @@ mod tests {
         stream.extend(encode_frame(FrameKind::Hello, b"hi"));
         stream.extend(encode_frame(
             FrameKind::SeqEdgeDelta,
-            &encode_seq_payload(0, 1, write_edge_profile_v2(&m, &d).as_bytes()),
+            &encode_seq_payload(0, 1, &encode_edge_delta(&m, &d)),
         ));
         stream.extend(encode_frame(
             FrameKind::SeqPathDelta,
-            &encode_seq_payload(0, 2, write_path_profile_v2(&m, &paths).as_bytes()),
+            &encode_seq_payload(0, 2, &encode_path_delta(&m, &paths)),
         ));
         stream.extend(encode_frame(FrameKind::Done, b""));
         let report = agg.ingest_stream(&stream);
@@ -877,7 +872,7 @@ mod tests {
         let d = delta_for(&m, 0, 3);
         let good = encode_frame(
             FrameKind::SeqEdgeDelta,
-            &encode_seq_payload(0, 1, write_edge_profile_v2(&m, &d).as_bytes()),
+            &encode_seq_payload(0, 1, &encode_edge_delta(&m, &d)),
         );
 
         // Flip a payload byte: CRC refuses the frame at the wire layer.
@@ -895,12 +890,12 @@ mod tests {
             Some((_, WireError::Truncated { .. }))
         ));
 
-        // A frame whose payload passes CRC but fails the strict loader
-        // (wrong profile kind) is rejected at the payload layer.
+        // A frame whose payload passes CRC but fails the decoder
+        // (wrong delta kind) is rejected at the payload layer.
         let paths = ModulePathProfile::with_capacity(2);
         let wrong = encode_frame(
             FrameKind::SeqEdgeDelta,
-            &encode_seq_payload(0, 1, write_path_profile_v2(&m, &paths).as_bytes()),
+            &encode_seq_payload(0, 1, &encode_path_delta(&m, &paths)),
         );
         let report = agg.ingest_stream(&wrong);
         assert_eq!(report.rejected.len(), 1);
@@ -908,6 +903,53 @@ mod tests {
 
         let (edges, _) = agg.snapshot();
         assert!(edges.funcs.iter().all(|f| f.is_zero()), "nothing merged");
+    }
+
+    #[test]
+    fn persist_v2_seq_payloads_are_refused_unlogged() {
+        let m = test_module(2);
+        let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/ppp-scratch/shard-unit/persist-v2-refused");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (agg, _) = Aggregator::recover(
+            "t",
+            Arc::clone(&m),
+            AggConfig::default(),
+            DurOptions::new(&dir, 0),
+        )
+        .expect("cold start");
+        let mut paths = ModulePathProfile::with_capacity(2);
+        paths.func_mut(FuncId(1)).record(
+            m.function(FuncId(1)),
+            PathKey {
+                start: BlockId(0),
+                edges: vec![EdgeRef::new(BlockId(0), 1)],
+            },
+            2,
+        );
+        let text = [
+            (
+                FrameKind::SeqEdgeDelta,
+                write_edge_profile_v2(&m, &delta_for(&m, 0, 3)),
+            ),
+            (FrameKind::SeqPathDelta, write_path_profile_v2(&m, &paths)),
+        ];
+        for (kind, container) in text {
+            let frame = Frame::new(kind, encode_seq_payload(0, 1, container.as_bytes()));
+            let err = agg.ingest_frame(&frame).expect_err("text payload refused");
+            assert_eq!(err.class, "payload", "{kind}: {err}");
+            assert!(err.detail.contains("not a binary delta"), "{err}");
+        }
+        assert_eq!(agg.watermark(0), 0, "no sequence consumed");
+        assert_eq!(agg.frames_since_checkpoint(), 0);
+        let (edges, paths) = agg.snapshot();
+        assert!(edges.funcs.iter().all(|f| f.is_zero()), "nothing merged");
+        assert!(paths.funcs.iter().all(|f| f.paths.is_empty()));
+        let wal = crate::wal::scan_wal(&crate::wal::wal_path(&dir, "t")).expect("scan");
+        assert!(
+            wal.frames.is_empty() && wal.valid_len == 0,
+            "nothing logged"
+        );
     }
 
     #[test]

@@ -1115,6 +1115,36 @@ mod tests {
     }
 
     #[test]
+    fn persist_v2_seq_delta_gets_a_payload_reject_and_no_ack() {
+        let m = test_module();
+        let (server, service) = start_server(&m);
+        let (delta, _) = one_delta(&m);
+        let hello = Hello {
+            bench: "tcp-test".to_owned(),
+            funcs: 1,
+            scale_bits: 0,
+            worker: 5,
+        };
+        let sink = TcpSink::connect(server.addr()).expect("connect");
+        let client = AggClient::open(Arc::clone(&m), sink, 1, &hello).expect("open");
+        let mut sink = client.into_sink();
+        let container = write_edge_profile_v2(&m, &delta);
+        sink.send_frame(&encode_frame(
+            FrameKind::SeqEdgeDelta,
+            &encode_seq_payload(5, 1, container.as_bytes()),
+        ))
+        .expect("send raw");
+        match sink.read_ack() {
+            Err(e) => assert!(e.contains("rejected: payload"), "{e}"),
+            Ok(w) => panic!("persist_v2 seq delta was acked at watermark {w}"),
+        }
+        let agg = service.get("tcp-test").expect("registered");
+        assert!(agg.snapshot().0.funcs[0].is_zero(), "nothing merged");
+        assert_eq!(agg.watermark(5), 0, "no sequence consumed");
+        server.shutdown();
+    }
+
+    #[test]
     fn unknown_bench_is_rejected_in_the_open() {
         let m = test_module();
         let (server, _service) = start_server(&m);

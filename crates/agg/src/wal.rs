@@ -2,7 +2,7 @@
 //!
 //! Both artifacts reuse the integrity armour the repo already has.
 //! The **WAL** is simply the accepted sequenced wire frames
-//! ([`ppp_ir::wire`], CRC-framed) appended verbatim to
+//! ([`ppp_ir::wire`], CRC-framed binary deltas) appended verbatim to
 //! `<dir>/<bench>.wal` *before* the delta is applied; a torn tail (a
 //! crash mid-append) is detected by the frame CRC and cut off on
 //! recovery. The **checkpoint** at `<dir>/<bench>.ckpt` is itself a
@@ -122,7 +122,9 @@ impl Wal {
         self.len == 0
     }
 
-    /// Appends one encoded frame and flushes it to the OS.
+    /// Appends one encoded frame, handing it to the OS with one
+    /// `write`. There is no fsync: an appended frame survives a crash
+    /// of this process, not a power loss.
     ///
     /// # Errors
     ///
@@ -131,12 +133,11 @@ impl Wal {
     pub fn append(&mut self, frame_bytes: &[u8]) -> std::io::Result<()> {
         let started = std::time::Instant::now();
         self.file.write_all(frame_bytes)?;
-        self.file.flush()?;
         self.len += frame_bytes.len() as u64;
         let obs = ppp_obs::global();
         let metrics = obs.metrics();
         metrics.observe(
-            ppp_obs::names::WAL_FSYNC_MICROS,
+            ppp_obs::names::WAL_APPEND_MICROS,
             &[("bench", &self.bench)],
             started.elapsed().as_micros() as u64,
         );

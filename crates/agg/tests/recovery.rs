@@ -7,8 +7,9 @@
 //! sequence watermark. Checked across {1, 2, 8} shards for every
 //! benchmark in the 18-benchmark suite.
 
+use ppp_agg::wal::{wal_path, Wal};
 use ppp_agg::{AggClient, AggConfig, Aggregator, DurOptions, FrameSink, Hello, IngestOutcome};
-use ppp_ir::wire::decode_frame;
+use ppp_ir::wire::{decode_frame, encode_frame, encode_seq_payload};
 use ppp_ir::{write_edge_profile_v2, write_path_profile_v2, Frame, FrameKind, Module};
 use ppp_vm::{run, RunOptions, SplitMix64};
 use ppp_workloads::{generate, spec2000_suite};
@@ -225,4 +226,39 @@ fn full_resend_after_recovery_is_fully_deduplicated() {
     assert_eq!(write_path_profile_v2(&module, &paths), p1);
     let edges_ref = result.edge_profile.as_ref().expect("traced");
     assert_eq!(e1, write_edge_profile_v2(&module, edges_ref));
+}
+
+#[test]
+fn wal_holding_a_persist_v2_delta_fails_recovery() {
+    // A WAL written before deltas went binary: its sequenced frames
+    // carry persist_v2 text. Recovery must fail loudly, not start from
+    // zero or skip the record.
+    let suite = spec2000_suite();
+    let entry = suite.iter().find(|e| e.spec.name == "mcf").expect("mcf");
+    let module = Arc::new(generate(&entry.spec.clone().scaled(SCALE)));
+    let options = RunOptions::default()
+        .traced()
+        .with_seed(42)
+        .with_delta_interval(DELTA_INTERVAL);
+    let result = run(&module, "main", &options).expect("runs");
+    let text = write_edge_profile_v2(&module, &result.deltas[0].edges);
+    let frame = encode_frame(
+        FrameKind::SeqEdgeDelta,
+        &encode_seq_payload(0, 1, text.as_bytes()),
+    );
+    let dir = scratch("persist-v2-wal");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let mut wal = Wal::open(&wal_path(&dir, "mcf"), 0, "mcf").expect("open wal");
+    wal.append(&frame).expect("append");
+    drop(wal);
+    let err = match Aggregator::recover(
+        "mcf",
+        Arc::clone(&module),
+        AggConfig::default(),
+        DurOptions::new(&dir, CHECKPOINT_EVERY),
+    ) {
+        Err(e) => e,
+        Ok(_) => panic!("a persist_v2 WAL record was replayed"),
+    };
+    assert!(err.starts_with("wal replay: payload"), "{err}");
 }

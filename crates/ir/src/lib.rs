@@ -18,6 +18,7 @@
 //!   instrumenters to place edge instrumentation);
 //! - [`FuncEdgeProfile`]/[`ModuleEdgeProfile`]: edge profiles, the cheap
 //!   profile the paper's techniques are guided by;
+//! - [`delta`]: the sparse binary encoding of streamed profile deltas;
 //! - a [`verify`](verify_module)r, a pretty-printer, and a parser for a
 //!   stable textual format.
 //!
@@ -46,6 +47,7 @@
 #![warn(rust_2018_idioms)]
 
 mod cfg;
+pub mod delta;
 mod display;
 mod dom;
 mod dot;
@@ -64,6 +66,10 @@ pub mod wire;
 mod witness;
 
 pub use cfg::{reachable_blocks, Cfg};
+pub use delta::{
+    decode_edge_delta, decode_path_delta, encode_edge_delta, encode_path_delta, DeltaError,
+    EDGE_DELTA_MAGIC, PATH_DELTA_MAGIC,
+};
 pub use display::{print_function, print_module};
 pub use dom::Dominators;
 pub use dot::{module_to_dot, to_dot};

@@ -4,9 +4,9 @@
 //! concurrent VM workers — over in-process channels or a localhost TCP
 //! socket. Either way the bytes cross a trust boundary: a frame can be
 //! cut short by a dying worker, damaged in a buffer, or interleaved with
-//! garbage. The frame format therefore carries the same integrity
-//! armour as the persisted v2 profile container ([`crate::PROFILE_MAGIC`]), which is
-//! exactly what frame payloads hold:
+//! garbage. The frame format therefore carries a magic, a bounded
+//! length and a CRC-32, like the persisted v2 profile container
+//! ([`crate::PROFILE_MAGIC`]):
 //!
 //! ```text
 //! +------+------+----------------+----------------+-- - - - --+
@@ -26,21 +26,26 @@
 //! - **crc** is the CRC-32 ([`crate::crc32`]) of the payload
 //!   bytes — a flipped payload byte rejects the *frame*, not the stream.
 //!
-//! Delta payloads are whole v2 profile containers (see
-//! [`crate::write_edge_profile_v2`]) holding the *delta* counts
-//! accumulated since the worker's previous flush; the aggregator merges
-//! them with saturating adds, which are commutative and associative, so
-//! any arrival order yields byte-identical merged profiles.
+//! Delta payloads are sparse binary deltas ([`crate::delta`]) holding
+//! the counts accumulated since the worker's previous flush; the
+//! aggregator merges them with saturating adds, which are commutative
+//! and associative, so any arrival order yields byte-identical merged
+//! profiles.
 //!
 //! # Sequenced frames and idempotent retry
 //!
 //! Deltas travel only as [`FrameKind::SeqEdgeDelta`] /
-//! [`FrameKind::SeqPathDelta`], which carry the container behind a
-//! 16-byte prefix ([`SEQ_HEADER_LEN`]):
+//! [`FrameKind::SeqPathDelta`], which carry the delta behind a
+//! 16-byte prefix ([`SEQ_HEADER_LEN`]) and an optional trace-context
+//! block ([`TraceContext`]):
 //!
 //! ```text
-//! | client id u64 LE | sequence u64 LE | v2 container ... |
+//! | client id u64 LE | sequence u64 LE | [TCX1 block] | binary delta ... |
 //! ```
+//!
+//! The binary delta opens with its own magic (`PPDE` for edges, `PPDP`
+//! for paths); a persist_v2 text payload in a sequenced frame is
+//! refused, not read.
 //!
 //! Sequence numbers are per-client and strictly monotonic starting at
 //! one. The aggregator keeps a watermark per client and drops any frame
@@ -48,7 +53,7 @@
 //! ambiguous failure (crashed server, dead socket) can resend its whole
 //! unacked window without ever double-counting a delta. The server
 //! reports its watermark back in [`FrameKind::Ack`] frames (same
-//! 16-byte payload, container empty); [`FrameKind::Reject`] carries a
+//! 16-byte payload, body empty); [`FrameKind::Reject`] carries a
 //! `class\ndetail` text payload and is the never-silent refusal — an
 //! overloaded or timed-out server says so before closing, it never
 //! just hangs.
@@ -82,14 +87,16 @@ pub enum FrameKind {
     /// Orderly end of stream; the receiver acknowledges after merging
     /// everything that came before.
     Done = 4,
-    /// An edge-profile delta with a `(client, seq)` prefix
-    /// ([`SEQ_HEADER_LEN`]); duplicates (seq at or below the client's
-    /// watermark) are dropped, making retry idempotent.
+    /// A binary edge delta ([`crate::encode_edge_delta`]) behind a
+    /// `(client, seq)` prefix ([`SEQ_HEADER_LEN`]); duplicates (seq at
+    /// or below the client's watermark) are dropped, making retry
+    /// idempotent.
     SeqEdgeDelta = 5,
-    /// A path-profile delta with a `(client, seq)` prefix.
+    /// A binary path delta ([`crate::encode_path_delta`]) behind a
+    /// `(client, seq)` prefix.
     SeqPathDelta = 6,
     /// Server → client: the acked sequence watermark for a client
-    /// (`(client, watermark)` prefix, empty container). Sent after
+    /// (`(client, watermark)` prefix, empty body). Sent after
     /// `Hello` (resume point) and after `Done` (final receipt).
     Ack = 7,
     /// Server → client: a typed, never-silent refusal. Payload is
@@ -252,7 +259,7 @@ impl WireError {
 pub const SEQ_HEADER_LEN: usize = 16;
 
 /// Builds a sequenced payload: `client` + `seq` (both `u64` LE)
-/// followed by `container` (a v2 profile container, or empty for
+/// followed by `container` (a binary delta, or empty for
 /// [`FrameKind::Ack`]).
 pub fn encode_seq_payload(client: u64, seq: u64, container: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(SEQ_HEADER_LEN + container.len());
@@ -289,7 +296,7 @@ pub const TRACE_CONTEXT_LEN: usize = 21;
 /// Cross-process trace context carried in sequenced delta frames.
 ///
 /// When present, the block sits between the 16-byte `(client, seq)`
-/// prefix and the v2 profile container:
+/// prefix and the binary delta:
 ///
 /// ```text
 /// | TCX1 | trace id u64 LE | parent span u64 LE | flags u8 |
@@ -298,10 +305,10 @@ pub const TRACE_CONTEXT_LEN: usize = 21;
 /// `trace_id` names one logical client→server trace; `parent_span` is
 /// the sender's span id, so the receiver's apply span can attach under
 /// it when the two observation sinks are stitched into one tree. The
-/// block is *optional* and self-describing: a v2 profile container
-/// starts with the `ppp-profile` text magic and an `Ack` container is
-/// empty, so neither can alias [`TRACE_CONTEXT_MAGIC`] — frames written
-/// by older clients decode exactly as before.
+/// block is *optional* and self-describing: a binary delta starts with
+/// its own `PPDE`/`PPDP` magic and an `Ack` body is empty, so neither
+/// can alias [`TRACE_CONTEXT_MAGIC`] — untraced frames decode exactly
+/// as before.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TraceContext {
     /// Trace identifier shared by every span of one distributed trace.
@@ -360,7 +367,7 @@ pub fn encode_seq_payload_traced(
 /// Strips the optional trace-context block off the front of a
 /// sequenced payload's container part (the third element of
 /// [`split_seq_payload`]). Containers written without a block — every
-/// frame from a pre-trace client — come back unchanged with `None`.
+/// untraced frame — come back unchanged with `None`.
 pub fn split_trace_context(container: &[u8]) -> (Option<TraceContext>, &[u8]) {
     if container.len() < TRACE_CONTEXT_LEN || container[..4] != TRACE_CONTEXT_MAGIC {
         return (None, container);

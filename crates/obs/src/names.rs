@@ -42,8 +42,9 @@ pub const AGG_DUPLICATES: &str = "ppp_agg_frames_duplicate_total";
 pub const INGEST_MICROS: &str = "ppp_agg_ingest_micros";
 /// Shard-queue wait latency histogram, microseconds (label: `bench`).
 pub const QUEUE_WAIT_MICROS: &str = "ppp_agg_queue_wait_micros";
-/// WAL append+flush latency histogram, microseconds (label: `bench`).
-pub const WAL_FSYNC_MICROS: &str = "ppp_wal_fsync_micros";
+/// WAL append latency histogram, microseconds (label: `bench`): the
+/// `write` of one frame to the OS. Appends are not fsynced.
+pub const WAL_APPEND_MICROS: &str = "ppp_wal_append_micros";
 /// Flight-recorder dump artifacts written (no labels).
 pub const FLIGHT_DUMPS: &str = "ppp_flight_dumps_total";
 /// Stats frames served by the TCP tier (no labels).
@@ -70,7 +71,7 @@ mod tests {
             super::AGG_DUPLICATES,
             super::INGEST_MICROS,
             super::QUEUE_WAIT_MICROS,
-            super::WAL_FSYNC_MICROS,
+            super::WAL_APPEND_MICROS,
             super::FLIGHT_DUMPS,
             super::STATS_SERVED,
         ];

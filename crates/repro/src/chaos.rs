@@ -22,8 +22,9 @@ use ppp_agg::{AggConfig, Aggregator, DurOptions, Hello, IngestOutcome, ReadError
 use ppp_core::ProfilerConfig;
 use ppp_faults::{FaultPlan, FaultSite};
 use ppp_ir::{
-    encode_seq_payload, salvage_edge_profile, salvage_path_profile, write_edge_profile_v2,
-    write_path_profile_v2, Frame, FrameKind, Module, ModuleEdgeProfile, SectionFault, WireError,
+    encode_edge_delta, encode_path_delta, encode_seq_payload, salvage_edge_profile,
+    salvage_path_profile, write_edge_profile_v2, write_path_profile_v2, Frame, FrameKind, Module,
+    ModuleEdgeProfile, SectionFault, WireError,
 };
 use ppp_match::read_edge_profile_matched;
 use ppp_obs::json::{self, ToJson};
@@ -177,19 +178,11 @@ fn seq_worker_frames(prep: &PreparedBenchmark) -> Vec<Frame> {
         Frame::new(FrameKind::Hello, hello.encode()),
         Frame::new(
             FrameKind::SeqEdgeDelta,
-            encode_seq_payload(
-                0,
-                1,
-                write_edge_profile_v2(&prep.module, &prep.edges).as_bytes(),
-            ),
+            encode_seq_payload(0, 1, &encode_edge_delta(&prep.module, &prep.edges)),
         ),
         Frame::new(
             FrameKind::SeqPathDelta,
-            encode_seq_payload(
-                0,
-                2,
-                write_path_profile_v2(&prep.module, &prep.truth).as_bytes(),
-            ),
+            encode_seq_payload(0, 2, &encode_path_delta(&prep.module, &prep.truth)),
         ),
         Frame::new(FrameKind::Done, b"".to_vec()),
     ]

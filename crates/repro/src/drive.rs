@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Transport {
     /// Frames are encoded and decoded in process (no socket). The wire
-    /// path — framing, CRC, persist_v2 payloads — is still exercised.
+    /// path — framing, CRC, binary delta payloads — is still exercised.
     InProc,
     /// The driver hosts its own server on `127.0.0.1:0` and every
     /// worker connects over real TCP.
@@ -152,9 +152,9 @@ pub struct DriveReport {
     pub ingest_latency: Option<Quantiles>,
     /// Shard queue-wait quantiles (`ppp_agg_queue_wait_micros`).
     pub queue_wait: Option<Quantiles>,
-    /// WAL fsync quantiles (`ppp_wal_fsync_micros`); `None` without
+    /// WAL append quantiles (`ppp_wal_append_micros`); `None` without
     /// `--checkpoint-dir`.
-    pub wal_fsync: Option<Quantiles>,
+    pub wal_append: Option<Quantiles>,
 }
 
 impl DriveReport {
@@ -193,11 +193,11 @@ pub struct Quantiles {
 }
 
 /// The latency histograms surfaced in the drive report, in field order
-/// (ingest, queue-wait, WAL fsync).
+/// (ingest, queue-wait, WAL append).
 const LATENCY_METRICS: [&str; 3] = [
     names::INGEST_MICROS,
     names::QUEUE_WAIT_MICROS,
-    names::WAL_FSYNC_MICROS,
+    names::WAL_APPEND_MICROS,
 ];
 
 impl Quantiles {
@@ -578,7 +578,7 @@ pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, 
         kills,
         ingest_latency: quantiles(0),
         queue_wait: quantiles(1),
-        wal_fsync: quantiles(2),
+        wal_append: quantiles(2),
     })
 }
 
@@ -647,7 +647,7 @@ pub fn drive_table(r: &DriveReport) -> String {
         r.events_per_sec,
         lat("ingest", &r.ingest_latency),
         lat("queue-wait", &r.queue_wait),
-        lat("wal-fsync", &r.wal_fsync),
+        lat("wal-append", &r.wal_append),
         t.render()
     )
 }
@@ -679,7 +679,7 @@ pub fn drive_json(r: &DriveReport) -> String {
             .obj("latency", |o| {
                 quant(o, "ingest", &r.ingest_latency);
                 quant(o, "queue_wait", &r.queue_wait);
-                quant(o, "wal_fsync", &r.wal_fsync);
+                quant(o, "wal_append", &r.wal_append);
             })
             .objs("benchmarks", &r.benches, |o, b| {
                 o.field("bench", &b.bench)
@@ -773,12 +773,12 @@ mod tests {
         assert_eq!(b.deterministic, Some(true));
         assert_eq!(b.lint_clean, Some(true));
         // Tail-latency accounting: the ingest and queue-wait quantiles
-        // cover the drive window (WAL fsync needs --checkpoint-dir).
+        // cover the drive window (WAL append needs --checkpoint-dir).
         let ingest = r.ingest_latency.expect("ingest histogram observed");
         assert!(ingest.count > 0, "{ingest:?}");
         assert!(ingest.p50 <= ingest.p95 && ingest.p95 <= ingest.p99);
         assert!(r.queue_wait.expect("queue-wait observed").count > 0);
-        assert_eq!(r.wal_fsync, None, "no durability configured");
+        assert_eq!(r.wal_append, None, "no durability configured");
     }
 
     #[test]
@@ -817,8 +817,8 @@ mod tests {
             drive_table(&r)
         );
         assert_eq!(r.benches[0].lint_clean, Some(true));
-        // The durable transport observed WAL fsync latency too.
-        assert!(r.wal_fsync.expect("wal fsync observed").count > 0);
+        // The durable transport observed WAL append latency too.
+        assert!(r.wal_append.expect("wal append observed").count > 0);
     }
 
     #[test]
