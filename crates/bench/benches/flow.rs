@@ -1,10 +1,12 @@
 //! Micro-benchmarks for the flow-estimation algorithms (appendix
 //! Figs. 14–16): definite flow, potential flow, and hot-path
-//! reconstruction over a profiled module.
+//! reconstruction over a profiled module; and the edge-profile score
+//! (§6), top-k next to the full estimate + accuracy + coverage.
 
 use ppp_bench::harness::bench;
 use ppp_core::{
-    definite_flow, normalize_module, potential_flow, reconstruct, Dag, FlowKind, FlowMetric,
+    accuracy, definite_flow, edge_profile_coverage, edge_profile_estimate, edge_profile_score,
+    normalize_module, potential_flow, reconstruct, Dag, EstimateOptions, FlowKind, FlowMetric,
 };
 use ppp_vm::{run, RunOptions};
 use ppp_workloads::{generate, BenchmarkSpec};
@@ -16,6 +18,7 @@ fn main() {
     normalize_module(&mut module);
     let traced = run(&module, "main", &RunOptions::default().traced()).unwrap();
     let edges = traced.edge_profile.unwrap();
+    let truth = traced.path_profile.unwrap();
     let dags: Vec<Dag> = module
         .func_ids()
         .map(|f| Dag::build(module.function(f), Some(edges.func(f))))
@@ -68,5 +71,33 @@ fn main() {
                 })
                 .sum::<usize>()
         });
+    }
+    {
+        // The pipeline's configuration: the paper's 0.125% hot threshold
+        // and a potential-flow cutoff at half of it. Both scorers must
+        // agree before either is timed.
+        let (metric, hot_ratio) = (FlowMetric::Branch, 0.00125);
+        let opts = EstimateOptions {
+            potential_cutoff: (hot_ratio * 0.5 * truth.total_branch_flow() as f64) as u64,
+            ..EstimateOptions::default()
+        };
+        let full = || {
+            let est = edge_profile_estimate(&module, &edges, FlowKind::Potential, metric, &opts);
+            (
+                accuracy(&truth, &est, metric, hot_ratio),
+                edge_profile_coverage(&module, &edges, &truth, metric).ratio(),
+            )
+        };
+        let top_k = || edge_profile_score(&module, &edges, &truth, metric, hot_ratio, &opts);
+        let (acc, cov) = full();
+        let score = top_k();
+        assert_eq!(score.accuracy.to_bits(), acc.to_bits(), "accuracy");
+        assert_eq!(score.coverage.to_bits(), cov.to_bits(), "coverage");
+        println!(
+            "flow: edge-score: {} hot path(s); {} path(s) enumerated",
+            score.hot_paths, score.paths_enumerated
+        );
+        bench("flow", "edge-score-full", full);
+        bench("flow", "edge-score-top-k", top_k);
     }
 }

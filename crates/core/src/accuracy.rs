@@ -14,6 +14,7 @@
 use crate::estimate::EstimatedProfile;
 use crate::flow::FlowMetric;
 use ppp_ir::{FuncId, ModulePathProfile, PathKey};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 /// One hot path with its actual flow.
@@ -55,13 +56,40 @@ pub fn actual_hot_paths(
 }
 
 fn sort_hot(hot: &mut [HotPath]) {
-    hot.sort_by(|a, b| {
-        b.flow
-            .cmp(&a.flow)
-            .then(a.func.cmp(&b.func))
-            .then(a.key.start.cmp(&b.key.start))
-            .then(a.key.edges.cmp(&b.key.edges))
-    });
+    hot.sort_by(|a, b| rank((a.flow, a.func, &a.key), (b.flow, b.func, &b.key)));
+}
+
+/// The one hot-path ranking: flow descending, then function, start block
+/// and edges ascending. It is a total order on distinct `(func, key)`
+/// pairs, so a selection by it is as deterministic as a sort.
+pub(crate) fn rank(a: (u64, FuncId, &PathKey), b: (u64, FuncId, &PathKey)) -> Ordering {
+    b.0.cmp(&a.0)
+        .then(a.1.cmp(&b.1))
+        .then(a.2.start.cmp(&b.2.start))
+        .then(a.2.edges.cmp(&b.2.edges))
+}
+
+/// Wall's weight matching: the share of `hot`'s flow found among the
+/// `|hot|` best-ranked distinct estimated paths `est` (1.0 when `hot` is
+/// empty).
+pub(crate) fn matched_fraction(hot: &[HotPath], mut est: Vec<(u64, FuncId, &PathKey)>) -> f64 {
+    let k = hot.len();
+    if k == 0 {
+        return 1.0;
+    }
+    // Only membership in the top k matters, so a selection suffices.
+    if est.len() > k {
+        est.select_nth_unstable_by(k - 1, |a, b| rank(*a, *b));
+        est.truncate(k);
+    }
+    let est_set: HashSet<(FuncId, &PathKey)> = est.iter().map(|&(_, f, k)| (f, k)).collect();
+    let denom: u64 = hot.iter().map(|h| h.flow).sum();
+    let matched: u64 = hot
+        .iter()
+        .filter(|h| est_set.contains(&(h.func, &h.key)))
+        .map(|h| h.flow)
+        .sum();
+    matched as f64 / denom as f64
 }
 
 /// Hot-path flow as a fraction of total program flow (Table 2's
@@ -91,32 +119,12 @@ pub fn accuracy(
     threshold_ratio: f64,
 ) -> f64 {
     let hot = actual_hot_paths(truth, metric, threshold_ratio);
-    if hot.is_empty() {
-        return 1.0;
-    }
-    let denom: u64 = hot.iter().map(|h| h.flow).sum();
-
-    // Top-|H_actual| estimated paths.
-    let mut est: Vec<(FuncId, &PathKey, u64)> = estimated
+    let est = estimated
         .iter()
-        .map(|(f, k, e)| (f, k, e.flow(metric)))
-        .filter(|&(_, _, flow)| flow > 0)
+        .map(|(f, k, e)| (e.flow(metric), f, k))
+        .filter(|&(flow, _, _)| flow > 0)
         .collect();
-    est.sort_by(|a, b| {
-        b.2.cmp(&a.2)
-            .then(a.0.cmp(&b.0))
-            .then(a.1.start.cmp(&b.1.start))
-            .then(a.1.edges.cmp(&b.1.edges))
-    });
-    est.truncate(hot.len());
-    let est_set: HashSet<(FuncId, &PathKey)> = est.iter().map(|&(f, k, _)| (f, k)).collect();
-
-    let matched: u64 = hot
-        .iter()
-        .filter(|h| est_set.contains(&(h.func, &h.key)))
-        .map(|h| h.flow)
-        .sum();
-    matched as f64 / denom as f64
+    matched_fraction(&hot, est)
 }
 
 #[cfg(test)]

@@ -58,8 +58,8 @@ pub fn edge_profile_coverage(
     };
     for fid in module.func_ids() {
         let dag = Dag::build(module.function(fid), Some(edges.func(fid)));
-        let df = definite_flow(&dag);
-        c.definite_uninstrumented += df.entry_map(&dag).total_flow(metric);
+        let definite = definite_flow(&dag).entry_map(&dag).total_flow(metric);
+        c.definite_uninstrumented = c.definite_uninstrumented.saturating_add(definite);
     }
     c
 }
@@ -168,7 +168,7 @@ pub fn instrumented_fraction(
     }
 }
 
-fn total_flow(truth: &ModulePathProfile, metric: FlowMetric) -> u64 {
+pub(crate) fn total_flow(truth: &ModulePathProfile, metric: FlowMetric) -> u64 {
     truth
         .iter()
         .map(|(_, _, s)| metric.flow(s.freq, s.branches))

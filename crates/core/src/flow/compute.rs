@@ -115,51 +115,9 @@ pub fn edge_map(dag: &Dag, analysis: &FlowAnalysis, eid: DagEdgeId) -> FlowMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::fixtures::figure8;
     use crate::flow::FlowMetric;
-    use ppp_ir::{BlockId, EdgeRef, FuncEdgeProfile, Function, FunctionBuilder, Reg};
-
-    /// The Figure 8 routine: A -> B(50) | C(30); B, C -> D; D -> E(60) |
-    /// F(20); E, F -> G(exit). Paths ABDEG, ACDEG, ABDFG, ACDFG.
-    /// (Block ids: entry=0 jumps to A=1, B=2, C=3, D=4, E=5, F=6, G=7.)
-    fn figure8() -> (Function, FuncEdgeProfile) {
-        let mut b = FunctionBuilder::new("fig8", 1);
-        let a = b.new_block();
-        let bb = b.new_block();
-        let cc = b.new_block();
-        let dd = b.new_block();
-        let ee = b.new_block();
-        let ff = b.new_block();
-        let gg = b.new_block();
-        b.jump(a);
-        b.switch_to(a);
-        b.branch(Reg(0), bb, cc);
-        b.switch_to(bb);
-        b.jump(dd);
-        b.switch_to(cc);
-        b.jump(dd);
-        b.switch_to(dd);
-        b.branch(Reg(0), ee, ff);
-        b.switch_to(ee);
-        b.jump(gg);
-        b.switch_to(ff);
-        b.jump(gg);
-        b.switch_to(gg);
-        b.ret(None);
-        let f = b.finish();
-        let mut p = FuncEdgeProfile::zeroed(&f);
-        p.set_entries(80);
-        let e = |from: u32, s: usize| EdgeRef::new(BlockId(from), s);
-        p.set_edge(e(0, 0), 80);
-        p.set_edge(e(1, 0), 50); // A -> B
-        p.set_edge(e(1, 1), 30); // A -> C
-        p.set_edge(e(2, 0), 50);
-        p.set_edge(e(3, 0), 30);
-        p.set_edge(e(4, 0), 60); // D -> E
-        p.set_edge(e(4, 1), 20); // D -> F
-        p.set_edge(e(5, 0), 60);
-        p.set_edge(e(6, 0), 20);
-        (f, p)
-    }
+    use ppp_ir::{BlockId, EdgeRef, FuncEdgeProfile, FunctionBuilder};
 
     #[test]
     fn figure8_definite_flow_matches_paper() {

@@ -19,6 +19,7 @@ mod reconstruct;
 
 pub use compute::{definite_flow, edge_map, potential_flow, FlowAnalysis};
 pub use reconstruct::{reconstruct, FlowKind, ReconstructedPath};
+pub(crate) use reconstruct::{reconstruct_seed, seeds};
 
 use std::collections::BTreeMap;
 
@@ -64,11 +65,15 @@ impl FlowMap {
     }
 
     /// Adds `count` paths with the given signature (`⊎` with a singleton).
+    ///
+    /// Counts saturate at `u64::MAX`, like Ball–Larus numbering: a routine
+    /// of `n` sequential diamonds has `2^n` paths with one signature.
     pub fn add(&mut self, freq: u64, branches: u32, count: u64) {
         if count == 0 {
             return;
         }
-        *self.entries.entry((freq, branches)).or_insert(0) += count;
+        let slot = self.entries.entry((freq, branches)).or_insert(0);
+        *slot = slot.saturating_add(count);
     }
 
     /// Merges another map into this one (the `⊎` operator).
@@ -92,12 +97,14 @@ impl FlowMap {
     pub fn total_flow(&self, metric: FlowMetric) -> u64 {
         self.iter()
             .map(|(f, b, d)| metric.flow(f, b).saturating_mul(d))
-            .sum()
+            .fold(0, u64::saturating_add)
     }
 
-    /// Total number of paths recorded (`Σ Δ`).
+    /// Total number of paths recorded (`Σ Δ`), saturating.
     pub fn total_paths(&self) -> u64 {
-        self.entries.values().sum()
+        self.entries
+            .values()
+            .fold(0, |acc, &d| acc.saturating_add(d))
     }
 
     /// Returns `true` if the map has no entries.
@@ -113,6 +120,55 @@ impl FromIterator<(u64, u32, u64)> for FlowMap {
             m.add(f, b, d);
         }
         m
+    }
+}
+
+/// The Figure 8 routine shared by the flow and scoring tests.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use ppp_ir::{BlockId, EdgeRef, FuncEdgeProfile, Function, FunctionBuilder, Reg};
+
+    /// A -> B(50) | C(30); B, C -> D; D -> E(60) | F(20); E, F -> G
+    /// (exit). Paths ABDEG, ACDEG, ABDFG, ACDFG. Block ids: entry=0 jumps
+    /// to A=1, B=2, C=3, D=4, E=5, F=6, G=7.
+    pub(crate) fn figure8() -> (Function, FuncEdgeProfile) {
+        let mut b = FunctionBuilder::new("fig8", 1);
+        let a = b.new_block();
+        let bb = b.new_block();
+        let cc = b.new_block();
+        let dd = b.new_block();
+        let ee = b.new_block();
+        let ff = b.new_block();
+        let gg = b.new_block();
+        b.jump(a);
+        b.switch_to(a);
+        b.branch(Reg(0), bb, cc);
+        b.switch_to(bb);
+        b.jump(dd);
+        b.switch_to(cc);
+        b.jump(dd);
+        b.switch_to(dd);
+        b.branch(Reg(0), ee, ff);
+        b.switch_to(ee);
+        b.jump(gg);
+        b.switch_to(ff);
+        b.jump(gg);
+        b.switch_to(gg);
+        b.ret(None);
+        let f = b.finish();
+        let mut p = FuncEdgeProfile::zeroed(&f);
+        p.set_entries(80);
+        let e = |from: u32, s: usize| EdgeRef::new(BlockId(from), s);
+        p.set_edge(e(0, 0), 80);
+        p.set_edge(e(1, 0), 50); // A -> B
+        p.set_edge(e(1, 1), 30); // A -> C
+        p.set_edge(e(2, 0), 50);
+        p.set_edge(e(3, 0), 30);
+        p.set_edge(e(4, 0), 60); // D -> E
+        p.set_edge(e(4, 1), 20); // D -> F
+        p.set_edge(e(5, 0), 60);
+        p.set_edge(e(6, 0), 20);
+        (f, p)
     }
 }
 
@@ -139,6 +195,16 @@ mod tests {
         assert_eq!(a.total_paths(), 7);
         assert_eq!(a.total_flow(FlowMetric::Branch), 5 * 2 * 3 + 7 * 4);
         assert_eq!(a.total_flow(FlowMetric::Unit), 5 * 3 + 7 * 4);
+    }
+
+    #[test]
+    fn counts_and_totals_saturate() {
+        let mut a = FlowMap::singleton(3, 1, u64::MAX - 1);
+        a.add(3, 1, 5);
+        a.add(4, 1, 2);
+        assert_eq!(a.get(3, 1), u64::MAX);
+        assert_eq!(a.total_paths(), u64::MAX);
+        assert_eq!(a.total_flow(FlowMetric::Branch), u64::MAX);
     }
 
     #[test]

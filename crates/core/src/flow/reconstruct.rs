@@ -42,6 +42,10 @@ impl ReconstructedPath {
 /// Reconstructs paths whose estimated flow exceeds `cutoff` under
 /// `metric`, up to `max_paths` results (a safety valve; the paper had no
 /// cap, and ran out of memory on gcc for it).
+///
+/// Entry signatures are enumerated hottest first, and every path from a
+/// signature has that signature's flow, so paths come out in
+/// non-increasing flow order.
 pub fn reconstruct(
     dag: &Dag,
     analysis: &FlowAnalysis,
@@ -50,6 +54,45 @@ pub fn reconstruct(
     cutoff: u64,
     max_paths: usize,
 ) -> Vec<ReconstructedPath> {
+    let mut out = Vec::new();
+    for seed in seeds(dag, analysis, metric, cutoff) {
+        if out.len() >= max_paths {
+            break;
+        }
+        reconstruct_seed(dag, analysis, kind, seed, max_paths, &mut out);
+    }
+    out
+}
+
+/// The entry signatures `(freq, branches, count)` whose flow under
+/// `metric` exceeds `cutoff`, hottest first (ties in ascending signature
+/// order). Every path [`reconstruct_seed`] produces from a seed has
+/// exactly the seed's `freq` and `branches`, hence the seed's flow.
+pub(crate) fn seeds(
+    dag: &Dag,
+    analysis: &FlowAnalysis,
+    metric: FlowMetric,
+    cutoff: u64,
+) -> Vec<(u64, u32, u64)> {
+    let mut seeds: Vec<(u64, u32, u64)> = analysis
+        .entry_map(dag)
+        .iter()
+        .filter(|&(f, b, _)| metric.flow(f, b) > cutoff)
+        .collect();
+    seeds.sort_by_key(|&(f, b, _)| std::cmp::Reverse(metric.flow(f, b)));
+    seeds
+}
+
+/// Appends the paths of one entry signature `(freq, branches, count)` to
+/// `out`, stopping once `out` holds `max_paths` paths.
+pub(crate) fn reconstruct_seed(
+    dag: &Dag,
+    analysis: &FlowAnalysis,
+    kind: FlowKind,
+    (f, b, delta): (u64, u32, u64),
+    max_paths: usize,
+    out: &mut Vec<ReconstructedPath>,
+) {
     debug_assert_eq!(
         analysis.definite,
         kind == FlowKind::Definite,
@@ -59,30 +102,17 @@ pub fn reconstruct(
         dag,
         analysis,
         kind,
-        out: Vec::new(),
+        out,
         max_paths,
     };
-    // Entry signatures above the cutoff, hottest first.
-    let mut seeds: Vec<(u64, u32, u64)> = analysis
-        .entry_map(dag)
-        .iter()
-        .filter(|&(f, b, _)| metric.flow(f, b) > cutoff)
-        .collect();
-    seeds.sort_by_key(|&(f, b, _)| std::cmp::Reverse(metric.flow(f, b)));
-    for (f, b, delta) in seeds {
-        if rec.out.len() >= rec.max_paths {
-            break;
-        }
-        rec.enumerate(dag.entry, &mut Vec::new(), f, b, f, delta);
-    }
-    rec.out
+    rec.enumerate(dag.entry, &mut Vec::new(), f, b, f, delta);
 }
 
 struct Reconstructor<'a> {
     dag: &'a Dag,
     analysis: &'a FlowAnalysis,
     kind: FlowKind,
-    out: Vec<ReconstructedPath>,
+    out: &'a mut Vec<ReconstructedPath>,
     max_paths: usize,
 }
 
@@ -170,48 +200,9 @@ impl Reconstructor<'_> {
 mod tests {
     use super::*;
     use crate::dag::Dag;
+    use crate::flow::fixtures::figure8;
     use crate::flow::{definite_flow, potential_flow};
-    use ppp_ir::{BlockId, EdgeRef, FuncEdgeProfile, Function, FunctionBuilder, Reg};
-
-    fn figure8() -> (Function, FuncEdgeProfile) {
-        let mut b = FunctionBuilder::new("fig8", 1);
-        let a = b.new_block();
-        let bb = b.new_block();
-        let cc = b.new_block();
-        let dd = b.new_block();
-        let ee = b.new_block();
-        let ff = b.new_block();
-        let gg = b.new_block();
-        b.jump(a);
-        b.switch_to(a);
-        b.branch(Reg(0), bb, cc);
-        b.switch_to(bb);
-        b.jump(dd);
-        b.switch_to(cc);
-        b.jump(dd);
-        b.switch_to(dd);
-        b.branch(Reg(0), ee, ff);
-        b.switch_to(ee);
-        b.jump(gg);
-        b.switch_to(ff);
-        b.jump(gg);
-        b.switch_to(gg);
-        b.ret(None);
-        let f = b.finish();
-        let mut p = FuncEdgeProfile::zeroed(&f);
-        p.set_entries(80);
-        let e = |from: u32, s: usize| EdgeRef::new(BlockId(from), s);
-        p.set_edge(e(0, 0), 80);
-        p.set_edge(e(1, 0), 50);
-        p.set_edge(e(1, 1), 30);
-        p.set_edge(e(2, 0), 50);
-        p.set_edge(e(3, 0), 30);
-        p.set_edge(e(4, 0), 60);
-        p.set_edge(e(4, 1), 20);
-        p.set_edge(e(5, 0), 60);
-        p.set_edge(e(6, 0), 20);
-        (f, p)
-    }
+    use ppp_ir::{BlockId, EdgeRef, FuncEdgeProfile, FunctionBuilder, Reg};
 
     fn blocks_of(dag: &Dag, path: &ReconstructedPath) -> Vec<u32> {
         let mut v = vec![dag.entry.0];

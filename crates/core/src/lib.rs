@@ -75,6 +75,7 @@ pub mod poison;
 pub mod profiler;
 pub mod push;
 pub mod sampling;
+pub mod score;
 
 pub use accuracy::{accuracy, actual_hot_paths, hot_flow_fraction, HotPath};
 pub use coverage::{
@@ -96,3 +97,4 @@ pub use instrument::{
 pub use net::{net_hot_flow_coverage, NetConfig, NetPredictor};
 pub use profiler::{Params, PppToggles, ProfilerConfig, ProfilerKind, Technique};
 pub use sampling::{sampled_module, SAMPLE_COUNTER_BASE};
+pub use score::{edge_profile_score, EdgeScore};

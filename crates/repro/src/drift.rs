@@ -26,7 +26,7 @@ use crate::format::Table;
 use crate::pipeline::{
     estimate_options, prepare_benchmark, traced, PipelineError, PipelineOptions, PreparedBenchmark,
 };
-use ppp_core::{accuracy, edge_profile_coverage, edge_profile_estimate, FlowKind};
+use ppp_core::edge_profile_score;
 use ppp_ir::{
     analyze_loops, verify_module, write_edge_profile_v2, Block, FuncId, Inst, Module,
     ModuleEdgeProfile, Reg, Terminator,
@@ -430,17 +430,15 @@ pub fn drift_prepared(
         let zeroed = ModuleEdgeProfile::zeroed(&new_module);
         let guide_ref = guidance.as_ref().unwrap_or(&zeroed);
         let score = |profile: &ModuleEdgeProfile| {
-            let est = edge_profile_estimate(
+            let s = edge_profile_score(
                 &new_module,
                 profile,
-                FlowKind::Potential,
+                &fresh_truth,
                 options.metric,
+                options.hot_ratio,
                 &est_opts,
             );
-            let acc = accuracy(&fresh_truth, &est, options.metric, options.hot_ratio);
-            let cov =
-                edge_profile_coverage(&new_module, profile, &fresh_truth, options.metric).ratio();
-            (acc, cov)
+            (s.accuracy, s.coverage)
         };
         let (fresh_accuracy, fresh_coverage) = score(&fresh_edges);
         let (transferred_accuracy, transferred_coverage) = score(guide_ref);

@@ -71,9 +71,9 @@ pub use jit::{
     jit_gate, jit_json, jit_options, jit_suite, jit_table, JIT_KIND, JIT_SCHEMA_VERSION,
 };
 pub use pipeline::{
-    lint_benchmark, pipeline_configs, prepare_benchmark, run_benchmark, run_prepared,
-    validate_benchmark, BenchmarkRun, PipelineError, PipelineOptions, PreparedBenchmark,
-    ProfilerResult,
+    estimate_options, lint_benchmark, pipeline_configs, prepare_benchmark, run_benchmark,
+    run_prepared, validate_benchmark, BenchmarkRun, PipelineError, PipelineOptions,
+    PreparedBenchmark, ProfilerResult,
 };
 pub use predict::{
     predict_benchmark, predict_gate, predict_json, predict_prepared, predict_suite, predict_table,

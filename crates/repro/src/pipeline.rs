@@ -3,10 +3,9 @@
 //! run → evaluate.
 
 use ppp_core::{
-    accuracy, actual_hot_paths, edge_profile_coverage, edge_profile_estimate, hot_flow_fraction,
-    instrument_module, instrumented_fraction, profiler_coverage, profiler_estimate,
-    EstimateOptions, FlowKind, FlowMetric, InstrumentedFraction, ModulePlan, ProfilerConfig,
-    Technique,
+    accuracy, actual_hot_paths, edge_profile_score, hot_flow_fraction, instrument_module,
+    instrumented_fraction, profiler_coverage, profiler_estimate, EstimateOptions, FlowMetric,
+    InstrumentedFraction, ModulePlan, ProfilerConfig, Technique,
 };
 use ppp_ir::{Module, ModuleEdgeProfile, ModulePathProfile};
 use ppp_opt::{
@@ -493,21 +492,22 @@ pub fn run_prepared(
     let est_opts = estimate_options(&prep.truth, options);
     let edge = {
         let mut s = span.child("pipeline.edge_estimate");
-        let edge_est = edge_profile_estimate(
+        let score = edge_profile_score(
             &prep.module,
             guide_ref,
-            FlowKind::Potential,
+            &prep.truth,
             options.metric,
+            options.hot_ratio,
             &est_opts,
         );
-        let edge = EdgeResult {
-            accuracy: accuracy(&prep.truth, &edge_est, options.metric, options.hot_ratio),
-            coverage: edge_profile_coverage(&prep.module, guide_ref, &prep.truth, options.metric)
-                .ratio(),
-        };
-        s.set("accuracy", edge.accuracy);
-        s.set("coverage", edge.coverage);
-        edge
+        s.set("accuracy", score.accuracy);
+        s.set("coverage", score.coverage);
+        s.set("hot_paths", score.hot_paths);
+        s.set("paths_enumerated", score.paths_enumerated);
+        EdgeResult {
+            accuracy: score.accuracy,
+            coverage: score.coverage,
+        }
     };
 
     let profilers = pipeline_configs(options)
@@ -559,10 +559,9 @@ pub fn lint_benchmark(
         .collect())
 }
 
-pub(crate) fn estimate_options(
-    truth: &ModulePathProfile,
-    options: &PipelineOptions,
-) -> EstimateOptions {
+/// The estimate options every pipeline stage uses for a benchmark whose
+/// ground truth is `truth`.
+pub fn estimate_options(truth: &ModulePathProfile, options: &PipelineOptions) -> EstimateOptions {
     // Potential-flow reconstruction needs a cutoff to avoid exponential
     // enumeration; half the hot threshold keeps every candidate that
     // could enter the hot set while pruning the tail.

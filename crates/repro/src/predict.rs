@@ -25,7 +25,7 @@ use crate::format::Table;
 use crate::pipeline::{
     estimate_options, prepare_benchmark, PipelineError, PipelineOptions, PreparedBenchmark,
 };
-use ppp_core::{accuracy, edge_profile_coverage, edge_profile_estimate, FlowKind};
+use ppp_core::edge_profile_score;
 use ppp_est::{estimate_module, EstOptions};
 use ppp_ir::ModuleEdgeProfile;
 use ppp_lint::Code;
@@ -153,16 +153,15 @@ pub fn predict_prepared(prep: &PreparedBenchmark, options: &PipelineOptions) -> 
     // Both profiles drive the same potential-flow path estimator and are
     // scored against the measured truth with the branch-flow metric.
     let score = |profile: &ModuleEdgeProfile| {
-        let path_est = edge_profile_estimate(
+        let s = edge_profile_score(
             module,
             profile,
-            FlowKind::Potential,
+            &prep.truth,
             options.metric,
+            options.hot_ratio,
             &est_opts,
         );
-        let acc = accuracy(&prep.truth, &path_est, options.metric, options.hot_ratio);
-        let cov = edge_profile_coverage(module, profile, &prep.truth, options.metric).ratio();
-        (acc, cov)
+        (s.accuracy, s.coverage)
     };
     let (est_accuracy, est_coverage) = score(&est);
     let (uniform_accuracy, uniform_coverage) = score(&uniform);
