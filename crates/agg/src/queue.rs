@@ -144,6 +144,12 @@ mod tests {
                 assert!(qp.push(i));
             }
         });
+        // Pop nothing until the producer has blocked on the full queue:
+        // left to the scheduler, a consumer that keeps pace with the
+        // producer never lets it stall.
+        while q.stalls() == 0 {
+            thread::yield_now();
+        }
         let mut got = Vec::new();
         for _ in 0..=100 {
             got.push(q.pop().expect("open"));

@@ -81,10 +81,7 @@ impl Aggregator {
 
         if let Some(ckpt) = wal::read_checkpoint(&dur.dir, bench, agg.module())? {
             report.had_checkpoint = true;
-            agg.submit_edges(ckpt.edges)
-                .map_err(|e| format!("checkpoint seed: {e}"))?;
-            agg.submit_paths(ckpt.paths)
-                .map_err(|e| format!("checkpoint seed: {e}"))?;
+            agg.seed(ckpt.edges, ckpt.paths);
             agg.front.lock().expect("front lock").watermarks = ckpt.watermarks;
         }
 
@@ -93,7 +90,7 @@ impl Aggregator {
         for frame in &scan.frames {
             match frame.kind {
                 FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta => {
-                    match agg.apply_seq(frame, false) {
+                    match agg.apply_seq(frame.kind, &frame.payload, None) {
                         Ok(IngestOutcome::Applied) => report.replayed += 1,
                         Ok(IngestOutcome::Duplicate) => report.duplicates += 1,
                         Err(e) => return Err(format!("wal replay: {e}")),

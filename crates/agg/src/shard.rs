@@ -1,18 +1,20 @@
 //! The K-way sharded profile aggregator.
 //!
-//! One [`Aggregator`] owns the merged profile for one module. Incoming
-//! deltas are fanned to K shard threads over bounded queues
-//! ([`crate::queue::BoundedQueue`]); shard `k` merges exactly the
-//! functions with `func_id % K == k`, so every function is owned by one
-//! shard and per-function counts are never raced. Merging uses the
-//! saturating adds of [`ModuleEdgeProfile::merge`] /
-//! [`ModulePathProfile::merge`], which are commutative and associative —
-//! so the merged profile is independent of delta arrival order, and a
-//! [`Aggregator::snapshot`] (which assembles functions in id order) is
-//! **byte-identical** under persist_v2 serialization to a sequential
-//! single-worker merge of the same deltas.
+//! One [`Aggregator`] owns the merged profile for one module. Shard `k`
+//! of K owns exactly the functions with `func_id % K == k`, so
+//! per-function counts are never raced. A sequenced delta is validated
+//! once, on the thread that received it, and split into per-shard
+//! sparse records ([`ppp_ir::EdgeRecords`] / [`ppp_ir::PathRecords`]);
+//! only shards that own at least one record get a message over their
+//! bounded queue ([`crate::queue::BoundedQueue`]), and each adds its
+//! records straight into its state. The adds saturate like
+//! [`ModuleEdgeProfile::merge`] / [`ModulePathProfile::merge`], which
+//! are commutative and associative — so the merged profile is
+//! independent of delta arrival order, and a [`Aggregator::snapshot`]
+//! (which assembles functions in id order) is **byte-identical** under
+//! persist_v2 serialization to a sequential merge of the same deltas.
 //!
-//! A snapshot works by pushing a flush gate through every shard queue:
+//! A snapshot works by pushing a flush gate through *every* shard queue:
 //! FIFO order guarantees every delta submitted *before* the snapshot is
 //! merged before the gate opens, without pausing ingestion of later
 //! deltas.
@@ -20,10 +22,13 @@
 use crate::queue::BoundedQueue;
 use crate::wal::{self, DurOptions, Wal};
 use ppp_ir::wire::{
-    decode_frame, split_seq_payload, split_trace_context, Frame, FrameKind, WireError,
+    check_frame, split_seq_payload, split_trace_context, Frame, FrameKind, WireError,
     FRAME_HEADER_LEN,
 };
-use ppp_ir::{decode_edge_delta, decode_path_delta, Module, ModuleEdgeProfile, ModulePathProfile};
+use ppp_ir::{
+    decode_edge_records, decode_path_records, EdgeRecords, Module, ModuleEdgeProfile,
+    ModulePathProfile, PathRecords,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
@@ -99,11 +104,12 @@ struct ShardState {
     paths: ModulePathProfile,
 }
 
-/// One message through a shard queue. Deltas carry their enqueue time
-/// so shards can account queue-wait latency.
+/// One message through a shard queue: a delta's records for the
+/// functions this shard owns, or a flush gate. Records carry their
+/// enqueue time so shards can account queue-wait latency.
 enum Msg {
-    Edges(Arc<ModuleEdgeProfile>, Instant),
-    Paths(Arc<ModulePathProfile>, Instant),
+    Edges(EdgeRecords, Instant),
+    Paths(PathRecords, Instant),
     Flush(Arc<Gate>),
 }
 
@@ -214,7 +220,7 @@ impl Aggregator {
                 let bench = bench.to_owned();
                 std::thread::Builder::new()
                     .name(format!("agg-shard-{k}"))
-                    .spawn(move || shard_loop(k, shards, &queue, &state, &obs, &bench))
+                    .spawn(move || shard_loop(k, &queue, &state, &obs, &bench))
                     .expect("spawn shard thread")
             };
             queues.push(queue);
@@ -252,62 +258,18 @@ impl Aggregator {
         self.queues.len()
     }
 
-    /// Submits an edge-profile delta for merging. Blocks (backpressure)
-    /// while shard queues are full.
-    ///
-    /// # Errors
-    ///
-    /// Refuses deltas whose shape does not match the module — a
-    /// mis-shaped profile must never reach a shard accumulator.
-    pub fn submit_edges(&self, delta: ModuleEdgeProfile) -> Result<(), IngestError> {
-        if !delta.shape_matches(&self.module) {
-            return Err(IngestError {
-                class: "shape-mismatch",
-                detail: format!(
-                    "edge delta has {} functions, module has {}",
-                    delta.funcs.len(),
-                    self.module.functions.len()
-                ),
-            });
-        }
-        self.fan_out(Msg::Edges(Arc::new(delta), Instant::now()))
-    }
-
-    /// Submits a path-profile delta for merging (same contract as
-    /// [`Aggregator::submit_edges`]).
-    ///
-    /// # Errors
-    ///
-    /// Refuses deltas with the wrong function count.
-    pub fn submit_paths(&self, delta: ModulePathProfile) -> Result<(), IngestError> {
-        if delta.funcs.len() != self.module.functions.len() {
-            return Err(IngestError {
-                class: "shape-mismatch",
-                detail: format!(
-                    "path delta has {} functions, module has {}",
-                    delta.funcs.len(),
-                    self.module.functions.len()
-                ),
-            });
-        }
-        self.fan_out(Msg::Paths(Arc::new(delta), Instant::now()))
-    }
-
-    fn fan_out(&self, msg: Msg) -> Result<(), IngestError> {
-        // One Arc'd delta goes to every shard; each merges only the
-        // functions it owns.
-        for q in &self.queues {
+    /// Sends each shard its message for one delta: `msgs` holds one
+    /// entry per shard, in shard order, `None` where the delta names
+    /// none of the shard's functions.
+    fn fan_out(&self, msgs: Vec<Option<Msg>>) -> Result<(), IngestError> {
+        for (q, msg) in self.queues.iter().zip(msgs) {
+            let Some(msg) = msg else { continue };
             self.obs.metrics().observe(
                 "ppp_agg_queue_depth",
                 &[("bench", &self.bench)],
                 q.depth() as u64,
             );
-            let m = match &msg {
-                Msg::Edges(e, at) => Msg::Edges(Arc::clone(e), *at),
-                Msg::Paths(p, at) => Msg::Paths(Arc::clone(p), *at),
-                Msg::Flush(_) => unreachable!("fan_out is for deltas"),
-            };
-            if !q.push(m) {
+            if !q.push(msg) {
                 return Err(IngestError {
                     class: "closed",
                     detail: "aggregator is shutting down".to_owned(),
@@ -317,7 +279,11 @@ impl Aggregator {
         Ok(())
     }
 
-    /// Decodes and ingests one wire frame.
+    /// Ingests one decoded wire frame.
+    ///
+    /// A durable aggregator logs the frame re-encoded, which gives the
+    /// bytes it arrived in; the TCP server and [`Aggregator::ingest_stream`]
+    /// log the received bytes without re-encoding them.
     ///
     /// # Errors
     ///
@@ -330,20 +296,23 @@ impl Aggregator {
     /// `Hello` payloads are validated by the transport layer; here they
     /// are accepted as opaque.
     pub fn ingest_frame(&self, frame: &Frame) -> Result<IngestOutcome, IngestError> {
-        let started = Instant::now();
-        let out = self.ingest_frame_inner(frame);
-        self.obs.metrics().observe(
-            ppp_obs::names::INGEST_MICROS,
-            &[("bench", &self.bench)],
-            started.elapsed().as_micros() as u64,
-        );
-        out
+        self.ingest_wire(frame.kind, &frame.encode())
     }
 
-    fn ingest_frame_inner(&self, frame: &Frame) -> Result<IngestOutcome, IngestError> {
-        match frame.kind {
+    /// [`Aggregator::ingest_frame`] for a frame still in its wire bytes
+    /// (`wire`: header and payload, CRC already checked), which a
+    /// durable aggregator appends to its WAL as they are.
+    pub(crate) fn ingest_wire(
+        &self,
+        kind: FrameKind,
+        wire: &[u8],
+    ) -> Result<IngestOutcome, IngestError> {
+        let started = Instant::now();
+        let out = match kind {
             FrameKind::Hello | FrameKind::Done => Ok(IngestOutcome::Applied),
-            FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta => self.apply_seq(frame, true),
+            FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta => {
+                self.apply_seq(kind, &wire[FRAME_HEADER_LEN..], Some(wire))
+            }
             // Unsequenced deltas would bypass the WAL and the watermark;
             // the rest are answered by the transport tier or flow
             // server-to-client only.
@@ -354,21 +323,32 @@ impl Aggregator {
             | FrameKind::StatsRequest
             | FrameKind::StatsResponse => Err(IngestError {
                 class: "protocol",
-                detail: format!("{} frames are not ingested", frame.kind),
+                detail: format!("{kind} frames are not ingested"),
             }),
-        }
+        };
+        self.obs.metrics().observe(
+            ppp_obs::names::INGEST_MICROS,
+            &[("bench", &self.bench)],
+            started.elapsed().as_micros() as u64,
+        );
+        out
     }
 
-    /// Core of sequenced ingestion: dedup against the client watermark,
-    /// append to the WAL (when `log` — recovery replays with `log =
-    /// false`), then fan out, all under the front lock so a concurrent
+    /// Core of sequenced ingestion: validate the payload and split it
+    /// into per-shard records, dedup against the client watermark,
+    /// append `wal_record` to the WAL (recovery replays with `None`),
+    /// then fan out, all under the front lock so a concurrent
     /// checkpoint sees a consistent (profiles, watermarks) cut.
-    pub(crate) fn apply_seq(&self, frame: &Frame, log: bool) -> Result<IngestOutcome, IngestError> {
-        let (client, seq, container) =
-            split_seq_payload(&frame.payload).map_err(|e| IngestError {
-                class: "payload",
-                detail: format!("seq header: {e}"),
-            })?;
+    pub(crate) fn apply_seq(
+        &self,
+        kind: FrameKind,
+        payload: &[u8],
+        wal_record: Option<&[u8]>,
+    ) -> Result<IngestOutcome, IngestError> {
+        let (client, seq, container) = split_seq_payload(payload).map_err(|e| IngestError {
+            class: "payload",
+            detail: format!("seq header: {e}"),
+        })?;
         if seq == 0 {
             return Err(IngestError {
                 class: "payload",
@@ -389,26 +369,36 @@ impl Aggregator {
             s.set("seq", seq);
             s
         });
-        // Decode the delta against the module before touching any
-        // durable state: a damaged payload must be refused, not logged.
-        // The decoder builds module-shaped profiles, so no separate
-        // shape check is needed.
-        let msg = match frame.kind {
+        // Validate the whole delta against the module before touching
+        // any durable state: a damaged payload must be refused, not
+        // logged, and never partly merged.
+        let shards = self.queues.len();
+        let msgs: Vec<Option<Msg>> = match kind {
             FrameKind::SeqEdgeDelta => {
-                let profile =
-                    decode_edge_delta(&self.module, container).map_err(|e| IngestError {
+                let parts = decode_edge_records(&self.module, container, shards).map_err(|e| {
+                    IngestError {
                         class: "payload",
                         detail: format!("seq edge delta: {e}"),
-                    })?;
-                Msg::Edges(Arc::new(profile), Instant::now())
+                    }
+                })?;
+                let at = Instant::now();
+                parts
+                    .into_iter()
+                    .map(|r| (!r.is_empty()).then_some(Msg::Edges(r, at)))
+                    .collect()
             }
             FrameKind::SeqPathDelta => {
-                let profile =
-                    decode_path_delta(&self.module, container).map_err(|e| IngestError {
+                let parts = decode_path_records(&self.module, container, shards).map_err(|e| {
+                    IngestError {
                         class: "payload",
                         detail: format!("seq path delta: {e}"),
-                    })?;
-                Msg::Paths(Arc::new(profile), Instant::now())
+                    }
+                })?;
+                let at = Instant::now();
+                parts
+                    .into_iter()
+                    .map(|r| (!r.is_empty()).then_some(Msg::Paths(r, at)))
+                    .collect()
             }
             other => {
                 return Err(IngestError {
@@ -434,21 +424,19 @@ impl Aggregator {
                 ),
             });
         }
-        if log {
-            if let Some(wal) = front.wal.as_mut() {
-                if let Err(e) = wal.append(&frame.encode()) {
-                    // Never apply what was not logged: losing the WAL
-                    // loses the durability contract, so the delta is
-                    // refused and the client retries (or fails loudly).
-                    self.obs.metrics().inc(
-                        ppp_obs::names::WAL_ERRORS,
-                        &[("bench", &self.bench), ("op", "append")],
-                    );
-                    return Err(IngestError {
-                        class: "wal",
-                        detail: format!("wal append failed: {e}"),
-                    });
-                }
+        if let (Some(record), Some(wal)) = (wal_record, front.wal.as_mut()) {
+            if let Err(e) = wal.append(record) {
+                // Never apply what was not logged: losing the WAL
+                // loses the durability contract, so the delta is
+                // refused and the client retries (or fails loudly).
+                self.obs.metrics().inc(
+                    ppp_obs::names::WAL_ERRORS,
+                    &[("bench", &self.bench), ("op", "append")],
+                );
+                return Err(IngestError {
+                    class: "wal",
+                    detail: format!("wal append failed: {e}"),
+                });
             }
         }
         front.watermarks.insert(client, seq);
@@ -456,7 +444,7 @@ impl Aggregator {
         let due = front.dur.as_ref().is_some_and(|d| {
             d.checkpoint_every > 0 && front.since_checkpoint >= d.checkpoint_every
         });
-        let fanned = self.fan_out(msg);
+        let fanned = self.fan_out(msgs);
         drop(front);
         fanned?;
         if due {
@@ -557,6 +545,23 @@ impl Aggregator {
         front.dur = Some(dur);
     }
 
+    /// Moves each function's row of a loaded checkpoint into its owning
+    /// shard's state. Recovery calls this on a fresh aggregator before
+    /// any delta, so every row replaces an all-zero one.
+    pub(crate) fn seed(&self, edges: ModuleEdgeProfile, paths: ModulePathProfile) {
+        let mut states: Vec<_> = self
+            .states
+            .iter()
+            .map(|s| s.lock().expect("shard state lock"))
+            .collect();
+        let shards = states.len();
+        for (fid, (e, p)) in edges.funcs.into_iter().zip(paths.funcs).enumerate() {
+            let st = &mut states[fid % shards];
+            st.edges.funcs[fid] = e;
+            st.paths.funcs[fid] = p;
+        }
+    }
+
     /// One module-shaped (edge, path) pair per shard, each carrying
     /// only that shard's owned functions. Callers must have flushed
     /// first (see [`Aggregator::checkpoint`]).
@@ -588,22 +593,22 @@ impl Aggregator {
         let metrics = self.obs.metrics();
         let bench: &str = &self.bench;
         while pos < bytes.len() {
-            match decode_frame(&bytes[pos..]) {
-                Ok((frame, used)) => {
-                    match self.ingest_frame(&frame) {
+            match check_frame(&bytes[pos..]) {
+                Ok((kind, used)) => {
+                    match self.ingest_wire(kind, &bytes[pos..pos + used]) {
                         Ok(IngestOutcome::Applied) => {
-                            report.bump(frame.kind);
-                            report.bytes_accepted += frame.payload.len() as u64;
+                            report.bump(kind);
+                            report.bytes_accepted += (used - FRAME_HEADER_LEN) as u64;
                             metrics.inc(
                                 "ppp_agg_frames_ingested_total",
-                                &[("bench", bench), ("kind", frame.kind.name())],
+                                &[("bench", bench), ("kind", kind.name())],
                             );
                             metrics.inc_by(
                                 "ppp_agg_bytes_ingested_total",
                                 &[("bench", bench)],
                                 (used - FRAME_HEADER_LEN) as u64,
                             );
-                            if frame.kind == FrameKind::Done {
+                            if kind == FrameKind::Done {
                                 report.saw_done = true;
                             }
                         }
@@ -695,10 +700,10 @@ impl Drop for Aggregator {
     }
 }
 
-/// Body of one shard thread: drain the queue, merge owned functions.
+/// Body of one shard thread: drain the queue, add each delta's
+/// records (all of them for functions this shard owns).
 fn shard_loop(
     k: usize,
-    shards: usize,
     queue: &BoundedQueue<Msg>,
     state: &Mutex<ShardState>,
     obs: &ppp_obs::ObsCtx,
@@ -707,28 +712,16 @@ fn shard_loop(
     let shard_label = k.to_string();
     while let Some(msg) = queue.pop() {
         match msg {
-            Msg::Edges(delta, enqueued) => {
+            Msg::Edges(records, enqueued) => {
                 record_queue_wait(obs, bench, enqueued);
                 let started = Instant::now();
-                let mut st = state.lock().expect("shard state lock");
-                for fid in (k..delta.funcs.len()).step_by(shards) {
-                    if !delta.funcs[fid].is_zero() {
-                        st.edges.funcs[fid].merge(&delta.funcs[fid]);
-                    }
-                }
-                drop(st);
+                records.add_to(&mut state.lock().expect("shard state lock").edges);
                 record_merge(obs, bench, &shard_label, started);
             }
-            Msg::Paths(delta, enqueued) => {
+            Msg::Paths(records, enqueued) => {
                 record_queue_wait(obs, bench, enqueued);
                 let started = Instant::now();
-                let mut st = state.lock().expect("shard state lock");
-                for fid in (k..delta.funcs.len()).step_by(shards) {
-                    if !delta.funcs[fid].paths.is_empty() {
-                        st.paths.funcs[fid].merge(&delta.funcs[fid]);
-                    }
-                }
-                drop(st);
+                records.add_to(&mut state.lock().expect("shard state lock").paths);
                 record_merge(obs, bench, &shard_label, started);
             }
             Msg::Flush(gate) => gate.arrive(),
@@ -791,6 +784,16 @@ mod tests {
         d
     }
 
+    /// Ingests `delta` as client `client`'s sequenced edge frame `seq`.
+    fn submit(agg: &Aggregator, client: u64, seq: u64, delta: &ModuleEdgeProfile) {
+        let payload = encode_seq_payload(client, seq, &encode_edge_delta(agg.module(), delta));
+        let frame = Frame::new(FrameKind::SeqEdgeDelta, payload);
+        assert_eq!(
+            agg.ingest_frame(&frame).expect("open"),
+            IngestOutcome::Applied
+        );
+    }
+
     #[test]
     fn sharded_merge_equals_sequential_merge() {
         let m = test_module(7);
@@ -807,7 +810,7 @@ mod tests {
             for i in 0..50 {
                 let d = delta_for(&m, i % 7, (i as u64) + 1);
                 reference.merge(&d);
-                agg.submit_edges(d).expect("open");
+                submit(&agg, 0, i as u64 + 1, &d);
             }
             let (edges, _) = agg.snapshot();
             assert_eq!(edges, reference, "{shards} shards");
@@ -822,23 +825,46 @@ mod tests {
     fn snapshot_includes_everything_submitted_before_it() {
         let m = test_module(3);
         let agg = Aggregator::new("t", Arc::clone(&m), AggConfig::default());
-        agg.submit_edges(delta_for(&m, 0, 5)).expect("open");
+        submit(&agg, 0, 1, &delta_for(&m, 0, 5));
         let (a, _) = agg.snapshot();
         assert_eq!(a.funcs[0].entries(), 5);
-        agg.submit_edges(delta_for(&m, 0, 5)).expect("open");
+        submit(&agg, 0, 2, &delta_for(&m, 0, 5));
         let (b, _) = agg.snapshot();
         assert_eq!(b.funcs[0].entries(), 10, "snapshots are cumulative");
     }
 
     #[test]
     fn shape_mismatch_is_refused() {
+        // Deltas of a 4-function module naming function 3 must never
+        // reach the shards of a 3-function aggregator.
         let m = test_module(3);
         let other = test_module(4);
         let agg = Aggregator::new("t", Arc::clone(&m), AggConfig::default());
-        let bad = ModuleEdgeProfile::zeroed(&other);
-        assert_eq!(agg.submit_edges(bad).unwrap_err().class, "shape-mismatch");
-        let badp = ModulePathProfile::with_capacity(4);
-        assert_eq!(agg.submit_paths(badp).unwrap_err().class, "shape-mismatch");
+        let mut paths = ModulePathProfile::with_capacity(4);
+        paths.func_mut(FuncId(3)).record(
+            other.function(FuncId(3)),
+            PathKey {
+                start: BlockId(0),
+                edges: vec![EdgeRef::new(BlockId(0), 0)],
+            },
+            1,
+        );
+        for (kind, container) in [
+            (
+                FrameKind::SeqEdgeDelta,
+                encode_edge_delta(&other, &delta_for(&other, 3, 2)),
+            ),
+            (FrameKind::SeqPathDelta, encode_path_delta(&other, &paths)),
+        ] {
+            let frame = Frame::new(kind, encode_seq_payload(0, 1, &container));
+            let err = agg.ingest_frame(&frame).expect_err("mis-shaped delta");
+            assert_eq!(err.class, "payload", "{kind}: {err}");
+            assert!(err.detail.contains("function 3"), "{err}");
+        }
+        assert_eq!(agg.watermark(0), 0, "no sequence consumed");
+        let (edges, paths) = agg.snapshot();
+        assert!(edges.funcs.iter().all(|f| f.is_zero()), "nothing merged");
+        assert!(paths.funcs.iter().all(|f| f.paths.is_empty()));
     }
 
     #[test]
@@ -1009,7 +1035,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..25u64 {
                         let d = delta_for(&m, ((w * 25 + i) % 5) as usize, i + 1);
-                        agg.submit_edges(d).expect("open");
+                        submit(&agg, w, i + 1, &d);
                     }
                 });
             }

@@ -37,7 +37,7 @@
 use crate::service::{AggService, FrameSink, Hello, RetryPolicy};
 use crate::shard::{Aggregator, IngestOutcome};
 use ppp_ir::wire::{
-    decode_frame, encode_frame, encode_reject_payload, encode_seq_payload, split_reject_payload,
+    check_frame, encode_frame, encode_reject_payload, encode_seq_payload, split_reject_payload,
     split_seq_payload, Frame, FrameKind, WireError, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
 };
 use ppp_ir::Module;
@@ -342,6 +342,12 @@ fn accept_loop(
 /// [`WireError::TimedOut`]; other transport failures are
 /// [`ReadError::Io`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ReadError> {
+    Ok(read_wire(r)?.map(|(kind, mut bytes)| Frame::new(kind, bytes.split_off(FRAME_HEADER_LEN))))
+}
+
+/// [`read_frame`] that keeps the frame as received: its kind and its
+/// CRC-checked wire bytes, header included.
+fn read_wire(r: &mut impl Read) -> Result<Option<(FrameKind, Vec<u8>)>, ReadError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     let mut got = 0;
     while got < header.len() {
@@ -379,8 +385,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ReadError> {
             Err(e) => return Err(io_read_error(&e)),
         }
     }
-    let (frame, _) = decode_frame(&bytes).map_err(ReadError::Wire)?;
-    Ok(Some(frame))
+    let (kind, _) = check_frame(&bytes).map_err(ReadError::Wire)?;
+    Ok(Some((kind, bytes)))
 }
 
 fn send_ack(stream: &mut TcpStream, client: u64, watermark: u64) -> std::io::Result<()> {
@@ -500,7 +506,7 @@ fn serve_connection(
             draining = true;
             let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
         }
-        let frame = match read_frame(stream) {
+        let (kind, wire) = match read_wire(stream) {
             Ok(Some(f)) => f,
             Ok(None) => return Ok(()), // clean EOF
             Err(ReadError::Wire(WireError::TimedOut)) => {
@@ -527,9 +533,10 @@ fn serve_connection(
                 return Err(e.to_string());
             }
         };
-        match frame.kind {
+        let payload = &wire[FRAME_HEADER_LEN..];
+        match kind {
             FrameKind::Hello => {
-                let hello = Hello::parse(&frame.payload).inspect_err(|e| {
+                let hello = Hello::parse(payload).inspect_err(|e| {
                     let _ = send_reject(stream, "hello", e);
                 })?;
                 let module = resolver(&hello).ok_or_else(|| {
@@ -549,7 +556,7 @@ fn serve_connection(
                 let a = service.register(&hello.bench, &module).inspect_err(|e| {
                     let _ = send_reject(stream, "register", e);
                 })?;
-                record_tcp_frame(&a, &frame);
+                record_tcp_frame(&a, kind, payload);
                 client_id = hello.worker;
                 send_ack(stream, client_id, a.watermark(client_id)).map_err(|e| e.to_string())?;
                 agg = Some(a);
@@ -576,10 +583,12 @@ fn serve_connection(
                         return Err("shed: overloaded".to_owned());
                     }
                 }
-                match a.ingest_frame(&frame) {
+                // The WAL gets the bytes as received: no re-encode and
+                // no second CRC.
+                match a.ingest_wire(kind, &wire) {
                     Ok(IngestOutcome::Applied) => {
                         frames.fetch_add(1, Ordering::SeqCst);
-                        record_tcp_frame(a, &frame);
+                        record_tcp_frame(a, kind, payload);
                     }
                     Ok(IngestOutcome::Duplicate) => {} // counted by the aggregator
                     Err(e) => {
@@ -593,7 +602,7 @@ fn serve_connection(
                     let _ = send_reject(stream, "no-hello", "done before hello");
                     return Err("done before hello".to_owned());
                 };
-                record_tcp_frame(a, &frame);
+                record_tcp_frame(a, kind, payload);
                 send_ack(stream, client_id, a.watermark(client_id)).map_err(|e| e.to_string())?;
             }
             FrameKind::StatsRequest => {
@@ -614,7 +623,7 @@ fn serve_connection(
             | FrameKind::StatsResponse => {
                 // Server-only kinds, and unsequenced deltas: those would
                 // bypass the WAL and the watermark, so an ack would lie.
-                let msg = format!("clients may not send {} frames", frame.kind);
+                let msg = format!("clients may not send {kind} frames");
                 let _ = send_reject(stream, "protocol", &msg);
                 return Err(msg);
             }
@@ -622,17 +631,17 @@ fn serve_connection(
     }
 }
 
-fn record_tcp_frame(agg: &Aggregator, frame: &Frame) {
+fn record_tcp_frame(agg: &Aggregator, kind: FrameKind, payload: &[u8]) {
     let obs = ppp_obs::global();
     let bench = agg.bench();
     obs.metrics().inc(
         "ppp_agg_frames_ingested_total",
-        &[("bench", bench), ("kind", frame.kind.name())],
+        &[("bench", bench), ("kind", kind.name())],
     );
     obs.metrics().inc_by(
         "ppp_agg_bytes_ingested_total",
         &[("bench", bench)],
-        frame.payload.len() as u64,
+        payload.len() as u64,
     );
 }
 
@@ -965,8 +974,8 @@ mod tests {
     use crate::shard::AggConfig;
     use crate::wal::DurOptions;
     use ppp_ir::{
-        write_edge_profile_v2, BlockId, EdgeRef, FunctionBuilder, ModuleEdgeProfile,
-        ModulePathProfile, Reg,
+        write_edge_profile_v2, BlockId, EdgeRef, FuncId, FunctionBuilder, ModuleEdgeProfile,
+        ModulePathProfile, PathKey, Reg,
     };
     use std::path::PathBuf;
 
@@ -1351,9 +1360,20 @@ mod tests {
             client.push_delta(&delta, &paths).expect("push");
         }
 
-        // Scrape stats over a separate connection, mid-session.
-        let doc = fetch_stats(server.addr(), Duration::from_secs(2)).expect("stats");
-        let v = ppp_obs::json::parse(&doc).expect("stats JSON parses");
+        // Scrape stats over a separate connection, mid-session. The
+        // pushes are not acked, so a scrape can overtake them: poll
+        // until the three pairs show or a deadline passes.
+        let frames_accepted =
+            |v: &json::Json| v.get("frames_accepted").and_then(json::Json::as_u64);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let v = loop {
+            let doc = fetch_stats(server.addr(), Duration::from_secs(2)).expect("stats");
+            let v = ppp_obs::json::parse(&doc).expect("stats JSON parses");
+            if frames_accepted(&v).is_some_and(|n| n >= 6) || Instant::now() > deadline {
+                break v;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        };
         assert_eq!(
             v.get("schema").and_then(ppp_obs::json::Json::as_str),
             Some(STATS_SCHEMA)
@@ -1395,6 +1415,97 @@ mod tests {
         let (edges, _) = agg.snapshot();
         assert_eq!(edges.funcs[0].entries(), 3);
         server.shutdown();
+    }
+
+    /// Forwards frames to a [`TcpSink`] and keeps the sequenced ones'
+    /// bytes, as sent.
+    struct Tee {
+        tcp: TcpSink,
+        sent: Vec<u8>,
+    }
+
+    impl FrameSink for Tee {
+        fn send_frame(&mut self, bytes: &[u8]) -> Result<(), String> {
+            if matches!(
+                frame_kind_of(bytes),
+                Some(FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta)
+            ) {
+                self.sent.extend_from_slice(bytes);
+            }
+            self.tcp.send_frame(bytes)
+        }
+    }
+
+    #[test]
+    fn wal_logs_delta_frames_as_received_over_tcp() {
+        let m = test_module();
+        let dir = scratch("wal-as-received");
+        let make_service = || {
+            AggService::new_durable(
+                AggConfig {
+                    shards: 2,
+                    queue_cap: 8,
+                },
+                DurOptions::new(&dir, 0),
+            )
+        };
+        let service = make_service();
+        let server = Server::spawn(
+            TcpListener::bind("127.0.0.1:0").expect("bind"),
+            Arc::clone(&service),
+            test_resolver(&m),
+            ServeOptions::default(),
+        )
+        .expect("spawn");
+        let (delta, _) = one_delta(&m);
+        let mut paths = ModulePathProfile::with_capacity(1);
+        paths.func_mut(FuncId(0)).record(
+            m.function(FuncId(0)),
+            PathKey {
+                start: BlockId(0),
+                edges: vec![EdgeRef::new(BlockId(0), 0)],
+            },
+            1,
+        );
+        let hello = Hello {
+            bench: "tcp-test".to_owned(),
+            funcs: 1,
+            scale_bits: 0,
+            worker: 3,
+        };
+        let tee = Tee {
+            tcp: TcpSink::connect(server.addr()).expect("connect"),
+            sent: Vec::new(),
+        };
+        let mut client = AggClient::open(Arc::clone(&m), tee, 1, &hello).expect("open");
+        for _ in 0..4 {
+            client.push_delta(&delta, &paths).expect("push");
+        }
+        client.finish().expect("finish");
+        let mut tee = client.into_sink();
+        tee.tcp.wait_ack().expect("done ack");
+        // Abrupt kill: no drain and no final checkpoint, so the WAL
+        // holds the whole stream.
+        server.kill();
+        drop(service);
+
+        let wal = std::fs::read(crate::wal::wal_path(&dir, "tcp-test")).expect("read wal");
+        assert_eq!(wal, tee.sent, "WAL holds the 8 delta frames as sent");
+        let (frames, damage) = ppp_ir::wire::decode_stream(&wal);
+        assert!(damage.is_none());
+        let reencoded: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        assert_eq!(
+            wal, reencoded,
+            "and as re-encoding the decoded frames gives"
+        );
+        assert_eq!(frames.len(), 8);
+
+        let service = make_service();
+        let agg = service.register("tcp-test", &m).expect("recover");
+        assert_eq!(agg.watermark(3), 8, "every logged frame replayed");
+        let (edges, paths) = agg.snapshot();
+        assert_eq!(edges.funcs[0].entries(), 4);
+        assert_eq!(paths.funcs[0].total_unit_flow(), 4);
     }
 
     #[test]

@@ -262,3 +262,79 @@ fn wal_holding_a_persist_v2_delta_fails_recovery() {
     };
     assert!(err.starts_with("wal replay: payload"), "{err}");
 }
+
+#[test]
+fn wal_holds_frames_as_received_and_replays_them() {
+    // The WAL appends each sequenced frame's received bytes. They must
+    // be exactly what re-encoding the decoded frame logged before, for
+    // a stream ingested as bytes and for one ingested frame by frame,
+    // and recovery must replay them to the same snapshot.
+    let suite = spec2000_suite();
+    let entry = suite
+        .iter()
+        .find(|e| e.spec.name == "parser")
+        .expect("parser");
+    let module = Arc::new(generate(&entry.spec.clone().scaled(SCALE)));
+    let options = RunOptions::default()
+        .traced()
+        .with_seed(701)
+        .with_delta_interval(DELTA_INTERVAL);
+    let result = run(&module, "main", &options).expect("runs");
+    let frames = client_stream("parser", &module, &result.deltas);
+    let received: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+    let is_seq = |f: &&Frame| matches!(f.kind, FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta);
+    // Re-encoding every decoded sequenced frame: what the WAL held when
+    // it logged `frame.encode()`.
+    let reencoded: Vec<u8> = frames
+        .iter()
+        .filter(is_seq)
+        .flat_map(Frame::encode)
+        .collect();
+    let seq_frames = frames.iter().filter(is_seq).count() as u64;
+    let edges_ref = write_edge_profile_v2(&module, result.edge_profile.as_ref().expect("traced"));
+    let paths_ref = write_path_profile_v2(&module, result.path_profile.as_ref().expect("traced"));
+    for shards in [1usize, 2, 8] {
+        for by_frame in [false, true] {
+            let dir = scratch(&format!("wal-bytes-{shards}-{by_frame}"));
+            // No checkpoints: the WAL keeps the whole stream.
+            let config = AggConfig {
+                shards,
+                queue_cap: 8,
+            };
+            let (agg, _) = Aggregator::recover(
+                "parser",
+                Arc::clone(&module),
+                config,
+                DurOptions::new(&dir, 0),
+            )
+            .expect("cold start");
+            if by_frame {
+                for f in &frames {
+                    agg.ingest_frame(f).expect("ingest");
+                }
+            } else {
+                let report = agg.ingest_stream(&received);
+                assert!(report.clean(), "{report:?}");
+            }
+            drop(agg);
+            let wal = std::fs::read(wal_path(&dir, "parser")).expect("read wal");
+            assert_eq!(
+                wal, reencoded,
+                "{shards} shards, by frame {by_frame}: WAL bytes"
+            );
+
+            let (agg, report) = Aggregator::recover(
+                "parser",
+                Arc::clone(&module),
+                config,
+                DurOptions::new(&dir, 0),
+            )
+            .expect("recover");
+            assert_eq!(report.replayed, seq_frames, "every logged frame replayed");
+            assert!(!report.had_checkpoint);
+            let (edges, paths) = agg.snapshot();
+            assert_eq!(write_edge_profile_v2(&module, &edges), edges_ref);
+            assert_eq!(write_path_profile_v2(&module, &paths), paths_ref);
+        }
+    }
+}

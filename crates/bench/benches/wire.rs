@@ -1,12 +1,21 @@
 //! Micro-benchmarks for the delta codecs: the sparse binary encoding
 //! that sequenced frames carry, next to the persist_v2 text container
-//! that checkpoints keep, on one recorded delta per benchmark. Also
-//! times the CRC-32 that frames and v2 sections compute.
+//! that checkpoints keep, on one recorded delta per benchmark. The
+//! binary payload is decoded two ways: into per-shard sparse records,
+//! as the aggregator does, and into module-shaped profiles by the
+//! dense decoders those records replaced (the test oracle, included
+//! from `ppp-ir`'s tests). Also times the CRC-32 that frames and v2
+//! sections compute.
 
+#[path = "../../ir/tests/dense_oracle/decode.rs"]
+mod dense_oracle;
+
+use dense_oracle::{decode_edge_delta, decode_path_delta};
 use ppp_bench::harness::bench;
 use ppp_ir::{
-    crc32, decode_edge_delta, decode_path_delta, encode_edge_delta, encode_path_delta,
+    crc32, decode_edge_records, decode_path_records, encode_edge_delta, encode_path_delta,
     read_edge_profile_v2, read_path_profile_v2, write_edge_profile_v2, write_path_profile_v2,
+    ModuleEdgeProfile, ModulePathProfile,
 };
 use ppp_vm::{run, RunOptions};
 use ppp_workloads::{generate, spec2000_suite};
@@ -14,6 +23,9 @@ use ppp_workloads::{generate, spec2000_suite};
 /// Scale and delta cut of the recorded runs (the ingest workload's).
 const SCALE: f64 = 1.0;
 const DELTA_INTERVAL: u64 = 2560;
+/// Parts the sparse decoder splits a delta into (the ingest
+/// workload's shard count).
+const SHARDS: usize = 2;
 
 fn main() {
     for name in ["mcf", "parser", "swim"] {
@@ -42,6 +54,22 @@ fn main() {
             decode_path_delta(&module, &paths).expect("decodes"),
             d.paths
         );
+        let mut sparse_edges = ModuleEdgeProfile::zeroed(&module);
+        for r in decode_edge_records(&module, &edges, SHARDS).expect("decodes") {
+            r.add_to(&mut sparse_edges);
+        }
+        assert_eq!(
+            sparse_edges, d.edges,
+            "sparse edge records agree with the oracle"
+        );
+        let mut sparse_paths = ModulePathProfile::with_capacity(module.functions.len());
+        for r in decode_path_records(&module, &paths, SHARDS).expect("decodes") {
+            r.add_to(&mut sparse_paths);
+        }
+        assert_eq!(
+            sparse_paths, d.paths,
+            "sparse path records agree with the oracle"
+        );
         assert_eq!(
             read_edge_profile_v2(&module, edges_v2.as_bytes()).expect("reads"),
             d.edges
@@ -64,7 +92,13 @@ fn main() {
                 encode_path_delta(&module, &d.paths),
             )
         });
-        bench(&group, "binary-decode", || {
+        bench(&group, "sparse-decode", || {
+            (
+                decode_edge_records(&module, &edges, SHARDS),
+                decode_path_records(&module, &paths, SHARDS),
+            )
+        });
+        bench(&group, "dense-decode", || {
             (
                 decode_edge_delta(&module, &edges),
                 decode_path_delta(&module, &paths),

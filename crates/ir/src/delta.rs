@@ -29,10 +29,18 @@
 //!
 //! Decoding never panics and never sizes an allocation from a declared
 //! count before checking it against the bytes that remain.
+//!
+//! A payload decodes into sparse records, not a module-shaped profile:
+//! [`decode_edge_records`] and [`decode_path_records`] validate the
+//! whole payload and split its function records into parts by
+//! function id, so the aggregator hands each shard only the records of
+//! the functions it owns. [`EdgeRecords::add_to`] and
+//! [`PathRecords::add_to`] add records into a profile with the
+//! saturating semantics of the dense merges.
 
 use crate::ids::{BlockId, EdgeRef, FuncId};
 use crate::module::Module;
-use crate::path::{ModulePathProfile, PathKey};
+use crate::path::{ModulePathProfile, PathKey, PathStats};
 use crate::profile::ModuleEdgeProfile;
 use std::fmt;
 
@@ -295,24 +303,119 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes a binary edge delta into a profile shaped like `module`.
+/// One function's record in an [`EdgeRecords`]: its entry count and
+/// where its rows end in the shared block and edge vectors.
+#[derive(Clone, Copy, Debug)]
+struct EdgeFuncRecord {
+    func: usize,
+    entries: u64,
+    blocks_end: usize,
+    edges_end: usize,
+}
+
+/// The non-zero records of one decoded edge delta, for the functions
+/// of one part, in a few flat vectors. Adding them into a profile
+/// ([`EdgeRecords::add_to`]) touches only the counters they name.
+#[derive(Clone, Debug, Default)]
+pub struct EdgeRecords {
+    funcs: Vec<EdgeFuncRecord>,
+    blocks: Vec<(BlockId, u64)>,
+    edges: Vec<(EdgeRef, u64)>,
+}
+
+impl EdgeRecords {
+    /// `true` when no function record landed in this part.
+    pub fn is_empty(&self) -> bool {
+        self.funcs.is_empty()
+    }
+
+    /// Adds every record into `profile`, saturating at [`u64::MAX`] like
+    /// [`ModuleEdgeProfile::merge`]. Adding into a zeroed profile gives
+    /// the dense delta back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `profile` is not shaped like the module the records
+    /// were decoded against.
+    pub fn add_to(&self, profile: &mut ModuleEdgeProfile) {
+        let (mut blocks, mut edges) = (0, 0);
+        for r in &self.funcs {
+            let p = &mut profile.funcs[r.func];
+            p.add_entries(r.entries);
+            for &(b, n) in &self.blocks[blocks..r.blocks_end] {
+                p.add_block(b, n);
+            }
+            for &(e, n) in &self.edges[edges..r.edges_end] {
+                p.add_edge(e, n);
+            }
+            (blocks, edges) = (r.blocks_end, r.edges_end);
+        }
+    }
+}
+
+/// The path records of one decoded path delta, for the functions of
+/// one part: `(function, end of its paths)` plus one flat vector of
+/// paths, zero-frequency paths included.
+#[derive(Clone, Debug, Default)]
+pub struct PathRecords {
+    funcs: Vec<(usize, usize)>,
+    paths: Vec<(PathKey, PathStats)>,
+}
+
+impl PathRecords {
+    /// `true` when no function record landed in this part.
+    pub fn is_empty(&self) -> bool {
+        self.funcs.is_empty()
+    }
+
+    /// Moves every path into `profile`, adding frequencies saturating at
+    /// [`u64::MAX`] like [`ModulePathProfile::merge`]. Adding into an
+    /// empty profile gives the dense delta back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `profile` has fewer functions than the module the
+    /// records were decoded against.
+    pub fn add_to(self, profile: &mut ModulePathProfile) {
+        let mut paths = self.paths.into_iter();
+        let mut start = 0;
+        for (func, end) in self.funcs {
+            let fp = &mut profile.funcs[func];
+            for (key, stats) in paths.by_ref().take(end - start) {
+                fp.add(key, stats);
+            }
+            start = end;
+        }
+    }
+}
+
+/// Validates a binary edge delta against `module` and splits its
+/// records into `parts` parts (at least one): function `f`'s record
+/// lands in part `f % parts`.
 ///
 /// # Errors
 ///
 /// Any payload the canonical encoder would not write for `module` is
-/// a typed [`DeltaError`]; this function never panics.
-pub fn decode_edge_delta(module: &Module, bytes: &[u8]) -> Result<ModuleEdgeProfile, DeltaError> {
+/// a typed [`DeltaError`], the same one whatever `parts` is; this
+/// function never panics. Nothing is returned from a refused payload.
+pub fn decode_edge_records(
+    module: &Module,
+    bytes: &[u8],
+    parts: usize,
+) -> Result<Vec<EdgeRecords>, DeltaError> {
     let mut r = Reader::open(bytes, EDGE_DELTA_MAGIC)?;
-    let mut profile = ModuleEdgeProfile::zeroed(module);
+    let mut out = vec![EdgeRecords::default(); parts.max(1)];
     let mut prev = None;
     while !r.done() {
         let record = r.pos;
         let fid = r.func(module, prev)?;
         prev = Some(fid);
         let f = &module.functions[fid];
-        let p = &mut profile.funcs[fid];
-        p.set_entries(r.varint()?);
+        let n = out.len();
+        let part = &mut out[fid % n];
+        let entries = r.varint()?;
         let nblocks = r.count(2)?;
+        part.blocks.reserve(nblocks);
         let mut last = None;
         for _ in 0..nblocks {
             let at = r.pos;
@@ -324,9 +427,11 @@ pub fn decode_edge_delta(module: &Module, bytes: &[u8]) -> Result<ModuleEdgeProf
                 });
             }
             last = Some(b);
-            p.set_block(BlockId::new(b), r.nonzero("zero block count")?);
+            let n = r.nonzero("zero block count")?;
+            part.blocks.push((BlockId::new(b), n));
         }
         let nedges = r.count(3)?;
+        part.edges.reserve(nedges);
         let mut last = None;
         for _ in 0..nedges {
             let at = r.pos;
@@ -339,34 +444,45 @@ pub fn decode_edge_delta(module: &Module, bytes: &[u8]) -> Result<ModuleEdgeProf
                 });
             }
             last = Some((b, s));
-            p.set_edge(
-                EdgeRef::new(BlockId::new(b), s),
-                r.nonzero("zero edge count")?,
-            );
+            let n = r.nonzero("zero edge count")?;
+            part.edges.push((EdgeRef::new(BlockId::new(b), s), n));
         }
-        if p.entries() == 0 && nblocks == 0 && nedges == 0 {
+        if entries == 0 && nblocks == 0 && nedges == 0 {
             return Err(DeltaError::NotCanonical {
                 at: record,
                 what: "empty function record",
             });
         }
+        part.funcs.push(EdgeFuncRecord {
+            func: fid,
+            entries,
+            blocks_end: part.blocks.len(),
+            edges_end: part.edges.len(),
+        });
     }
-    Ok(profile)
+    Ok(out)
 }
 
-/// Decodes a binary path delta into a profile shaped like `module`.
+/// Validates a binary path delta against `module` and splits its
+/// records into `parts` parts, as [`decode_edge_records`] does.
 ///
 /// # Errors
 ///
-/// See [`decode_edge_delta`]; identical policy.
-pub fn decode_path_delta(module: &Module, bytes: &[u8]) -> Result<ModulePathProfile, DeltaError> {
+/// See [`decode_edge_records`]; identical policy.
+pub fn decode_path_records(
+    module: &Module,
+    bytes: &[u8],
+    parts: usize,
+) -> Result<Vec<PathRecords>, DeltaError> {
     let mut r = Reader::open(bytes, PATH_DELTA_MAGIC)?;
-    let mut profile = ModulePathProfile::with_capacity(module.functions.len());
+    let mut out = vec![PathRecords::default(); parts.max(1)];
     let mut prev = None;
     while !r.done() {
         let fid = r.func(module, prev)?;
         prev = Some(fid);
         let f = &module.functions[fid];
+        let n = out.len();
+        let part = &mut out[fid % n];
         let at = r.pos;
         let npaths = r.count(3)?;
         if npaths == 0 {
@@ -375,9 +491,8 @@ pub fn decode_path_delta(module: &Module, bytes: &[u8]) -> Result<ModulePathProf
                 what: "empty function record",
             });
         }
-        // The previous path, kept in one reused buffer.
-        let mut last: Option<BlockId> = None;
-        let mut last_edges: Vec<EdgeRef> = Vec::new();
+        part.paths.reserve(npaths);
+        let first = part.paths.len();
         for _ in 0..npaths {
             let at = r.pos;
             let start = BlockId::new(r.id("block", f.blocks.len())?);
@@ -392,17 +507,20 @@ pub fn decode_path_delta(module: &Module, bytes: &[u8]) -> Result<ModulePathProf
                 // In range by the check just above.
                 cur = term.successor(s).unwrap_or(cur);
             }
-            if last.is_some_and(|l| (l, &last_edges[..]) >= (start, &edges[..])) {
-                return Err(DeltaError::NotCanonical {
-                    at,
-                    what: "path records out of order",
-                });
+            // The previous path of this function, if any.
+            if let Some((l, _)) = part.paths[first..].last() {
+                if (l.start, &l.edges[..]) >= (start, &edges[..]) {
+                    return Err(DeltaError::NotCanonical {
+                        at,
+                        what: "path records out of order",
+                    });
+                }
             }
-            last = Some(start);
-            last_edges.clear();
-            last_edges.extend_from_slice(&edges);
-            profile.funcs[fid].record(f, PathKey { start, edges }, freq);
+            let key = PathKey { start, edges };
+            let branches = key.branch_count(f);
+            part.paths.push((key, PathStats { freq, branches }));
         }
+        part.funcs.push((fid, part.paths.len()));
     }
-    Ok(profile)
+    Ok(out)
 }

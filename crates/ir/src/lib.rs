@@ -67,8 +67,8 @@ mod witness;
 
 pub use cfg::{reachable_blocks, Cfg};
 pub use delta::{
-    decode_edge_delta, decode_path_delta, encode_edge_delta, encode_path_delta, DeltaError,
-    EDGE_DELTA_MAGIC, PATH_DELTA_MAGIC,
+    decode_edge_records, decode_path_records, encode_edge_delta, encode_path_delta, DeltaError,
+    EdgeRecords, PathRecords, EDGE_DELTA_MAGIC, PATH_DELTA_MAGIC,
 };
 pub use display::{print_function, print_module};
 pub use dom::Dominators;

@@ -97,11 +97,18 @@ impl FuncPathProfile {
     /// of overflowing.
     pub fn record(&mut self, f: &Function, key: PathKey, freq: u64) {
         let branches = key.branch_count(f);
-        let e = self
-            .paths
-            .entry(key)
-            .or_insert(PathStats { freq: 0, branches });
-        e.freq = e.freq.saturating_add(freq);
+        self.add(key, PathStats { freq, branches });
+    }
+
+    /// Adds `stats.freq` executions of `key`, taking `stats.branches` as
+    /// its branch count if the path is new. Saturating, like
+    /// [`FuncPathProfile::record`].
+    pub fn add(&mut self, key: PathKey, stats: PathStats) {
+        let e = self.paths.entry(key).or_insert(PathStats {
+            freq: 0,
+            branches: stats.branches,
+        });
+        e.freq = e.freq.saturating_add(stats.freq);
     }
 
     /// Total branch flow over all paths (saturating).
@@ -124,11 +131,7 @@ impl FuncPathProfile {
     /// any partition of deltas produces the same profile.
     pub fn merge(&mut self, other: &FuncPathProfile) {
         for (key, stats) in &other.paths {
-            let e = self.paths.entry(key.clone()).or_insert(PathStats {
-                freq: 0,
-                branches: stats.branches,
-            });
-            e.freq = e.freq.saturating_add(stats.freq);
+            self.add(key.clone(), *stats);
         }
     }
 

@@ -134,6 +134,24 @@ impl FuncEdgeProfile {
         self.entries = entries;
     }
 
+    /// Adds `freq` executions of `edge`, saturating at [`u64::MAX`] (used
+    /// when merging sparse delta records).
+    pub fn add_edge(&mut self, edge: EdgeRef, freq: u64) {
+        let c = &mut self.edge_freq[edge.from.index()][edge.succ_index()];
+        *c = c.saturating_add(freq);
+    }
+
+    /// Adds `freq` executions of block `b`. Saturating.
+    pub fn add_block(&mut self, b: BlockId, freq: u64) {
+        let c = &mut self.block_freq[b.index()];
+        *c = c.saturating_add(freq);
+    }
+
+    /// Adds `entries` function entries. Saturating.
+    pub fn add_entries(&mut self, entries: u64) {
+        self.entries = self.entries.saturating_add(entries);
+    }
+
     /// Sum of all edge frequencies (saturating: two pinned counters must
     /// total [`u64::MAX`], not wrap back to small).
     pub fn total_edge_flow(&self) -> u64 {

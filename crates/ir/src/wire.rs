@@ -443,6 +443,25 @@ pub fn decode_header(bytes: &[u8]) -> Result<(FrameKind, usize, u32), WireError>
 /// Yields a typed [`WireError`] for any damage; the caller must not
 /// trust anything past the reported failure (there is no resync).
 pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), WireError> {
+    let (kind, total) = check_frame(bytes)?;
+    Ok((
+        Frame {
+            kind,
+            payload: bytes[FRAME_HEADER_LEN..total].to_vec(),
+        },
+        total,
+    ))
+}
+
+/// Verifies the first frame of `bytes` in place (header, length and
+/// CRC) without copying its payload; returns its kind and the number of
+/// bytes it spans, header included. [`decode_frame`] is this plus the
+/// copy.
+///
+/// # Errors
+///
+/// The same typed [`WireError`]s as [`decode_frame`].
+pub fn check_frame(bytes: &[u8]) -> Result<(FrameKind, usize), WireError> {
     let (kind, len, crc) = decode_header(bytes)?;
     let total = FRAME_HEADER_LEN + len;
     if bytes.len() < total {
@@ -451,21 +470,14 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), WireError> {
             available: bytes.len(),
         });
     }
-    let payload = &bytes[FRAME_HEADER_LEN..total];
-    let actual = crc32(payload);
+    let actual = crc32(&bytes[FRAME_HEADER_LEN..total]);
     if actual != crc {
         return Err(WireError::ChecksumMismatch {
             expected: crc,
             actual,
         });
     }
-    Ok((
-        Frame {
-            kind,
-            payload: payload.to_vec(),
-        },
-        total,
-    ))
+    Ok((kind, total))
 }
 
 /// Decodes a whole stream of concatenated frames. Returns every frame

@@ -1,17 +1,21 @@
-//! Seeded damage fuzz over the binary delta decoder.
+//! Seeded damage fuzz over the binary delta decoders.
 //!
-//! Contract: [`decode_edge_delta`] / [`decode_path_delta`] handed
-//! arbitrary bytes return a profile or a typed [`DeltaError`] — they
-//! never panic, and a declared count or length the remaining bytes
-//! cannot hold is refused before anything is allocated from it. The
+//! Contract: [`ppp_ir::decode_edge_records`] /
+//! [`ppp_ir::decode_path_records`] handed arbitrary bytes return
+//! records or a typed [`DeltaError`] — they never panic, and a declared
+//! count or length the remaining bytes cannot hold is refused before
+//! anything is allocated from it. Every input also goes through the
+//! dense oracle (`dense_oracle`), and the two must return the same
+//! error or, densified, the same profile at every part count. The
 //! sweep covers every truncation point, seeded multi-byte flips, huge
 //! declared counts, overflowing varints and out-of-range ids, over a
 //! hand-built sample and a delta recorded from a suite benchmark.
 
+mod dense_oracle;
+
 use ppp_ir::{
-    decode_edge_delta, decode_path_delta, encode_edge_delta, encode_path_delta, BlockId,
-    DeltaError, EdgeRef, FuncId, FunctionBuilder, Module, ModuleEdgeProfile, ModulePathProfile,
-    PathKey, Reg, EDGE_DELTA_MAGIC, PATH_DELTA_MAGIC,
+    encode_edge_delta, encode_path_delta, BlockId, DeltaError, EdgeRef, FuncId, FunctionBuilder,
+    Module, ModuleEdgeProfile, ModulePathProfile, PathKey, Reg, EDGE_DELTA_MAGIC, PATH_DELTA_MAGIC,
 };
 use ppp_vm::{run, RunOptions, SplitMix64};
 use ppp_workloads::{generate, spec2000_suite};
@@ -91,12 +95,13 @@ fn recorded() -> (Module, Vec<u8>, Vec<u8>) {
 }
 
 /// Feeds bytes through both decoders (kind confusion included); any
-/// return is fine, any panic fails the test.
+/// return is fine as long as the oracle returns the same, and any
+/// panic fails the test.
 fn exercise(m: &Module, edge: &[u8], path: &[u8]) {
-    let _ = decode_edge_delta(m, edge);
-    let _ = decode_path_delta(m, path);
-    let _ = decode_edge_delta(m, path);
-    let _ = decode_path_delta(m, edge);
+    let _ = dense_oracle::edges(m, edge);
+    let _ = dense_oracle::paths(m, path);
+    let _ = dense_oracle::edges(m, path);
+    let _ = dense_oracle::paths(m, edge);
 }
 
 fn corpora() -> Vec<(Module, Vec<u8>, Vec<u8>)> {
@@ -108,8 +113,8 @@ fn corpora() -> Vec<(Module, Vec<u8>, Vec<u8>)> {
 #[test]
 fn every_truncation_point_decodes_or_errors() {
     for (m, edge, path) in corpora() {
-        assert!(decode_edge_delta(&m, &edge).is_ok());
-        assert!(decode_path_delta(&m, &path).is_ok());
+        assert!(dense_oracle::edges(&m, &edge).is_ok());
+        assert!(dense_oracle::paths(&m, &path).is_ok());
         for cut in 0..edge.len().max(path.len()) {
             exercise(
                 &m,
@@ -167,9 +172,9 @@ fn huge_declared_counts_are_refused_before_allocating() {
         ];
         for (bytes, edge) in cases {
             let err = if edge {
-                decode_edge_delta(&m, &bytes).unwrap_err()
+                dense_oracle::edges(&m, &bytes).unwrap_err()
             } else {
-                decode_path_delta(&m, &bytes).unwrap_err()
+                dense_oracle::paths(&m, &bytes).unwrap_err()
             };
             assert!(
                 matches!(err, DeltaError::Count { declared, .. } if declared == n),
@@ -194,20 +199,20 @@ fn overflowing_varints_are_refused() {
         e.push(0);
         e.extend_from_slice(body);
         assert_eq!(
-            decode_edge_delta(&m, &e).unwrap_err(),
+            dense_oracle::edges(&m, &e).unwrap_err(),
             DeltaError::BadVarint { at: 5 }
         );
         let mut p = PATH_DELTA_MAGIC.to_vec();
         p.extend_from_slice(&[0, 1, 0]);
         p.extend_from_slice(body);
         assert_eq!(
-            decode_path_delta(&m, &p).unwrap_err(),
+            dense_oracle::paths(&m, &p).unwrap_err(),
             DeltaError::BadVarint { at: 7 }
         );
     }
     // u64::MAX itself is a valid ten-byte varint.
     let max = build(EDGE_DELTA_MAGIC, &[1, u64::MAX, 0, 0]);
-    let d = decode_edge_delta(&m, &max).expect("u64::MAX entries");
+    let d = dense_oracle::edges(&m, &max).expect("u64::MAX entries");
     assert_eq!(d.func(FuncId(1)).entries(), u64::MAX);
 }
 
@@ -218,8 +223,8 @@ fn out_of_range_ids_are_typed() {
         Err(DeltaError::Range { what: w, .. }) => assert_eq!(w, what),
         other => panic!("expected {what} out of range, got {other:?}"),
     };
-    let edge = |f: &[u64]| decode_edge_delta(&m, &build(EDGE_DELTA_MAGIC, f)).map(|_| ());
-    let path = |f: &[u64]| decode_path_delta(&m, &build(PATH_DELTA_MAGIC, f)).map(|_| ());
+    let edge = |f: &[u64]| dense_oracle::edges(&m, &build(EDGE_DELTA_MAGIC, f)).map(|_| ());
+    let path = |f: &[u64]| dense_oracle::paths(&m, &build(PATH_DELTA_MAGIC, f)).map(|_| ());
     range(edge(&[2, 1, 0, 0]), "function");
     range(edge(&[u64::MAX, 1, 0, 0]), "function");
     range(edge(&[0, 1, 1, 4, 1, 0]), "block");

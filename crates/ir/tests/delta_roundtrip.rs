@@ -1,16 +1,22 @@
-//! Differential test of the binary delta codec against persist_v2.
+//! Differential test of the binary delta codec against persist_v2 and
+//! the dense oracle decoders.
 //!
 //! For every delta a traced run cuts — all 18 suite entries, two
 //! seeds — `decode(encode(d))` must equal `read_*_v2(write_*_v2(d))`,
 //! and re-encoding the decoded profile must give back the same bytes
-//! (the encoding is canonical). Hand-built payloads then pin the edge
-//! cases and the records the canonical decoder refuses.
+//! (the encoding is canonical). Every decode goes through
+//! `dense_oracle`, so the sparse record decoders must also agree with
+//! the dense ones they replaced, split into any number of parts.
+//! Hand-built payloads then pin the edge cases and the records the
+//! canonical decoder refuses.
+
+mod dense_oracle;
 
 use ppp_ir::{
-    decode_edge_delta, decode_path_delta, encode_edge_delta, encode_path_delta,
-    read_edge_profile_v2, read_path_profile_v2, write_edge_profile_v2, write_path_profile_v2,
-    BlockId, DeltaError, EdgeRef, FuncId, FunctionBuilder, Module, ModuleEdgeProfile,
-    ModulePathProfile, PathKey, Reg, EDGE_DELTA_MAGIC, PATH_DELTA_MAGIC,
+    encode_edge_delta, encode_path_delta, read_edge_profile_v2, read_path_profile_v2,
+    write_edge_profile_v2, write_path_profile_v2, BlockId, DeltaError, EdgeRef, FuncId,
+    FunctionBuilder, Module, ModuleEdgeProfile, ModulePathProfile, PathKey, Reg, EDGE_DELTA_MAGIC,
+    PATH_DELTA_MAGIC,
 };
 use ppp_vm::{run, RunOptions};
 use ppp_workloads::{generate, spec2000_suite};
@@ -20,7 +26,7 @@ const DELTA_INTERVAL: u64 = 1024;
 
 fn assert_edges_agree(m: &Module, d: &ModuleEdgeProfile, what: &str) {
     let bytes = encode_edge_delta(m, d);
-    let binary = decode_edge_delta(m, &bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let binary = dense_oracle::edges(m, &bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
     let text = read_edge_profile_v2(m, write_edge_profile_v2(m, d).as_bytes())
         .unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(binary, text, "{what}: edge codecs disagree");
@@ -34,7 +40,7 @@ fn assert_edges_agree(m: &Module, d: &ModuleEdgeProfile, what: &str) {
 
 fn assert_paths_agree(m: &Module, d: &ModulePathProfile, what: &str) {
     let bytes = encode_path_delta(m, d);
-    let binary = decode_path_delta(m, &bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let binary = dense_oracle::paths(m, &bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
     let text = read_path_profile_v2(m, write_path_profile_v2(m, d).as_bytes())
         .unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(binary, text, "{what}: path codecs disagree");
@@ -177,7 +183,7 @@ fn edge_records_the_encoder_never_writes_are_refused() {
     let m = sample_module();
     // Baseline: f0 with entries 1, block b0=1, edge b0#0=1.
     let ok = payload(EDGE_DELTA_MAGIC, &[0, 1, 1, 0, 1, 1, 0, 0, 1]);
-    assert!(decode_edge_delta(&m, &ok).is_ok());
+    assert!(dense_oracle::edges(&m, &ok).is_ok());
     let cases: [(&str, &[u64]); 8] = [
         ("functions out of order", &[1, 1, 0, 0, 0, 1, 0, 0]),
         ("duplicate function", &[0, 1, 0, 0, 0, 1, 0, 0]),
@@ -190,19 +196,19 @@ fn edge_records_the_encoder_never_writes_are_refused() {
     ];
     for (what, fields) in cases {
         not_canonical(
-            decode_edge_delta(&m, &payload(EDGE_DELTA_MAGIC, fields)),
+            dense_oracle::edges(&m, &payload(EDGE_DELTA_MAGIC, fields)),
             what,
         );
     }
     not_canonical(
-        decode_edge_delta(&m, &payload(EDGE_DELTA_MAGIC, &[2, 0, 0, 0])),
+        dense_oracle::edges(&m, &payload(EDGE_DELTA_MAGIC, &[2, 0, 0, 0])),
         "empty function record",
     );
     // An overlong varint (0 written as two bytes) is refused too.
     let mut overlong = EDGE_DELTA_MAGIC.to_vec();
     overlong.extend_from_slice(&[0x80, 0x00, 1, 0, 0]);
     assert_eq!(
-        decode_edge_delta(&m, &overlong).unwrap_err(),
+        dense_oracle::edges(&m, &overlong).unwrap_err(),
         DeltaError::BadVarint { at: 4 }
     );
 }
@@ -213,40 +219,40 @@ fn path_records_the_encoder_never_writes_are_refused() {
     // f0: path b0 via succ 0 then b1's succ 0, freq 3.
     let one = [0u64, 3, 2, 0, 0];
     let ok = payload(PATH_DELTA_MAGIC, &[&[0, 1][..], &one].concat());
-    assert!(decode_path_delta(&m, &ok).is_ok());
+    assert!(dense_oracle::paths(&m, &ok).is_ok());
     let dup = payload(PATH_DELTA_MAGIC, &[&[0, 2][..], &one, &one].concat());
-    not_canonical(decode_path_delta(&m, &dup), "duplicate path");
+    not_canonical(dense_oracle::paths(&m, &dup), "duplicate path");
     let swapped = [&[0, 2][..], &[0, 1, 2, 1, 0], &one].concat();
     not_canonical(
-        decode_path_delta(&m, &payload(PATH_DELTA_MAGIC, &swapped)),
+        dense_oracle::paths(&m, &payload(PATH_DELTA_MAGIC, &swapped)),
         "paths out of order",
     );
     // A path that is a prefix of the previous one sorts first.
     let prefix = [&[0, 2][..], &one, &[0, 1, 1, 0]].concat();
     not_canonical(
-        decode_path_delta(&m, &payload(PATH_DELTA_MAGIC, &prefix)),
+        dense_oracle::paths(&m, &payload(PATH_DELTA_MAGIC, &prefix)),
         "prefix after its extension",
     );
     not_canonical(
-        decode_path_delta(&m, &payload(PATH_DELTA_MAGIC, &[0, 0])),
+        dense_oracle::paths(&m, &payload(PATH_DELTA_MAGIC, &[0, 0])),
         "empty function record",
     );
     let back = [&[1, 1][..], &[0, 1, 0], &[0, 1][..], &one].concat();
     not_canonical(
-        decode_path_delta(&m, &payload(PATH_DELTA_MAGIC, &back)),
+        dense_oracle::paths(&m, &payload(PATH_DELTA_MAGIC, &back)),
         "functions out of order",
     );
     // persist_v2 text is not a binary delta.
     let text = write_path_profile_v2(&m, &ModulePathProfile::with_capacity(3));
     assert_eq!(
-        decode_path_delta(&m, text.as_bytes()).unwrap_err(),
+        dense_oracle::paths(&m, text.as_bytes()).unwrap_err(),
         DeltaError::BadMagic {
             expected: PATH_DELTA_MAGIC
         }
     );
     // The other delta kind is refused by its magic.
     assert!(matches!(
-        decode_edge_delta(&m, &ok),
+        dense_oracle::edges(&m, &ok),
         Err(DeltaError::BadMagic { .. })
     ));
 }

@@ -1032,6 +1032,9 @@ mod tests {
 
     #[test]
     fn chaos_sweep_upholds_the_contract_on_one_benchmark() {
+        // The sweep's crash-recover site appends to a WAL, which lands in
+        // the global metrics a drive test reads.
+        let _obs = crate::obs_test_lock();
         let suite = spec2000_suite();
         let entry = suite.iter().find(|e| e.spec.name == "mcf").unwrap();
         let options = tiny();
@@ -1127,6 +1130,9 @@ mod tests {
 
     #[test]
     fn chaos_is_deterministic() {
+        // The sweep's crash-recover site appends to a WAL, which lands in
+        // the global metrics a drive test reads.
+        let _obs = crate::obs_test_lock();
         let suite = spec2000_suite();
         let entry = suite.iter().find(|e| e.spec.name == "mcf").unwrap();
         let options = tiny();
@@ -1139,6 +1145,9 @@ mod tests {
     #[test]
     fn parallel_sweep_is_byte_identical_to_sequential() {
         // The --workers contract: fan-out changes wall-clock only.
+        // The sweep's crash-recover site appends to a WAL, which lands in
+        // the global metrics a drive test reads.
+        let _obs = crate::obs_test_lock();
         let sequential = PipelineOptions {
             scale: 0.01,
             workers: 1,
@@ -1157,6 +1166,9 @@ mod tests {
 
     #[test]
     fn renderers_cover_every_scenario() {
+        // The sweep's crash-recover site appends to a WAL, which lands in
+        // the global metrics a drive test reads.
+        let _obs = crate::obs_test_lock();
         let suite = spec2000_suite();
         let entry = suite.iter().find(|e| e.spec.name == "mcf").unwrap();
         let options = tiny();
