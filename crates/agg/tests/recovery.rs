@@ -229,6 +229,56 @@ fn full_resend_after_recovery_is_fully_deduplicated() {
 }
 
 #[test]
+fn durable_ingest_and_recovery_record_wal_and_agg_metrics() {
+    // The aggregator, its WAL and recovery record into the ambient
+    // context. Sibling tests ingest meanwhile, but under other `bench`
+    // labels, so this stream's series are exact.
+    let bench = "metrics-mcf";
+    let suite = spec2000_suite();
+    let entry = suite.iter().find(|e| e.spec.name == "mcf").expect("mcf");
+    let module = Arc::new(generate(&entry.spec.clone().scaled(SCALE)));
+    let options = RunOptions::default()
+        .traced()
+        .with_seed(701)
+        .with_delta_interval(DELTA_INTERVAL);
+    let result = run(&module, "main", &options).expect("runs");
+    let frames = client_stream(bench, &module, &result.deltas);
+    let seq_frames = frames
+        .iter()
+        .filter(|f| matches!(f.kind, FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta))
+        .count() as u64;
+    let stream: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+    let dir = scratch("metrics");
+
+    let previous = ppp_obs::global();
+    let (ctx, _collect) = ppp_obs::ObsCtx::collecting();
+    ppp_obs::install_global(ctx.clone());
+    let agg = durable(bench, &module, 2, &dir);
+    let report = agg.ingest_stream(&stream);
+    let _ = agg.snapshot();
+    drop(agg);
+    drop(durable(bench, &module, 2, &dir));
+    ppp_obs::install_global(previous);
+    assert!(report.clean(), "{report:?}");
+
+    let metrics = ctx.metrics();
+    let counter = |name: &str| metrics.counter_value(name, &[("bench", bench)]);
+    assert_eq!(counter(ppp_obs::names::WAL_APPENDS), seq_frames);
+    let checkpoints = counter(ppp_obs::names::WAL_CHECKPOINTS);
+    assert_eq!(checkpoints, seq_frames / CHECKPOINT_EVERY);
+    assert_eq!(
+        counter(ppp_obs::names::WAL_RECOVERIES),
+        2,
+        "cold start + restart"
+    );
+    let text = metrics.render_prometheus();
+    let series = format!("ppp_agg_frames_ingested_total{{bench=\"{bench}\",kind=\"hello\"}} 1");
+    assert!(text.contains(&series), "{text}");
+    let series = format!("ppp_agg_snapshot_micros_count{{bench=\"{bench}\"}} 1");
+    assert!(text.contains(&series), "{text}");
+}
+
+#[test]
 fn wal_holding_a_persist_v2_delta_fails_recovery() {
     // A WAL written before deltas went binary: its sequenced frames
     // carry persist_v2 text. Recovery must fail loudly, not start from

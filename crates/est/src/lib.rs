@@ -334,9 +334,8 @@ mod tests {
         assert!(r.diagnostics.is_clean());
     }
 
-    #[test]
-    fn loop_flow_is_amplified() {
-        // entry -> header; header -> {body, exit}; body -> header.
+    /// entry -> header; header -> {body, exit}; body -> header.
+    fn header_loop() -> (Module, BlockId) {
         let mut m = Module::new();
         let mut b = FunctionBuilder::new("main", 1);
         let (h, body, exit) = (b.new_block(), b.new_block(), b.new_block());
@@ -348,6 +347,12 @@ mod tests {
         b.switch_to(exit);
         b.ret(None);
         m.add_function(b.finish());
+        (m, h)
+    }
+
+    #[test]
+    fn loop_flow_is_amplified() {
+        let (m, h) = header_loop();
         let (p, r) = estimate_module(&m, &EstOptions::default());
         assert!(p.is_flow_conservative(&m));
         let f = p.func(FuncId(0));
@@ -400,6 +405,27 @@ mod tests {
         let half = f.edge(EdgeRef::new(BlockId(0), 0)) as i64;
         let other = f.edge(EdgeRef::new(BlockId(0), 1)) as i64;
         assert!((half - other).abs() <= 1, "{half} vs {other}");
+    }
+
+    #[test]
+    fn estimate_records_est_metrics_on_the_ambient_context() {
+        let previous = ppp_obs::global();
+        let (ctx, _collect) = ppp_obs::ObsCtx::collecting();
+        ppp_obs::install_global(ctx.clone());
+        let (_, r) = estimate_module(&header_loop().0, &EstOptions::default());
+        ppp_obs::install_global(previous);
+        // Sibling tests may estimate into the same context meanwhile,
+        // so this run's figures are lower bounds.
+        let metrics = ctx.metrics();
+        let k = [("mode", "heuristic")];
+        assert!(metrics.counter_value("ppp_est_funcs_total", &k) >= r.stats.funcs);
+        assert!(metrics.counter_value("ppp_est_loops_total", &k) >= r.stats.loops);
+        for (name, &fires) in HEURISTIC_NAMES.iter().zip(&r.stats.heuristic_fires) {
+            let k = [("mode", "heuristic"), ("heuristic", *name)];
+            assert!(metrics.counter_value("ppp_est_branches_total", &k) >= fires);
+        }
+        assert_eq!((r.stats.funcs, r.stats.loops), (1, 1));
+        assert!(r.stats.branches > 0);
     }
 
     #[test]

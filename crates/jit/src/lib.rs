@@ -70,6 +70,38 @@ mod tests {
     }
 
     #[test]
+    fn the_loop_records_generation_spans_and_jit_metrics() {
+        let previous = ppp_obs::global();
+        let (ctx, collect) = ppp_obs::ObsCtx::collecting();
+        ppp_obs::install_global(ctx.clone());
+        let entry = &spec2000_suite()[1];
+        let module = generate(&entry.spec.clone().scaled(0.05));
+        let out = run_jit(&module, &entry.spec.name, &options());
+        ppp_obs::install_global(previous);
+        let out = out.expect("loop completes");
+        let ledger = ppp_obs::SpanTree::build(&collect.records()).ledger();
+        let spans = |name: &str| {
+            ledger
+                .iter()
+                .find(|r| r.name == name)
+                .map_or(0, |r| r.count)
+        };
+        // Sibling tests may run loops into the same context meanwhile,
+        // so this loop's figures are lower bounds.
+        let generations = out.generations_run as u64;
+        assert!(spans("jit.generation") >= generations);
+        assert!(spans("jit.serve") >= generations);
+        let metrics = ctx.metrics();
+        let bench = [("bench", entry.spec.name.as_str())];
+        let count = |name: &str| metrics.counter_value(name, &bench);
+        let promoted = out.generations.iter().filter(|g| g.promoted).count() as u64;
+        assert!(promoted > 0, "some generation promotes");
+        assert!(count("ppp_jit_generations_total") >= generations);
+        assert!(count("ppp_jit_swaps_total") >= out.swaps);
+        assert!(count("ppp_jit_promotions_total") >= promoted);
+    }
+
+    #[test]
     fn cold_start_converges_too_and_ends_at_the_same_module_as_warm() {
         let entry = &spec2000_suite()[1];
         let module = generate(&entry.spec.clone().scaled(0.05));

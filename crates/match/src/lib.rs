@@ -367,6 +367,7 @@ mod tests {
 
     #[test]
     fn matched_load_records_obs_metrics() {
+        let previous = ppp_obs::global();
         let (ctx, _collect) = ppp_obs::ObsCtx::collecting();
         ppp_obs::install_global(ctx.clone());
         let m = sample();
@@ -374,9 +375,10 @@ mod tests {
         let bytes = write_edge_profile_v2(&m, &edges);
         let _ = read_edge_profile_matched(&m, &m, bytes.as_bytes()).unwrap();
         let metrics = ctx.metrics().render_prometheus();
-        ppp_obs::install_global(ppp_obs::ObsCtx::noop());
+        ppp_obs::install_global(previous);
         assert!(metrics.contains("ppp_stale_sections_total"), "{metrics}");
         assert!(metrics.contains("ppp_match_funcs_total"), "{metrics}");
+        assert!(metrics.contains("ppp_match_blocks_total"), "{metrics}");
     }
 
     #[test]

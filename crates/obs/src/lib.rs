@@ -64,6 +64,7 @@ pub use sink::{CollectSink, Level, NoopSink, Obs, Record, RecordKind, TextSink, 
 pub use span::{global, install_global, ObsCtx, Span};
 
 use json::ToJson;
+use std::collections::BTreeMap;
 
 /// One node of a reconstructed span tree.
 #[derive(Clone, Debug)]
@@ -82,6 +83,20 @@ pub struct SpanNode {
     pub children: Vec<SpanNode>,
 }
 
+/// One span name's row of a [`SpanTree::ledger`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LedgerRow {
+    /// Span name.
+    pub name: String,
+    /// Spans of this name in the tree.
+    pub count: u64,
+    /// Their summed elapsed time, microseconds.
+    pub total_us: u64,
+    /// Their summed self time (elapsed minus the children's elapsed),
+    /// microseconds.
+    pub self_us: u64,
+}
+
 /// A forest of spans reconstructed from a flat record stream.
 #[derive(Clone, Debug, Default)]
 pub struct SpanTree {
@@ -95,7 +110,6 @@ impl SpanTree {
     /// Rebuilds the tree from records (as captured by a
     /// [`CollectSink`] or parsed back from a JSON-lines stream).
     pub fn build(records: &[Record]) -> Self {
-        use std::collections::BTreeMap;
         let mut nodes: BTreeMap<u64, SpanNode> = BTreeMap::new();
         let mut parent_of: BTreeMap<u64, u64> = BTreeMap::new();
         let mut order: Vec<u64> = Vec::new();
@@ -200,13 +214,46 @@ impl SpanTree {
         Self::build(&combined)
     }
 
+    /// Folds the tree by span name: per name, how many spans closed,
+    /// their summed elapsed time, and their summed self time (elapsed
+    /// minus the children's elapsed). Rows are sorted by self time,
+    /// largest first, then by name.
+    ///
+    /// Self times telescope: over the whole ledger they sum to the
+    /// roots' elapsed time, up to the microsecond truncation of each
+    /// span. Children that overlap their parent (spans opened on other
+    /// threads) clamp the parent's self time at zero.
+    pub fn ledger(&self) -> Vec<LedgerRow> {
+        fn fold<'a>(node: &'a SpanNode, rows: &mut BTreeMap<&'a str, LedgerRow>) {
+            let children: u64 = node.children.iter().map(|c| c.elapsed_us).sum();
+            let row = rows.entry(&node.name).or_insert_with(|| LedgerRow {
+                name: node.name.clone(),
+                ..LedgerRow::default()
+            });
+            row.count += 1;
+            row.total_us += node.elapsed_us;
+            row.self_us += node.elapsed_us.saturating_sub(children);
+            for child in &node.children {
+                fold(child, rows);
+            }
+        }
+        let mut rows = BTreeMap::new();
+        for root in &self.roots {
+            fold(root, &mut rows);
+        }
+        let mut rows: Vec<LedgerRow> = rows.into_values().collect();
+        rows.sort_by(|a, b| b.self_us.cmp(&a.self_us).then_with(|| a.name.cmp(&b.name)));
+        rows
+    }
+
     /// Renders the tree as an indented per-stage breakdown. Each line
     /// shows the span name, elapsed wall-time, its share of the parent's
-    /// time, and any fields.
+    /// time (a root's share of all roots' time), and any fields.
     pub fn render(&self) -> String {
         let mut out = String::new();
+        let roots_us: u64 = self.roots.iter().map(|r| r.elapsed_us).sum();
         for root in &self.roots {
-            Self::render_node(root, root.elapsed_us.max(1), 0, &mut out);
+            Self::render_node(root, roots_us, 0, &mut out);
         }
         for ev in &self.orphan_events {
             out.push_str(&format!("* [{}] {}\n", ev.level.as_str(), ev.name));
@@ -247,6 +294,17 @@ impl ToJson for SpanTree {
         json::write_object(out, |o| {
             o.field("roots", &self.roots)
                 .field("orphan_events", &self.orphan_events);
+        });
+    }
+}
+
+impl ToJson for LedgerRow {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("name", &self.name)
+                .field("count", self.count)
+                .field("total_us", self.total_us)
+                .field("self_us", self.self_us);
         });
     }
 }
@@ -299,31 +357,82 @@ mod tests {
         assert!(text.contains("! [warn] vm.saturated n=2"));
     }
 
+    /// Start and end records for `(id, parent, name, elapsed_us)`
+    /// spans, started in the given order.
+    fn timed(spans: &[(u64, u64, &str, u64)]) -> Vec<Record> {
+        let rec = |kind, &(span, parent, name, elapsed): &(u64, u64, &str, u64)| Record {
+            kind,
+            level: Level::Info,
+            span,
+            parent,
+            name: name.into(),
+            at_us: 0,
+            elapsed_us: (kind == RecordKind::SpanEnd).then_some(elapsed),
+            fields: Vec::new(),
+        };
+        let starts = spans.iter().map(|s| rec(RecordKind::SpanStart, s));
+        let ends = spans.iter().map(|s| rec(RecordKind::SpanEnd, s));
+        starts.chain(ends).collect()
+    }
+
+    #[test]
+    fn render_gives_roots_their_share_of_all_roots() {
+        let tree = SpanTree::build(&timed(&[
+            (1, 0, "pipeline.prepare", 3000),
+            (2, 1, "stage.inline", 1500),
+            (3, 0, "pipeline.run", 1000),
+        ]));
+        let text = tree.render();
+        assert!(
+            text.contains("pipeline.prepare  3.000 ms  (75.0%)"),
+            "{text}"
+        );
+        assert!(text.contains("  stage.inline  1.500 ms  (50.0%)"), "{text}");
+        assert!(text.contains("pipeline.run  1.000 ms  (25.0%)"), "{text}");
+        // An empty forest, or one whose spans never closed, renders
+        // without dividing by zero.
+        let open = SpanTree::build(&timed(&[(1, 0, "x", 0)]));
+        assert!(open.render().contains("x  0.000 ms  (0.0%)"));
+    }
+
+    #[test]
+    fn ledger_folds_self_time_by_name() {
+        let tree = SpanTree::build(&timed(&[
+            (1, 0, "pipeline.run", 100),
+            (2, 1, "pipeline.profiler", 40),
+            (3, 2, "vm.run", 30),
+            (4, 1, "pipeline.profiler", 50),
+            (5, 4, "vm.run", 45),
+            (6, 0, "pipeline.prepare", 20),
+        ]));
+        let row = |name: &str, count, total_us, self_us| LedgerRow {
+            name: name.into(),
+            count,
+            total_us,
+            self_us,
+        };
+        assert_eq!(
+            tree.ledger(),
+            vec![
+                row("vm.run", 2, 75, 75),
+                row("pipeline.prepare", 1, 20, 20),
+                row("pipeline.profiler", 2, 90, 15),
+                row("pipeline.run", 1, 100, 10),
+            ]
+        );
+        let self_sum: u64 = tree.ledger().iter().map(|r| r.self_us).sum();
+        assert_eq!(self_sum, 120, "self times telescope to the roots' time");
+        // Children that over-cover their parent clamp it at zero.
+        let overlapped =
+            SpanTree::build(&timed(&[(1, 0, "a", 10), (2, 1, "b", 8), (3, 1, "b", 8)]));
+        assert_eq!(overlapped.ledger()[1], row("a", 1, 10, 0));
+    }
+
     #[test]
     fn tree_promotes_children_of_missing_parents() {
-        // A truncated stream: only the child's records survive.
-        let recs = vec![
-            Record {
-                kind: RecordKind::SpanStart,
-                level: Level::Info,
-                span: 9,
-                parent: 4, // never seen
-                name: "vm.run".into(),
-                at_us: 0,
-                elapsed_us: None,
-                fields: Vec::new(),
-            },
-            Record {
-                kind: RecordKind::SpanEnd,
-                level: Level::Info,
-                span: 9,
-                parent: 4,
-                name: "vm.run".into(),
-                at_us: 10,
-                elapsed_us: Some(10),
-                fields: Vec::new(),
-            },
-        ];
+        // A truncated stream: only the child's records survive; its
+        // parent 4 was never seen.
+        let recs = timed(&[(9, 4, "vm.run", 10)]);
         let tree = SpanTree::build(&recs);
         assert_eq!(tree.roots.len(), 1);
         assert_eq!(tree.roots[0].name, "vm.run");

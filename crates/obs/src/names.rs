@@ -2,9 +2,9 @@
 //!
 //! Metric names are free-form strings at the registry level; the
 //! families that more than one crate reads or writes (the durability
-//! and resilience counters of `ppp-agg`, surfaced by `repro trace` and
-//! the chaos/drive gates) are declared here once so producers and
-//! consumers cannot drift apart on spelling.
+//! and resilience counters of `ppp-agg`, read back by `repro drive` and
+//! `repro top`) are declared here once so producers and consumers
+//! cannot drift apart on spelling.
 
 /// WAL records appended (label: `bench`).
 pub const WAL_APPENDS: &str = "ppp_wal_appends_total";

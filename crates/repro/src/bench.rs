@@ -9,7 +9,7 @@
 //! regression beyond a threshold in the *deterministic* quantities
 //! (overhead is measured in cost-model units, and accuracy/coverage are
 //! seed-determined, so the gate is machine-independent); wall-time is
-//! recorded for trend-watching but never gated.
+//! recorded but never gated or compared.
 
 use crate::pipeline::{run_benchmark, BenchmarkRun, PipelineOptions};
 use ppp_obs::json;
@@ -83,7 +83,7 @@ pub struct BenchBaseline {
 impl BenchBaseline {
     /// Suite-total wall time in milliseconds (machine-dependent;
     /// recorded in the artifact as a derived convenience column,
-    /// compared as a trend, never gated).
+    /// never gated).
     pub fn total_wall_ms(&self) -> f64 {
         self.benchmarks.iter().map(|r| r.wall_ms).sum()
     }
@@ -147,11 +147,6 @@ pub fn collect_baseline(only: Option<&str>, options: &PipelineOptions) -> BenchB
         match run_benchmark(entry, options) {
             Ok(run) => {
                 let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                obs.metrics().observe(
-                    "ppp_bench_wall_ms",
-                    &[("bench", &entry.spec.name)],
-                    wall_ms as u64,
-                );
                 Some(record_from_run(&run, wall_ms))
             }
             Err(err) => {
@@ -434,76 +429,6 @@ pub fn regressions_table(regs: &[Regression]) -> String {
     format!("{} regression(s):\n{}", regs.len(), t.render())
 }
 
-/// One benchmark's wall-time movement between two baselines. Purely
-/// informational: wall time is machine-dependent, so it is recorded and
-/// trended but never part of the regression gate.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WallTrend {
-    /// Benchmark name, or "TOTAL" for the suite row.
-    pub bench: String,
-    /// Wall time in the old baseline, milliseconds.
-    pub old_ms: f64,
-    /// Wall time in the new baseline, milliseconds.
-    pub new_ms: f64,
-    /// `new_ms / old_ms` (1.0 = unchanged; guarded against zero).
-    pub ratio: f64,
-}
-
-/// Computes the ungated wall-time trend between two baselines: one row
-/// per benchmark present in both, plus a suite "TOTAL" row. Benchmarks
-/// missing from either side are skipped (the gated comparison already
-/// flags those).
-pub fn wall_trends(old: &BenchBaseline, new: &BenchBaseline) -> Vec<WallTrend> {
-    let ratio = |o: f64, n: f64| if o > 0.0 { n / o } else { 1.0 };
-    let mut trends: Vec<WallTrend> = old
-        .benchmarks
-        .iter()
-        .filter_map(|o| {
-            let n = new.benchmarks.iter().find(|n| n.name == o.name)?;
-            Some(WallTrend {
-                bench: o.name.clone(),
-                old_ms: o.wall_ms,
-                new_ms: n.wall_ms,
-                ratio: ratio(o.wall_ms, n.wall_ms),
-            })
-        })
-        .collect();
-    let (old_total, new_total) = (old.total_wall_ms(), new.total_wall_ms());
-    trends.push(WallTrend {
-        bench: "TOTAL".to_owned(),
-        old_ms: old_total,
-        new_ms: new_total,
-        ratio: ratio(old_total, new_total),
-    });
-    trends
-}
-
-/// Renders the wall-time trend as text (always prefaced as ungated).
-pub fn wall_trends_table(trends: &[WallTrend]) -> String {
-    let mut t = crate::format::Table::new(["Benchmark", "Old(ms)", "New(ms)", "Trend"]);
-    for w in trends {
-        t.row([
-            w.bench.clone(),
-            format!("{:.0}", w.old_ms),
-            format!("{:.0}", w.new_ms),
-            format!("{:+.1}%", 100.0 * (w.ratio - 1.0)),
-        ]);
-    }
-    format!("wall-time trend (recorded, never gated):\n{}", t.render())
-}
-
-/// Renders the wall-time trend as JSON.
-pub fn wall_trends_json(trends: &[WallTrend]) -> String {
-    json::object(|o| {
-        o.objs("wall_trends", trends, |o, w| {
-            o.field("bench", &w.bench)
-                .field("old_ms", w.old_ms)
-                .field("new_ms", w.new_ms)
-                .field("ratio", w.ratio);
-        });
-    })
-}
-
 /// Renders a comparison outcome as JSON.
 pub fn regressions_json(regs: &[Regression]) -> String {
     json::object(|o| {
@@ -631,24 +556,6 @@ mod tests {
         let old = sample();
         let mut new = sample();
         new.benchmarks[0].wall_ms *= 100.0;
-        assert!(compare_baselines(&old, &new, 0.10).unwrap().is_empty());
-    }
-
-    #[test]
-    fn wall_trends_track_the_movement_without_gating() {
-        let old = sample();
-        let mut new = sample();
-        new.benchmarks[0].wall_ms *= 2.0;
-        let trends = wall_trends(&old, &new);
-        // One row per common benchmark plus the suite TOTAL row.
-        assert_eq!(trends.len(), 2);
-        assert_eq!(trends[0].bench, "mcf");
-        assert!((trends[0].ratio - 2.0).abs() < 1e-9);
-        assert_eq!(trends[1].bench, "TOTAL");
-        assert!((trends[1].ratio - 2.0).abs() < 1e-9);
-        // Rendered, but still not a regression.
-        assert!(wall_trends_table(&trends).contains("never gated"));
-        assert!(wall_trends_json(&trends).contains("\"bench\":\"TOTAL\""));
         assert!(compare_baselines(&old, &new, 0.10).unwrap().is_empty());
     }
 

@@ -23,8 +23,9 @@
 //! The pipeline is instrumented with `ppp-obs` spans and metrics:
 //! `ppp-repro bench` emits/compares versioned perf-baseline artifacts
 //! (`BENCH_*.json`, see [`mod@bench`]), and `ppp-repro trace <bench>`
-//! replays one benchmark with span collection on and prints the
-//! per-stage time/cost breakdown tree (see [`trace`]).
+//! runs one benchmark with span collection on and prints that run's
+//! per-stage time/cost breakdown tree and self-time ledger (see
+//! [`trace`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -46,9 +47,8 @@ pub mod trace;
 
 pub use bench::{
     baseline_from_json, baseline_json, baseline_table, collect_baseline, compare_baselines,
-    regressions_json, regressions_table, wall_trends, wall_trends_json, wall_trends_table,
-    BenchBaseline, BenchProfilerRecord, BenchRecord, Regression, WallTrend, BASELINE_KIND,
-    BASELINE_SCHEMA_VERSION,
+    regressions_json, regressions_table, BenchBaseline, BenchProfilerRecord, BenchRecord,
+    Regression, BASELINE_KIND, BASELINE_SCHEMA_VERSION,
 };
 pub use chaos::{
     chaos_benchmark, chaos_prepared, chaos_scenario, chaos_suite, chaos_table, ChaosOutcome,

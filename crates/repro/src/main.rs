@@ -7,7 +7,7 @@ use ppp_repro::{
     drive_table, fig10, fig11, fig12, fig13, fig9, inspect_benchmark, jit_gate, jit_json,
     jit_options, jit_suite, jit_table, lint_benchmark, predict_json, predict_suite, predict_table,
     regressions_json, regressions_table, run_suite, serve, table1, table2, top, trace_benchmark,
-    validate_benchmark, wall_trends, wall_trends_table,
+    validate_benchmark,
 };
 use ppp_repro::{ArgCursor, DriveOptions, PipelineOptions, Transport};
 use ppp_workloads::SuiteEntry;
@@ -395,16 +395,8 @@ fn run_bench(
             return 2;
         }
     };
-    // Wall-clock movement is recorded and shown, never gated: the exit
-    // code depends only on the cost-model regressions.
-    let table = || {
-        let trends = wall_trends(&old, &new);
-        let mut text = regressions_table(&regs);
-        if !trends.is_empty() {
-            text.push_str(&format!("\n\n{}", wall_trends_table(&trends)));
-        }
-        text
-    };
+    // The exit code depends only on the cost-model regressions.
+    let table = || regressions_table(&regs);
     if !emit(&regressions_json(&regs), table, format, out) {
         return 2;
     }
