@@ -600,7 +600,7 @@ impl Aggregator {
                             report.bump(kind);
                             report.bytes_accepted += (used - FRAME_HEADER_LEN) as u64;
                             metrics.inc(
-                                "ppp_agg_frames_ingested_total",
+                                ppp_obs::names::AGG_FRAMES_INGESTED,
                                 &[("bench", bench), ("kind", kind.name())],
                             );
                             metrics.inc_by(

@@ -635,7 +635,7 @@ fn record_tcp_frame(agg: &Aggregator, kind: FrameKind, payload: &[u8]) {
     let obs = ppp_obs::global();
     let bench = agg.bench();
     obs.metrics().inc(
-        "ppp_agg_frames_ingested_total",
+        ppp_obs::names::AGG_FRAMES_INGESTED,
         &[("bench", bench), ("kind", kind.name())],
     );
     obs.metrics().inc_by(

@@ -400,7 +400,7 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
 
     for g in 1..=options.generations.max(1) {
         let gen_started = Instant::now();
-        let mut gspan = obs.span("jit.generation");
+        let mut gspan = span.child("jit.generation");
         gspan.set("bench", bench);
         gspan.set("generation", g as u64);
         let mut stages: Vec<(String, LintReport)> = std::mem::take(&mut boot_stages);

@@ -79,7 +79,11 @@ mod tests {
         let out = run_jit(&module, &entry.spec.name, &options());
         ppp_obs::install_global(previous);
         let out = out.expect("loop completes");
-        let ledger = ppp_obs::SpanTree::build(&collect.records()).ledger();
+        let tree = ppp_obs::SpanTree::build(&collect.records());
+        // Each generation sits under its loop, never at the root.
+        assert!(tree.roots.iter().all(|r| r.name != "jit.generation"));
+        assert!(tree.roots.iter().any(|r| r.name == "jit.loop"));
+        let ledger = tree.ledger();
         let spans = |name: &str| {
             ledger
                 .iter()

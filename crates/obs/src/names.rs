@@ -37,6 +37,9 @@ pub const SHED_TOTAL: &str = "ppp_shed_total";
 /// Duplicate sequenced frames dropped by the watermark (label:
 /// `bench`).
 pub const AGG_DUPLICATES: &str = "ppp_agg_frames_duplicate_total";
+/// Frames accepted and applied by the aggregator, in-process or over TCP
+/// (labels: `bench`, `kind`); `repro top` sums it.
+pub const AGG_FRAMES_INGESTED: &str = "ppp_agg_frames_ingested_total";
 
 /// Per-frame ingest latency histogram, microseconds (label: `bench`).
 pub const INGEST_MICROS: &str = "ppp_agg_ingest_micros";
@@ -69,6 +72,7 @@ mod tests {
             super::RETRY_REJECTS,
             super::SHED_TOTAL,
             super::AGG_DUPLICATES,
+            super::AGG_FRAMES_INGESTED,
             super::INGEST_MICROS,
             super::QUEUE_WAIT_MICROS,
             super::WAL_APPEND_MICROS,

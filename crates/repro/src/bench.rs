@@ -11,10 +11,10 @@
 //! seed-determined, so the gate is machine-independent); wall-time is
 //! recorded but never gated or compared.
 
-use crate::pipeline::{run_benchmark, BenchmarkRun, PipelineOptions};
+use crate::pipeline::{run_benchmark, sweep_suite, BenchmarkRun, PipelineOptions};
 use ppp_obs::json;
 use ppp_obs::Value;
-use ppp_workloads::{spec2000_suite, BenchClass};
+use ppp_workloads::BenchClass;
 use std::time::Instant;
 
 /// Version of the baseline artifact schema. Bump when a field changes
@@ -131,18 +131,7 @@ fn record_from_run(run: &BenchmarkRun, wall_ms: f64) -> BenchRecord {
 /// records are collected in suite order, so only `wall_ms` (recorded,
 /// never gated) can differ from a sequential run.
 pub fn collect_baseline(only: Option<&str>, options: &PipelineOptions) -> BenchBaseline {
-    let suite = spec2000_suite();
-    let entries: Vec<_> = suite
-        .iter()
-        .filter(|e| only.is_none_or(|b| e.spec.name == b))
-        .collect();
-    let records = ppp_agg::run_indexed(options.workers, entries.len(), |i| {
-        let entry = entries[i];
-        let obs = ppp_obs::global();
-        obs.info(
-            "bench.progress",
-            &[("bench", Value::from(entry.spec.name.as_str()))],
-        );
+    let records = sweep_suite(only, options.workers, "bench.progress", |entry| {
         let started = Instant::now();
         match run_benchmark(entry, options) {
             Ok(run) => {
@@ -150,7 +139,7 @@ pub fn collect_baseline(only: Option<&str>, options: &PipelineOptions) -> BenchB
                 Some(record_from_run(&run, wall_ms))
             }
             Err(err) => {
-                obs.event(
+                ppp_obs::global().event(
                     ppp_obs::Level::Error,
                     "bench.benchmark_failed",
                     &[

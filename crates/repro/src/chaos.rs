@@ -1,9 +1,10 @@
 //! Chaos sweep: deterministic fault injection over the full pipeline.
 //!
 //! Backs the `repro chaos` subcommand. For each benchmark, every
-//! [`FaultSite`] is injected with a seeded [`FaultPlan`] and the damaged
-//! artifact is pushed through the ingestion degradation ladder
-//! ([`ingest_guidance`]). The sweep asserts the robustness contract:
+//! [`FaultSite`] is injected with a seeded [`FaultPlan`]; whatever
+//! guidance survives goes through one settle step: the ingestion
+//! degradation ladder ([`ingest_guidance_at`]), the profile lint, and the
+//! verdict. The sweep asserts the robustness contract:
 //!
 //! 1. the pipeline always completes — no fault site may panic;
 //! 2. damage is never silent — every effective injection produces a
@@ -13,10 +14,11 @@
 //! 3. whatever guidance survives still passes the `ppp-lint` profile
 //!    checks (shape + Kirchhoff flow conservation, PPP308).
 
-use crate::degrade::{ingest_guidance, ingest_guidance_at, DegradationReport, LadderRung};
+use crate::degrade::{ingest_guidance_at, DegradationReport, LadderRung};
 use crate::format::Table;
 use crate::pipeline::{
-    instrument_and_run, prepare_benchmark, PipelineError, PipelineOptions, PreparedBenchmark,
+    instrument_and_run, prepare_benchmark, sweep_suite, PipelineError, PipelineOptions,
+    PreparedBenchmark,
 };
 use ppp_agg::{AggConfig, Aggregator, DurOptions, Hello, IngestOutcome, ReadError};
 use ppp_core::ProfilerConfig;
@@ -24,12 +26,12 @@ use ppp_faults::{FaultPlan, FaultSite};
 use ppp_ir::{
     encode_edge_delta, encode_path_delta, encode_seq_payload, salvage_edge_profile,
     salvage_path_profile, write_edge_profile_v2, write_path_profile_v2, Frame, FrameKind, Module,
-    ModuleEdgeProfile, SectionFault, WireError,
+    ModuleEdgeProfile, ModulePathProfile, SectionFault, WireError,
 };
 use ppp_match::read_edge_profile_matched;
 use ppp_obs::json::{self, ToJson};
 use ppp_vm::{run, HaltReason, RunOptions, SplitMix64};
-use ppp_workloads::spec2000_suite;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -118,13 +120,70 @@ impl ToJson for ChaosOutcome {
     }
 }
 
-fn record_faults(report: &mut DegradationReport, faults: &[SectionFault]) {
-    for f in faults {
-        report.push(
-            "load-fault",
-            format!("section {} ({}): {}", f.func, f.name, f.error),
-        );
+/// What one fault injection produced, for [`settle`] to gate: what it
+/// did, the module the guidance targets (the prepared one, or the stale
+/// or next-generation build a cross-version fault loads against), the
+/// surviving edges and paths, the ladder's rung floor, the report events
+/// the site itself observed, whether the damage turned out byte-benign,
+/// and whether a contract check of the site already failed.
+struct Injection<'a> {
+    detail: String,
+    module: Cow<'a, Module>,
+    edges: Option<ModuleEdgeProfile>,
+    paths: Option<Cow<'a, ModulePathProfile>>,
+    floor: LadderRung,
+    events: Vec<(&'static str, String)>,
+    harmless: bool,
+    failed: bool,
+}
+
+impl<'a> Injection<'a> {
+    /// An injection against `module` that left no guidance and observed
+    /// nothing; each arm overrides what its injection produced.
+    fn on(module: Cow<'a, Module>, detail: String) -> Self {
+        Injection {
+            detail,
+            module,
+            edges: None,
+            paths: None,
+            floor: LadderRung::FullProfile,
+            events: Vec::new(),
+            harmless: false,
+            failed: false,
+        }
     }
+
+    /// Appends a report event the site observed.
+    fn event(mut self, cause: &'static str, detail: impl ToString) -> Self {
+        self.events.push((cause, detail.to_string()));
+        self
+    }
+
+    /// Reports the damage as an event, unless it turned out harmless.
+    fn damage(self, cause: &'static str, detail: impl ToString) -> Self {
+        if self.harmless {
+            self
+        } else {
+            self.event(cause, detail)
+        }
+    }
+
+    /// Seeds the ladder with an aggregator's merged snapshot; a side
+    /// with no counts at all counts as missing.
+    fn merged(self, edges: ModuleEdgeProfile, paths: ModulePathProfile) -> Self {
+        let have_edges = edges.funcs.iter().any(|f| !f.is_zero());
+        let have_paths = paths.funcs.iter().any(|fp| !fp.paths.is_empty());
+        Injection {
+            edges: have_edges.then_some(edges),
+            paths: have_paths.then_some(Cow::Owned(paths)),
+            ..self
+        }
+    }
+}
+
+fn load_faults(faults: &[SectionFault]) -> Vec<(&'static str, String)> {
+    let fault = |f: &SectionFault| format!("section {} ({}): {}", f.func, f.name, f.error);
+    faults.iter().map(|f| ("load-fault", fault(f))).collect()
 }
 
 fn lint_ok(module: &Module, guidance: Option<&ModuleEdgeProfile>) -> bool {
@@ -151,6 +210,59 @@ fn static_rung_ok(
         && report.events.iter().any(|e| e.detail.contains("ppp-est"))
 }
 
+/// The gate of every laddered site: runs the surviving guidance down the
+/// ingestion ladder, appends the site's own events, lints what survived,
+/// checks the static-estimate rung, then picks the verdict.
+fn settle(prep: &PreparedBenchmark, plan: &FaultPlan, inj: Injection<'_>) -> ChaosOutcome {
+    let module = &*inj.module;
+    let (g, mut report) = ingest_guidance_at(module, inj.edges, inj.paths.as_deref(), inj.floor);
+    for (cause, detail) in inj.events {
+        report.push(cause, detail);
+    }
+    let lint_clean = !inj.failed && lint_ok(module, g.as_ref());
+    let estimator_ok = static_rung_ok(module, g.as_ref(), &report);
+    ChaosOutcome {
+        lint_clean,
+        estimator_ok,
+        ..outcome(prep, plan, inj.detail, report, inj.harmless)
+    }
+}
+
+/// A scenario with its final report: picks the verdict and, for
+/// serve-tier sites, leaves a flight-recorder post-mortem whose
+/// scenario-keyed name is the same in parallel and sequential sweeps.
+fn outcome(
+    prep: &PreparedBenchmark,
+    plan: &FaultPlan,
+    detail: String,
+    report: DegradationReport,
+    harmless: bool,
+) -> ChaosOutcome {
+    let (site, seed) = (plan.site, plan.seed);
+    let verdict = if harmless {
+        ChaosVerdict::Harmless
+    } else if report.degraded() {
+        ChaosVerdict::Reported
+    } else {
+        ChaosVerdict::Silent
+    };
+    let flight_dump = site
+        .dumps_flight_recorder()
+        .then(|| ppp_obs::flight_dump(&format!("chaos-{}-{}-{seed}", prep.name, site.name())))
+        .flatten();
+    ChaosOutcome {
+        benchmark: prep.name.clone(),
+        site,
+        seed,
+        detail,
+        report,
+        lint_clean: true,
+        estimator_ok: true,
+        verdict,
+        flight_dump,
+    }
+}
+
 fn damage_bytes(plan: &FaultPlan, bytes: &mut Vec<u8>) -> String {
     match plan.site {
         FaultSite::TruncateEdgeBytes | FaultSite::TruncatePathBytes => {
@@ -165,17 +277,21 @@ fn damage_bytes(plan: &FaultPlan, bytes: &mut Vec<u8>) -> String {
     }
 }
 
-/// The frame stream one healthy worker would send for `prep`: `Hello`,
-/// a seq edge delta, a seq path delta, `Done`.
-fn seq_worker_frames(prep: &PreparedBenchmark) -> Vec<Frame> {
-    let hello = Hello {
+/// The `Hello` one healthy worker opens its stream with.
+fn hello(prep: &PreparedBenchmark) -> Hello {
+    Hello {
         bench: prep.name.clone(),
         funcs: prep.module.functions.len(),
         scale_bits: 0,
         worker: 0,
-    };
+    }
+}
+
+/// The frame stream one healthy worker would send for `prep`: `Hello`,
+/// a seq edge delta, a seq path delta, `Done`.
+fn seq_worker_frames(prep: &PreparedBenchmark) -> Vec<Frame> {
     vec![
-        Frame::new(FrameKind::Hello, hello.encode()),
+        Frame::new(FrameKind::Hello, hello(prep).encode()),
         Frame::new(
             FrameKind::SeqEdgeDelta,
             encode_seq_payload(0, 1, &encode_edge_delta(&prep.module, &prep.edges)),
@@ -192,25 +308,14 @@ fn encode_stream(frames: &[Frame]) -> Vec<u8> {
     frames.iter().flat_map(Frame::encode).collect()
 }
 
-/// A reader that yields a fixed prefix of bytes, then times out — the
+/// A reader whose every read times out: chained after a byte prefix, the
 /// in-memory model of a slowloris peer whose socket deadline fires.
-struct StallReader<'a> {
-    data: &'a [u8],
-    at: usize,
-}
+struct TimesOut;
 
-impl std::io::Read for StallReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.at >= self.data.len() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "stalled peer",
-            ));
-        }
-        let n = buf.len().min(self.data.len() - self.at);
-        buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
-        self.at += n;
-        Ok(n)
+impl std::io::Read for TimesOut {
+    fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+        let stalled = std::io::Error::new(std::io::ErrorKind::TimedOut, "stalled peer");
+        Err(stalled)
     }
 }
 
@@ -218,105 +323,79 @@ impl std::io::Read for StallReader<'_> {
 /// scenario, wiped before use. The name is unique per process and call,
 /// so sweeps running at once (tests at different scales) never replay
 /// each other's WAL.
-fn chaos_scratch(prep: &PreparedBenchmark, site: FaultSite, seed: u64) -> std::path::PathBuf {
+fn chaos_scratch(prep: &PreparedBenchmark, plan: &FaultPlan) -> std::path::PathBuf {
     static CALLS: AtomicU64 = AtomicU64::new(0);
     let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let (site, seed, pid) = (plan.site.name(), plan.seed, std::process::id());
     let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../target/ppp-scratch/chaos")
-        .join(format!(
-            "{}-{}-{seed}-{}-{call}",
-            prep.name,
-            site.name(),
-            std::process::id()
-        ));
+        .join(format!("{}-{site}-{seed}-{pid}-{call}", prep.name));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-/// Runs the merged snapshot of `agg` through the ingestion ladder with
-/// `extra` report entries attached.
-fn ladder_from_aggregator(
+/// Every scenario aggregator: two shards behind a short queue.
+const SCENARIO_AGG: AggConfig = AggConfig {
+    shards: 2,
+    queue_cap: 8,
+};
+
+/// Builds the scenario aggregator for `prep`, feeds it through `feed`,
+/// and returns what `feed` returned with the merged snapshot.
+fn aggregate<T>(
     prep: &PreparedBenchmark,
-    detail: String,
-    agg: &Aggregator,
-    extra: Vec<(&str, String)>,
-    harmless: bool,
-    force_fail: bool,
-) -> (String, DegradationReport, bool, bool, bool) {
-    let module = &prep.module;
-    let (snap_edges, snap_paths) = agg.snapshot();
-    let have_edges = snap_edges.funcs.iter().any(|f| !f.is_zero());
-    let have_paths = snap_paths.funcs.iter().any(|fp| !fp.paths.is_empty());
-    let (g, mut report) = ingest_guidance(
-        module,
-        have_edges.then_some(snap_edges),
-        if have_paths { Some(&snap_paths) } else { None },
-    );
-    for (kind, d) in extra {
-        report.push(kind, d);
-    }
-    let lint = !force_fail && lint_ok(module, g.as_ref());
-    let est = static_rung_ok(module, g.as_ref(), &report);
-    (detail, report, harmless, lint, est)
+    feed: impl FnOnce(&Arc<Aggregator>) -> T,
+) -> (T, ModuleEdgeProfile, ModulePathProfile) {
+    let module = Arc::new(prep.module.clone());
+    let agg = Arc::new(Aggregator::new(&prep.name, module, SCENARIO_AGG));
+    let fed = feed(&agg);
+    let (edges, paths) = agg.snapshot();
+    (fed, edges, paths)
 }
 
-/// Feeds a (possibly damaged) frame stream through a real 2-shard
-/// aggregator, then runs whatever survived the merge through the
-/// ingestion ladder. Wire-level damage, refused frames, and a missing
-/// `Done` each land as structured report entries.
-fn wire_fault_scenario(
-    prep: &PreparedBenchmark,
-    detail: String,
-    stream: &[u8],
-) -> (String, DegradationReport, bool, bool, bool) {
-    let module = &prep.module;
-    let agg = Aggregator::new(
-        &prep.name,
-        Arc::new(module.clone()),
-        AggConfig {
-            shards: 2,
-            queue_cap: 8,
-        },
-    );
-    let sr = agg.ingest_stream(stream);
-    let (snap_edges, snap_paths) = agg.snapshot();
+/// Feeds a (possibly damaged) frame stream through the scenario
+/// aggregator; whatever survived the merge seeds the ladder. Wire-level
+/// damage, refused frames, and a missing `Done` each land as structured
+/// report entries.
+fn wire_fault<'a>(prep: &'a PreparedBenchmark, detail: String, stream: &[u8]) -> Injection<'a> {
+    let (sr, edges, paths) = aggregate(prep, |agg| agg.ingest_stream(stream));
     // The contract under damage: whatever *did* merge is still a valid
     // saturating sum of intact deltas, so it can seed the ladder.
-    let harmless = sr.clean() && snap_edges == prep.edges;
-    let have_edges = snap_edges.funcs.iter().any(|f| !f.is_zero());
-    let have_paths = snap_paths.funcs.iter().any(|fp| !fp.paths.is_empty());
-    let (g, mut report) = ingest_guidance(
-        module,
-        have_edges.then_some(snap_edges),
-        if have_paths { Some(&snap_paths) } else { None },
-    );
+    let harmless = sr.clean() && edges == prep.edges;
+    let mut inj = Injection {
+        harmless,
+        ..Injection::on(Cow::Borrowed(&prep.module), detail)
+    };
     if let Some((off, e)) = &sr.wire_error {
-        report.push(
-            "wire-damage",
-            format!("stream undecodable at byte {off}: {e}"),
-        );
+        let undecodable = format!("stream undecodable at byte {off}: {e}");
+        inj = inj.event("wire-damage", undecodable);
     }
     for (idx, e) in &sr.rejected {
-        report.push("frame-rejected", format!("frame #{idx} refused: {e}"));
+        inj = inj.event("frame-rejected", format!("frame #{idx} refused: {e}"));
     }
     if !sr.saw_done {
-        report.push(
-            "connection-lost",
-            format!(
-                "stream ended after {} accepted frame(s) without Done",
-                sr.frames_accepted()
-            ),
-        );
+        let accepted = sr.frames_accepted();
+        let lost = format!("stream ended after {accepted} accepted frame(s) without Done");
+        inj = inj.event("connection-lost", lost);
     }
-    let lint = lint_ok(module, g.as_ref());
-    let est_ok = static_rung_ok(module, g.as_ref(), &report);
-    (detail, report, harmless, lint, est_ok)
+    inj.merged(edges, paths)
+}
+
+/// The rung floor of a profile carried across program versions: only a
+/// lossless transfer may claim the full profile.
+fn stale_floor(lossless: bool) -> LadderRung {
+    if lossless {
+        LadderRung::FullProfile
+    } else {
+        LadderRung::MatchedStale
+    }
 }
 
 /// Runs one fault scenario against a prepared benchmark.
 ///
 /// Never panics: every outcome — including container-level load errors —
-/// lands on a ladder rung with a structured report.
+/// lands on a ladder rung with a structured report. Each site only
+/// injects its fault and says what survived; one settle step gates it.
 pub fn chaos_scenario(
     prep: &PreparedBenchmark,
     site: FaultSite,
@@ -325,32 +404,27 @@ pub fn chaos_scenario(
 ) -> ChaosOutcome {
     let plan = FaultPlan::new(site, seed);
     let module = &prep.module;
-    // Each arm yields: what the injection did, the surviving guidance,
-    // the ladder's report, whether the damage was byte-benign, and
-    // whether the static-estimate rung (if hit) held its contract.
-    let (detail, report, harmless, lint_clean, estimator_ok) = match site {
+    let on = |detail: String| Injection::on(Cow::Borrowed(module), detail);
+    let inj = match site {
         FaultSite::TruncateEdgeBytes | FaultSite::CorruptEdgeBytes => {
             let mut bytes = write_edge_profile_v2(module, &prep.edges).into_bytes();
             let detail = damage_bytes(&plan, &mut bytes);
+            let truth = Some(Cow::Borrowed(&prep.truth));
             match salvage_edge_profile(module, &bytes) {
-                Ok(s) => {
-                    let harmless = s.is_clean() && s.profile == prep.edges;
-                    let (g, mut report) =
-                        ingest_guidance(module, Some(s.profile), Some(&prep.truth));
-                    record_faults(&mut report, &s.faults);
-                    let lint = lint_ok(module, g.as_ref());
-                    let est = static_rung_ok(module, g.as_ref(), &report);
-                    (detail, report, harmless, lint, est)
+                Ok(s) => Injection {
+                    harmless: s.is_clean() && s.profile == prep.edges,
+                    events: load_faults(&s.faults),
+                    edges: Some(s.profile),
+                    paths: truth,
+                    ..on(detail)
+                },
+                // Container-level damage: the whole artifact is
+                // untrusted; rebuild everything from paths.
+                Err(e) => Injection {
+                    paths: truth,
+                    ..on(detail)
                 }
-                Err(e) => {
-                    // Container-level damage: the whole artifact is
-                    // untrusted; rebuild everything from paths.
-                    let (g, mut report) = ingest_guidance(module, None, Some(&prep.truth));
-                    report.push("load-error", e.to_string());
-                    let lint = lint_ok(module, g.as_ref());
-                    let est = static_rung_ok(module, g.as_ref(), &report);
-                    (detail, report, false, lint, est)
-                }
+                .event("load-error", e),
             }
         }
         FaultSite::TruncatePathBytes | FaultSite::CorruptPathBytes => {
@@ -359,21 +433,13 @@ pub fn chaos_scenario(
             let mut bytes = write_path_profile_v2(module, &prep.truth).into_bytes();
             let detail = damage_bytes(&plan, &mut bytes);
             match salvage_path_profile(module, &bytes) {
-                Ok(s) => {
-                    let harmless = s.is_clean();
-                    let (g, mut report) = ingest_guidance(module, None, Some(&s.profile));
-                    record_faults(&mut report, &s.faults);
-                    let lint = lint_ok(module, g.as_ref());
-                    let est = static_rung_ok(module, g.as_ref(), &report);
-                    (detail, report, harmless, lint, est)
-                }
-                Err(e) => {
-                    let (g, mut report) = ingest_guidance(module, None, None);
-                    report.push("load-error", e.to_string());
-                    let lint = lint_ok(module, g.as_ref());
-                    let est = static_rung_ok(module, g.as_ref(), &report);
-                    (detail, report, false, lint, est)
-                }
+                Ok(s) => Injection {
+                    harmless: s.is_clean(),
+                    events: load_faults(&s.faults),
+                    paths: Some(Cow::Owned(s.profile)),
+                    ..on(detail)
+                },
+                Err(e) => on(detail).event("load-error", e),
             }
         }
         FaultSite::SaturateCounters => {
@@ -383,14 +449,18 @@ pub fn chaos_scenario(
                 Some(i) => format!("pinned counters of function #{i} at u64::MAX"),
                 None => "empty profile; nothing to saturate".to_owned(),
             };
-            let (g, report) = ingest_guidance(module, Some(edges), Some(&prep.truth));
-            let lint = lint_ok(module, g.as_ref());
-            let est = static_rung_ok(module, g.as_ref(), &report);
-            (detail, report, hit.is_none(), lint, est)
+            Injection {
+                edges: Some(edges),
+                paths: Some(Cow::Borrowed(&prep.truth)),
+                harmless: hit.is_none(),
+                ..on(detail)
+            }
         }
         FaultSite::HashOverflow => {
             // Shrink the paper's 701×3 table to 7×3 and force hashing
             // everywhere; probe exhaustion must be *counted*, not silent.
+            // The one site that runs no ladder: it damages the profiler,
+            // not a profile, so it reports its loss counter directly.
             let mut config = ProfilerConfig::ppp();
             config.params.hash_threshold = 0;
             config.params.hash_slots = 7;
@@ -405,7 +475,7 @@ pub fn chaos_scenario(
                 );
             }
             let detail = "ran PPP with a 7-slot hash table (hash threshold 0)".to_owned();
-            (detail, report, lost == 0, true, true)
+            return outcome(prep, &plan, detail, report, lost == 0);
         }
         FaultSite::DropTraceEvents => {
             let tf = plan.trace_faults();
@@ -420,24 +490,16 @@ pub fn chaos_scenario(
             match run(module, "main", &opts) {
                 Ok(r) => {
                     let (de, dp) = r.trace_events_dropped;
-                    let (g, mut report) =
-                        ingest_guidance(module, r.edge_profile, r.path_profile.as_ref());
-                    if de + dp > 0 {
-                        report.push(
-                            "trace-drops",
-                            format!("VM dropped {de} edge event(s), {dp} path completion(s)"),
-                        );
+                    let drops = format!("VM dropped {de} edge event(s), {dp} path completion(s)");
+                    Injection {
+                        edges: r.edge_profile,
+                        paths: r.path_profile.map(Cow::Owned),
+                        harmless: de + dp == 0,
+                        ..on(detail)
                     }
-                    let lint = lint_ok(module, g.as_ref());
-                    let est = static_rung_ok(module, g.as_ref(), &report);
-                    (detail, report, de + dp == 0, lint, est)
+                    .damage("trace-drops", drops)
                 }
-                Err(e) => {
-                    let (g, mut report) = ingest_guidance(module, None, None);
-                    report.push("vm-error", e.to_string());
-                    let est = static_rung_ok(module, g.as_ref(), &report);
-                    (detail, report, false, true, est)
-                }
+                Err(e) => on(detail).event("vm-error", e),
             }
         }
         FaultSite::KillMidRun => {
@@ -451,26 +513,17 @@ pub fn chaos_scenario(
             };
             let detail = format!("killed the profiled run after {budget} steps");
             match run(module, "main", &opts) {
-                Ok(r) => {
-                    let killed = r.halt == HaltReason::StepLimit;
-                    let (g, mut report) =
-                        ingest_guidance(module, r.edge_profile, r.path_profile.as_ref());
-                    if killed {
-                        report.push(
-                            "killed-mid-run",
-                            format!("run halted after {budget} steps with paths in flight"),
-                        );
-                    }
-                    let lint = lint_ok(module, g.as_ref());
-                    let est = static_rung_ok(module, g.as_ref(), &report);
-                    (detail, report, !killed, lint, est)
+                Ok(r) => Injection {
+                    edges: r.edge_profile,
+                    paths: r.path_profile.map(Cow::Owned),
+                    harmless: r.halt != HaltReason::StepLimit,
+                    ..on(detail)
                 }
-                Err(e) => {
-                    let (g, mut report) = ingest_guidance(module, None, None);
-                    report.push("vm-error", e.to_string());
-                    let est = static_rung_ok(module, g.as_ref(), &report);
-                    (detail, report, false, true, est)
-                }
+                .damage(
+                    "killed-mid-run",
+                    format!("run halted after {budget} steps with paths in flight"),
+                ),
+                Err(e) => on(detail).event("vm-error", e),
             }
         }
         FaultSite::TruncateFrame => {
@@ -480,7 +533,7 @@ pub fn chaos_scenario(
             let full = stream.len();
             let cut = plan.truncate_bytes(&mut stream);
             let detail = format!("truncated the frame stream at byte {cut} of {full}");
-            wire_fault_scenario(prep, detail, &stream)
+            wire_fault(prep, detail, &stream)
         }
         FaultSite::CorruptFrame => {
             // Bit rot on the wire: the per-frame CRC (or the header
@@ -488,19 +541,16 @@ pub fn chaos_scenario(
             let mut stream = encode_stream(&seq_worker_frames(prep));
             let hits = plan.corrupt_bytes(&mut stream, 4);
             let detail = format!("flipped frame-stream bytes at offsets {hits:?}");
-            wire_fault_scenario(prep, detail, &stream)
+            wire_fault(prep, detail, &stream)
         }
         FaultSite::KillConnection => {
             // The connection drops between frames: a seed-chosen prefix
             // of whole frames arrives, and `Done` never does.
             let frames = seq_worker_frames(prep);
-            let delivered = plan.frames_delivered(frames.len());
+            let (sent, delivered) = (frames.len(), plan.frames_delivered(frames.len()));
             let stream = encode_stream(&frames[..delivered]);
-            let detail = format!(
-                "killed the worker connection after {delivered} of {} frames",
-                frames.len()
-            );
-            wire_fault_scenario(prep, detail, &stream)
+            let detail = format!("killed the worker connection after {delivered} of {sent} frames");
+            wire_fault(prep, detail, &stream)
         }
         FaultSite::CrashRestart => {
             // Crash the durable aggregator after a seed-chosen prefix of
@@ -509,122 +559,92 @@ pub fn chaos_scenario(
             // its *entire* stream, as a resuming client would. Exactly
             // the uncrashed snapshot must come out: nothing lost,
             // nothing double-counted.
-            let dir = chaos_scratch(prep, site, seed);
+            let dir = chaos_scratch(prep, &plan);
             let dur = DurOptions::new(&dir, 1);
-            let config = AggConfig {
-                shards: 2,
-                queue_cap: 8,
-            };
             let module_arc = Arc::new(module.clone());
+            let recover =
+                |dur| Aggregator::recover(&prep.name, module_arc.clone(), SCENARIO_AGG, dur);
             let frames = seq_worker_frames(prep);
             let delivered = plan.frames_delivered(frames.len());
-            let mut entries: Vec<(&str, String)> = Vec::new();
-            let mut force_fail = false;
-            let crash_recover = || -> Result<(Aggregator, String), String> {
-                let (agg, _) =
-                    Aggregator::recover(&prep.name, Arc::clone(&module_arc), config, dur.clone())?;
+            let crash_recover = || -> Result<_, String> {
+                let (agg, _) = recover(dur.clone())?;
                 for f in &frames[..delivered] {
                     agg.ingest_frame(f).map_err(|e| e.to_string())?;
                 }
                 drop(agg); // the crash: WAL handle gone, no shutdown checkpoint
-                let (agg, rec) =
-                    Aggregator::recover(&prep.name, Arc::clone(&module_arc), config, dur)?;
+                let (agg, rec) = recover(dur)?;
                 for f in &frames {
                     agg.ingest_frame(f).map_err(|e| e.to_string())?;
                 }
-                Ok((agg, rec.summary()))
+                let (edges, paths) = agg.snapshot();
+                Ok((edges, paths, rec.summary()))
             };
-            let outcome = match crash_recover() {
-                Ok((agg, recovery)) => {
-                    let (snap_edges, snap_paths) = agg.snapshot();
-                    let identical = write_edge_profile_v2(module, &snap_edges)
-                        == write_edge_profile_v2(module, &prep.edges)
-                        && write_path_profile_v2(module, &snap_paths)
-                            == write_path_profile_v2(module, &prep.truth);
-                    entries.push((
-                        "crash-restart",
-                        format!(
-                            "crashed after {delivered} of {} frames; recovery: {recovery}",
-                            frames.len()
-                        ),
-                    ));
-                    if !identical {
-                        entries.push((
-                            "recovery-mismatch",
-                            "recovered+replayed snapshot differs from the uncrashed one".to_owned(),
-                        ));
-                        force_fail = true;
-                    }
-                    let detail = format!(
-                        "crashed the durable aggregator after {delivered} of {} frames, recovered, replayed",
-                        frames.len()
-                    );
-                    ladder_from_aggregator(prep, detail, &agg, entries, false, force_fail)
-                }
-                Err(e) => {
-                    // Recovery itself failing is a contract failure.
-                    let (g, mut report) = ingest_guidance(module, None, None);
-                    report.push("recovery-error", e);
-                    let est = static_rung_ok(module, g.as_ref(), &report);
-                    let detail = "crash + recovery failed".to_owned();
-                    (detail, report, false, false, est)
-                }
-            };
+            let recovered = crash_recover();
             let _ = std::fs::remove_dir_all(&dir);
-            outcome
+            let sent = frames.len();
+            match recovered {
+                Ok((edges, paths, recovery)) => {
+                    let identical = edges == prep.edges && paths == prep.truth;
+                    let detail = format!(
+                        "crashed the durable aggregator after {delivered} of {sent} frames, recovered, replayed"
+                    );
+                    let crash =
+                        format!("crashed after {delivered} of {sent} frames; recovery: {recovery}");
+                    let mut inj = Injection {
+                        failed: !identical,
+                        ..on(detail)
+                    }
+                    .event("crash-restart", crash);
+                    if !identical {
+                        let mismatch = "recovered+replayed snapshot differs from the uncrashed one";
+                        inj = inj.event("recovery-mismatch", mismatch);
+                    }
+                    inj.merged(edges, paths)
+                }
+                // Recovery itself failing is a contract failure.
+                Err(e) => Injection {
+                    failed: true,
+                    ..on("crash + recovery failed".to_owned())
+                }
+                .event("recovery-error", e),
+            }
         }
         FaultSite::StallConnection => {
             // A slowloris peer: the byte stream stalls mid-frame. The
             // frame reader must surface the typed `timed-out` error —
             // never block forever, never mistake the stall for damage.
             let stream = encode_stream(&seq_worker_frames(prep));
-            let cut = plan.stall_offset(stream.len());
-            let mut reader = StallReader {
-                data: &stream[..cut],
-                at: 0,
-            };
-            let agg = Aggregator::new(
-                &prep.name,
-                Arc::new(module.clone()),
-                AggConfig {
-                    shards: 2,
-                    queue_cap: 8,
-                },
-            );
-            let mut accepted = 0usize;
-            let stall_error = loop {
-                match ppp_agg::read_frame(&mut reader) {
-                    Ok(Some(f)) => {
-                        if agg.ingest_frame(&f).is_ok() {
-                            accepted += 1;
-                        }
+            let len = stream.len();
+            let cut = plan.stall_offset(len);
+            let mut reader = std::io::Read::chain(&stream[..cut], TimesOut);
+            let ((stall_error, accepted), edges, paths) = aggregate(prep, |agg| {
+                let mut accepted = 0usize;
+                let stall_error = loop {
+                    match ppp_agg::read_frame(&mut reader) {
+                        Ok(Some(f)) => accepted += usize::from(agg.ingest_frame(&f).is_ok()),
+                        Ok(None) => break None,
+                        Err(e) => break Some(e),
                     }
-                    Ok(None) => break None,
-                    Err(e) => break Some(e),
-                }
-            };
+                };
+                (stall_error, accepted)
+            });
             let typed = matches!(stall_error, Some(ReadError::Wire(WireError::TimedOut)));
-            let mut entries: Vec<(&str, String)> = Vec::new();
-            let force_fail = !typed;
-            match &stall_error {
-                Some(e) => entries.push((
-                    "stalled-connection",
-                    format!(
-                        "peer stalled at byte {cut} of {}; read surfaced class {:?}: {e}",
-                        stream.len(),
-                        e.class()
-                    ),
-                )),
-                None => entries.push((
-                    "stalled-connection",
-                    format!("stall at byte {cut} landed on a frame boundary and read as EOF"),
-                )),
-            }
+            let stalled = match &stall_error {
+                Some(e) => format!(
+                    "peer stalled at byte {cut} of {len}; read surfaced class {:?}: {e}",
+                    e.class()
+                ),
+                None => format!("stall at byte {cut} landed on a frame boundary and read as EOF"),
+            };
             let detail = format!(
-                "stalled the connection at byte {cut} of {} ({accepted} whole frame(s) arrived)",
-                stream.len()
+                "stalled the connection at byte {cut} of {len} ({accepted} whole frame(s) arrived)"
             );
-            ladder_from_aggregator(prep, detail, &agg, entries, false, force_fail)
+            Injection {
+                failed: !typed,
+                ..on(detail)
+            }
+            .event("stalled-connection", stalled)
+            .merged(edges, paths)
         }
         FaultSite::ShedOverload => {
             // An overloaded server sheds seed-chosen delta frames with
@@ -632,72 +652,60 @@ pub fn chaos_scenario(
             // resend after an ambiguous failure is also modeled: every
             // shed frame is delivered *twice* once the server accepts
             // it, and the sequence-watermark dedup must count it once.
-            let agg = Aggregator::new(
-                &prep.name,
-                Arc::new(module.clone()),
-                AggConfig {
-                    shards: 2,
-                    queue_cap: 8,
-                },
-            );
             let frames = seq_worker_frames(prep);
             let mask = plan.shed_mask(frames.len());
-            let mut shed = 0u64;
-            let mut duplicates = 0u64;
-            let mut error = None;
-            for (i, f) in frames.iter().enumerate() {
-                let retried =
-                    mask[i] && matches!(f.kind, FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta);
-                // First delivery (post-shed retry) applies; the
-                // ambiguous resend must dedup.
-                let deliveries = if retried {
-                    shed += 1;
-                    2
-                } else {
-                    1
-                };
-                for _ in 0..deliveries {
-                    match agg.ingest_frame(f) {
-                        Ok(IngestOutcome::Applied) => {}
-                        Ok(IngestOutcome::Duplicate) => duplicates += 1,
-                        Err(e) => error = Some(e.to_string()),
+            let ((shed, duplicates, error), edges, paths) = aggregate(prep, |agg| {
+                let (mut shed, mut duplicates, mut error) = (0u64, 0u64, None);
+                for (i, f) in frames.iter().enumerate() {
+                    let retried = mask[i]
+                        && matches!(f.kind, FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta);
+                    shed += u64::from(retried);
+                    // First delivery (post-shed retry) applies; the
+                    // ambiguous resend must dedup.
+                    for _ in 0..1 + usize::from(retried) {
+                        match agg.ingest_frame(f) {
+                            Ok(IngestOutcome::Applied) => {}
+                            Ok(IngestOutcome::Duplicate) => duplicates += 1,
+                            Err(e) => error = Some(e.to_string()),
+                        }
                     }
                 }
-            }
-            let (snap_edges, _) = agg.snapshot();
-            let identical = write_edge_profile_v2(module, &snap_edges)
-                == write_edge_profile_v2(module, &prep.edges);
-            let mut entries: Vec<(&str, String)> = Vec::new();
-            let mut force_fail = false;
+                (shed, duplicates, error)
+            });
+            let identical = edges == prep.edges;
+            let mismatch = !identical || duplicates != shed;
+            let failed = error.is_some() || mismatch;
+            let detail = format!(
+                "shed {shed} of {} frames under overload, retried each, resent each once more",
+                frames.len()
+            );
+            let mut inj = Injection {
+                harmless: shed == 0 && !failed,
+                failed,
+                ..on(detail)
+            };
             if shed > 0 {
-                entries.push((
+                inj = inj.event(
                     "shed-overload",
                     format!(
                         "{shed} frame(s) shed with overloaded rejections and resent; \
                          {duplicates} ambiguous resend(s) dropped as duplicates"
                     ),
-                ));
+                );
             }
             if let Some(e) = error {
-                entries.push(("shed-error", e));
-                force_fail = true;
+                inj = inj.event("shed-error", e);
             }
-            if !identical || duplicates != shed {
-                entries.push((
+            if mismatch {
+                inj = inj.event(
                     "shed-mismatch",
                     format!(
                         "snapshot identical={identical}, duplicates={duplicates} of {shed} resends — \
                          a shed or resent delta was lost or double-counted"
                     ),
-                ));
-                force_fail = true;
+                );
             }
-            let harmless = shed == 0 && !force_fail;
-            let detail = format!(
-                "shed {shed} of {} frames under overload, retried each, resent each once more",
-                frames.len()
-            );
-            ladder_from_aggregator(prep, detail, &agg, entries, harmless, force_fail)
+            inj.merged(edges, paths)
         }
         FaultSite::StaleShape => {
             // Load the old artifact against a "newer build": the function
@@ -718,37 +726,25 @@ pub fn chaos_scenario(
             match read_edge_profile_matched(module, &stale, &bytes) {
                 Ok((p, msr)) => {
                     let harmless = msr.is_lossless();
-                    let floor = if harmless {
-                        LadderRung::FullProfile
-                    } else {
-                        LadderRung::MatchedStale
-                    };
-                    let (g, mut report) = ingest_guidance_at(&stale, Some(p), None, floor);
-                    if !harmless {
-                        report.push(
-                            "stale-shape",
-                            format!(
-                                "transferred {} of {} blocks across versions ({} funcs renormalized, {} zeroed, {} flow dropped)",
-                                msr.matched_blocks,
-                                msr.total_old_blocks,
-                                msr.renormalized_funcs.len(),
-                                msr.zeroed_funcs.len(),
-                                msr.dropped_flow
-                            ),
-                        );
+                    let transferred = format!(
+                        "transferred {} of {} blocks across versions ({} funcs renormalized, {} zeroed, {} flow dropped)",
+                        msr.matched_blocks,
+                        msr.total_old_blocks,
+                        msr.renormalized_funcs.len(),
+                        msr.zeroed_funcs.len(),
+                        msr.dropped_flow
+                    );
+                    let mut inj = Injection {
+                        edges: Some(p),
+                        floor: stale_floor(harmless),
+                        harmless,
+                        ..Injection::on(Cow::Owned(stale), detail)
                     }
-                    record_faults(&mut report, &msr.stale.faults);
-                    let lint = lint_ok(&stale, g.as_ref());
-                    let est = static_rung_ok(&stale, g.as_ref(), &report);
-                    (detail, report, harmless, lint, est)
+                    .damage("stale-shape", transferred);
+                    inj.events.extend(load_faults(&msr.stale.faults));
+                    inj
                 }
-                Err(e) => {
-                    let (g, mut report) = ingest_guidance(&stale, None, None);
-                    report.push("load-error", e.to_string());
-                    let lint = lint_ok(&stale, g.as_ref());
-                    let est = static_rung_ok(&stale, g.as_ref(), &report);
-                    (detail, report, false, lint, est)
-                }
+                Err(e) => Injection::on(Cow::Owned(stale), detail).event("load-error", e),
             }
         }
         FaultSite::StaleSnapshotMidReopt => {
@@ -759,80 +755,48 @@ pub fn chaos_scenario(
             // snapshot is a truthful prefix — but an arbitrary delta
             // boundary need not be flow-conservative, so the ladder must
             // repair or degrade it, never consume it silently.
-            let r = run(
-                module,
-                "main",
-                &RunOptions::default()
-                    .with_seed(options.seed)
-                    .traced()
-                    .with_delta_interval(128),
-            );
-            match r {
+            let opts = RunOptions::default()
+                .with_seed(options.seed)
+                .traced()
+                .with_delta_interval(128);
+            match run(module, "main", &opts) {
                 Ok(r) => {
-                    let agg = Arc::new(Aggregator::new(
-                        &prep.name,
-                        Arc::new(module.clone()),
-                        AggConfig {
-                            shards: 2,
-                            queue_cap: 8,
-                        },
-                    ));
-                    let hello = Hello {
-                        bench: prep.name.clone(),
-                        funcs: module.functions.len(),
-                        scale_bits: 0,
-                        worker: 0,
-                    };
                     let total = r.deltas.len();
                     let delivered = plan.frames_delivered(total);
-                    let mut entries: Vec<(&str, String)> = Vec::new();
-                    let mut force_fail = false;
-                    match ppp_agg::AggClient::open(
-                        Arc::new(module.clone()),
-                        ppp_agg::InProcSink::new(Arc::clone(&agg)),
-                        4,
-                        &hello,
-                    ) {
-                        Ok(mut client) => {
-                            for d in r.deltas.iter().take(delivered) {
-                                if let Err(e) = client.push_delta(&d.edges, &d.paths) {
-                                    entries.push(("stream-error", e));
-                                    force_fail = true;
-                                    break;
-                                }
+                    let (errors, edges, paths) = aggregate(prep, |agg| {
+                        let sink = ppp_agg::InProcSink::new(Arc::clone(agg));
+                        let module = Arc::new(module.clone());
+                        match ppp_agg::AggClient::open(module, sink, 4, &hello(prep)) {
+                            Ok(mut client) => {
+                                let pushed = (r.deltas.iter().take(delivered))
+                                    .try_for_each(|d| client.push_delta(&d.edges, &d.paths));
+                                let finished = client.finish();
+                                [pushed, finished]
+                                    .into_iter()
+                                    .filter_map(Result::err)
+                                    .collect()
                             }
-                            if let Err(e) = client.finish() {
-                                entries.push(("stream-error", e));
-                                force_fail = true;
-                            }
+                            Err(e) => vec![e],
                         }
-                        Err(e) => {
-                            entries.push(("stream-error", e));
-                            force_fail = true;
-                        }
-                    }
-                    let harmless = delivered == total && !force_fail;
-                    if !harmless {
-                        entries.push((
-                            "stale-snapshot",
-                            format!(
-                                "re-optimization consumed a snapshot at delta {delivered} of \
-                                 {total}; the serving run was still streaming"
-                            ),
-                        ));
-                    }
+                    });
+                    let failed = !errors.is_empty();
                     let detail = format!(
                         "snapshotted mid-serve at delta {delivered} of {total} before re-optimizing"
                     );
-                    ladder_from_aggregator(prep, detail, &agg, entries, harmless, force_fail)
+                    let stale = format!(
+                        "re-optimization consumed a snapshot at delta {delivered} of \
+                         {total}; the serving run was still streaming"
+                    );
+                    Injection {
+                        events: errors.into_iter().map(|e| ("stream-error", e)).collect(),
+                        harmless: delivered == total && !failed,
+                        failed,
+                        ..on(detail)
+                    }
+                    .damage("stale-snapshot", stale)
+                    .merged(edges, paths)
                 }
-                Err(e) => {
-                    let (g, mut report) = ingest_guidance(module, None, None);
-                    report.push("run-error", e.to_string());
-                    let lint = lint_ok(module, g.as_ref());
-                    let est = static_rung_ok(module, g.as_ref(), &report);
-                    ("serving run failed".to_owned(), report, false, lint, est)
-                }
+                Err(e) => on("serving run failed".to_owned()).event("run-error", e),
             }
         }
         FaultSite::SwapDuringRun => {
@@ -858,74 +822,34 @@ pub fn chaos_scenario(
                 checkout.generation,
                 inline_rep.inlined_sites
             );
-            match run(
-                &checkout.module,
-                "main",
-                &RunOptions::default().with_seed(options.seed).traced(),
-            ) {
+            let opts = RunOptions::default().with_seed(options.seed).traced();
+            match run(&checkout.module, "main", &opts) {
                 Ok(r) => {
                     let old_edges = r.edge_profile.unwrap_or_else(|| prep.edges.clone());
                     let (warm, summary) =
                         ppp_jit::transfer_guidance(&checkout.module, &next_gen, &old_edges);
                     let harmless = summary.identity && summary.dropped_flow == 0;
-                    let floor = if harmless {
-                        LadderRung::FullProfile
-                    } else {
-                        LadderRung::MatchedStale
-                    };
-                    let (g, mut report) = ingest_guidance_at(&next_gen, Some(warm), None, floor);
-                    if !harmless {
-                        report.push(
-                            "swap-during-run",
-                            format!(
-                                "in-flight run finished on stale code after the swap; \
-                                 transferred {} pairs ({} renormalized, {} zeroed, {} flow dropped)",
-                                summary.pairs,
-                                summary.renormalized_funcs,
-                                summary.zeroed_funcs,
-                                summary.dropped_flow
-                            ),
-                        );
+                    let swapped = format!(
+                        "in-flight run finished on stale code after the swap; \
+                         transferred {} pairs ({} renormalized, {} zeroed, {} flow dropped)",
+                        summary.pairs,
+                        summary.renormalized_funcs,
+                        summary.zeroed_funcs,
+                        summary.dropped_flow
+                    );
+                    Injection {
+                        edges: Some(warm),
+                        floor: stale_floor(harmless),
+                        harmless,
+                        ..Injection::on(Cow::Owned(next_gen), detail)
                     }
-                    let lint = lint_ok(&next_gen, g.as_ref());
-                    let est = static_rung_ok(&next_gen, g.as_ref(), &report);
-                    (detail, report, harmless, lint, est)
+                    .damage("swap-during-run", swapped)
                 }
-                Err(e) => {
-                    let (g, mut report) = ingest_guidance(&next_gen, None, None);
-                    report.push("run-error", e.to_string());
-                    let lint = lint_ok(&next_gen, g.as_ref());
-                    let est = static_rung_ok(&next_gen, g.as_ref(), &report);
-                    (detail, report, false, lint, est)
-                }
+                Err(e) => Injection::on(Cow::Owned(next_gen), detail).event("run-error", e),
             }
         }
     };
-    let verdict = if harmless {
-        ChaosVerdict::Harmless
-    } else if report.degraded() {
-        ChaosVerdict::Reported
-    } else {
-        ChaosVerdict::Silent
-    };
-    // Serve-tier faults leave a post-mortem: the scenario-keyed reason
-    // makes the filename deterministic, so parallel and sequential
-    // sweeps produce the same artifact set.
-    let flight_dump = site
-        .dumps_flight_recorder()
-        .then(|| ppp_obs::flight_dump(&format!("chaos-{}-{}-{seed}", prep.name, site.name())))
-        .flatten();
-    ChaosOutcome {
-        benchmark: prep.name.clone(),
-        site,
-        seed,
-        detail,
-        report,
-        lint_clean,
-        estimator_ok,
-        verdict,
-        flight_dump,
-    }
+    settle(prep, &plan, inj)
 }
 
 /// Sweeps every fault site over one prepared benchmark.
@@ -940,46 +864,21 @@ pub fn chaos_prepared(
         .collect()
 }
 
-/// Prepares one suite benchmark and sweeps every fault site over it.
-pub fn chaos_benchmark(
-    entry: &ppp_workloads::SuiteEntry,
-    seed: u64,
-    options: &PipelineOptions,
-) -> Result<Vec<ChaosOutcome>, PipelineError> {
-    let prep = prepare_benchmark(entry, options)?;
-    Ok(chaos_prepared(&prep, seed, options))
-}
-
 /// Sweeps every fault site across the suite (or one named benchmark).
 ///
-/// Progress goes to stderr. Returns every scenario outcome in suite ×
-/// site order. `options.workers > 1` fans the benchmarks over that many
-/// threads; every scenario is seed-deterministic and results are
-/// collected in suite order, so the output is byte-identical to a
-/// sequential sweep.
+/// Returns every scenario outcome in suite × site order. Every scenario
+/// is seed-deterministic, so `options.workers` changes wall-clock only.
 pub fn chaos_suite(
     bench: Option<&str>,
     seed: u64,
     options: &PipelineOptions,
 ) -> Result<Vec<ChaosOutcome>, PipelineError> {
-    let suite = spec2000_suite();
-    let entries: Vec<_> = suite
-        .iter()
-        .filter(|e| bench.is_none_or(|b| e.spec.name == b))
-        .collect();
-    let per_bench = ppp_agg::run_indexed(options.workers, entries.len(), |i| {
-        let entry = entries[i];
-        ppp_obs::global().info(
-            "chaos.progress",
-            &[("bench", ppp_obs::Value::from(entry.spec.name.as_str()))],
-        );
-        chaos_benchmark(entry, seed, options)
-    });
-    let mut outcomes = Vec::new();
-    for r in per_bench {
-        outcomes.extend(r?);
-    }
-    Ok(outcomes)
+    let per_bench: Vec<_> = sweep_suite(bench, options.workers, "chaos.progress", |entry| {
+        prepare_benchmark(entry, options).map(|prep| chaos_prepared(&prep, seed, options))
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
+    Ok(per_bench.into_iter().flatten().collect())
 }
 
 /// Renders chaos outcomes as a text table.
@@ -1002,19 +901,13 @@ pub fn chaos_table(outcomes: &[ChaosOutcome]) -> String {
             o.detail.clone(),
         ]);
     }
-    let failures = outcomes.iter().filter(|o| !o.ok()).count();
+    let count = |v| outcomes.iter().filter(|o| o.verdict == v).count();
     format!(
         "Chaos sweep: {} scenarios, {} reported, {} harmless, {} FAILED\n{}",
         outcomes.len(),
-        outcomes
-            .iter()
-            .filter(|o| o.verdict == ChaosVerdict::Reported)
-            .count(),
-        outcomes
-            .iter()
-            .filter(|o| o.verdict == ChaosVerdict::Harmless)
-            .count(),
-        failures,
+        count(ChaosVerdict::Reported),
+        count(ChaosVerdict::Harmless),
+        outcomes.iter().filter(|o| !o.ok()).count(),
         t.render()
     )
 }
@@ -1022,6 +915,8 @@ pub fn chaos_table(outcomes: &[ChaosOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::degrade::ingest_guidance;
+    use ppp_workloads::spec2000_suite;
 
     fn tiny() -> PipelineOptions {
         PipelineOptions {

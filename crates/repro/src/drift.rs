@@ -24,7 +24,8 @@
 use crate::degrade::{ingest_guidance_at, DegradationReport, LadderRung};
 use crate::format::Table;
 use crate::pipeline::{
-    estimate_options, prepare_benchmark, traced, PipelineError, PipelineOptions, PreparedBenchmark,
+    estimate_options, prepare_benchmark, sweep_suite, traced, PipelineError, PipelineOptions,
+    PreparedBenchmark,
 };
 use ppp_core::edge_profile_score;
 use ppp_ir::{
@@ -36,7 +37,6 @@ use ppp_match::read_edge_profile_matched;
 use ppp_obs::json::{self, Fixed4, ToJson};
 use ppp_opt::{inline_module_witnessed, unroll_module_witnessed, InlineOptions, UnrollOptions};
 use ppp_vm::SplitMix64;
-use ppp_workloads::spec2000_suite;
 use std::fmt;
 
 /// A uniform index in `[0, n)`, one draw per call.
@@ -465,44 +465,20 @@ pub fn drift_prepared(
     Ok(outcomes)
 }
 
-/// Runs the full drift sweep for one suite entry.
-pub fn drift_benchmark(
-    entry: &ppp_workloads::SuiteEntry,
-    seed: u64,
-    options: &PipelineOptions,
-) -> Result<Vec<DriftOutcome>, PipelineError> {
-    let prep = prepare_benchmark(entry, options)?;
-    drift_prepared(&prep, seed, options)
-}
-
 /// Sweeps every drift scenario across the suite (or one named
-/// benchmark). `options.workers > 1` fans benchmarks over threads;
-/// results are collected in suite order and every scenario is
-/// seed-deterministic, so the output is byte-identical to a sequential
-/// sweep.
+/// benchmark). Every scenario is seed-deterministic, so
+/// `options.workers` changes wall-clock only.
 pub fn drift_suite(
     bench: Option<&str>,
     seed: u64,
     options: &PipelineOptions,
 ) -> Result<Vec<DriftOutcome>, PipelineError> {
-    let suite = spec2000_suite();
-    let entries: Vec<_> = suite
-        .iter()
-        .filter(|e| bench.is_none_or(|b| e.spec.name == b))
-        .collect();
-    let per_bench = ppp_agg::run_indexed(options.workers, entries.len(), |i| {
-        let entry = entries[i];
-        ppp_obs::global().info(
-            "drift.progress",
-            &[("bench", ppp_obs::Value::from(entry.spec.name.as_str()))],
-        );
-        drift_benchmark(entry, seed, options)
-    });
-    let mut outcomes = Vec::new();
-    for r in per_bench {
-        outcomes.extend(r?);
-    }
-    Ok(outcomes)
+    let per_bench: Vec<_> = sweep_suite(bench, options.workers, "drift.progress", |entry| {
+        prepare_benchmark(entry, options).and_then(|prep| drift_prepared(&prep, seed, options))
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
+    Ok(per_bench.into_iter().flatten().collect())
 }
 
 /// Renders drift outcomes as a text table.
@@ -569,6 +545,7 @@ pub fn drift_json(outcomes: &[DriftOutcome], seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppp_workloads::spec2000_suite;
 
     fn tiny() -> PipelineOptions {
         PipelineOptions {

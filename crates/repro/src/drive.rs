@@ -8,9 +8,10 @@
 //! external server started with `repro serve` (`--connect ADDR`).
 //!
 //! Besides generating load, the driver *checks* the aggregation
-//! contract on every run: each benchmark's merged snapshot must be
-//! byte-identical (persist_v2 serialization) to the saturating merge of
-//! the same runs' single-shot profiles, and must pass the PPP308
+//! contract on every run: each benchmark's merged snapshot must equal
+//! the saturating merge of the same runs' single-shot profiles (so the
+//! deterministic persist_v2 writer emits the same bytes for both), and
+//! must pass the PPP308
 //! flow-conservation lint. Throughput is reported as sustained VM
 //! events (dynamic steps) per second across all workers.
 
@@ -19,9 +20,7 @@ use ppp_agg::{
     run_indexed, AggClient, AggConfig, AggService, DurOptions, FrameSink, Hello, InProcSink,
     ResilientSink, RetryPolicy, ServeOptions, Server, TcpSink,
 };
-use ppp_ir::{
-    write_edge_profile_v2, write_path_profile_v2, Module, ModuleEdgeProfile, ModulePathProfile,
-};
+use ppp_ir::{Module, ModuleEdgeProfile, ModulePathProfile};
 use ppp_obs::{json, names, Histogram};
 use ppp_vm::{run, RunOptions};
 use ppp_workloads::{generate, spec2000_suite};
@@ -539,10 +538,7 @@ pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, 
             let (snap_edges, snap_paths) = agg.snapshot();
             let guard = references[i].lock().expect("reference lock");
             let (re, rp) = guard.as_ref().expect("at least one run per benchmark");
-            let identical = write_edge_profile_v2(module, &snap_edges)
-                == write_edge_profile_v2(module, re)
-                && write_path_profile_v2(module, &snap_paths) == write_path_profile_v2(module, rp);
-            benches[i].deterministic = Some(identical);
+            benches[i].deterministic = Some(snap_edges == *re && snap_paths == *rp);
             benches[i].lint_clean = Some(ppp_lint::check_profile(module, &snap_edges).is_empty());
         }
     }

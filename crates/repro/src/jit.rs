@@ -12,11 +12,10 @@
 //! flow-conservative.
 
 use crate::format::Table;
-use crate::pipeline::PipelineOptions;
+use crate::pipeline::{sweep_suite, PipelineOptions};
 use ppp_jit::{run_jit, JitError, JitOptions, JitOutcome};
 use ppp_obs::json;
-use ppp_obs::Value;
-use ppp_workloads::{generate, spec2000_suite};
+use ppp_workloads::generate;
 
 /// Version of the `ppp-jit` artifact schema.
 pub const JIT_SCHEMA_VERSION: u64 = 1;
@@ -54,21 +53,12 @@ pub fn jit_suite(
     jopts: &JitOptions,
     workers: usize,
 ) -> Result<Vec<JitOutcome>, JitError> {
-    let suite = spec2000_suite();
-    let entries: Vec<_> = suite
-        .iter()
-        .filter(|e| bench.is_none_or(|b| b.split(',').any(|x| x == e.spec.name)))
-        .collect();
-    let outcomes = ppp_agg::run_indexed(workers, entries.len(), |i| {
-        let entry = entries[i];
-        ppp_obs::global().info(
-            "jit.progress",
-            &[("bench", Value::from(entry.spec.name.as_str()))],
-        );
+    sweep_suite(bench, workers, "jit.progress", |entry| {
         let module = generate(&entry.spec.clone().scaled(jopts.scale));
         run_jit(&module, &entry.spec.name, jopts)
-    });
-    outcomes.into_iter().collect()
+    })
+    .into_iter()
+    .collect()
 }
 
 /// The CI convergence contract over a sweep's outcomes.
@@ -226,6 +216,7 @@ mod tests {
     use crate::pipeline::prepare_benchmark;
     use ppp_ir::{write_edge_profile_v2, write_path_profile_v2};
     use ppp_vm::{run, RunOptions};
+    use ppp_workloads::spec2000_suite;
 
     /// The hot-swap determinism safety net: a 1-generation loop with the
     /// full profile available (warm start, hot_threshold 0) must be

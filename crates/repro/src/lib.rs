@@ -51,16 +51,14 @@ pub use bench::{
     Regression, BASELINE_KIND, BASELINE_SCHEMA_VERSION,
 };
 pub use chaos::{
-    chaos_benchmark, chaos_prepared, chaos_scenario, chaos_suite, chaos_table, ChaosOutcome,
-    ChaosVerdict,
+    chaos_prepared, chaos_scenario, chaos_suite, chaos_table, ChaosOutcome, ChaosVerdict,
 };
 pub use cli::ArgCursor;
 pub use degrade::{
     ingest_guidance, ingest_guidance_at, DegradationEvent, DegradationReport, LadderRung,
 };
 pub use drift::{
-    drift_benchmark, drift_json, drift_suite, drift_table, DriftOutcome, DriftScenario,
-    DRIFT_SCENARIOS,
+    drift_json, drift_suite, drift_table, DriftOutcome, DriftScenario, DRIFT_SCENARIOS,
 };
 pub use drive::{
     drive, drive_json, drive_table, serve, BenchDrive, DriveOptions, DriveReport, Quantiles,
@@ -76,8 +74,8 @@ pub use pipeline::{
     PreparedBenchmark, ProfilerResult,
 };
 pub use predict::{
-    predict_benchmark, predict_gate, predict_json, predict_prepared, predict_suite, predict_table,
-    PredictOutcome, WINS_REQUIRED,
+    predict_gate, predict_json, predict_prepared, predict_suite, predict_table, PredictOutcome,
+    WINS_REQUIRED,
 };
 pub use reports::{all_reports, fig10, fig11, fig12, fig13, fig9, run_suite, table1, table2};
 pub use top::{render_stats, top};

@@ -13,7 +13,7 @@ use ppp_opt::{
     InlineReport, UnrollOptions, UnrollReport,
 };
 use ppp_vm::{run, RunOptions, RunResult, VmError};
-use ppp_workloads::{generate, BenchClass, SuiteEntry};
+use ppp_workloads::{generate, spec2000_suite, BenchClass, SuiteEntry};
 
 use crate::degrade::{ingest_guidance, DegradationReport};
 use ppp_obs::Value;
@@ -447,6 +447,34 @@ pub fn run_benchmark(
 ) -> Result<BenchmarkRun, PipelineError> {
     let prep = prepare_benchmark(entry, options)?;
     run_prepared(prep, options)
+}
+
+/// Runs `per_entry` over the suite entries `only` names (one benchmark
+/// or a comma-separated list; `None` is the whole suite), announcing
+/// each with a `progress` info event.
+///
+/// `workers > 1` fans the entries over that many threads. Results come
+/// back in suite order, so a sweep whose per-entry work is
+/// seed-deterministic is byte-identical to a sequential one.
+pub(crate) fn sweep_suite<T: Send>(
+    only: Option<&str>,
+    workers: usize,
+    progress: &str,
+    per_entry: impl Fn(&SuiteEntry) -> T + Sync,
+) -> Vec<T> {
+    let suite = spec2000_suite();
+    let entries: Vec<_> = suite
+        .iter()
+        .filter(|e| only.is_none_or(|b| b.split(',').any(|x| x == e.spec.name)))
+        .collect();
+    ppp_agg::run_indexed(workers, entries.len(), |i| {
+        let entry = entries[i];
+        ppp_obs::global().info(
+            progress,
+            &[("bench", Value::from(entry.spec.name.as_str()))],
+        );
+        per_entry(entry)
+    })
 }
 
 /// Back half of [`run_benchmark`], starting from a prepared artifact

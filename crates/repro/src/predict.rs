@@ -23,14 +23,14 @@
 
 use crate::format::Table;
 use crate::pipeline::{
-    estimate_options, prepare_benchmark, PipelineError, PipelineOptions, PreparedBenchmark,
+    estimate_options, prepare_benchmark, sweep_suite, PipelineError, PipelineOptions,
+    PreparedBenchmark,
 };
 use ppp_core::edge_profile_score;
 use ppp_est::{estimate_module, EstOptions};
 use ppp_ir::ModuleEdgeProfile;
 use ppp_lint::Code;
 use ppp_obs::json::{self, Fixed4, ToJson};
-use ppp_workloads::spec2000_suite;
 
 /// Suite-level gate: of 18 benchmarks, the heuristic estimate must
 /// strictly beat the uniform baseline on at least 14. Scaled
@@ -184,37 +184,17 @@ pub fn predict_prepared(prep: &PreparedBenchmark, options: &PipelineOptions) -> 
     outcome
 }
 
-/// Prepares one suite benchmark and scores its static estimates.
-pub fn predict_benchmark(
-    entry: &ppp_workloads::SuiteEntry,
-    options: &PipelineOptions,
-) -> Result<PredictOutcome, PipelineError> {
-    let prep = prepare_benchmark(entry, options)?;
-    Ok(predict_prepared(&prep, options))
-}
-
 /// Scores static-estimate quality across the suite (or one named
-/// benchmark). `options.workers > 1` fans benchmarks over threads;
-/// results are collected in suite order, so the output is byte-identical
-/// to a sequential sweep.
+/// benchmark). `options.workers` changes wall-clock only.
 pub fn predict_suite(
     bench: Option<&str>,
     options: &PipelineOptions,
 ) -> Result<Vec<PredictOutcome>, PipelineError> {
-    let suite = spec2000_suite();
-    let entries: Vec<_> = suite
-        .iter()
-        .filter(|e| bench.is_none_or(|b| e.spec.name == b))
-        .collect();
-    let per_bench = ppp_agg::run_indexed(options.workers, entries.len(), |i| {
-        let entry = entries[i];
-        ppp_obs::global().info(
-            "predict.progress",
-            &[("bench", ppp_obs::Value::from(entry.spec.name.as_str()))],
-        );
-        predict_benchmark(entry, options)
-    });
-    per_bench.into_iter().collect()
+    sweep_suite(bench, options.workers, "predict.progress", |entry| {
+        prepare_benchmark(entry, options).map(|prep| predict_prepared(&prep, options))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// The suite-level verdict: every estimate conservative and enough
@@ -293,6 +273,7 @@ pub fn predict_json(outcomes: &[PredictOutcome], seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppp_workloads::spec2000_suite;
 
     fn tiny() -> PipelineOptions {
         PipelineOptions {

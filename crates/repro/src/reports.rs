@@ -6,40 +6,35 @@
 //! `ppp-repro all` regenerates the entire evaluation in one pass.
 
 use crate::format::{f2, pct, pct_signed, Table};
-use crate::pipeline::{run_benchmark, BenchmarkRun, PipelineOptions};
-use ppp_workloads::{spec2000_suite, BenchClass};
+use crate::pipeline::{run_benchmark, sweep_suite, BenchmarkRun, PipelineOptions};
+use ppp_workloads::BenchClass;
 
-/// Runs the whole 18-benchmark suite.
+/// Runs the whole 18-benchmark suite, `options.workers` benchmarks at a
+/// time; runs come back in suite order, so the reports do not depend on
+/// the worker count.
 ///
 /// Progress goes to stderr (runs take seconds each at full scale).
 pub fn run_suite(options: &PipelineOptions) -> Vec<BenchmarkRun> {
-    let obs = ppp_obs::global();
-    let suite = spec2000_suite();
-    suite
-        .iter()
-        .filter_map(|e| {
-            obs.info(
-                "suite.progress",
-                &[("bench", ppp_obs::Value::from(e.spec.name.as_str()))],
-            );
-            match run_benchmark(e, options) {
-                Ok(run) => Some(run),
-                Err(err) => {
-                    obs.metrics()
-                        .inc("ppp_suite_errors_total", &[("bench", &e.spec.name)]);
-                    obs.event(
-                        ppp_obs::Level::Error,
-                        "suite.benchmark_failed",
-                        &[
-                            ("bench", ppp_obs::Value::from(e.spec.name.as_str())),
-                            ("error", ppp_obs::Value::from(err.to_string())),
-                        ],
-                    );
-                    None
-                }
-            }
-        })
-        .collect()
+    sweep_suite(None, options.workers, "suite.progress", |e| {
+        run_benchmark(e, options)
+            .inspect_err(|err| {
+                let obs = ppp_obs::global();
+                obs.metrics()
+                    .inc("ppp_suite_errors_total", &[("bench", &e.spec.name)]);
+                obs.event(
+                    ppp_obs::Level::Error,
+                    "suite.benchmark_failed",
+                    &[
+                        ("bench", ppp_obs::Value::from(e.spec.name.as_str())),
+                        ("error", ppp_obs::Value::from(err.to_string())),
+                    ],
+                );
+            })
+            .ok()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 fn class_rows(runs: &[BenchmarkRun], class: BenchClass) -> impl Iterator<Item = &BenchmarkRun> {
@@ -474,6 +469,7 @@ pub fn all_reports(runs: &[BenchmarkRun]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppp_workloads::spec2000_suite;
 
     fn tiny_runs() -> Vec<BenchmarkRun> {
         let suite = spec2000_suite();

@@ -56,7 +56,7 @@ pub fn render_stats(doc: &str) -> Result<String, String> {
     if let Some(reg) = registry {
         out.push_str(&format!(
             "ingested {} frame(s), merged {} delta(s), served {} stats request(s), {} flight dump(s)\n",
-            counter_total(reg, "ppp_agg_frames_ingested_total"),
+            counter_total(reg, ppp_obs::names::AGG_FRAMES_INGESTED),
             counter_total(reg, "ppp_agg_deltas_merged_total"),
             counter_total(reg, ppp_obs::names::STATS_SERVED),
             counter_total(reg, ppp_obs::names::FLIGHT_DUMPS),
