@@ -2,24 +2,23 @@
 //! transfer → swap → repeat until steady state.
 
 use crate::fold::fold_edge_profile;
+use crate::reopt::{bootstrap, reoptimize, traced};
 use ppp_agg::{AggClient, AggConfig, AggService, Hello, InProcSink};
-use ppp_core::{instrument_module, normalize_module, ProfilerConfig};
+use ppp_core::{instrument_module, ProfilerConfig};
 use ppp_ir::{Module, ModuleEdgeProfile};
 use ppp_lint::LintReport;
 use ppp_match::{match_modules, transfer_edge_profile};
-use ppp_opt::{
-    focus_profile, inline_module_witnessed, optimize_module_witnessed, select_hot_functions,
-    unroll_module_witnessed, InlineOptions, InlineReport, UnrollOptions, UnrollReport,
-};
-use ppp_vm::{run, RunOptions, RunResult, VmError, VmHost};
+use ppp_opt::{InlineOptions, InlineReport, UnrollOptions, UnrollReport};
+use ppp_vm::{RunOptions, VmError, VmHost};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Typed failures of the re-optimization loop.
+/// Typed failures of the re-optimization loop (and of the one-shot
+/// pipeline, which runs its first generation).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum JitError {
-    /// The benchmark module has no `main` to serve.
+    /// The benchmark module has no `main` to execute.
     NoMain {
         /// Benchmark name.
         benchmark: String,
@@ -44,10 +43,10 @@ impl fmt::Display for JitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JitError::NoMain { benchmark, error } => {
-                write!(f, "{benchmark}: cannot serve benchmark: {error}")
+                write!(f, "{benchmark}: cannot execute benchmark: {error}")
             }
             JitError::NotTraced { benchmark } => {
-                write!(f, "{benchmark}: serving run produced no profiles")
+                write!(f, "{benchmark}: traced run produced no profiles")
             }
             JitError::Agg { benchmark, detail } => {
                 write!(f, "{benchmark}: aggregation: {detail}")
@@ -58,15 +57,25 @@ impl fmt::Display for JitError {
 
 impl std::error::Error for JitError {}
 
+impl JitError {
+    /// Maps a failed run of `bench`'s module to [`JitError::NoMain`].
+    pub(crate) fn no_main(bench: &str) -> impl FnOnce(VmError) -> Self + '_ {
+        |error| JitError::NoMain {
+            benchmark: bench.to_owned(),
+            error,
+        }
+    }
+}
+
 /// Tuning knobs of the re-optimization loop.
 #[derive(Clone, Copy, Debug)]
 pub struct JitOptions {
     /// Generation cap: the loop stops here even without steady state.
     pub generations: usize,
     /// Hot-function threshold (share of module flow in `[0, 1]`) for
-    /// [`select_hot_functions`]. `0.0` re-optimizes every function —
-    /// and makes a 1-generation loop byte-identical to the one-shot
-    /// pipeline.
+    /// [`ppp_opt::select_hot_functions`]. `0.0` re-optimizes every
+    /// function — the one-shot pipeline's setting, which makes a
+    /// 1-generation loop byte-identical to it.
     pub hot_threshold: f64,
     /// Steady-state criterion: stop when the relative cost-model
     /// improvement of a generation falls below this.
@@ -261,28 +270,6 @@ impl JitOutcome {
     }
 }
 
-fn traced(
-    module: &Module,
-    seed: u64,
-    bench: &str,
-) -> Result<(RunResult, ModuleEdgeProfile), JitError> {
-    let r = run(
-        module,
-        "main",
-        &RunOptions::default().with_seed(seed).traced(),
-    )
-    .map_err(|error| JitError::NoMain {
-        benchmark: bench.to_owned(),
-        error,
-    })?;
-    let Some(edges) = r.edge_profile.clone() else {
-        return Err(JitError::NotTraced {
-            benchmark: bench.to_owned(),
-        });
-    };
-    Ok((r, edges))
-}
-
 /// Transfers `profile` (collected on `old`) onto `new` via `ppp-match`,
 /// pairing functions by name and anchor fingerprint and repairing or
 /// zeroing any pair that would violate flow conservation.
@@ -339,15 +326,16 @@ pub fn transfer_guidance(
 /// Runs the closed re-optimization loop on one (freshly generated,
 /// unoptimized) module until steady state or the generation cap.
 ///
-/// Generation 0 is bootstrapped exactly like the one-shot pipeline's
-/// front end (witnessed scalar optimization, then normalization). Each
+/// Generation 0 is the one-shot pipeline's [`bootstrap`](crate::bootstrap)
+/// (witnessed scalar optimization, then normalization). Each
 /// subsequent generation instruments the served module with PPP,
 /// hot-swaps the instrumented code into a [`VmHost`], runs the workload
 /// once while streaming tracer deltas to a live aggregator, snapshots,
 /// folds the snapshot back onto the served module (exact, see
-/// [`fold_edge_profile`]), re-optimizes the hot functions (witnessed
-/// inline → re-profile → witnessed unroll → witnessed scalar), evaluates
-/// the candidate's uninstrumented cost, and promotes it only if the cost
+/// [`fold_edge_profile`]), re-optimizes the hot functions with the
+/// pipeline's own step ([`reoptimize`](crate::reoptimize): witnessed
+/// inline → re-profile → witnessed unroll → witnessed scalar → profile),
+/// and promotes the candidate only if its uninstrumented cost
 /// did not increase — transferring the stale profile onto the new module
 /// so the next generation's instrumentation starts warm. Every stage is
 /// translation-validated and every profile gated for flow conservation.
@@ -357,33 +345,23 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
     let mut span = obs.span("jit.loop");
     span.set("bench", bench);
 
-    // Generation 0: the pipeline's bootstrap, witnessed and gated.
-    let mut boot_stages: Vec<(String, LintReport)> = Vec::new();
+    // Generation 0: the pipeline's bootstrap, witnessed and gated. One
+    // run of it gives the initial cost and generation 1's
+    // instrumentation guidance: warm, a traced run (it retires the
+    // uninstrumented cost) whose profile is the guidance (self advice);
+    // cold, an untraced run and the ppp-est static estimate.
     let mut m = module.clone();
-    {
-        let _s = span.child("jit.bootstrap");
-        let src = m.clone();
-        let (_, w) = optimize_module_witnessed(&mut m);
-        boot_stages.push(("scalar@gen".into(), ppp_lint::check_transform(&src, &w, &m)));
-        normalize_module(&mut m);
-    }
-    let r0 = run(&m, "main", &RunOptions::default().with_seed(options.seed)).map_err(|error| {
-        JitError::NoMain {
-            benchmark: bench.to_owned(),
-            error,
-        }
-    })?;
-    let initial_cost = r0.cost;
-    let mut cost_cur = initial_cost;
-
-    // Generation 1's instrumentation guidance: a traced warmup profile
-    // (self advice) or, cold, the ppp-est static estimate.
-    let mut guidance: ModuleEdgeProfile = if options.cold_start {
-        let (est, _) = ppp_est::estimate_module(&m, &ppp_est::EstOptions::default());
-        est
+    let mut boot_stages = vec![bootstrap(&mut m, &span)];
+    let (initial_cost, mut guidance) = if options.cold_start {
+        let seeded = RunOptions::default().with_seed(options.seed);
+        let r0 = ppp_vm::run(&m, "main", &seeded).map_err(JitError::no_main(bench))?;
+        let est = ppp_est::estimate_module(&m, &ppp_est::EstOptions::default()).0;
+        (r0.cost, est)
     } else {
-        traced(&m, options.seed, bench)?.1
+        let (r0, e0, _) = traced(&m, options.seed, bench)?;
+        (r0.cost, e0)
     };
+    let mut cost_cur = initial_cost;
     boot_stages.push((
         "guidance@boot".into(),
         ppp_lint::check_profile(&m, &guidance),
@@ -439,10 +417,7 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
                         .traced()
                         .with_delta_interval(options.delta_interval.max(1)),
                 )
-                .map_err(|error| JitError::NoMain {
-                    benchmark: bench.to_owned(),
-                    error,
-                })?;
+                .map_err(JitError::no_main(bench))?;
             s.set("cost_units", served.cost);
             s.set("deltas", served.deltas.len() as u64);
             (checkout, served)
@@ -495,57 +470,11 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
             ppp_lint::check_profile(&m, &profile),
         ));
 
-        // Re-optimize the hot functions (witnessed at every step).
-        let hot = select_hot_functions(&m, &profile, options.hot_threshold);
-        let focused = focus_profile(&m, &profile, &hot);
-        let mut candidate = m.clone();
-        let inline;
-        {
-            let _s = gspan.child("jit.reoptimize");
-            let src = candidate.clone();
-            let (rep, w) = inline_module_witnessed(&mut candidate, &focused, &options.inline);
-            stages.push((
-                "inline".into(),
-                ppp_lint::check_transform(&src, &w, &candidate),
-            ));
-            inline = rep;
-        }
-        let (_, e1) = traced(&candidate, options.seed, bench)?;
-        stages.push((
-            "profile@inline".into(),
-            ppp_lint::check_profile(&candidate, &e1),
-        ));
-        let hot1 = select_hot_functions(&candidate, &e1, options.hot_threshold);
-        let focused1 = focus_profile(&candidate, &e1, &hot1);
-        let unroll;
-        {
-            let _s = gspan.child("jit.reoptimize");
-            let src = candidate.clone();
-            let (rep, w) = unroll_module_witnessed(&mut candidate, &focused1, &options.unroll);
-            stages.push((
-                "unroll".into(),
-                ppp_lint::check_transform(&src, &w, &candidate),
-            ));
-            unroll = rep;
-            let src = candidate.clone();
-            let (_, w) = optimize_module_witnessed(&mut candidate);
-            stages.push((
-                "scalar@opt".into(),
-                ppp_lint::check_transform(&src, &w, &candidate),
-            ));
-            normalize_module(&mut candidate);
-        }
-
-        // Evaluate the candidate's uninstrumented cost-model cost.
-        let (rc, ec) = {
-            let _s = gspan.child("jit.evaluate");
-            traced(&candidate, options.seed, bench)?
-        };
-        stages.push((
-            "profile@opt".into(),
-            ppp_lint::check_profile(&candidate, &ec),
-        ));
-        let candidate_cost = rc.cost;
+        // Re-optimize the hot functions (witnessed at every step) and
+        // evaluate the candidate's uninstrumented cost-model cost.
+        let reopt = reoptimize(m.clone(), &profile, bench, options, &gspan)?;
+        stages.extend(reopt.stages);
+        let candidate_cost = reopt.run.cost;
         let improvement = (cost_cur as f64 - candidate_cost as f64) / cost_cur.max(1) as f64;
         // Generation 1 is the initial profile-guided build — it always
         // ships, exactly like the one-shot pipeline (the canonical PGO
@@ -561,8 +490,8 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
         let mut transfer = None;
         if promoted {
             let _s = gspan.child("jit.transfer");
-            let (warm, mut summary) = transfer_guidance(&m, &candidate, &profile);
-            let gate = ppp_lint::check_profile(&candidate, &warm);
+            let (warm, mut summary) = transfer_guidance(&m, &reopt.module, &profile);
+            let gate = ppp_lint::check_profile(&reopt.module, &warm);
             summary.conservative = gate.is_empty();
             obs.metrics().inc_by(
                 "ppp_jit_transfer_dropped_flow_total",
@@ -571,7 +500,7 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
             );
             stages.push(("transfer".into(), gate));
             transfer = Some(summary);
-            m = candidate;
+            m = reopt.module;
             cost_cur = candidate_cost;
             guidance = warm;
             obs.metrics()
@@ -588,7 +517,7 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
             .set_gauge("ppp_jit_cost_units", &[("bench", bench)], cost_cur as f64);
         gspan.set("cost_units", cost_cur);
         gspan.set("promoted", promoted);
-        gspan.set("hot_functions", hot.len() as u64);
+        gspan.set("hot_functions", reopt.hot_functions as u64);
 
         let overhead = served.cost as f64 / serve_baseline.max(1) as f64 - 1.0;
         generations.push(GenerationReport {
@@ -600,10 +529,10 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
             deltas_streamed: served.deltas.len(),
             instrumented_routines: plan.instrumented_count(),
             static_prof_insts: plan.static_prof_insts(),
-            hot_functions: hot.len(),
+            hot_functions: reopt.hot_functions,
             total_functions: m.functions.len(),
-            inline,
-            unroll,
+            inline: reopt.inline,
+            unroll: reopt.unroll,
             stages,
             candidate_cost,
             cost_after: cost_cur,

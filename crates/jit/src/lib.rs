@@ -21,8 +21,10 @@
 //! construction, and the loop always terminates (steady state or the
 //! generation cap).
 //!
-//! With `hot_threshold = 0.0` and a warm start, a 1-generation loop is
-//! byte-identical to the one-shot `ppp-repro` pipeline front end: the
+//! The one-shot `ppp-repro` pipeline front end is generation 1 of this
+//! loop by construction: both run the same [`bootstrap`] and
+//! [`reoptimize`] steps. With `hot_threshold = 0.0` and a warm start, a
+//! 1-generation loop is therefore byte-identical to it — the
 //! determinism safety net for hot-swapping (`repro jit` exposes the
 //! loop; the equivalence property is tested there).
 
@@ -31,11 +33,13 @@
 
 mod engine;
 mod fold;
+mod reopt;
 
 pub use engine::{
     run_jit, transfer_guidance, GenerationReport, JitError, JitOptions, JitOutcome, TransferSummary,
 };
 pub use fold::fold_edge_profile;
+pub use reopt::{bootstrap, profile_stage, reoptimize, traced, Reoptimized};
 
 #[cfg(test)]
 mod tests {
@@ -95,6 +99,11 @@ mod tests {
         let generations = out.generations_run as u64;
         assert!(spans("jit.generation") >= generations);
         assert!(spans("jit.serve") >= generations);
+        // Each generation re-optimizes through the pipeline's own
+        // `stage.*` steps.
+        assert!(spans("stage.inline") >= generations);
+        assert!(spans("stage.profile@opt") >= generations);
+        assert_eq!(spans("jit.reoptimize") + spans("jit.evaluate"), 0);
         let metrics = ctx.metrics();
         let bench = [("bench", entry.spec.name.as_str())];
         let count = |name: &str| metrics.counter_value(name, &bench);

@@ -24,7 +24,7 @@
 use crate::degrade::{ingest_guidance_at, DegradationReport, LadderRung};
 use crate::format::Table;
 use crate::pipeline::{
-    estimate_options, prepare_benchmark, sweep_suite, traced, PipelineError, PipelineOptions,
+    estimate_options, prepare_benchmark, sweep_suite, PipelineError, PipelineOptions,
     PreparedBenchmark,
 };
 use ppp_core::edge_profile_score;
@@ -32,6 +32,7 @@ use ppp_ir::{
     analyze_loops, verify_module, write_edge_profile_v2, Block, FuncId, Inst, Module,
     ModuleEdgeProfile, Reg, Terminator,
 };
+use ppp_jit::traced;
 use ppp_lint::Code;
 use ppp_match::read_edge_profile_matched;
 use ppp_obs::json::{self, Fixed4, ToJson};

@@ -16,6 +16,7 @@
 //! events (dynamic steps) per second across all workers.
 
 use crate::format::Table;
+use crate::pipeline::selects;
 use ppp_agg::{
     run_indexed, AggClient, AggConfig, AggService, DurOptions, FrameSink, Hello, InProcSink,
     ResilientSink, RetryPolicy, ServeOptions, Server, TcpSink,
@@ -255,11 +256,12 @@ struct UnitStats {
 /// The local reference merge a benchmark's snapshot is checked against.
 type Reference = Mutex<Option<(ModuleEdgeProfile, ModulePathProfile)>>;
 
-/// Runs the load driver over the suite (or one named benchmark).
+/// Runs the load driver over the suite (or the benchmarks `only` names:
+/// one or a comma-separated list).
 ///
 /// # Errors
 ///
-/// Returns a message when a benchmark name is unknown, a connection or
+/// Returns a message when `only` names no suite benchmark, a connection or
 /// stream fails, or a server cannot be spawned. A failed determinism or
 /// lint check is *not* an error — it lands in the report (and flips
 /// [`DriveReport::ok`]), so the CLI can exit nonzero with the full
@@ -268,7 +270,7 @@ pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, 
     let suite = spec2000_suite();
     let entries: Vec<_> = suite
         .iter()
-        .filter(|e| only.is_none_or(|b| e.spec.name == b))
+        .filter(|e| selects(only, &e.spec.name))
         .collect();
     if entries.is_empty() {
         return Err(format!("unknown benchmark {:?}", only.unwrap_or("")));

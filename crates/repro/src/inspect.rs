@@ -4,7 +4,6 @@
 use crate::format::{pct, Table};
 use crate::pipeline::PipelineOptions;
 use ppp_core::{instrument_module, ProfilerConfig, SkipReason};
-use ppp_vm::{run, RunOptions};
 use ppp_workloads::{generate, SuiteEntry};
 
 /// Renders a per-routine breakdown of `profiler`'s plan for `entry`'s
@@ -18,13 +17,7 @@ pub fn inspect_benchmark(
     let mut module = generate(&spec);
     ppp_opt::optimize_module(&mut module);
     ppp_core::normalize_module(&mut module);
-    let traced = run(
-        &module,
-        "main",
-        &RunOptions::default().with_seed(options.seed).traced(),
-    )
-    .expect("benchmark runs");
-    let edges = traced.edge_profile.expect("traced");
+    let (_, edges, _) = ppp_jit::traced(&module, options.seed, &spec.name).expect("benchmark runs");
     let plan = instrument_module(&module, Some(&edges), profiler);
 
     let mut t = Table::new([

@@ -3,11 +3,10 @@
 use ppp_obs::json::{self, ToJson};
 use ppp_repro::{
     all_reports, baseline_from_json, baseline_json, baseline_table, chaos_suite, chaos_table,
-    collect_baseline, compare_baselines, drift_json, drift_suite, drift_table, drive, drive_json,
-    drive_table, fig10, fig11, fig12, fig13, fig9, inspect_benchmark, jit_gate, jit_json,
-    jit_options, jit_suite, jit_table, lint_benchmark, predict_json, predict_suite, predict_table,
+    check_suite, collect_baseline, compare_baselines, drift_json, drift_suite, drift_table, drive,
+    drive_json, drive_table, fig10, fig11, fig12, fig13, fig9, inspect_benchmark, jit_gate,
+    jit_json, jit_options, jit_suite, jit_table, predict_json, predict_suite, predict_table,
     regressions_json, regressions_table, run_suite, serve, table1, table2, top, trace_benchmark,
-    validate_benchmark,
 };
 use ppp_repro::{ArgCursor, DriveOptions, PipelineOptions, Transport};
 use ppp_workloads::SuiteEntry;
@@ -25,16 +24,11 @@ fn main() {
     };
     let mut wanted: Vec<String> = Vec::new();
     let mut inspect: Option<String> = None;
-    let mut lint: Option<Option<String>> = None;
-    let mut validate: Option<Option<String>> = None;
-    let mut chaos: Option<Option<String>> = None;
-    let mut drift: Option<Option<String>> = None;
-    let mut predict: Option<Option<String>> = None;
-    let mut bench: Option<Option<String>> = None;
-    let mut jit_cmd: Option<Option<String>> = None;
-    let mut drive_cmd: Option<Option<String>> = None;
+    // The benchmark subcommand — a suite sweep or `trace` — and the
+    // benchmarks it names (one or a comma-separated list; `None` is the
+    // whole suite). A run does one.
+    let mut command: Option<(String, Option<String>)> = None;
     let mut serve_cmd = false;
-    let mut trace: Option<String> = None;
     let mut top_cmd: Option<String> = None;
     let mut once = false;
     let mut flight_dir = "target/ppp-flight".to_owned();
@@ -62,15 +56,19 @@ fn main() {
     while let Some(tok) = cur.next_token() {
         match tok.as_str() {
             "inspect" => inspect = Some(ok(cur.value("inspect", "a benchmark name"))),
-            // Optional trailing benchmark name; default is the suite.
-            "lint" => lint = Some(cur.optional_name()),
-            "validate" => validate = Some(cur.optional_name()),
-            "chaos" => chaos = Some(cur.optional_name()),
-            "drift" => drift = Some(cur.optional_name()),
-            "predict" => predict = Some(cur.optional_name()),
-            "bench" => bench = Some(cur.optional_name()),
-            "jit" => jit_cmd = Some(cur.optional_name()),
-            "drive" => drive_cmd = Some(cur.optional_name()),
+            "lint" | "validate" | "chaos" | "drift" | "predict" | "bench" | "jit" | "drive"
+            | "trace" => {
+                if command.is_some() {
+                    usage("give one subcommand at a time");
+                }
+                // A sweep's benchmark list is optional (default: the suite).
+                let names = if tok == "trace" {
+                    Some(ok(cur.value("trace", "a benchmark name")))
+                } else {
+                    cur.optional_name()
+                };
+                command = Some((tok.clone(), names));
+            }
             "serve" => serve_cmd = true,
             "top" => top_cmd = Some(ok(cur.value("top", "host:port"))),
             "--once" => once = true,
@@ -89,7 +87,6 @@ fn main() {
                 checkpoint_every = ok(cur.parsed("--checkpoint-every", "an integer"));
             }
             "--kill-after" => kill_after = Some(ok(cur.parsed("--kill-after", "a frame count"))),
-            "trace" => trace = Some(ok(cur.value("trace", "a benchmark name"))),
             "--out" => out = Some(ok(cur.value("--out", "a file path"))),
             "--compare" => compare = Some(ok(cur.value("--compare", "a baseline file"))),
             "--against" => against = Some(ok(cur.value("--against", "a baseline file"))),
@@ -122,7 +119,8 @@ fn main() {
     // The serve-tier commands fly with a recorder: the last N records
     // plus a metrics snapshot are dumped under --flight-dir on a panic,
     // a wire reject, or an abrupt server kill.
-    if serve_cmd || drive_cmd.is_some() || chaos.is_some() {
+    let cmd = command.as_ref().map(|(cmd, _)| cmd.as_str());
+    if serve_cmd || matches!(cmd, Some("drive" | "chaos")) {
         ppp_obs::install_flight(&flight_dir, ppp_obs::DEFAULT_FLIGHT_CAPACITY);
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
@@ -136,133 +134,71 @@ fn main() {
             .unwrap_or_else(|_| usage(&format!("top: bad address {target:?}")));
         std::process::exit(match top(target, once) {
             Ok(()) => 0,
-            Err(e) => {
-                eprintln!("error: {e}");
-                2
-            }
+            Err(e) => failed(e),
         });
     }
     if serve_cmd {
         std::process::exit(run_serve(&addr, shards, max_conns, durability));
     }
-    if let Some(only) = drive_cmd {
-        let transport = match (&connect, tcp) {
-            (Some(addr), _) => match addr.parse() {
-                Ok(a) => Transport::Connect(a),
-                Err(_) => usage(&format!("--connect: bad address {addr:?}")),
-            },
-            (None, true) => Transport::Tcp,
-            (None, false) => Transport::InProc,
-        };
-        let drive_options = DriveOptions {
-            workers: options.workers.max(1),
-            shards,
-            repeats,
-            // The driver's sweet spot is lighter than the figure
-            // pipeline's: default to a small scale unless asked.
-            scale: scale_arg.unwrap_or(DriveOptions::default().scale),
-            seed,
-            transport,
-            checkpoint_dir: checkpoint_dir.as_ref().map(Into::into),
-            checkpoint_every,
-            kill_after,
-            ..DriveOptions::default()
-        };
-        std::process::exit(run_drive(
-            only.as_deref(),
-            &format,
-            out.as_deref(),
-            &drive_options,
-        ));
-    }
-    if let Some(only) = jit_cmd {
-        let jit_pipeline = PipelineOptions {
-            ablations: false,
-            seed,
-            ..options
-        };
-        let mut jopts = jit_options(&jit_pipeline, generations, hot_threshold);
-        jopts.epsilon = epsilon;
-        jopts.cold_start = cold;
-        std::process::exit(run_jit_cmd(
-            only.as_deref(),
-            &format,
-            out.as_deref(),
-            &jopts,
-            options.workers.max(1),
-        ));
-    }
-    if let Some(only) = bench {
-        // Benchmarks run PP/TPP/PPP only (the Figure 9–13 set); the
-        // chaos-style `--seed` flag picks the VM seed recorded in the
-        // artifact.
-        let bench_options = PipelineOptions {
-            ablations: false,
-            seed,
-            ..options
-        };
-        std::process::exit(run_bench(
-            only.as_deref(),
-            &format,
-            out.as_deref(),
-            compare.as_deref(),
-            against.as_deref(),
-            threshold,
-            &bench_options,
-        ));
-    }
-    if let Some(name) = trace {
-        let trace_options = PipelineOptions {
-            ablations: false,
-            seed,
-            ..options
-        };
-        std::process::exit(run_trace(&name, &format, out.as_deref(), &trace_options));
-    }
-    if let Some(only) = lint {
-        std::process::exit(run_checks(
-            false,
-            only.as_deref(),
-            &format,
-            out.as_deref(),
-            &options,
-        ));
-    }
-    if let Some(only) = validate {
-        std::process::exit(run_checks(
-            true,
-            only.as_deref(),
-            &format,
-            out.as_deref(),
-            &options,
-        ));
-    }
-    if let Some(only) = chaos {
-        std::process::exit(run_chaos(
-            only.as_deref(),
-            seed,
-            &format,
-            out.as_deref(),
-            &options,
-        ));
-    }
-    if let Some(only) = drift {
-        std::process::exit(run_drift(
-            only.as_deref(),
-            seed,
-            &format,
-            out.as_deref(),
-            &options,
-        ));
-    }
-    if let Some(only) = predict {
-        std::process::exit(run_predict(
-            only.as_deref(),
-            seed,
-            &format,
-            out.as_deref(),
-            &options,
-        ));
+    // bench, jit and trace run PP/TPP/PPP only (the Figure 9–13 set),
+    // and the chaos-style `--seed` flag picks their VM seed.
+    let seeded = PipelineOptions {
+        ablations: false,
+        seed,
+        ..options
+    };
+    if let Some((cmd, only)) = &command {
+        let only = only.as_deref();
+        check_names(only);
+        let out = out.as_deref();
+        std::process::exit(match cmd.as_str() {
+            "drive" => {
+                let transport = match (&connect, tcp) {
+                    (Some(addr), _) => match addr.parse() {
+                        Ok(a) => Transport::Connect(a),
+                        Err(_) => usage(&format!("--connect: bad address {addr:?}")),
+                    },
+                    (None, true) => Transport::Tcp,
+                    (None, false) => Transport::InProc,
+                };
+                let drive_options = DriveOptions {
+                    workers: options.workers.max(1),
+                    shards,
+                    repeats,
+                    // The driver's sweet spot is lighter than the figure
+                    // pipeline's: default to a small scale unless asked.
+                    scale: scale_arg.unwrap_or(DriveOptions::default().scale),
+                    seed,
+                    transport,
+                    checkpoint_dir: checkpoint_dir.as_ref().map(Into::into),
+                    checkpoint_every,
+                    kill_after,
+                    ..DriveOptions::default()
+                };
+                run_drive(only, &format, out, &drive_options)
+            }
+            "jit" => {
+                let mut jopts = jit_options(&seeded, generations, hot_threshold);
+                jopts.epsilon = epsilon;
+                jopts.cold_start = cold;
+                run_jit_cmd(only, &format, out, &jopts, options.workers.max(1))
+            }
+            "bench" => run_bench(
+                only,
+                &format,
+                out,
+                compare.as_deref(),
+                against.as_deref(),
+                threshold,
+                &seeded,
+            ),
+            "lint" | "validate" => run_checks(cmd == "validate", only, &format, out, &options),
+            "chaos" => run_chaos(only, seed, &format, out, &options),
+            "drift" => run_drift(only, seed, &format, out, &options),
+            "predict" => run_predict(only, seed, &format, out, &options),
+            "trace" => run_trace(only.expect("trace takes a name"), &format, out, &seeded),
+            other => unreachable!("parsed above: {other}"),
+        });
     }
     if let Some(name) = inspect {
         let entry = entry(&name);
@@ -343,10 +279,11 @@ fn entry(name: &str) -> SuiteEntry {
         .unwrap_or_else(|| usage(&format!("unknown benchmark {name:?}")))
 }
 
-/// Exits with a usage error unless every name in `names` is a suite
+/// Exits with a usage error unless every name in `only` (one benchmark
+/// or a comma-separated list, as every suite sweep takes) is a suite
 /// benchmark.
-fn check_names<'a>(names: impl IntoIterator<Item = &'a str>) {
-    for name in names {
+fn check_names(only: Option<&str>) {
+    for name in only.into_iter().flat_map(|n| n.split(',')) {
         entry(name);
     }
 }
@@ -363,7 +300,6 @@ fn run_bench(
     threshold: f64,
     options: &PipelineOptions,
 ) -> i32 {
-    check_names(only);
     let load = |path: &str| match std::fs::read_to_string(path)
         .map_err(|e| e.to_string())
         .and_then(|doc| baseline_from_json(&doc))
@@ -415,13 +351,9 @@ fn run_jit_cmd(
     jopts: &ppp_jit::JitOptions,
     workers: usize,
 ) -> i32 {
-    check_names(only.into_iter().flat_map(|n| n.split(',')));
     let outcomes = match jit_suite(only, jopts, workers) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
+        Err(e) => return failed(e),
     };
     if !emit(
         &jit_json(&outcomes, jopts),
@@ -452,19 +384,17 @@ fn run_trace(name: &str, format: &str, out: Option<&str>, options: &PipelineOpti
                 2
             }
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
+        Err(e) => failed(e),
     }
 }
 
 /// Lints every pipeline-produced instrumentation plan or, with
 /// `validate`, translation-validates the witnessed pipeline stages of
 /// each benchmark; returns the exit code (0 = all clean: lint tolerates
-/// info-level diagnostics, validation tolerates none). Text results are
-/// printed per benchmark as they finish; the JSON document is printed
-/// (`--format json`) or written (`--out`) once the suite is done.
+/// info-level diagnostics, validation tolerates none). The suite runs
+/// `--workers` at a time; once it is done the results are printed in
+/// suite order, as text or (`--format json`) one JSON document, which
+/// `--out` receives either way.
 fn run_checks(
     validate: bool,
     only: Option<&str>,
@@ -477,20 +407,11 @@ fn run_checks(
     } else {
         ("configs", "config")
     };
-    let entries = match only {
-        Some(name) => vec![entry(name)],
-        None => ppp_workloads::spec2000_suite(),
-    };
+    let checked = check_suite(validate, only, options);
     let stream = format != "json";
     let mut dirty = false;
     let doc = json::array(|a| {
-        for entry in &entries {
-            let name = &entry.spec.name;
-            let checked = if validate {
-                validate_benchmark(entry, options)
-            } else {
-                lint_benchmark(entry, options)
-            };
+        for (name, checked) in &checked {
             let reports = match checked {
                 Ok(r) => r,
                 Err(e) => {
@@ -499,7 +420,7 @@ fn run_checks(
                     continue;
                 }
             };
-            for (label, report) in &reports {
+            for (label, report) in reports {
                 dirty |= if validate {
                     !report.is_empty()
                 } else {
@@ -515,7 +436,7 @@ fn run_checks(
             }
             a.obj(|o| {
                 o.field("benchmark", name)
-                    .objs(group, &reports, |o, (label, report)| {
+                    .objs(group, reports, |o, (label, report)| {
                         o.field(item, label).field("report", report);
                     });
             });
@@ -540,13 +461,9 @@ fn run_chaos(
     out: Option<&str>,
     options: &PipelineOptions,
 ) -> i32 {
-    check_names(only);
     let outcomes = match chaos_suite(only, seed, options) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
+        Err(e) => return failed(e),
     };
     if !emit(&outcomes.to_json(), || chaos_table(&outcomes), format, out) {
         return 2;
@@ -565,13 +482,9 @@ fn run_drift(
     out: Option<&str>,
     options: &PipelineOptions,
 ) -> i32 {
-    check_names(only);
     let outcomes = match drift_suite(only, seed, options) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
+        Err(e) => return failed(e),
     };
     if !emit(
         &drift_json(&outcomes, seed),
@@ -595,14 +508,10 @@ fn run_predict(
     out: Option<&str>,
     options: &PipelineOptions,
 ) -> i32 {
-    check_names(only);
     let predict_options = PipelineOptions { seed, ..*options };
     let outcomes = match predict_suite(only, &predict_options) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
+        Err(e) => return failed(e),
     };
     if !emit(
         &predict_json(&outcomes, seed),
@@ -626,10 +535,7 @@ fn run_serve(
     let durable = durability.is_some();
     let server = match serve(addr, shards, max_conns, durability) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
+        Err(e) => return failed(e),
     };
     println!(
         "ppp-agg listening on {} ({shards} shards{})",
@@ -648,15 +554,18 @@ fn run_serve(
 fn run_drive(only: Option<&str>, format: &str, out: Option<&str>, options: &DriveOptions) -> i32 {
     let report = match drive(only, options) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
+        Err(e) => return failed(e),
     };
     if !emit(&drive_json(&report), || drive_table(&report), format, out) {
         return 2;
     }
     i32::from(!report.ok())
+}
+
+/// Reports a failed command on stderr; returns its exit code, 2.
+fn failed(e: impl std::fmt::Display) -> i32 {
+    eprintln!("error: {e}");
+    2
 }
 
 /// Unwraps a parse result from the shared [`ArgCursor`]; the error
@@ -672,17 +581,17 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: ppp-repro [--scale X] [--quick] [--no-ablations] \
          [table1|table2|fig9|fig10|fig11|fig12|fig13|all] \
-         | inspect <benchmark> | lint [benchmark] [--format text|json] [--out FILE] \
-         | validate [benchmark] [--format text|json] [--out FILE] \
-         | chaos [benchmark] [--seed S] [--workers N] [--format text|json] [--out FILE] \
-         | drift [benchmark] [--seed S] [--workers N] [--format text|json] [--out FILE] \
-         | predict [benchmark] [--seed S] [--workers N] [--format text|json] [--out FILE] \
-         | bench [benchmark] [--format text|json] [--out FILE] \
+         | inspect <benchmark> | lint [bench[,bench...]] [--format text|json] [--out FILE] \
+         | validate [bench[,bench...]] [--format text|json] [--out FILE] \
+         | chaos [bench[,bench...]] [--seed S] [--workers N] [--format text|json] [--out FILE] \
+         | drift [bench[,bench...]] [--seed S] [--workers N] [--format text|json] [--out FILE] \
+         | predict [bench[,bench...]] [--seed S] [--workers N] [--format text|json] [--out FILE] \
+         | bench [bench[,bench...]] [--format text|json] [--out FILE] \
          [--compare OLD.json [--against NEW.json]] [--threshold X] [--seed S] [--workers N] \
          | jit [bench[,bench...]] [--generations N] [--hot-threshold F] [--epsilon X] [--cold] \
          [--seed S] [--workers N] [--format text|json] [--out FILE] \
          | trace <benchmark> [--seed S] [--format text|json] [--out FILE] \
-         | drive [benchmark] [--workers N] [--shards K] [--repeats R] \
+         | drive [bench[,bench...]] [--workers N] [--shards K] [--repeats R] \
          [--tcp | --connect HOST:PORT] [--seed S] [--out FILE] [--format text|json] \
          [--checkpoint-dir DIR] [--checkpoint-every N] [--kill-after FRAMES] \
          [--flight-dir DIR] \

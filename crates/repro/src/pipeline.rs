@@ -8,52 +8,25 @@ use ppp_core::{
     InstrumentedFraction, ModulePlan, ProfilerConfig, Technique,
 };
 use ppp_ir::{Module, ModuleEdgeProfile, ModulePathProfile};
-use ppp_opt::{
-    inline_module_witnessed, optimize_module_witnessed, unroll_module_witnessed, InlineOptions,
-    InlineReport, UnrollOptions, UnrollReport,
-};
-use ppp_vm::{run, RunOptions, RunResult, VmError};
+use ppp_jit::{bootstrap, profile_stage, reoptimize, JitError, JitOptions};
+use ppp_opt::{InlineReport, UnrollReport};
+use ppp_vm::{run, RunOptions, RunResult};
 use ppp_workloads::{generate, spec2000_suite, BenchClass, SuiteEntry};
 
 use crate::degrade::{ingest_guidance, DegradationReport};
 use ppp_obs::Value;
-use std::fmt;
 
-/// Typed failures of the experiment pipeline.
-///
-/// These used to be `expect`/`assert!` panics; as typed errors they feed
-/// the degradation ladder (a damaged *profile* degrades, a damaged
-/// *workload* is an error the caller sees) instead of aborting the run.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum PipelineError {
-    /// The benchmark module has no `main` to execute.
-    NoMain {
-        /// Benchmark name.
-        benchmark: String,
-        /// Underlying VM error.
-        error: VmError,
-    },
-    /// A traced run came back without profiles (tracing disabled).
-    NotTraced {
-        /// Benchmark name.
-        benchmark: String,
-    },
-}
+/// Typed failures of the experiment pipeline. Its front half is
+/// generation 1 of the `ppp-jit` loop, so it fails the way the loop's
+/// re-optimize step does ([`JitError::NoMain`], [`JitError::NotTraced`]).
+/// As typed errors they feed the degradation ladder (a damaged *profile*
+/// degrades, a damaged *workload* is an error the caller sees) instead
+/// of aborting the run.
+pub type PipelineError = JitError;
 
-impl fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PipelineError::NoMain { benchmark, error } => {
-                write!(f, "{benchmark}: cannot execute benchmark: {error}")
-            }
-            PipelineError::NotTraced { benchmark } => {
-                write!(f, "{benchmark}: traced run produced no profiles")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PipelineError {}
+/// Named lint reports (a stage or profiler configuration, then its
+/// report), in pipeline order.
+pub type NamedReports = Vec<(String, ppp_lint::LintReport)>;
 
 /// Pipeline configuration.
 #[derive(Clone, Copy, Debug)]
@@ -192,29 +165,6 @@ impl BenchmarkRun {
     }
 }
 
-pub(crate) fn traced(
-    module: &Module,
-    seed: u64,
-    benchmark: &str,
-) -> Result<(RunResult, ModuleEdgeProfile, ModulePathProfile), PipelineError> {
-    let mut r = run(
-        module,
-        "main",
-        &RunOptions::default().with_seed(seed).traced(),
-    )
-    .map_err(|error| PipelineError::NoMain {
-        benchmark: benchmark.to_owned(),
-        error,
-    })?;
-    // The profiles move out: no caller reads them through the result.
-    let (Some(edges), Some(paths)) = (r.edge_profile.take(), r.path_profile.take()) else {
-        return Err(PipelineError::NotTraced {
-            benchmark: benchmark.to_owned(),
-        });
-    };
-    Ok((r, edges, paths))
-}
-
 /// The profiling-ready artifact of the pipeline front half: the workload
 /// after scalar optimization, inlining, and unrolling, together with the
 /// evaluation profiles of the optimized code.
@@ -250,116 +200,52 @@ pub struct PreparedBenchmark {
 fn prepare_validated(
     entry: &SuiteEntry,
     options: &PipelineOptions,
-) -> Result<(PreparedBenchmark, Vec<(String, ppp_lint::LintReport)>), PipelineError> {
-    let obs = ppp_obs::global();
+) -> Result<(PreparedBenchmark, NamedReports), PipelineError> {
     let spec = entry.spec.clone().scaled(options.scale);
-    let mut span = obs.span("pipeline.prepare");
+    let mut span = ppp_obs::global().span("pipeline.prepare");
     span.set("bench", spec.name.as_str());
-    let mut module0 = generate(&spec);
-    let mut stages: Vec<(String, ppp_lint::LintReport)> = Vec::new();
+    let mut module = generate(&spec);
     // "We perform standard scalar optimizations" on the original code
     // (§7.3) before measuring its path characteristics.
-    {
-        let _s = span.child("stage.scalar@gen");
-        let src = module0.clone();
-        let (_, w) = optimize_module_witnessed(&mut module0);
-        stages.push((
-            "scalar@gen".into(),
-            ppp_lint::check_transform(&src, &w, &module0),
-        ));
-        ppp_core::normalize_module(&mut module0);
-    }
+    let mut stages = vec![bootstrap(&mut module, &span)];
 
     // Phase 1: profile the original code.
-    let orig;
-    let edges0;
-    {
-        let mut s = span.child("stage.profile@orig");
-        let (r0, e0, truth0) = traced(&module0, options.seed, &spec.name)?;
-        stages.push((
-            "profile@orig".into(),
-            ppp_lint::check_profile(&module0, &e0),
-        ));
-        orig = phase_stats(&r0, &truth0);
-        s.set("cost_units", r0.cost);
-        s.set("dynamic_paths", orig.dynamic_paths);
-        edges0 = e0;
-    }
+    let (mut s, r0, edges0, truth0) = profile_stage(
+        &module,
+        "orig",
+        options.seed,
+        &spec.name,
+        &span,
+        &mut stages,
+    )?;
+    let orig = phase_stats(&r0, &truth0);
+    s.set("cost_units", r0.cost);
+    s.set("dynamic_paths", orig.dynamic_paths);
+    drop(s);
 
-    // Phase 2: inline and unroll, re-profiling between stages (§7.3), and
-    // the same scalar optimizations on the expanded code.
-    let mut module = module0;
-    let inline;
-    {
-        let _s = span.child("stage.inline");
-        let src = module.clone();
-        let (rep, w) = inline_module_witnessed(&mut module, &edges0, &InlineOptions::default());
-        stages.push((
-            "inline".into(),
-            ppp_lint::check_transform(&src, &w, &module),
-        ));
-        inline = rep;
-    }
-    let edges1;
-    {
-        let _s = span.child("stage.profile@inline");
-        let (_r1, e1, _t1) = traced(&module, options.seed, &spec.name)?;
-        stages.push((
-            "profile@inline".into(),
-            ppp_lint::check_profile(&module, &e1),
-        ));
-        edges1 = e1;
-    }
-    let unroll;
-    {
-        let _s = span.child("stage.unroll");
-        let src = module.clone();
-        let (rep, w) = unroll_module_witnessed(&mut module, &edges1, &UnrollOptions::default());
-        stages.push((
-            "unroll".into(),
-            ppp_lint::check_transform(&src, &w, &module),
-        ));
-        unroll = rep;
-    }
-    {
-        let _s = span.child("stage.scalar@opt");
-        let src = module.clone();
-        let (_, w) = optimize_module_witnessed(&mut module);
-        stages.push((
-            "scalar@opt".into(),
-            ppp_lint::check_transform(&src, &w, &module),
-        ));
-        ppp_core::normalize_module(&mut module);
-    }
-
-    // Phase 3: the evaluation profile of the optimized code.
-    let (opt, edges, truth, baseline_cost);
-    {
-        let mut s = span.child("stage.profile@opt");
-        let (r2, e2, t2) = traced(&module, options.seed, &spec.name)?;
-        stages.push(("profile@opt".into(), ppp_lint::check_profile(&module, &e2)));
-        opt = phase_stats(&r2, &t2);
-        baseline_cost = r2.cost;
-        s.set("cost_units", r2.cost);
-        s.set("dynamic_paths", opt.dynamic_paths);
-        let stats = e2.stats();
-        s.set("profiled_functions", stats.functions);
-        s.set("zero_functions", stats.zero_functions);
-        edges = e2;
-        truth = t2;
-    }
+    // Phases 2 and 3: inline and unroll, re-profiling between stages
+    // (§7.3), the same scalar optimizations on the expanded code, and
+    // the evaluation profile of the optimized code — generation 1 of the
+    // re-optimization loop, with every function hot.
+    let jit = JitOptions {
+        seed: options.seed,
+        ..JitOptions::default()
+    };
+    let gen = reoptimize(module, &edges0, &spec.name, &jit, &span)?;
+    stages.extend(gen.stages);
+    let baseline_cost = gen.run.cost;
     span.set("baseline_cost", baseline_cost);
 
     let prep = PreparedBenchmark {
         name: spec.name,
         class: entry.class,
-        module,
-        edges,
-        truth,
+        opt: phase_stats(&gen.run, &gen.paths),
+        module: gen.module,
+        edges: gen.edges,
+        truth: gen.paths,
         orig,
-        opt,
-        inline,
-        unroll,
+        inline: gen.inline,
+        unroll: gen.unroll,
         baseline_cost,
     };
     Ok((prep, stages))
@@ -405,7 +291,7 @@ pub fn prepare_benchmark(
 pub fn validate_benchmark(
     entry: &SuiteEntry,
     options: &PipelineOptions,
-) -> Result<Vec<(String, ppp_lint::LintReport)>, PipelineError> {
+) -> Result<NamedReports, PipelineError> {
     Ok(prepare_validated(entry, options)?.1)
 }
 
@@ -465,7 +351,7 @@ pub(crate) fn sweep_suite<T: Send>(
     let suite = spec2000_suite();
     let entries: Vec<_> = suite
         .iter()
-        .filter(|e| only.is_none_or(|b| b.split(',').any(|x| x == e.spec.name)))
+        .filter(|e| selects(only, &e.spec.name))
         .collect();
     ppp_agg::run_indexed(workers, entries.len(), |i| {
         let entry = entries[i];
@@ -474,6 +360,37 @@ pub(crate) fn sweep_suite<T: Send>(
             &[("bench", Value::from(entry.spec.name.as_str()))],
         );
         per_entry(entry)
+    })
+}
+
+/// `true` when `only` (one benchmark or a comma-separated list; `None`
+/// is the whole suite) names the benchmark `name`.
+pub(crate) fn selects(only: Option<&str>, name: &str) -> bool {
+    only.is_none_or(|b| b.split(',').any(|x| x == name))
+}
+
+/// Lints every pipeline-produced plan or, with `validate`,
+/// translation-validates the witnessed stages of every suite entry
+/// `only` names, `options.workers` at a time (backs `repro lint` and
+/// `repro validate`). Results come back in suite order, one
+/// `(benchmark, reports)` pair each.
+pub fn check_suite(
+    validate: bool,
+    only: Option<&str>,
+    options: &PipelineOptions,
+) -> Vec<(String, Result<NamedReports, PipelineError>)> {
+    let progress = if validate {
+        "validate.progress"
+    } else {
+        "lint.progress"
+    };
+    sweep_suite(only, options.workers, progress, |entry| {
+        let checked = if validate {
+            validate_benchmark(entry, options)
+        } else {
+            lint_benchmark(entry, options)
+        };
+        (entry.spec.name.clone(), checked)
     })
 }
 
@@ -576,7 +493,7 @@ pub fn run_prepared(
 pub fn lint_benchmark(
     entry: &SuiteEntry,
     options: &PipelineOptions,
-) -> Result<Vec<(String, ppp_lint::LintReport)>, PipelineError> {
+) -> Result<NamedReports, PipelineError> {
     let prep = prepare_benchmark(entry, options)?;
     Ok(pipeline_configs(options)
         .iter()
