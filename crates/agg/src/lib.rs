@@ -15,13 +15,17 @@
 //! - [`shard`]: the [`Aggregator`] — K shard threads, each owning the
 //!   functions with `func_id % K == shard`, merging with saturating
 //!   (commutative, associative) adds so snapshots are **byte-identical**
-//!   to a sequential merge regardless of shard count or arrival order;
+//!   to a sequential merge regardless of shard count or arrival order.
+//!   Its one public way in is [`Aggregator::ingest_stream`] (encoded
+//!   frames), which shares one accounted per-frame step with the TCP
+//!   server;
 //! - [`service`]: the per-benchmark [`AggService`] registry, the
 //!   batching [`AggClient`], and the [`FrameSink`] abstraction over
 //!   transports;
 //! - [`tcp`]: a localhost `std::net` transport (one thread per
 //!   connection, no async runtime) speaking the `PPAG` frame format of
-//!   [`ppp_ir::wire`];
+//!   [`ppp_ir::wire`]: the [`Server`], the plain [`TcpSink`], and the
+//!   retrying [`ResilientSink`] built on it;
 //! - [`pool`]: a scoped worker pool with deterministic result ordering,
 //!   reused by `repro chaos --workers` / `repro bench --workers`.
 //!
@@ -48,7 +52,7 @@ pub use pool::run_indexed;
 pub use queue::BoundedQueue;
 pub use recover::RecoveryReport;
 pub use service::{AggClient, AggService, FrameSink, Hello, InProcSink, RetryPolicy};
-pub use shard::{AggConfig, Aggregator, IngestError, IngestOutcome, StreamReport};
+pub use shard::{AggConfig, Aggregator, IngestError, StreamReport};
 pub use tcp::{
     fetch_stats, read_frame, ModuleResolver, ReadError, ResilientSink, ServeOptions, Server,
     TcpSink, STATS_SCHEMA,

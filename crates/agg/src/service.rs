@@ -235,6 +235,21 @@ pub trait FrameSink {
     fn send_frame(&mut self, bytes: &[u8]) -> Result<(), String>;
 }
 
+/// A borrowed sink delivers to the sink it borrows, so a caller keeps
+/// the sink (and its counters) after the client is gone.
+impl<S: FrameSink + ?Sized> FrameSink for &mut S {
+    fn send_frame(&mut self, bytes: &[u8]) -> Result<(), String> {
+        (**self).send_frame(bytes)
+    }
+}
+
+/// A boxed sink, so one client type serves any transport.
+impl<S: FrameSink + ?Sized> FrameSink for Box<S> {
+    fn send_frame(&mut self, bytes: &[u8]) -> Result<(), String> {
+        (**self).send_frame(bytes)
+    }
+}
+
 /// Delivers frames straight into an [`Aggregator`]'s wire decoder —
 /// deliberately through the full encode/decode/CRC path, so in-process
 /// aggregation exercises exactly the bytes TCP would carry.

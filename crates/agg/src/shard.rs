@@ -22,8 +22,7 @@
 use crate::queue::BoundedQueue;
 use crate::wal::{self, DurOptions, Wal};
 use ppp_ir::wire::{
-    check_frame, split_seq_payload, split_trace_context, Frame, FrameKind, WireError,
-    FRAME_HEADER_LEN,
+    check_frame, split_seq_payload, split_trace_context, FrameKind, WireError, FRAME_HEADER_LEN,
 };
 use ppp_ir::{
     decode_edge_records, decode_path_records, EdgeRecords, Module, ModuleEdgeProfile,
@@ -31,6 +30,8 @@ use ppp_ir::{
 };
 use std::collections::BTreeMap;
 use std::fmt;
+use std::iter::StepBy;
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -75,7 +76,7 @@ impl std::error::Error for IngestError {}
 
 /// What happened to an accepted frame.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum IngestOutcome {
+pub(crate) enum IngestOutcome {
     /// The frame's delta was merged (or the frame was control traffic).
     Applied,
     /// A sequenced frame at or below the client's watermark: dropped
@@ -102,6 +103,21 @@ pub(crate) struct Front {
 struct ShardState {
     edges: ModuleEdgeProfile,
     paths: ModulePathProfile,
+}
+
+impl ShardState {
+    /// Copies the functions `owned` into `edges` / `paths`.
+    fn copy_owned(
+        &self,
+        owned: StepBy<Range<usize>>,
+        edges: &mut ModuleEdgeProfile,
+        paths: &mut ModulePathProfile,
+    ) {
+        for fid in owned {
+            edges.funcs[fid] = self.edges.funcs[fid].clone();
+            paths.funcs[fid] = self.paths.funcs[fid].clone();
+        }
+    }
 }
 
 /// One message through a shard queue: a delta's records for the
@@ -209,10 +225,8 @@ impl Aggregator {
         let mut workers = Vec::with_capacity(shards);
         for k in 0..shards {
             let queue = Arc::new(BoundedQueue::new(config.queue_cap));
-            let state = Arc::new(Mutex::new(ShardState {
-                edges: ModuleEdgeProfile::zeroed(&module),
-                paths: ModulePathProfile::with_capacity(module.functions.len()),
-            }));
+            let (edges, paths) = empty_profiles(&module);
+            let state = Arc::new(Mutex::new(ShardState { edges, paths }));
             let worker = {
                 let queue = Arc::clone(&queue);
                 let state = Arc::clone(&state);
@@ -279,11 +293,13 @@ impl Aggregator {
         Ok(())
     }
 
-    /// Ingests one decoded wire frame.
-    ///
-    /// A durable aggregator logs the frame re-encoded, which gives the
-    /// bytes it arrived in; the TCP server and [`Aggregator::ingest_stream`]
-    /// log the received bytes without re-encoding them.
+    /// Applies one checked frame (`wire`: header and payload, CRC
+    /// already checked) and accounts for it: every transport ingests
+    /// through here. An applied frame counts in the frames- and
+    /// bytes-ingested counters, a refused one in the rejected-frames
+    /// counter under its class, and every frame in the ingest latency
+    /// histogram. A durable aggregator appends a sequenced frame to its
+    /// WAL as received.
     ///
     /// # Errors
     ///
@@ -295,13 +311,6 @@ impl Aggregator {
     /// server-side frame kinds (`Ack`/`Reject`) arriving inbound.
     /// `Hello` payloads are validated by the transport layer; here they
     /// are accepted as opaque.
-    pub fn ingest_frame(&self, frame: &Frame) -> Result<IngestOutcome, IngestError> {
-        self.ingest_wire(frame.kind, &frame.encode())
-    }
-
-    /// [`Aggregator::ingest_frame`] for a frame still in its wire bytes
-    /// (`wire`: header and payload, CRC already checked), which a
-    /// durable aggregator appends to its WAL as they are.
     pub(crate) fn ingest_wire(
         &self,
         kind: FrameKind,
@@ -326,12 +335,38 @@ impl Aggregator {
                 detail: format!("{kind} frames are not ingested"),
             }),
         };
-        self.obs.metrics().observe(
+        let metrics = self.obs.metrics();
+        let bench: &str = &self.bench;
+        match &out {
+            Ok(IngestOutcome::Applied) => {
+                metrics.inc(
+                    ppp_obs::names::AGG_FRAMES_INGESTED,
+                    &[("bench", bench), ("kind", kind.name())],
+                );
+                metrics.inc_by(
+                    "ppp_agg_bytes_ingested_total",
+                    &[("bench", bench)],
+                    (wire.len() - FRAME_HEADER_LEN) as u64,
+                );
+            }
+            Ok(IngestOutcome::Duplicate) => {} // counted by `apply_seq`
+            Err(e) => self.count_rejected(e.class),
+        }
+        metrics.observe(
             ppp_obs::names::INGEST_MICROS,
-            &[("bench", &self.bench)],
+            &[("bench", bench)],
             started.elapsed().as_micros() as u64,
         );
         out
+    }
+
+    /// Counts one refused frame, or wire damage that ended a stream,
+    /// under `ppp_agg_frames_rejected_total{reason}`.
+    pub(crate) fn count_rejected(&self, reason: &str) {
+        self.obs.metrics().inc(
+            "ppp_agg_frames_rejected_total",
+            &[("bench", &self.bench), ("reason", reason)],
+        );
     }
 
     /// Core of sequenced ingestion: validate the payload and split it
@@ -478,8 +513,7 @@ impl Aggregator {
         self.front.lock().expect("front lock").watermarks.clone()
     }
 
-    /// Deepest shard queue right now — the admission-control signal for
-    /// load shedding.
+    /// Deepest shard queue right now.
     pub fn max_queue_depth(&self) -> usize {
         self.queues.iter().map(|q| q.depth()).max().unwrap_or(0)
     }
@@ -514,14 +548,12 @@ impl Aggregator {
         let Some(dur) = front.dur.clone() else {
             return Ok(false);
         };
-        let gate = Arc::new(Gate::new(self.queues.len()));
-        for q in &self.queues {
-            if !q.push(Msg::Flush(Arc::clone(&gate))) {
-                gate.arrive();
-            }
-        }
-        gate.wait();
-        let profiles = self.shard_profiles();
+        let mut profiles = Vec::with_capacity(self.queues.len());
+        self.flush_each(|st, owned| {
+            let (mut edges, mut paths) = empty_profiles(&self.module);
+            st.copy_owned(owned, &mut edges, &mut paths);
+            profiles.push((edges, paths));
+        });
         wal::write_checkpoint(
             &dur.dir,
             &self.bench,
@@ -562,79 +594,61 @@ impl Aggregator {
         }
     }
 
-    /// One module-shaped (edge, path) pair per shard, each carrying
-    /// only that shard's owned functions. Callers must have flushed
-    /// first (see [`Aggregator::checkpoint`]).
-    fn shard_profiles(&self) -> Vec<(ModuleEdgeProfile, ModulePathProfile)> {
-        let shards = self.queues.len();
-        let funcs = self.module.functions.len();
-        let mut out = Vec::with_capacity(shards);
-        for (k, state) in self.states.iter().enumerate() {
-            let st = state.lock().expect("shard state lock");
-            let mut edges = ModuleEdgeProfile::zeroed(&self.module);
-            let mut paths = ModulePathProfile::with_capacity(funcs);
-            for fid in (k..funcs).step_by(shards) {
-                edges.funcs[fid] = st.edges.funcs[fid].clone();
-                paths.funcs[fid] = st.paths.funcs[fid].clone();
+    /// Pushes a flush gate through every shard queue and waits until
+    /// each shard has merged everything queued before it, then hands
+    /// `f` each shard's state with the ids of the functions it owns, one
+    /// shard at a time in shard order.
+    fn flush_each(&self, mut f: impl FnMut(&ShardState, StepBy<Range<usize>>)) {
+        let gate = Arc::new(Gate::new(self.queues.len()));
+        for q in &self.queues {
+            // A closed queue means shutdown already started; its shard
+            // has merged everything it will ever merge, which is
+            // exactly the flush guarantee.
+            if !q.push(Msg::Flush(Arc::clone(&gate))) {
+                gate.arrive();
             }
-            out.push((edges, paths));
         }
-        out
+        gate.wait();
+        let (shards, funcs) = (self.queues.len(), self.module.functions.len());
+        for (k, state) in self.states.iter().enumerate() {
+            f(
+                &state.lock().expect("shard state lock"),
+                (k..funcs).step_by(shards),
+            );
+        }
     }
 
     /// Decodes a concatenated frame stream and ingests every decodable
-    /// frame, recording metrics. Damage never panics and never merges:
-    /// wire-level damage ends decoding (no resync), payload-level
-    /// damage rejects that frame and continues.
+    /// frame through the one accounted per-frame step the TCP server
+    /// uses too.
+    /// Damage never panics and never merges: wire-level damage ends
+    /// decoding (no resync) and is counted as a rejection, payload-level
+    /// damage rejects that frame and continues. Feeding one encoded
+    /// frame at a time gives per-frame outcomes.
     pub fn ingest_stream(&self, bytes: &[u8]) -> StreamReport {
         let mut report = StreamReport::default();
         let mut pos = 0;
         let mut index = 0usize;
-        let metrics = self.obs.metrics();
-        let bench: &str = &self.bench;
         while pos < bytes.len() {
-            match check_frame(&bytes[pos..]) {
-                Ok((kind, used)) => {
-                    match self.ingest_wire(kind, &bytes[pos..pos + used]) {
-                        Ok(IngestOutcome::Applied) => {
-                            report.bump(kind);
-                            report.bytes_accepted += (used - FRAME_HEADER_LEN) as u64;
-                            metrics.inc(
-                                ppp_obs::names::AGG_FRAMES_INGESTED,
-                                &[("bench", bench), ("kind", kind.name())],
-                            );
-                            metrics.inc_by(
-                                "ppp_agg_bytes_ingested_total",
-                                &[("bench", bench)],
-                                (used - FRAME_HEADER_LEN) as u64,
-                            );
-                            if kind == FrameKind::Done {
-                                report.saw_done = true;
-                            }
-                        }
-                        Ok(IngestOutcome::Duplicate) => {
-                            report.duplicates += 1;
-                        }
-                        Err(e) => {
-                            metrics.inc(
-                                "ppp_agg_frames_rejected_total",
-                                &[("bench", bench), ("reason", e.class)],
-                            );
-                            report.rejected.push((index, e));
-                        }
-                    }
-                    pos += used;
-                    index += 1;
-                }
+            let (kind, used) = match check_frame(&bytes[pos..]) {
+                Ok(checked) => checked,
                 Err(e) => {
-                    metrics.inc(
-                        "ppp_agg_frames_rejected_total",
-                        &[("bench", bench), ("reason", e.class())],
-                    );
+                    self.count_rejected(e.class());
                     report.wire_error = Some((pos, e));
                     break;
                 }
+            };
+            match self.ingest_wire(kind, &bytes[pos..pos + used]) {
+                Ok(IngestOutcome::Applied) => {
+                    report.bump(kind);
+                    report.bytes_accepted += (used - FRAME_HEADER_LEN) as u64;
+                    report.saw_done |= kind == FrameKind::Done;
+                }
+                Ok(IngestOutcome::Duplicate) => report.duplicates += 1,
+                Err(e) => report.rejected.push((index, e)),
             }
+            pos += used;
+            index += 1;
         }
         report
     }
@@ -647,28 +661,8 @@ impl Aggregator {
     /// and its persist_v2 serialization — is deterministic.
     pub fn snapshot(&self) -> (ModuleEdgeProfile, ModulePathProfile) {
         let started = Instant::now();
-        let gate = Arc::new(Gate::new(self.queues.len()));
-        for q in &self.queues {
-            // A closed queue means shutdown already started; its shard
-            // has merged everything it will ever merge, which is
-            // exactly the flush guarantee.
-            if !q.push(Msg::Flush(Arc::clone(&gate))) {
-                gate.arrive();
-            }
-        }
-        gate.wait();
-        let shards = self.queues.len();
-        let mut edges = ModuleEdgeProfile::zeroed(&self.module);
-        let mut paths = ModulePathProfile::with_capacity(self.module.functions.len());
-        for (k, state) in self.states.iter().enumerate() {
-            let st = state.lock().expect("shard state lock");
-            for fid in 0..self.module.functions.len() {
-                if fid % shards == k {
-                    edges.funcs[fid] = st.edges.funcs[fid].clone();
-                    paths.funcs[fid] = st.paths.funcs[fid].clone();
-                }
-            }
-        }
+        let (mut edges, mut paths) = empty_profiles(&self.module);
+        self.flush_each(|st, owned| st.copy_owned(owned, &mut edges, &mut paths));
         self.obs.metrics().observe(
             "ppp_agg_snapshot_micros",
             &[("bench", &self.bench)],
@@ -698,6 +692,14 @@ impl Drop for Aggregator {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// A module-shaped pair of profiles carrying no flow.
+fn empty_profiles(module: &Module) -> (ModuleEdgeProfile, ModulePathProfile) {
+    (
+        ModuleEdgeProfile::zeroed(module),
+        ModulePathProfile::with_capacity(module.functions.len()),
+    )
 }
 
 /// Body of one shard thread: drain the queue, add each delta's
@@ -753,7 +755,7 @@ fn record_merge(obs: &ppp_obs::ObsCtx, bench: &str, shard: &str, started: Instan
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppp_ir::wire::{encode_frame, encode_seq_payload};
+    use ppp_ir::wire::{encode_frame, encode_seq_payload, Frame};
     use ppp_ir::{
         encode_edge_delta, encode_path_delta, write_edge_profile_v2, write_path_profile_v2,
         BlockId, EdgeRef, FuncId, FunctionBuilder, PathKey, Reg,
@@ -784,14 +786,16 @@ mod tests {
         d
     }
 
+    /// Ingests one frame through the accounted step, as received.
+    fn ingest(agg: &Aggregator, frame: &Frame) -> Result<IngestOutcome, IngestError> {
+        agg.ingest_wire(frame.kind, &frame.encode())
+    }
+
     /// Ingests `delta` as client `client`'s sequenced edge frame `seq`.
     fn submit(agg: &Aggregator, client: u64, seq: u64, delta: &ModuleEdgeProfile) {
         let payload = encode_seq_payload(client, seq, &encode_edge_delta(agg.module(), delta));
         let frame = Frame::new(FrameKind::SeqEdgeDelta, payload);
-        assert_eq!(
-            agg.ingest_frame(&frame).expect("open"),
-            IngestOutcome::Applied
-        );
+        assert_eq!(ingest(agg, &frame).expect("open"), IngestOutcome::Applied);
     }
 
     #[test]
@@ -857,7 +861,7 @@ mod tests {
             (FrameKind::SeqPathDelta, encode_path_delta(&other, &paths)),
         ] {
             let frame = Frame::new(kind, encode_seq_payload(0, 1, &container));
-            let err = agg.ingest_frame(&frame).expect_err("mis-shaped delta");
+            let err = ingest(&agg, &frame).expect_err("mis-shaped delta");
             assert_eq!(err.class, "payload", "{kind}: {err}");
             assert!(err.detail.contains("function 3"), "{err}");
         }
@@ -962,7 +966,7 @@ mod tests {
         ];
         for (kind, container) in text {
             let frame = Frame::new(kind, encode_seq_payload(0, 1, container.as_bytes()));
-            let err = agg.ingest_frame(&frame).expect_err("text payload refused");
+            let err = ingest(&agg, &frame).expect_err("text payload refused");
             assert_eq!(err.class, "payload", "{kind}: {err}");
             assert!(err.detail.contains("not a binary delta"), "{err}");
         }
@@ -1001,9 +1005,7 @@ mod tests {
                 write_path_profile_v2(&m, &paths).into_bytes(),
             ),
         ] {
-            let err = agg
-                .ingest_frame(&frame)
-                .expect_err("unsequenced delta refused");
+            let err = ingest(&agg, &frame).expect_err("unsequenced delta refused");
             assert_eq!(err.class, "protocol", "{}: {err}", frame.kind);
         }
         let (edges, paths) = agg.snapshot();

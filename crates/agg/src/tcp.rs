@@ -8,37 +8,41 @@
 //! delta frames are merged idempotently (duplicates below the
 //! watermark are dropped); on `Done` the server acks the final
 //! watermark so the client knows everything it sent was merged before
-//! it reads a snapshot.
+//! it reads a snapshot. Hello, deltas and Done all go through the
+//! aggregator's one accounted per-frame step, the same one in-process
+//! streams use, so both transports report the same `ppp_agg_*`
+//! series.
 //!
 //! Nothing here hangs and nothing fails silently:
 //!
 //! - every socket carries read/write deadlines
-//!   ([`ServeOptions::read_timeout`]) — a stalled peer (slowloris)
+//!   ([`ServeOptions::timeout`]) — a stalled peer (slowloris)
 //!   surfaces as a typed [`WireError::TimedOut`], is told so via a
 //!   `Reject` frame, and loses the connection;
-//! - a server over [`ServeOptions::max_conns`] or past
-//!   [`ServeOptions::shed_depth`] *sheds*: it sends a `Reject` with
-//!   class `overloaded` and closes, so a retrying client backs off and
-//!   resends (the watermark makes that lossless);
-//! - damaged frames earn a `Reject` and close the connection (the
-//!   wire format has no resync point) — counters already merged
-//!   remain valid and the rejection is visible in
+//! - a server over [`ServeOptions::max_conns`] *sheds*: it sends a
+//!   `Reject` with class `overloaded` and closes, so a retrying client
+//!   backs off and resends (the watermark makes that lossless);
+//! - damaged or refused frames earn a `Reject` and close the
+//!   connection (the wire format has no resync point) — counters
+//!   already merged remain valid, and once a `Hello` has bound the
+//!   connection the rejection is visible in
 //!   `ppp_agg_frames_rejected_total`;
 //! - [`Server::shutdown`] drains: connection handlers finish reading
 //!   what is in flight, ack it, and (on a durable service) a final
 //!   checkpoint is written. [`Server::kill`] is the opposite on
 //!   purpose — an abrupt crash for recovery testing.
 //!
-//! [`ResilientSink`] is the client half of the story: bounded
-//! jitter-free exponential backoff ([`RetryPolicy`]), reconnects
-//! against a shared (swappable) address, and resumes from the
-//! server's acked watermark by resending its retained unacked window.
+//! [`TcpSink`] is one plain connection. [`ResilientSink`] is built on
+//! it: bounded jitter-free exponential backoff ([`RetryPolicy`]),
+//! reconnects (a fresh [`TcpSink`] each) against a shared (swappable)
+//! address, and resumes from the server's acked watermark by resending
+//! its retained unacked window.
 
 use crate::service::{AggService, FrameSink, Hello, RetryPolicy};
 use crate::shard::{Aggregator, IngestOutcome};
 use ppp_ir::wire::{
     check_frame, encode_frame, encode_reject_payload, encode_seq_payload, split_reject_payload,
-    split_seq_payload, Frame, FrameKind, WireError, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
+    split_seq_payload, FrameKind, WireError, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
 };
 use ppp_ir::Module;
 use ppp_obs::json;
@@ -62,23 +66,18 @@ pub type ModuleResolver = dyn Fn(&Hello) -> Option<Arc<Module>> + Send + Sync;
 pub struct ServeOptions {
     /// Connections beyond this are shed with a `Reject` (`overloaded`).
     pub max_conns: usize,
-    /// Per-read deadline. Doubles as the slowloris budget: a peer that
-    /// stalls longer mid-frame is rejected with `timed-out`.
-    pub read_timeout: Duration,
-    /// Per-write deadline (a peer that stops draining our acks).
-    pub write_timeout: Duration,
-    /// Shed incoming deltas when the deepest shard queue exceeds this
-    /// (`None` = rely on backpressure alone).
-    pub shed_depth: Option<usize>,
+    /// Per-read and per-write deadline. Doubles as the slowloris
+    /// budget: a peer that stalls longer mid-frame is rejected with
+    /// `timed-out`, and one that stops draining our acks fails the
+    /// write.
+    pub timeout: Duration,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             max_conns: 64,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            shed_depth: None,
+            timeout: Duration::from_secs(5),
         }
     }
 }
@@ -127,12 +126,25 @@ fn io_read_error(e: &std::io::Error) -> ReadError {
 /// A running TCP front-end over an [`AggService`].
 pub struct Server {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    crash: Arc<AtomicBool>,
-    frames: Arc<AtomicU64>,
-    conns: Arc<Mutex<Vec<Option<TcpStream>>>>,
-    service: Arc<AggService>,
+    shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
+}
+
+/// What the server handle, its accept thread and every connection
+/// thread share.
+struct Shared {
+    service: Arc<AggService>,
+    resolver: Arc<ModuleResolver>,
+    options: ServeOptions,
+    started: Instant,
+    stop: AtomicBool,
+    crash: AtomicBool,
+    /// Delta frames accepted, across all connections.
+    frames: AtomicU64,
+    /// Connections being served (admission control).
+    active: AtomicUsize,
+    /// A clone of each live connection's socket, for [`Server::kill`].
+    conns: Mutex<Vec<Option<TcpStream>>>,
 }
 
 impl Server {
@@ -146,33 +158,26 @@ impl Server {
         options: ServeOptions,
     ) -> std::io::Result<Server> {
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let crash = Arc::new(AtomicBool::new(false));
-        let frames = Arc::new(AtomicU64::new(0));
-        let conns: Arc<Mutex<Vec<Option<TcpStream>>>> = Arc::new(Mutex::new(Vec::new()));
-        let started = Instant::now();
+        let shared = Arc::new(Shared {
+            service,
+            resolver,
+            options,
+            started: Instant::now(),
+            stop: AtomicBool::new(false),
+            crash: AtomicBool::new(false),
+            frames: AtomicU64::new(0),
+            active: AtomicUsize::new(0),
+            conns: Mutex::new(Vec::new()),
+        });
         let accept_thread = {
-            let stop = Arc::clone(&stop);
-            let crash = Arc::clone(&crash);
-            let frames = Arc::clone(&frames);
-            let conns = Arc::clone(&conns);
-            let service = Arc::clone(&service);
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("agg-accept".to_owned())
-                .spawn(move || {
-                    accept_loop(
-                        &listener, &service, &resolver, options, &stop, &crash, &frames, &conns,
-                        started,
-                    );
-                })?
+                .spawn(move || accept_loop(&listener, &shared))?
         };
         Ok(Server {
             addr,
-            stop,
-            crash,
-            frames,
-            conns,
-            service,
+            shared,
             accept_thread: Some(accept_thread),
         })
     }
@@ -184,7 +189,7 @@ impl Server {
 
     /// Delta frames accepted (merged) so far, across all connections.
     pub fn frames_accepted(&self) -> u64 {
-        self.frames.load(Ordering::SeqCst)
+        self.shared.frames.load(Ordering::SeqCst)
     }
 
     /// Graceful shutdown: stops accepting, lets every connection
@@ -192,13 +197,10 @@ impl Server {
     /// final checkpoint on a durable service. A delta the server read
     /// is never dropped by a graceful restart.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if self.service.is_durable() {
-            if let Err(e) = self.service.checkpoint_all() {
+        self.stop_accepting();
+        let service = &self.shared.service;
+        if service.is_durable() {
+            if let Err(e) = service.checkpoint_all() {
                 ppp_obs::global().warn(
                     "agg.shutdown_checkpoint_failed",
                     &[("error", ppp_obs::Value::from(e))],
@@ -225,61 +227,52 @@ impl Server {
                 ),
             ],
         );
-        self.crash.store(true, Ordering::SeqCst);
-        self.stop.store(true, Ordering::SeqCst);
-        for s in self.conns.lock().expect("conns lock").iter().flatten() {
+        let Shared { crash, conns, .. } = &*self.shared;
+        crash.store(true, Ordering::SeqCst);
+        for s in conns.lock().expect("conns lock").iter().flatten() {
             let _ = s.shutdown(Shutdown::Both);
         }
+        self.stop_accepting();
+        let _ = ppp_obs::flight_dump("server-kill");
+    }
+
+    /// Stops the accept loop and joins it, which joins every
+    /// connection thread. Idempotent.
+    fn stop_accepting(&mut self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        let _ = ppp_obs::flight_dump("server-kill");
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.stop_accepting();
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: &TcpListener,
-    service: &Arc<AggService>,
-    resolver: &Arc<ModuleResolver>,
-    options: ServeOptions,
-    stop: &Arc<AtomicBool>,
-    crash: &Arc<AtomicBool>,
-    frames: &Arc<AtomicU64>,
-    conns: &Arc<Mutex<Vec<Option<TcpStream>>>>,
-    started: Instant,
-) {
-    let active = Arc::new(AtomicUsize::new(0));
-    let handles: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let mut handles: Vec<JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
+        if shared.stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(mut stream) = stream else { continue };
-        let _ = stream.set_read_timeout(Some(options.read_timeout));
-        let _ = stream.set_write_timeout(Some(options.write_timeout));
+        let _ = stream.set_read_timeout(Some(shared.options.timeout));
+        let _ = stream.set_write_timeout(Some(shared.options.timeout));
         let _ = stream.set_nodelay(true);
-        if active.load(Ordering::SeqCst) >= options.max_conns.max(1) {
+        if shared.active.load(Ordering::SeqCst) >= shared.options.max_conns.max(1) {
             ppp_obs::global()
                 .metrics()
                 .inc(ppp_obs::names::SHED_TOTAL, &[("reason", "admission")]);
             let _ = send_reject(&mut stream, "overloaded", "connection limit reached; retry");
             continue;
         }
-        active.fetch_add(1, Ordering::SeqCst);
+        shared.active.fetch_add(1, Ordering::SeqCst);
         let slot = {
-            let mut g = conns.lock().expect("conns lock");
+            let mut g = shared.conns.lock().expect("conns lock");
             match stream.try_clone() {
                 Ok(clone) => {
                     if let Some(i) = g.iter().position(Option::is_none) {
@@ -293,47 +286,31 @@ fn accept_loop(
                 Err(_) => None,
             }
         };
-        let service = Arc::clone(service);
-        let resolver = Arc::clone(resolver);
-        let active = Arc::clone(&active);
-        let stop = Arc::clone(stop);
-        let crash = Arc::clone(crash);
-        let frames = Arc::clone(frames);
-        let conns = Arc::clone(conns);
+        let shared = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name("agg-conn".to_owned())
             .spawn(move || {
                 // A failed connection must not take the server down;
                 // outcomes are reported over the socket and in metrics.
-                let _ = serve_connection(
-                    &mut stream,
-                    &service,
-                    &resolver,
-                    &options,
-                    &stop,
-                    &crash,
-                    &frames,
-                    started,
-                );
+                let _ = serve_connection(&mut stream, &shared);
                 if let Some(i) = slot {
-                    conns.lock().expect("conns lock")[i] = None;
+                    shared.conns.lock().expect("conns lock")[i] = None;
                 }
-                active.fetch_sub(1, Ordering::SeqCst);
+                shared.active.fetch_sub(1, Ordering::SeqCst);
             });
         if let Ok(h) = handle {
-            handles.lock().expect("handles lock").push(h);
+            handles.push(h);
         }
         // Reap finished connection threads opportunistically.
-        let mut g = handles.lock().expect("handles lock");
-        g.retain(|h| !h.is_finished());
+        handles.retain(|h| !h.is_finished());
     }
-    for h in handles.into_inner().expect("handles lock") {
+    for h in handles {
         let _ = h.join();
     }
 }
 
-/// Reads exactly one frame from `r`. `Ok(None)` on clean EOF at a frame
-/// boundary.
+/// Reads exactly one frame from `r`: its kind and its CRC-checked wire
+/// bytes, header included. `Ok(None)` on clean EOF at a frame boundary.
 ///
 /// # Errors
 ///
@@ -341,13 +318,7 @@ fn accept_loop(
 /// as [`ReadError::Wire`]; a read deadline firing is the typed
 /// [`WireError::TimedOut`]; other transport failures are
 /// [`ReadError::Io`].
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ReadError> {
-    Ok(read_wire(r)?.map(|(kind, mut bytes)| Frame::new(kind, bytes.split_off(FRAME_HEADER_LEN))))
-}
-
-/// [`read_frame`] that keeps the frame as received: its kind and its
-/// CRC-checked wire bytes, header included.
-fn read_wire(r: &mut impl Read) -> Result<Option<(FrameKind, Vec<u8>)>, ReadError> {
+pub fn read_frame(r: &mut impl Read) -> Result<Option<(FrameKind, Vec<u8>)>, ReadError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     let mut got = 0;
     while got < header.len() {
@@ -412,11 +383,12 @@ fn send_reject(stream: &mut TcpStream, class: &str, detail: &str) -> std::io::Re
 /// full metrics-registry snapshot. Served without requiring a `Hello`,
 /// and without touching any shard queue — reading stats never disturbs
 /// ingestion.
-fn stats_json(service: &AggService, started: Instant, frames: u64) -> String {
+fn stats_json(shared: &Shared) -> String {
+    let service = &shared.service;
     json::object(|o| {
         o.field("schema", STATS_SCHEMA)
-            .field("uptime_ms", started.elapsed().as_millis())
-            .field("frames_accepted", frames)
+            .field("uptime_ms", shared.started.elapsed().as_millis())
+            .field("frames_accepted", shared.frames.load(Ordering::SeqCst))
             .field("durable", service.is_durable())
             .objs(
                 "benches",
@@ -460,14 +432,15 @@ pub fn fetch_stats(addr: SocketAddr, timeout: Duration) -> Result<String, String
         .write_all(&encode_frame(FrameKind::StatsRequest, b""))
         .map_err(|e| e.to_string())?;
     match read_frame(&mut stream) {
-        Ok(Some(f)) if f.kind == FrameKind::StatsResponse => {
-            String::from_utf8(f.payload).map_err(|_| "stats payload is not utf-8".to_owned())
+        Ok(Some((FrameKind::StatsResponse, mut wire))) => {
+            String::from_utf8(wire.split_off(FRAME_HEADER_LEN))
+                .map_err(|_| "stats payload is not utf-8".to_owned())
         }
-        Ok(Some(f)) if f.kind == FrameKind::Reject => {
-            let (class, detail) = split_reject_payload(&f.payload);
+        Ok(Some((FrameKind::Reject, wire))) => {
+            let (class, detail) = split_reject_payload(&wire[FRAME_HEADER_LEN..]);
             Err(format!("server rejected: {class}: {detail}"))
         }
-        Ok(Some(f)) => Err(format!("expected stats-response, got {} frame", f.kind)),
+        Ok(Some((kind, _))) => Err(format!("expected stats-response, got {kind} frame")),
         Ok(None) => Err("connection closed before stats response".to_owned()),
         Err(e) => Err(format!("reading stats: {e}")),
     }
@@ -475,45 +448,37 @@ pub fn fetch_stats(addr: SocketAddr, timeout: Duration) -> Result<String, String
 
 /// Serves one connection to completion: hello (acked with the resume
 /// watermark), sequenced deltas, done (acked with the final
-/// watermark). Every refusal is a `Reject` frame before the close —
-/// never a silent drop.
+/// watermark). Every frame after the hello goes through the bound
+/// aggregator's accounted step ([`Aggregator::ingest_wire`]), so the
+/// metrics match in-process ingestion. Every refusal is a `Reject`
+/// frame before the close — never a silent drop.
 ///
 /// # Errors
 ///
 /// Returns a description of the first protocol violation or transport
 /// failure; the caller just drops the connection.
-#[allow(clippy::too_many_arguments)]
-fn serve_connection(
-    stream: &mut TcpStream,
-    service: &Arc<AggService>,
-    resolver: &Arc<ModuleResolver>,
-    options: &ServeOptions,
-    stop: &AtomicBool,
-    crash: &AtomicBool,
-    frames: &AtomicU64,
-    started: Instant,
-) -> Result<(), String> {
+fn serve_connection(stream: &mut TcpStream, shared: &Shared) -> Result<(), String> {
     let mut agg: Option<Arc<Aggregator>> = None;
     let mut client_id = 0u64;
     let mut draining = false;
     loop {
-        if crash.load(Ordering::SeqCst) {
+        if shared.crash.load(Ordering::SeqCst) {
             return Err("server crashed".to_owned());
         }
-        if stop.load(Ordering::SeqCst) && !draining {
+        if shared.stop.load(Ordering::SeqCst) && !draining {
             // Graceful stop: keep reading what is already in flight,
             // but shrink the deadline so an idle client releases us.
             draining = true;
             let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
         }
-        let (kind, wire) = match read_wire(stream) {
+        let (kind, wire) = match read_frame(stream) {
             Ok(Some(f)) => f,
             Ok(None) => return Ok(()), // clean EOF
             Err(ReadError::Wire(WireError::TimedOut)) => {
-                if crash.load(Ordering::SeqCst) {
+                if shared.crash.load(Ordering::SeqCst) {
                     return Err("server crashed".to_owned());
                 }
-                if draining || stop.load(Ordering::SeqCst) {
+                if draining || shared.stop.load(Ordering::SeqCst) {
                     // Drained: everything read was merged; final ack.
                     if let Some(a) = &agg {
                         let _ = send_ack(stream, client_id, a.watermark(client_id));
@@ -529,17 +494,33 @@ fn serve_connection(
                 return Err(WireError::TimedOut.to_string());
             }
             Err(e) => {
+                // Wire damage on a bound connection counts under its
+                // bench, as it does in-process.
+                if let (Some(a), ReadError::Wire(w)) = (&agg, &e) {
+                    a.count_rejected(w.class());
+                }
                 let _ = send_reject(stream, e.class(), &e.to_string());
                 return Err(e.to_string());
             }
         };
-        let payload = &wire[FRAME_HEADER_LEN..];
         match kind {
+            FrameKind::StatsRequest => {
+                // Live introspection: served without a hello and
+                // without touching any shard queue.
+                let doc = stats_json(shared);
+                ppp_obs::global()
+                    .metrics()
+                    .inc(ppp_obs::names::STATS_SERVED, &[]);
+                stream
+                    .write_all(&encode_frame(FrameKind::StatsResponse, doc.as_bytes()))
+                    .map_err(|e| e.to_string())?;
+                continue;
+            }
             FrameKind::Hello => {
-                let hello = Hello::parse(payload).inspect_err(|e| {
+                let hello = Hello::parse(&wire[FRAME_HEADER_LEN..]).inspect_err(|e| {
                     let _ = send_reject(stream, "hello", e);
                 })?;
-                let module = resolver(&hello).ok_or_else(|| {
+                let module = (shared.resolver)(&hello).ok_or_else(|| {
                     let msg = format!("unknown benchmark {:?}", hello.bench);
                     let _ = send_reject(stream, "unknown-bench", &msg);
                     msg
@@ -553,96 +534,40 @@ fn serve_connection(
                     let _ = send_reject(stream, "shape", &msg);
                     return Err(msg);
                 }
-                let a = service.register(&hello.bench, &module).inspect_err(|e| {
-                    let _ = send_reject(stream, "register", e);
-                })?;
-                record_tcp_frame(&a, kind, payload);
+                let a = shared
+                    .service
+                    .register(&hello.bench, &module)
+                    .inspect_err(|e| {
+                        let _ = send_reject(stream, "register", e);
+                    })?;
                 client_id = hello.worker;
-                send_ack(stream, client_id, a.watermark(client_id)).map_err(|e| e.to_string())?;
                 agg = Some(a);
             }
-            FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta => {
-                let Some(a) = &agg else {
-                    let _ = send_reject(stream, "no-hello", "delta before hello");
-                    return Err("delta before hello".to_owned());
-                };
-                if let Some(depth) = options.shed_depth {
-                    let now = a.max_queue_depth();
-                    if now > depth {
-                        // Load shedding: refuse *without* applying, so
-                        // the watermark stays put and the client's
-                        // retry (after backoff) is lossless.
-                        ppp_obs::global()
-                            .metrics()
-                            .inc(ppp_obs::names::SHED_TOTAL, &[("reason", "overloaded")]);
-                        let _ = send_reject(
-                            stream,
-                            "overloaded",
-                            &format!("shard queue depth {now} over shed limit {depth}; retry"),
-                        );
-                        return Err("shed: overloaded".to_owned());
-                    }
-                }
-                // The WAL gets the bytes as received: no re-encode and
-                // no second CRC.
-                match a.ingest_wire(kind, &wire) {
-                    Ok(IngestOutcome::Applied) => {
-                        frames.fetch_add(1, Ordering::SeqCst);
-                        record_tcp_frame(a, kind, payload);
-                    }
-                    Ok(IngestOutcome::Duplicate) => {} // counted by the aggregator
-                    Err(e) => {
-                        let _ = send_reject(stream, e.class, &e.detail);
-                        return Err(e.to_string());
-                    }
+            _ => {}
+        }
+        let Some(a) = &agg else {
+            let msg = format!("{kind} before hello");
+            let _ = send_reject(stream, "no-hello", &msg);
+            return Err(msg);
+        };
+        // The WAL gets the bytes as received: no re-encode and no
+        // second CRC.
+        match a.ingest_wire(kind, &wire) {
+            Ok(IngestOutcome::Applied) => {
+                if matches!(kind, FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta) {
+                    shared.frames.fetch_add(1, Ordering::SeqCst);
                 }
             }
-            FrameKind::Done => {
-                let Some(a) = &agg else {
-                    let _ = send_reject(stream, "no-hello", "done before hello");
-                    return Err("done before hello".to_owned());
-                };
-                record_tcp_frame(a, kind, payload);
-                send_ack(stream, client_id, a.watermark(client_id)).map_err(|e| e.to_string())?;
-            }
-            FrameKind::StatsRequest => {
-                // Live introspection: served without a hello and
-                // without touching any shard queue.
-                let doc = stats_json(service, started, frames.load(Ordering::SeqCst));
-                ppp_obs::global()
-                    .metrics()
-                    .inc(ppp_obs::names::STATS_SERVED, &[]);
-                stream
-                    .write_all(&encode_frame(FrameKind::StatsResponse, doc.as_bytes()))
-                    .map_err(|e| e.to_string())?;
-            }
-            FrameKind::EdgeDelta
-            | FrameKind::PathDelta
-            | FrameKind::Ack
-            | FrameKind::Reject
-            | FrameKind::StatsResponse => {
-                // Server-only kinds, and unsequenced deltas: those would
-                // bypass the WAL and the watermark, so an ack would lie.
-                let msg = format!("clients may not send {kind} frames");
-                let _ = send_reject(stream, "protocol", &msg);
-                return Err(msg);
+            Ok(IngestOutcome::Duplicate) => {}
+            Err(e) => {
+                let _ = send_reject(stream, e.class, &e.detail);
+                return Err(e.to_string());
             }
         }
+        if matches!(kind, FrameKind::Hello | FrameKind::Done) {
+            send_ack(stream, client_id, a.watermark(client_id)).map_err(|e| e.to_string())?;
+        }
     }
-}
-
-fn record_tcp_frame(agg: &Aggregator, kind: FrameKind, payload: &[u8]) {
-    let obs = ppp_obs::global();
-    let bench = agg.bench();
-    obs.metrics().inc(
-        ppp_obs::names::AGG_FRAMES_INGESTED,
-        &[("bench", bench), ("kind", kind.name())],
-    );
-    obs.metrics().inc_by(
-        "ppp_agg_bytes_ingested_total",
-        &[("bench", bench)],
-        payload.len() as u64,
-    );
 }
 
 /// A [`FrameSink`] writing frames to one TCP connection (no retry —
@@ -691,7 +616,21 @@ impl TcpSink {
     /// A `Reject` frame, wire damage, a timeout, or EOF all fail with
     /// a description (rejects include the server's class + detail).
     pub fn read_ack(&mut self) -> Result<u64, String> {
-        read_ack_on(&mut self.stream)
+        match read_frame(&mut self.stream) {
+            Ok(Some((FrameKind::Ack, wire))) => split_seq_payload(&wire[FRAME_HEADER_LEN..])
+                .map(|(_, watermark, _)| watermark)
+                .map_err(|e| format!("malformed ack: {e}")),
+            Ok(Some((FrameKind::Reject, wire))) => {
+                let (class, detail) = split_reject_payload(&wire[FRAME_HEADER_LEN..]);
+                ppp_obs::global()
+                    .metrics()
+                    .inc(ppp_obs::names::RETRY_REJECTS, &[("class", &class)]);
+                Err(format!("server rejected: {class}: {detail}"))
+            }
+            Ok(Some((kind, _))) => Err(format!("expected ack, got {kind} frame")),
+            Ok(None) => Err("connection closed before ack".to_owned()),
+            Err(e) => Err(format!("reading ack: {e}")),
+        }
     }
 
     /// Waits for the server's `Done` ack. Call after
@@ -705,29 +644,12 @@ impl TcpSink {
     }
 }
 
-fn read_ack_on(stream: &mut TcpStream) -> Result<u64, String> {
-    match read_frame(stream) {
-        Ok(Some(f)) if f.kind == FrameKind::Ack => split_seq_payload(&f.payload)
-            .map(|(_, watermark, _)| watermark)
-            .map_err(|e| format!("malformed ack: {e}")),
-        Ok(Some(f)) if f.kind == FrameKind::Reject => {
-            let (class, detail) = split_reject_payload(&f.payload);
-            ppp_obs::global()
-                .metrics()
-                .inc(ppp_obs::names::RETRY_REJECTS, &[("class", &class)]);
-            Err(format!("server rejected: {class}: {detail}"))
-        }
-        Ok(Some(f)) => Err(format!("expected ack, got {} frame", f.kind)),
-        Ok(None) => Err("connection closed before ack".to_owned()),
-        Err(e) => Err(format!("reading ack: {e}")),
-    }
-}
-
 fn frame_kind_of(bytes: &[u8]) -> Option<FrameKind> {
     bytes.get(4).copied().and_then(FrameKind::from_byte)
 }
 
 impl FrameSink for TcpSink {
+    /// Writes the frame; a `Hello` also waits for its ack.
     fn send_frame(&mut self, bytes: &[u8]) -> Result<(), String> {
         self.stream.write_all(bytes).map_err(|e| e.to_string())?;
         if frame_kind_of(bytes) == Some(FrameKind::Hello) {
@@ -750,9 +672,10 @@ pub struct ResilientStats {
     pub rejects: u64,
 }
 
-/// A self-healing [`FrameSink`]: deadlines on every socket, bounded
-/// jitter-free exponential backoff, reconnect against a shared
-/// (swappable) address, and resume from the server's acked watermark.
+/// A self-healing [`FrameSink`] built on [`TcpSink`]: deadlines on
+/// every socket, bounded jitter-free exponential backoff, reconnect
+/// against a shared (swappable) address, and resume from the server's
+/// acked watermark.
 ///
 /// Sequenced frames are retained until acked; after a reconnect the
 /// sink replays everything above the server's watermark — and because
@@ -762,7 +685,7 @@ pub struct ResilientSink {
     addr: Arc<Mutex<SocketAddr>>,
     policy: RetryPolicy,
     timeout: Duration,
-    stream: Option<TcpStream>,
+    session: Option<TcpSink>,
     hello: Option<Vec<u8>>,
     /// Unacked sequenced frames, in seq order.
     retained: Vec<(u64, Vec<u8>)>,
@@ -784,7 +707,7 @@ impl ResilientSink {
             addr,
             policy,
             timeout,
-            stream: None,
+            session: None,
             hello: None,
             retained: Vec::new(),
             acked: 0,
@@ -792,16 +715,6 @@ impl ResilientSink {
             last_seq: 0,
             stats: ResilientStats::default(),
         }
-    }
-
-    /// A sink pinned to one address with default policy and a
-    /// 5-second deadline.
-    pub fn connect(addr: SocketAddr) -> Self {
-        Self::new(
-            Arc::new(Mutex::new(addr)),
-            RetryPolicy::default(),
-            Duration::from_secs(5),
-        )
     }
 
     /// Resilience counters so far.
@@ -823,7 +736,7 @@ impl ResilientSink {
     }
 
     fn teardown(&mut self) {
-        self.stream = None;
+        self.session = None;
         self.sent_in_session = self.acked;
     }
 
@@ -835,27 +748,18 @@ impl ResilientSink {
     /// Establishes a session if none: connect, hello, read the resume
     /// watermark, replay the retained window above it.
     fn ensure_session(&mut self) -> Result<(), String> {
-        if self.stream.is_some() {
+        if self.session.is_some() {
             return Ok(());
         }
         let hello = self.hello.clone().ok_or("no hello sent yet")?;
         let addr = *self.addr.lock().expect("addr lock");
-        let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        stream.set_nodelay(true).ok();
-        stream
-            .set_read_timeout(Some(self.timeout))
-            .map_err(|e| e.to_string())?;
-        stream
-            .set_write_timeout(Some(self.timeout))
-            .map_err(|e| e.to_string())?;
-        stream.write_all(&hello).map_err(|e| e.to_string())?;
-        let watermark = match read_ack_on(&mut stream) {
-            Ok(w) => w,
-            Err(e) => {
-                self.stats.rejects += 1;
-                return Err(e);
-            }
-        };
+        let mut session = TcpSink::connect_with(addr, self.timeout)
+            .map_err(|e| format!("connect {addr}: {e}"))?;
+        if let Err(e) = session.send_frame(&hello) {
+            self.stats.rejects += 1;
+            return Err(e);
+        }
+        let watermark = session.hello_watermark().unwrap_or(0);
         self.stats.connects += 1;
         ppp_obs::global()
             .metrics()
@@ -865,17 +769,14 @@ impl ResilientSink {
         self.sent_in_session = watermark;
         // Resume: replay everything the server has not acked.
         for (seq, bytes) in &self.retained {
-            if *seq <= watermark {
-                continue;
-            }
-            stream.write_all(bytes).map_err(|e| e.to_string())?;
+            session.send_frame(bytes)?;
             self.sent_in_session = *seq;
             self.stats.resent += 1;
             ppp_obs::global()
                 .metrics()
                 .inc(ppp_obs::names::RETRY_RESENT, &[]);
         }
-        self.stream = Some(stream);
+        self.session = Some(session);
         Ok(())
     }
 
@@ -883,18 +784,17 @@ impl ResilientSink {
     /// `last_seq`.
     fn deliver_window(&mut self) -> Result<(), String> {
         self.ensure_session()?;
-        let pending: Vec<(u64, Vec<u8>)> = self
-            .retained
-            .iter()
-            .filter(|(seq, _)| *seq > self.sent_in_session)
-            .cloned()
-            .collect();
-        let Some(stream) = self.stream.as_mut() else {
-            return Err("no session".to_owned());
-        };
-        for (seq, bytes) in pending {
-            stream.write_all(&bytes).map_err(|e| e.to_string())?;
-            self.sent_in_session = seq;
+        let Self {
+            session,
+            retained,
+            sent_in_session,
+            ..
+        } = self;
+        let session = session.as_mut().ok_or("no session")?;
+        let from = retained.partition_point(|(seq, _)| *seq <= *sent_in_session);
+        for (seq, bytes) in &retained[from..] {
+            session.send_frame(bytes)?;
+            *sent_in_session = *seq;
         }
         Ok(())
     }
@@ -930,9 +830,9 @@ impl ResilientSink {
         let target = self.last_seq;
         self.with_retry("done", move |sink| {
             sink.deliver_window()?;
-            let stream = sink.stream.as_mut().ok_or("no session")?;
-            stream.write_all(&done).map_err(|e| e.to_string())?;
-            let watermark = read_ack_on(stream)?;
+            let session = sink.session.as_mut().ok_or("no session")?;
+            session.send_frame(&done)?;
+            let watermark = session.read_ack()?;
             sink.acked = sink.acked.max(watermark);
             sink.prune();
             if watermark < target {
@@ -992,6 +892,21 @@ mod tests {
         Arc::new(m)
     }
 
+    fn hello(worker: u64) -> Hello {
+        Hello {
+            bench: "tcp-test".to_owned(),
+            funcs: 1,
+            scale_bits: 0,
+            worker,
+        }
+    }
+
+    /// Opens a session over a plain TCP sink as worker `worker`.
+    fn open(server: &Server, m: &Arc<Module>, batch: usize, worker: u64) -> AggClient<TcpSink> {
+        let sink = TcpSink::connect(server.addr()).expect("connect");
+        AggClient::open(Arc::clone(m), sink, batch, &hello(worker)).expect("open")
+    }
+
     fn test_resolver(m: &Arc<Module>) -> Arc<ModuleResolver> {
         let module = Arc::clone(m);
         Arc::new(move |h: &Hello| (h.bench == "tcp-test").then(|| Arc::clone(&module)))
@@ -1002,14 +917,22 @@ mod tests {
     }
 
     fn start_server_with(m: &Arc<Module>, options: ServeOptions) -> (Server, Arc<AggService>) {
-        let service = AggService::new(AggConfig {
-            shards: 2,
-            queue_cap: 8,
-        });
+        let service = AggService::new(CONFIG);
+        (spawn(m, &service, options), service)
+    }
+
+    const CONFIG: AggConfig = AggConfig {
+        shards: 2,
+        queue_cap: 8,
+    };
+
+    fn spawn(m: &Arc<Module>, service: &Arc<AggService>, options: ServeOptions) -> Server {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let server = Server::spawn(listener, Arc::clone(&service), test_resolver(m), options)
-            .expect("spawn");
-        (server, service)
+        Server::spawn(listener, Arc::clone(service), test_resolver(m), options).expect("spawn")
+    }
+
+    fn durable(dir: &std::path::Path, checkpoint_every: u64) -> Arc<AggService> {
+        AggService::new_durable(CONFIG, DurOptions::new(dir, checkpoint_every))
     }
 
     fn scratch(tag: &str) -> PathBuf {
@@ -1037,14 +960,7 @@ mod tests {
         let (server, service) = start_server(&m);
         let (delta, paths) = one_delta(&m);
 
-        let hello = Hello {
-            bench: "tcp-test".to_owned(),
-            funcs: 1,
-            scale_bits: 0,
-            worker: 1,
-        };
-        let sink = TcpSink::connect(server.addr()).expect("connect");
-        let mut client = AggClient::open(Arc::clone(&m), sink, 2, &hello).expect("open");
+        let mut client = open(&server, &m, 2, 1);
         for _ in 0..5 {
             client.push_delta(&delta, &paths).expect("push");
         }
@@ -1070,14 +986,7 @@ mod tests {
         let m = test_module();
         let (server, service) = start_server(&m);
         let (delta, paths) = one_delta(&m);
-        let hello = Hello {
-            bench: "tcp-test".to_owned(),
-            funcs: 1,
-            scale_bits: 0,
-            worker: 2,
-        };
-        let sink = TcpSink::connect(server.addr()).expect("connect");
-        let mut client = AggClient::open(Arc::clone(&m), sink, 1, &hello).expect("open");
+        let mut client = open(&server, &m, 1, 2);
         client.push_delta(&delta, &paths).expect("push");
         let mut sink = client.into_sink();
         // Garbage after valid frames: the server must reject and
@@ -1102,14 +1011,7 @@ mod tests {
         let m = test_module();
         let (server, service) = start_server(&m);
         let (delta, _) = one_delta(&m);
-        let hello = Hello {
-            bench: "tcp-test".to_owned(),
-            funcs: 1,
-            scale_bits: 0,
-            worker: 4,
-        };
-        let sink = TcpSink::connect(server.addr()).expect("connect");
-        let client = AggClient::open(Arc::clone(&m), sink, 1, &hello).expect("open");
+        let client = open(&server, &m, 1, 4);
         let mut sink = client.into_sink();
         let container = write_edge_profile_v2(&m, &delta);
         sink.send_frame(&encode_frame(FrameKind::EdgeDelta, container.as_bytes()))
@@ -1128,14 +1030,7 @@ mod tests {
         let m = test_module();
         let (server, service) = start_server(&m);
         let (delta, _) = one_delta(&m);
-        let hello = Hello {
-            bench: "tcp-test".to_owned(),
-            funcs: 1,
-            scale_bits: 0,
-            worker: 5,
-        };
-        let sink = TcpSink::connect(server.addr()).expect("connect");
-        let client = AggClient::open(Arc::clone(&m), sink, 1, &hello).expect("open");
+        let client = open(&server, &m, 1, 5);
         let mut sink = client.into_sink();
         let container = write_edge_profile_v2(&m, &delta);
         sink.send_frame(&encode_frame(
@@ -1159,9 +1054,7 @@ mod tests {
         let (server, _service) = start_server(&m);
         let hello = Hello {
             bench: "nope".to_owned(),
-            funcs: 1,
-            scale_bits: 0,
-            worker: 0,
+            ..hello(0)
         };
         let sink = TcpSink::connect(server.addr()).expect("connect");
         let err = match AggClient::open(Arc::clone(&m), sink, 1, &hello) {
@@ -1173,24 +1066,45 @@ mod tests {
     }
 
     #[test]
+    fn resilient_sink_gives_up_on_a_refused_hello_after_its_attempts() {
+        let m = test_module();
+        let (server, _service) = start_server(&m);
+        let hello = Hello {
+            bench: "nope".to_owned(),
+            ..hello(0)
+        };
+        let mut sink = ResilientSink::new(
+            Arc::new(Mutex::new(server.addr())),
+            RetryPolicy {
+                attempts: 2,
+                base: Duration::from_millis(1),
+                cap: Duration::from_millis(1),
+            },
+            Duration::from_secs(5),
+        );
+        let err = match AggClient::open(Arc::clone(&m), &mut sink, 1, &hello) {
+            Err(e) => e,
+            Ok(_) => panic!("unknown bench was accepted"),
+        };
+        assert!(err.contains("unknown-bench"), "{err}");
+        assert!(err.contains("after 2 attempts"), "{err}");
+        let stats = sink.stats();
+        assert_eq!((stats.rejects, stats.connects), (2, 0), "{stats:?}");
+        server.shutdown();
+    }
+
+    #[test]
     fn stalled_peer_gets_typed_timeout_reject() {
         let m = test_module();
         let (server, service) = start_server_with(
             &m,
             ServeOptions {
-                read_timeout: Duration::from_millis(100),
+                timeout: Duration::from_millis(100),
                 ..ServeOptions::default()
             },
         );
         let (delta, paths) = one_delta(&m);
-        let hello = Hello {
-            bench: "tcp-test".to_owned(),
-            funcs: 1,
-            scale_bits: 0,
-            worker: 3,
-        };
-        let sink = TcpSink::connect(server.addr()).expect("connect");
-        let mut client = AggClient::open(Arc::clone(&m), sink, 1, &hello).expect("open");
+        let mut client = open(&server, &m, 1, 3);
         client.push_delta(&delta, &paths).expect("push");
         let mut sink = client.into_sink();
         // Send half a frame header, then stall. The server's read
@@ -1212,38 +1126,16 @@ mod tests {
     fn resilient_sink_survives_kill_and_restart_without_double_counting() {
         let m = test_module();
         let dir = scratch("kill-restart");
-        let make_service = || {
-            AggService::new_durable(
-                AggConfig {
-                    shards: 2,
-                    queue_cap: 8,
-                },
-                DurOptions::new(&dir, 4),
-            )
+        let options = ServeOptions {
+            timeout: Duration::from_millis(200),
+            ..ServeOptions::default()
         };
-        let spawn = |service: &Arc<AggService>| {
-            Server::spawn(
-                TcpListener::bind("127.0.0.1:0").expect("bind"),
-                Arc::clone(service),
-                test_resolver(&m),
-                ServeOptions {
-                    read_timeout: Duration::from_millis(200),
-                    ..ServeOptions::default()
-                },
-            )
-            .expect("spawn")
-        };
-        let service_a = make_service();
-        let server_a = spawn(&service_a);
+        let service_a = durable(&dir, 4);
+        let server_a = spawn(&m, &service_a, options);
         let addr = Arc::new(Mutex::new(server_a.addr()));
 
         let (delta, paths) = one_delta(&m);
-        let hello = Hello {
-            bench: "tcp-test".to_owned(),
-            funcs: 1,
-            scale_bits: 0,
-            worker: 7,
-        };
+        let hello = hello(7);
         let sink = ResilientSink::new(
             Arc::clone(&addr),
             RetryPolicy {
@@ -1265,8 +1157,8 @@ mod tests {
 
         // Restart on a fresh port over the same durability dir and
         // repoint the shared address.
-        let service_b = make_service();
-        let server_b = spawn(&service_b);
+        let service_b = durable(&dir, 4);
+        let server_b = spawn(&m, &service_b, options);
         *addr.lock().expect("addr lock") = server_b.addr();
 
         for _ in 0..3 {
@@ -1294,31 +1186,12 @@ mod tests {
     fn graceful_shutdown_acks_in_flight_and_checkpoints() {
         let m = test_module();
         let dir = scratch("graceful");
-        let service = AggService::new_durable(
-            AggConfig {
-                shards: 2,
-                queue_cap: 8,
-            },
-            // checkpoint_every = 0: only explicit checkpoints, so the
-            // file below can only come from the shutdown path.
-            DurOptions::new(&dir, 0),
-        );
-        let server = Server::spawn(
-            TcpListener::bind("127.0.0.1:0").expect("bind"),
-            Arc::clone(&service),
-            test_resolver(&m),
-            ServeOptions::default(),
-        )
-        .expect("spawn");
+        // checkpoint_every = 0: only explicit checkpoints, so the file
+        // below can only come from the shutdown path.
+        let service = durable(&dir, 0);
+        let server = spawn(&m, &service, ServeOptions::default());
         let (delta, paths) = one_delta(&m);
-        let hello = Hello {
-            bench: "tcp-test".to_owned(),
-            funcs: 1,
-            scale_bits: 0,
-            worker: 9,
-        };
-        let sink = TcpSink::connect(server.addr()).expect("connect");
-        let mut client = AggClient::open(Arc::clone(&m), sink, 1, &hello).expect("open");
+        let mut client = open(&server, &m, 1, 9);
         for _ in 0..4 {
             client.push_delta(&delta, &paths).expect("push");
         }
@@ -1331,14 +1204,7 @@ mod tests {
         );
 
         // A fresh durable service recovers the acked state.
-        let service2 = AggService::new_durable(
-            AggConfig {
-                shards: 2,
-                queue_cap: 8,
-            },
-            DurOptions::new(&dir, 0),
-        );
-        let agg = service2.register("tcp-test", &m).expect("recover");
+        let agg = durable(&dir, 0).register("tcp-test", &m).expect("recover");
         let (edges, _) = agg.snapshot();
         assert_eq!(edges.funcs[0].entries(), 4, "nothing acked was dropped");
     }
@@ -1348,14 +1214,7 @@ mod tests {
         let m = test_module();
         let (server, service) = start_server(&m);
         let (delta, paths) = one_delta(&m);
-        let hello = Hello {
-            bench: "tcp-test".to_owned(),
-            funcs: 1,
-            scale_bits: 0,
-            worker: 4,
-        };
-        let sink = TcpSink::connect(server.addr()).expect("connect");
-        let mut client = AggClient::open(Arc::clone(&m), sink, 1, &hello).expect("open");
+        let mut client = open(&server, &m, 1, 4);
         for _ in 0..3 {
             client.push_delta(&delta, &paths).expect("push");
         }
@@ -1440,23 +1299,8 @@ mod tests {
     fn wal_logs_delta_frames_as_received_over_tcp() {
         let m = test_module();
         let dir = scratch("wal-as-received");
-        let make_service = || {
-            AggService::new_durable(
-                AggConfig {
-                    shards: 2,
-                    queue_cap: 8,
-                },
-                DurOptions::new(&dir, 0),
-            )
-        };
-        let service = make_service();
-        let server = Server::spawn(
-            TcpListener::bind("127.0.0.1:0").expect("bind"),
-            Arc::clone(&service),
-            test_resolver(&m),
-            ServeOptions::default(),
-        )
-        .expect("spawn");
+        let service = durable(&dir, 0);
+        let server = spawn(&m, &service, ServeOptions::default());
         let (delta, _) = one_delta(&m);
         let mut paths = ModulePathProfile::with_capacity(1);
         paths.func_mut(FuncId(0)).record(
@@ -1467,12 +1311,7 @@ mod tests {
             },
             1,
         );
-        let hello = Hello {
-            bench: "tcp-test".to_owned(),
-            funcs: 1,
-            scale_bits: 0,
-            worker: 3,
-        };
+        let hello = hello(3);
         let tee = Tee {
             tcp: TcpSink::connect(server.addr()).expect("connect"),
             sent: Vec::new(),
@@ -1493,14 +1332,17 @@ mod tests {
         assert_eq!(wal, tee.sent, "WAL holds the 8 delta frames as sent");
         let (frames, damage) = ppp_ir::wire::decode_stream(&wal);
         assert!(damage.is_none());
-        let reencoded: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        let reencoded: Vec<u8> = frames
+            .iter()
+            .flat_map(ppp_ir::wire::Frame::encode)
+            .collect();
         assert_eq!(
             wal, reencoded,
             "and as re-encoding the decoded frames gives"
         );
         assert_eq!(frames.len(), 8);
 
-        let service = make_service();
+        let service = durable(&dir, 0);
         let agg = service.register("tcp-test", &m).expect("recover");
         assert_eq!(agg.watermark(3), 8, "every logged frame replayed");
         let (edges, paths) = agg.snapshot();
@@ -1519,21 +1361,10 @@ mod tests {
             },
         );
         // Hold the only slot open with a live session.
-        let hello = Hello {
-            bench: "tcp-test".to_owned(),
-            funcs: 1,
-            scale_bits: 0,
-            worker: 1,
-        };
-        let sink = TcpSink::connect(server.addr()).expect("connect");
-        let _held = AggClient::open(Arc::clone(&m), sink, 1, &hello).expect("open");
+        let _held = open(&server, &m, 1, 1);
 
-        let hello2 = Hello {
-            worker: 2,
-            ..hello.clone()
-        };
         let sink2 = TcpSink::connect(server.addr()).expect("connect");
-        let err = match AggClient::open(Arc::clone(&m), sink2, 1, &hello2) {
+        let err = match AggClient::open(Arc::clone(&m), sink2, 1, &hello(2)) {
             Err(e) => e,
             Ok(_) => panic!("over-limit connection was accepted"),
         };

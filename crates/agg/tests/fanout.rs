@@ -8,8 +8,8 @@
 //! which registers over a hundred aggregator names, its `bench` label
 //! could collapse into `other`.
 
-use ppp_agg::{AggConfig, Aggregator, IngestOutcome};
-use ppp_ir::wire::{encode_seq_payload, Frame, FrameKind};
+use ppp_agg::{AggConfig, Aggregator};
+use ppp_ir::wire::{encode_frame, encode_seq_payload, FrameKind};
 use ppp_ir::{
     encode_edge_delta, encode_path_delta, BlockId, EdgeRef, FuncId, FunctionBuilder, Module,
     ModuleEdgeProfile, ModulePathProfile, PathKey, Reg,
@@ -42,11 +42,9 @@ fn merged(bench: &str, shard: usize) -> u64 {
 }
 
 fn ingest(agg: &Aggregator, kind: FrameKind, seq: u64, container: &[u8]) {
-    let frame = Frame::new(kind, encode_seq_payload(0, seq, container));
-    assert_eq!(
-        agg.ingest_frame(&frame).expect("ingest"),
-        IngestOutcome::Applied
-    );
+    let frame = encode_frame(kind, &encode_seq_payload(0, seq, container));
+    let report = agg.ingest_stream(&frame);
+    assert_eq!(report.frames_accepted(), 1, "applied: {report:?}");
 }
 
 #[test]

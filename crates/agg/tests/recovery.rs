@@ -8,7 +8,7 @@
 //! benchmark in the 18-benchmark suite.
 
 use ppp_agg::wal::{wal_path, Wal};
-use ppp_agg::{AggClient, AggConfig, Aggregator, DurOptions, FrameSink, Hello, IngestOutcome};
+use ppp_agg::{AggClient, AggConfig, Aggregator, DurOptions, FrameSink, Hello};
 use ppp_ir::wire::{decode_frame, encode_frame, encode_seq_payload};
 use ppp_ir::{write_edge_profile_v2, write_path_profile_v2, Frame, FrameKind, Module};
 use ppp_vm::{run, RunOptions, SplitMix64};
@@ -51,6 +51,17 @@ fn client_stream(bench: &str, module: &Arc<Module>, deltas: &[ppp_vm::ProfileDel
     client.into_sink().0
 }
 
+/// Ingests one frame as its encoded bytes; `true` when the watermark
+/// dropped it as a duplicate. Panics on a refusal.
+fn ingest(agg: &Aggregator, frame: &Frame) -> bool {
+    let report = agg.ingest_stream(&frame.encode());
+    assert!(
+        report.rejected.is_empty() && report.wire_error.is_none(),
+        "{report:?}"
+    );
+    report.duplicates == 1
+}
+
 fn scratch(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../target/ppp-scratch/recovery")
@@ -88,7 +99,7 @@ fn crash_and_recover(
     let _ = std::fs::remove_dir_all(dir);
     let agg = durable(bench, module, shards, dir);
     for f in &frames[..prefix] {
-        agg.ingest_frame(f).expect("pre-crash ingest");
+        ingest(&agg, f);
     }
     // The crash: no drain, no shutdown checkpoint, WAL handle dropped.
     drop(agg);
@@ -112,10 +123,7 @@ fn crash_and_recover(
     // watermark must absorb the overlap.
     let mut duplicates = 0u64;
     for f in frames {
-        match agg.ingest_frame(f).expect("post-crash replay") {
-            IngestOutcome::Applied => {}
-            IngestOutcome::Duplicate => duplicates += 1,
-        }
+        duplicates += u64::from(ingest(&agg, f));
     }
     let (edges, paths) = agg.snapshot();
     (
@@ -216,9 +224,7 @@ fn full_resend_after_recovery_is_fully_deduplicated() {
     let agg = durable("mcf", &module, 2, &dir);
     let mut d2 = 0u64;
     for f in &frames {
-        if agg.ingest_frame(f).expect("replay") == IngestOutcome::Duplicate {
-            d2 += 1;
-        }
+        d2 += u64::from(ingest(&agg, f));
     }
     assert_eq!(d2, seq_frames);
     let (edges, paths) = agg.snapshot();
@@ -360,7 +366,7 @@ fn wal_holds_frames_as_received_and_replays_them() {
             .expect("cold start");
             if by_frame {
                 for f in &frames {
-                    agg.ingest_frame(f).expect("ingest");
+                    ingest(&agg, f);
                 }
             } else {
                 let report = agg.ingest_stream(&received);

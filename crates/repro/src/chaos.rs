@@ -20,12 +20,13 @@ use crate::pipeline::{
     instrument_and_run, prepare_benchmark, sweep_suite, PipelineError, PipelineOptions,
     PreparedBenchmark,
 };
-use ppp_agg::{AggConfig, Aggregator, DurOptions, Hello, IngestOutcome, ReadError};
+use ppp_agg::{AggConfig, Aggregator, DurOptions, Hello, ReadError};
 use ppp_core::ProfilerConfig;
 use ppp_faults::{FaultPlan, FaultSite};
+use ppp_ir::wire::check_frame;
 use ppp_ir::{
-    encode_edge_delta, encode_path_delta, encode_seq_payload, salvage_edge_profile,
-    salvage_path_profile, write_edge_profile_v2, write_path_profile_v2, Frame, FrameKind, Module,
+    encode_edge_delta, encode_frame, encode_path_delta, encode_seq_payload, salvage_edge_profile,
+    salvage_path_profile, write_edge_profile_v2, write_path_profile_v2, FrameKind, Module,
     ModuleEdgeProfile, ModulePathProfile, SectionFault, WireError,
 };
 use ppp_match::read_edge_profile_matched;
@@ -287,25 +288,32 @@ fn hello(prep: &PreparedBenchmark) -> Hello {
     }
 }
 
-/// The frame stream one healthy worker would send for `prep`: `Hello`,
-/// a seq edge delta, a seq path delta, `Done`.
-fn seq_worker_frames(prep: &PreparedBenchmark) -> Vec<Frame> {
+/// The encoded frames one healthy worker would send for `prep`:
+/// `Hello`, a seq edge delta, a seq path delta, `Done`.
+fn seq_worker_frames(prep: &PreparedBenchmark) -> Vec<Vec<u8>> {
     vec![
-        Frame::new(FrameKind::Hello, hello(prep).encode()),
-        Frame::new(
+        encode_frame(FrameKind::Hello, &hello(prep).encode()),
+        encode_frame(
             FrameKind::SeqEdgeDelta,
-            encode_seq_payload(0, 1, &encode_edge_delta(&prep.module, &prep.edges)),
+            &encode_seq_payload(0, 1, &encode_edge_delta(&prep.module, &prep.edges)),
         ),
-        Frame::new(
+        encode_frame(
             FrameKind::SeqPathDelta,
-            encode_seq_payload(0, 2, &encode_path_delta(&prep.module, &prep.truth)),
+            &encode_seq_payload(0, 2, &encode_path_delta(&prep.module, &prep.truth)),
         ),
-        Frame::new(FrameKind::Done, b"".to_vec()),
+        encode_frame(FrameKind::Done, b""),
     ]
 }
 
-fn encode_stream(frames: &[Frame]) -> Vec<u8> {
-    frames.iter().flat_map(Frame::encode).collect()
+/// Ingests one encoded frame: `Ok(true)` when the sequence watermark
+/// dropped it as a duplicate, `Err` when the aggregator refused it.
+fn ingest_one(agg: &Aggregator, wire: &[u8]) -> Result<bool, String> {
+    let report = agg.ingest_stream(wire);
+    match (report.wire_error, report.rejected.first()) {
+        (Some((_, e)), _) => Err(e.to_string()),
+        (None, Some((_, e))) => Err(e.to_string()),
+        (None, None) => Ok(report.duplicates > 0),
+    }
 }
 
 /// A reader whose every read times out: chained after a byte prefix, the
@@ -529,7 +537,7 @@ pub fn chaos_scenario(
         FaultSite::TruncateFrame => {
             // A worker dying mid-send: the frame stream is cut at a
             // seed-chosen byte, possibly mid-header or mid-payload.
-            let mut stream = encode_stream(&seq_worker_frames(prep));
+            let mut stream = seq_worker_frames(prep).concat();
             let full = stream.len();
             let cut = plan.truncate_bytes(&mut stream);
             let detail = format!("truncated the frame stream at byte {cut} of {full}");
@@ -538,7 +546,7 @@ pub fn chaos_scenario(
         FaultSite::CorruptFrame => {
             // Bit rot on the wire: the per-frame CRC (or the header
             // magic/kind/length checks) must refuse the damaged frame.
-            let mut stream = encode_stream(&seq_worker_frames(prep));
+            let mut stream = seq_worker_frames(prep).concat();
             let hits = plan.corrupt_bytes(&mut stream, 4);
             let detail = format!("flipped frame-stream bytes at offsets {hits:?}");
             wire_fault(prep, detail, &stream)
@@ -548,7 +556,7 @@ pub fn chaos_scenario(
             // of whole frames arrives, and `Done` never does.
             let frames = seq_worker_frames(prep);
             let (sent, delivered) = (frames.len(), plan.frames_delivered(frames.len()));
-            let stream = encode_stream(&frames[..delivered]);
+            let stream = frames[..delivered].concat();
             let detail = format!("killed the worker connection after {delivered} of {sent} frames");
             wire_fault(prep, detail, &stream)
         }
@@ -569,12 +577,12 @@ pub fn chaos_scenario(
             let crash_recover = || -> Result<_, String> {
                 let (agg, _) = recover(dur.clone())?;
                 for f in &frames[..delivered] {
-                    agg.ingest_frame(f).map_err(|e| e.to_string())?;
+                    ingest_one(&agg, f)?;
                 }
                 drop(agg); // the crash: WAL handle gone, no shutdown checkpoint
                 let (agg, rec) = recover(dur)?;
                 for f in &frames {
-                    agg.ingest_frame(f).map_err(|e| e.to_string())?;
+                    ingest_one(&agg, f)?;
                 }
                 let (edges, paths) = agg.snapshot();
                 Ok((edges, paths, rec.summary()))
@@ -613,7 +621,7 @@ pub fn chaos_scenario(
             // A slowloris peer: the byte stream stalls mid-frame. The
             // frame reader must surface the typed `timed-out` error —
             // never block forever, never mistake the stall for damage.
-            let stream = encode_stream(&seq_worker_frames(prep));
+            let stream = seq_worker_frames(prep).concat();
             let len = stream.len();
             let cut = plan.stall_offset(len);
             let mut reader = std::io::Read::chain(&stream[..cut], TimesOut);
@@ -621,7 +629,9 @@ pub fn chaos_scenario(
                 let mut accepted = 0usize;
                 let stall_error = loop {
                     match ppp_agg::read_frame(&mut reader) {
-                        Ok(Some(f)) => accepted += usize::from(agg.ingest_frame(&f).is_ok()),
+                        Ok(Some((_, wire))) => {
+                            accepted += usize::from(ingest_one(agg, &wire).is_ok())
+                        }
                         Ok(None) => break None,
                         Err(e) => break Some(e),
                     }
@@ -658,15 +668,17 @@ pub fn chaos_scenario(
                 let (mut shed, mut duplicates, mut error) = (0u64, 0u64, None);
                 for (i, f) in frames.iter().enumerate() {
                     let retried = mask[i]
-                        && matches!(f.kind, FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta);
+                        && matches!(
+                            check_frame(f),
+                            Ok((FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta, _))
+                        );
                     shed += u64::from(retried);
                     // First delivery (post-shed retry) applies; the
                     // ambiguous resend must dedup.
                     for _ in 0..1 + usize::from(retried) {
-                        match agg.ingest_frame(f) {
-                            Ok(IngestOutcome::Applied) => {}
-                            Ok(IngestOutcome::Duplicate) => duplicates += 1,
-                            Err(e) => error = Some(e.to_string()),
+                        match ingest_one(agg, f) {
+                            Ok(duplicate) => duplicates += u64::from(duplicate),
+                            Err(e) => error = Some(e),
                         }
                     }
                 }

@@ -19,7 +19,7 @@ use crate::format::Table;
 use crate::pipeline::selects;
 use ppp_agg::{
     run_indexed, AggClient, AggConfig, AggService, DurOptions, FrameSink, Hello, InProcSink,
-    ResilientSink, RetryPolicy, ServeOptions, Server, TcpSink,
+    ResilientSink, RetryPolicy, ServeOptions, Server,
 };
 use ppp_ir::{Module, ModuleEdgeProfile, ModulePathProfile};
 use ppp_obs::{json, names, Histogram};
@@ -227,23 +227,6 @@ fn histogram_delta(before: Option<&Histogram>, after: Option<Histogram>) -> Opti
     (h.count > 0).then(|| Quantiles::from_histogram(&h))
 }
 
-/// One transport-agnostic frame sink handed to a worker's [`AggClient`].
-enum DriveSink {
-    InProc(InProcSink),
-    Tcp(TcpSink),
-    Resilient(ResilientSink),
-}
-
-impl FrameSink for DriveSink {
-    fn send_frame(&mut self, bytes: &[u8]) -> Result<(), String> {
-        match self {
-            DriveSink::InProc(s) => s.send_frame(bytes),
-            DriveSink::Tcp(s) => s.send_frame(bytes),
-            DriveSink::Resilient(s) => s.send_frame(bytes),
-        }
-    }
-}
-
 /// Per-work-unit stats rolled up into [`BenchDrive`] records.
 struct UnitStats {
     bench: usize,
@@ -333,9 +316,13 @@ pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, 
             .map_err(|e| format!("cannot spawn server: {e}"))
         }
     };
+    // Where the socket transports connect: fixed under --connect, and
+    // repointed by the kill monitor under --tcp.
     let server_slot: Arc<Mutex<Option<Server>>> = Arc::new(Mutex::new(None));
-    let addr_slot: Arc<Mutex<SocketAddr>> =
-        Arc::new(Mutex::new("127.0.0.1:0".parse().expect("literal addr")));
+    let addr_slot: Arc<Mutex<SocketAddr>> = Arc::new(Mutex::new(match options.transport {
+        Transport::Connect(addr) => addr,
+        _ => "127.0.0.1:0".parse().expect("literal addr"),
+    }));
     if options.transport == Transport::Tcp {
         let server = spawn_server(&service_slot.lock().expect("service slot"))?;
         *addr_slot.lock().expect("addr slot") = server.addr();
@@ -425,33 +412,25 @@ pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, 
             }
         }
 
-        // Stream the deltas through the configured transport. Under
-        // --kill-after the sink must survive the server dying, so it
-        // is the retrying, resuming kind.
-        let sink = match options.transport {
+        // Stream the deltas through the configured transport. Over a
+        // socket the sink retries and resumes, so a refused or dropped
+        // connection (or, under --kill-after, a dead server) is
+        // survived when the server comes back, and `finish` returns
+        // once the server acked everything.
+        let sink: Box<dyn FrameSink> = match options.transport {
             Transport::InProc => {
                 let service = Arc::clone(&*service_slot.lock().expect("service slot"));
-                let agg = service.register(name, module)?;
-                DriveSink::InProc(InProcSink::new(agg))
+                Box::new(InProcSink::new(service.register(name, module)?))
             }
-            Transport::Tcp if options.kill_after.is_some() => {
-                DriveSink::Resilient(ResilientSink::new(
-                    Arc::clone(&addr_slot),
-                    RetryPolicy {
-                        attempts: 12,
-                        base: Duration::from_millis(10),
-                        cap: Duration::from_millis(200),
-                    },
-                    Duration::from_secs(5),
-                ))
-            }
-            Transport::Tcp => {
-                let addr = *addr_slot.lock().expect("addr slot");
-                DriveSink::Tcp(TcpSink::connect(addr).map_err(|e| format!("{name}: connect: {e}"))?)
-            }
-            Transport::Connect(addr) => DriveSink::Tcp(
-                TcpSink::connect(addr).map_err(|e| format!("{name}: connect {addr}: {e}"))?,
-            ),
+            Transport::Tcp | Transport::Connect(_) => Box::new(ResilientSink::new(
+                Arc::clone(&addr_slot),
+                RetryPolicy {
+                    attempts: 12,
+                    base: Duration::from_millis(10),
+                    cap: Duration::from_millis(200),
+                },
+                Duration::from_secs(5),
+            )),
         };
         let hello = Hello {
             bench: name.clone(),
@@ -479,12 +458,6 @@ pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, 
             .finish()
             .map_err(|e| format!("{name}: finish: {e}"))?;
         let (frames, bytes) = client.sent();
-        match client.into_sink() {
-            // The resilient sink verified the server's final watermark
-            // inside finish(); nothing more to wait for.
-            DriveSink::Tcp(mut s) => s.wait_ack().map_err(|e| format!("{name}: ack: {e}"))?,
-            DriveSink::InProc(_) | DriveSink::Resilient(_) => {}
-        }
         Ok(UnitStats {
             bench,
             frames,
