@@ -234,6 +234,11 @@ impl Dag {
         self.edges.len()
     }
 
+    /// Number of blocks of the function the DAG was built from.
+    pub fn block_count(&self) -> usize {
+        self.out.len()
+    }
+
     /// Outgoing edges of `b`.
     pub fn out_edges(&self, b: BlockId) -> &[DagEdgeId] {
         &self.out[b.index()]

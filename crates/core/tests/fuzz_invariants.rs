@@ -85,6 +85,14 @@ fn check_prepared(name: &str, m: &Module) {
     );
     let edges = truth.edge_profile.as_ref().unwrap();
     let truth_paths = truth.path_profile.as_ref().unwrap();
+    // ppp-lint: no dataflow warnings in the module (info is advisory);
+    // each plan's lint checks that instrumentation changed nothing these
+    // lints see.
+    let generic = ppp_lint::lint_module(&m);
+    assert!(
+        generic.is_clean(),
+        "{spec_name}: lint reported problems:\n{generic}"
+    );
 
     for config in all_configs() {
         let plan = instrument_module(&m, Some(edges), &config);
@@ -97,7 +105,7 @@ fn check_prepared(name: &str, m: &Module) {
             label
         );
         // ppp-lint: a fresh plan must lint clean — no soundness or
-        // conformance errors, no dataflow warnings (info is advisory).
+        // conformance errors.
         let report = ppp_lint::lint_plan(&plan);
         assert!(
             report.is_clean(),

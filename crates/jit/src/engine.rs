@@ -323,6 +323,19 @@ pub fn transfer_guidance(
     (out, s)
 }
 
+/// Lints `plan`, instrumented from `m`, with the generic lints of `m`
+/// merged in, under a `jit.lint` span.
+fn lint_instrumented(
+    m: &Module,
+    plan: &ppp_core::ModulePlan,
+    parent: &ppp_obs::Span,
+) -> LintReport {
+    let _s = parent.child("jit.lint");
+    let mut report = ppp_lint::lint_module(m);
+    report.merge(ppp_lint::lint_plan(plan));
+    report
+}
+
 /// Runs the closed re-optimization loop on one (freshly generated,
 /// unoptimized) module until steady state or the generation cap.
 ///
@@ -388,7 +401,7 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
             let _s = gspan.child("jit.instrument");
             instrument_module(&m, Some(&guidance), &ProfilerConfig::ppp())
         };
-        stages.push(("instrument".into(), ppp_lint::lint_plan(&plan)));
+        stages.push(("instrument".into(), lint_instrumented(&m, &plan, &gspan)));
         let instrumented = Arc::new(plan.module.clone());
         let host_generation = match &host {
             None => {
@@ -552,7 +565,7 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
     // Leave the host serving the steady-state code, re-instrumented
     // with the warm guidance.
     let final_plan = instrument_module(&m, Some(&guidance), &ProfilerConfig::ppp());
-    let final_instrument = ppp_lint::lint_plan(&final_plan);
+    let final_instrument = lint_instrumented(&m, &final_plan, &span);
     if let Some(h) = &host {
         swaps += 1;
         obs.metrics()

@@ -99,6 +99,7 @@ mod tests {
         let generations = out.generations_run as u64;
         assert!(spans("jit.generation") >= generations);
         assert!(spans("jit.serve") >= generations);
+        assert!(spans("jit.lint") >= generations);
         // Each generation re-optimizes through the pipeline's own
         // `stage.*` steps.
         assert!(spans("stage.inline") >= generations);

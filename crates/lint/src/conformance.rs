@@ -1,4 +1,4 @@
-//! Plan-conformance checking (`PPP201`–`PPP203`).
+//! Plan-conformance checking (`PPP201`–`PPP204`).
 //!
 //! The instrumenter records every physical insertion it performs as a
 //! [`Placement`](ppp_core::Placement): which block received a lowered op
@@ -13,12 +13,20 @@
 //!   placement ops — nothing lost, nothing duplicated (`PPP202`);
 //! - every op must reference the plan's own counter table (`PPP203`).
 //!
-//! Only instrumented routines are checked; stray ops in uninstrumented
-//! ones are the soundness checker's `PPP105`.
+//! It also checks that instrumentation changed nothing the generic lints
+//! see (`PPP204`), so their report on the uninstrumented module holds for
+//! every plan made from it: with profiling ops left out and split edges
+//! followed through, each routine must hash to the
+//! [`source_digest`](ppp_core::FuncPlan::source_digest) the planner
+//! recorded, and every block the instrumenter added must split one edge,
+//! holding only profiling ops and a jump to an original block.
+//!
+//! The placement checks cover instrumented routines only; stray ops in
+//! uninstrumented ones are the soundness checker's `PPP105`.
 
 use crate::diag::{Code, Diagnostic};
 use ppp_core::{FuncPlan, PlacePos};
-use ppp_ir::{Function, Inst, ProfOp};
+use ppp_ir::{BlockId, Function, Inst, ProfOp, Terminator};
 use std::collections::HashMap;
 
 /// Checks one instrumented routine against its recorded placements.
@@ -142,11 +150,75 @@ pub fn check_function(f: &Function, fp: &FuncPlan) -> Vec<Diagnostic> {
     out
 }
 
-/// Checks every instrumented routine of a plan.
+/// Checks that instrumenting a routine changed only profiling ops and
+/// split edges (`PPP204`).
+pub fn check_structure(f: &Function, fp: &FuncPlan) -> Vec<Diagnostic> {
+    let diag = |block, message: String| Diagnostic {
+        code: Code::CodeChanged,
+        func: fp.func,
+        func_name: f.name.clone(),
+        block,
+        message,
+    };
+    let n = fp.dag.block_count();
+    if f.blocks.len() < n {
+        let message = format!(
+            "routine has {} blocks, {n} before instrumentation",
+            f.blocks.len()
+        );
+        return vec![diag(None, message)];
+    }
+    let mut out = Vec::new();
+    if f.blocks.len() > n {
+        let mut preds = vec![0usize; f.blocks.len() - n];
+        for block in &f.blocks {
+            for i in 0..block.term.successor_count() {
+                let s = block.term.successor(i).expect("in-range successor");
+                if s.index() >= n {
+                    preds[s.index() - n] += 1;
+                }
+            }
+        }
+        for (b, block) in f.iter_blocks().skip(n) {
+            let split = block.insts.iter().all(Inst::is_prof)
+                && matches!(block.term, Terminator::Jump { target } if target.index() < n)
+                && preds[b.index() - n] == 1;
+            if !split {
+                out.push(diag(
+                    Some(b),
+                    format!(
+                        "added block {b} does not split one edge: it must be reached by one \
+                         edge and hold only profiling ops and a jump to an original block"
+                    ),
+                ));
+            }
+        }
+    }
+    let through = |s: BlockId| match f.block(s).term {
+        Terminator::Jump { target } if s.index() >= n => target,
+        _ => s,
+    };
+    if f.code_digest(n, through) != fp.source_digest {
+        out.push(diag(
+            None,
+            "non-profiling instructions or control flow differ from the routine before \
+             instrumentation"
+                .to_owned(),
+        ));
+    }
+    out
+}
+
+/// Checks every routine of a plan: structure everywhere, placements in
+/// the instrumented ones.
 pub fn check_plan(plan: &ppp_core::ModulePlan) -> Vec<Diagnostic> {
     plan.funcs
         .iter()
-        .filter(|fp| fp.instrumented)
-        .flat_map(|fp| check_function(plan.module.function(fp.func), fp))
+        .flat_map(|fp| {
+            let f = plan.module.function(fp.func);
+            let mut out = check_function(f, fp);
+            out.extend(check_structure(f, fp));
+            out
+        })
         .collect()
 }

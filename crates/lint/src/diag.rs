@@ -76,6 +76,11 @@ pub enum Code {
     /// `PPP203` — a profiling op references a counter table other than
     /// the plan's own.
     TableBinding,
+    /// `PPP204` — instrumentation changed more than profiling ops and
+    /// split edges: a non-`Prof` instruction or a control-flow edge
+    /// differs from the routine before instrumentation, or an added block
+    /// is not a split-edge block.
+    CodeChanged,
     /// `PPP301` — a transform witness is malformed: not total, not
     /// injective, or shape-inconsistent with the source or optimized
     /// module.
@@ -141,7 +146,7 @@ pub enum Code {
 
 impl Code {
     /// Every registered code, in code order.
-    pub const ALL: [Code; 28] = [
+    pub const ALL: [Code; 29] = [
         Code::UnreachableBlock,
         Code::UseBeforeInit,
         Code::DeadWrite,
@@ -154,6 +159,7 @@ impl Code {
         Code::PlacementMismatch,
         Code::OpMultisetMismatch,
         Code::TableBinding,
+        Code::CodeChanged,
         Code::WitnessShape,
         Code::SimulationBroken,
         Code::CloneMismatch,
@@ -187,6 +193,7 @@ impl Code {
             Code::PlacementMismatch => "PPP201",
             Code::OpMultisetMismatch => "PPP202",
             Code::TableBinding => "PPP203",
+            Code::CodeChanged => "PPP204",
             Code::WitnessShape => "PPP301",
             Code::SimulationBroken => "PPP302",
             Code::CloneMismatch => "PPP303",
@@ -228,6 +235,7 @@ impl Code {
             | Code::PlacementMismatch
             | Code::OpMultisetMismatch
             | Code::TableBinding
+            | Code::CodeChanged
             | Code::WitnessShape
             | Code::SimulationBroken
             | Code::CloneMismatch
@@ -255,6 +263,7 @@ impl Code {
             Code::PlacementMismatch => "block Prof layout differs from recorded placements",
             Code::OpMultisetMismatch => "Prof op multiset differs from the plan",
             Code::TableBinding => "profiling op bound to a foreign counter table",
+            Code::CodeChanged => "instrumentation changed non-profiling code",
             Code::WitnessShape => "transform witness malformed or shape-inconsistent",
             Code::SimulationBroken => "optimized CFG has no simulating source path",
             Code::CloneMismatch => "cloned block differs from its witnessed source",
@@ -335,6 +344,12 @@ impl LintReport {
     /// Appends many diagnostics.
     pub fn extend(&mut self, ds: impl IntoIterator<Item = Diagnostic>) {
         self.diagnostics.extend(ds);
+    }
+
+    /// Adds `other`'s findings, keeping report order.
+    pub fn merge(&mut self, other: LintReport) {
+        self.diagnostics.extend(other.diagnostics);
+        self.sort();
     }
 
     /// Sorts diagnostics by (function, code, block) for stable output.

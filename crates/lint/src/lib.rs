@@ -2,22 +2,26 @@
 //!
 //! A lint framework over the `ppp-ir` register machine and the `ppp-core`
 //! instrumentation planner, built on a generic worklist [`dataflow`]
-//! engine. Four analyses ship with the crate:
+//! engine. Five analyses ship with the crate:
 //!
 //! 1. **Initialization** ([`init`]) — forward must/may assigned-register
 //!    analysis; reports definite (`PPP002`) and path-dependent (`PPP004`)
 //!    uses of unwritten registers.
 //! 2. **Dead code** ([`deadcode`]) — unreachable blocks (`PPP001`) and,
 //!    via backward liveness, pure writes never read (`PPP003`).
-//! 3. **Instrumentation soundness** ([`soundness`]) — abstract-interprets
-//!    the path register along every counted acyclic DAG path of an
-//!    instrumented routine and checks the Ball–Larus contract: each path
-//!    counts exactly once, at its own distinct id in `[0, N)`, inside its
-//!    counter table, without reading stale register state (`PPP101`–
-//!    `PPP105`).
+//! 3. **Instrumentation soundness** ([`soundness`]) — proves the
+//!    Ball–Larus contract of an instrumented routine in one pass over its
+//!    profiling DAG, whatever its path count: the numbering is a
+//!    bijection onto `[0, N)`, and every node gets the path-register
+//!    state the paths reaching it share, so each path counts exactly
+//!    once, at its own id, inside its counter table, without reading
+//!    stale register state (`PPP101`–`PPP105`).
 //! 4. **Plan conformance** ([`conformance`]) — compares the `Prof`
 //!    instructions physically present in the instrumented code against
-//!    the placements the planner recorded (`PPP201`–`PPP203`).
+//!    the placements the planner recorded (`PPP201`–`PPP203`), and checks
+//!    that instrumentation changed nothing else (`PPP204`). The generic
+//!    lints therefore run once, on the uninstrumented module
+//!    ([`lint_module`]), not once per plan ([`lint_plan`]).
 //! 5. **Translation validation** ([`transval`]) — replays the
 //!    [`ppp_ir::TransformWitness`] each optimizer transform emits and
 //!    checks it against the source and optimized modules (CFG simulation,
@@ -62,26 +66,6 @@ pub use transval::{check_profile, check_transform};
 use ppp_core::ModulePlan;
 use ppp_ir::{Cfg, FuncId, Module};
 
-/// Knobs bounding the soundness checker's path enumeration.
-#[derive(Clone, Copy, Debug)]
-pub struct LintOptions {
-    /// Maximum counted paths simulated per routine (routines with more
-    /// paths are checked on the first `max_paths_per_func` ids).
-    pub max_paths_per_func: u64,
-    /// Maximum diagnostics emitted per code per routine by the path
-    /// simulation, so one systematic defect cannot flood the report.
-    pub max_diags_per_code: usize,
-}
-
-impl Default for LintOptions {
-    fn default() -> Self {
-        Self {
-            max_paths_per_func: 1024,
-            max_diags_per_code: 8,
-        }
-    }
-}
-
 /// Runs the generic dataflow lints (init, dead code) on every function.
 pub fn lint_module(module: &Module) -> LintReport {
     let mut report = LintReport::new();
@@ -95,18 +79,15 @@ pub fn lint_module(module: &Module) -> LintReport {
     report
 }
 
-/// Lints an instrumentation plan: the generic lints on the instrumented
-/// module plus the soundness and conformance analyses, with custom
-/// [`LintOptions`].
-pub fn lint_plan_with(plan: &ModulePlan, options: &LintOptions) -> LintReport {
-    let mut report = lint_module(&plan.module);
-    report.extend(soundness::check_plan(plan, options));
+/// Lints an instrumentation plan: the soundness proof and plan
+/// conformance. The generic lints are not re-run on the instrumented
+/// module; conformance checks that instrumentation changed nothing they
+/// see, so [`lint_module`] on the uninstrumented module, run once, covers
+/// every plan made from it.
+pub fn lint_plan(plan: &ModulePlan) -> LintReport {
+    let mut report = LintReport::new();
+    report.extend(soundness::check_plan(plan));
     report.extend(conformance::check_plan(plan));
     report.sort();
     report
-}
-
-/// Lints an instrumentation plan with default [`LintOptions`].
-pub fn lint_plan(plan: &ModulePlan) -> LintReport {
-    lint_plan_with(plan, &LintOptions::default())
 }

@@ -2,8 +2,13 @@
 //! trips it, and the untampered plans lint clean. The generic lints
 //! (`PPP001`–`PPP004`) use hand-built functions; the soundness lints
 //! (`PPP101`–`PPP105`) tamper a plan's edge-op lists, table, or module;
-//! the conformance lints (`PPP201`–`PPP203`) desynchronize the physical
-//! `Prof` instructions from the recorded placements.
+//! the conformance lints (`PPP201`–`PPP204`) desynchronize the physical
+//! `Prof` instructions from the recorded placements or change the code
+//! around them. Every plan lint also checks the soundness proof against
+//! the path-by-path oracle in `soundness_oracle/`, on the fixtures and on
+//! seeded single-defect mutants of them.
+
+mod soundness_oracle;
 
 use ppp_core::dag::{DagEdgeId, DagEdgeKind};
 use ppp_core::plan::PlanOp;
@@ -11,8 +16,9 @@ use ppp_core::{instrument_module, normalize_module, FuncPlan, ModulePlan, Profil
 use ppp_ir::{
     BinOp, Block, Function, FunctionBuilder, Inst, Module, ProfOp, TableId, TableKind, Terminator,
 };
-use ppp_lint::{lint_module, lint_plan, Code};
+use ppp_lint::{lint_module, Code};
 use ppp_vm::{run, RunOptions};
+use soundness_oracle::{assert_agree, lint_plan, mutants};
 
 /// `main` loops eight times over an if-diamond (several activation and
 /// iteration paths), plus a routine `idle` that is never called.
@@ -67,6 +73,12 @@ fn tpp_plan() -> ModulePlan {
     let m = sample_module();
     let truth = run(&m, "main", &RunOptions::default().traced()).unwrap();
     instrument_module(&m, truth.edge_profile.as_ref(), &ProfilerConfig::tpp())
+}
+
+fn ppp_plan() -> ModulePlan {
+    let m = sample_module();
+    let truth = run(&m, "main", &RunOptions::default().traced()).unwrap();
+    instrument_module(&m, truth.edge_profile.as_ref(), &ProfilerConfig::ppp())
 }
 
 fn main_fp(plan: &mut ModulePlan) -> &mut FuncPlan {
@@ -287,4 +299,54 @@ fn ppp203_foreign_table_reference() {
         .expect("main contains a counting op");
     *op = retable(*op, foreign);
     assert!(lint_plan(&plan).has(Code::TableBinding));
+}
+
+#[test]
+fn ppp204_changed_code_breaks_structure() {
+    let mut plan = pp_plan();
+    assert!(!lint_plan(&plan).has(Code::CodeChanged));
+    let fid = main_fp(&mut plan).func;
+    let f = plan.module.function_mut(fid);
+    let (b, i) = f
+        .iter_blocks()
+        .find_map(|(b, block)| {
+            let i = block.insts.iter().position(|i| !i.is_prof())?;
+            Some((b, i))
+        })
+        .expect("main has program code");
+    f.block_mut(b).insts.remove(i);
+    assert!(lint_plan(&plan).has(Code::CodeChanged));
+
+    // An added block that splits no edge.
+    let mut plan = pp_plan();
+    let f = plan.module.function_mut(fid);
+    f.add_block(Block::new(Terminator::Return { value: None }));
+    let report = lint_plan(&plan);
+    assert!(report.has(Code::CodeChanged), "{report}");
+    assert!(report
+        .diagnostics
+        .iter()
+        .all(|d| d.code == Code::CodeChanged));
+}
+
+#[test]
+fn proof_agrees_with_the_oracle_on_seeded_mutants() {
+    let mut mutated = 0;
+    let mut codes = std::collections::BTreeSet::new();
+    for (i, plan) in [pp_plan(), tpp_plan(), ppp_plan()].iter().enumerate() {
+        assert!(assert_agree(plan, "untampered").codes.is_empty());
+        for (case, m) in mutants(plan, 17 + i as u64, 12) {
+            codes.extend(assert_agree(&m, &case).codes);
+            mutated += 1;
+        }
+    }
+    assert!(mutated >= 100, "only {mutated} mutants");
+    for code in [
+        Code::PathNumbering,
+        Code::CounterBounds,
+        Code::CountMultiplicity,
+        Code::RegisterLeak,
+    ] {
+        assert!(codes.contains(&code), "no mutant trips {code:?}: {codes:?}");
+    }
 }

@@ -455,9 +455,18 @@ pub fn run_prepared(
         }
     };
 
+    // The generic lints see nothing instrumentation changes (the plan
+    // lint checks that), so they run once, on the uninstrumented module.
+    let generic = {
+        let _s = span.child("pipeline.lint");
+        ppp_lint::lint_module(&prep.module)
+    };
     let profilers = pipeline_configs(options)
         .iter()
-        .map(|c| run_profiler(&prep, guidance.as_ref(), c, options, &est_opts, &span))
+        .map(|c| {
+            let guidance = guidance.as_ref();
+            run_profiler(&prep, guidance, &generic, c, options, &est_opts, &span)
+        })
         .collect();
 
     let _s = span.child("pipeline.summarize");
@@ -489,17 +498,21 @@ pub fn run_prepared(
 }
 
 /// Instruments a prepared suite entry under every pipeline configuration
-/// and lints each plan (backs the `repro lint` subcommand).
+/// and lints each plan, with the generic lints of the uninstrumented
+/// module merged in (backs the `repro lint` subcommand).
 pub fn lint_benchmark(
     entry: &SuiteEntry,
     options: &PipelineOptions,
 ) -> Result<NamedReports, PipelineError> {
     let prep = prepare_benchmark(entry, options)?;
+    let generic = ppp_lint::lint_module(&prep.module);
     Ok(pipeline_configs(options)
         .iter()
         .map(|c| {
             let plan = instrument_module(&prep.module, Some(&prep.edges), c);
-            (c.label(), ppp_lint::lint_plan(&plan))
+            let mut report = generic.clone();
+            report.merge(ppp_lint::lint_plan(&plan));
+            (c.label(), report)
         })
         .collect())
 }
@@ -523,6 +536,7 @@ pub fn estimate_options(truth: &ModulePathProfile, options: &PipelineOptions) ->
 fn run_profiler(
     prep: &PreparedBenchmark,
     guidance: Option<&ModuleEdgeProfile>,
+    generic: &ppp_lint::LintReport,
     config: &ProfilerConfig,
     options: &PipelineOptions,
     est_opts: &EstimateOptions,
@@ -558,7 +572,12 @@ fn run_profiler(
     };
     // Soundness gate: a plan that fails the lint would silently corrupt
     // the measured profile, so surface it loudly before running.
-    let lint = ppp_lint::lint_plan(&plan);
+    let lint = {
+        let _s = span.child("pipeline.lint");
+        let mut lint = generic.clone();
+        lint.merge(ppp_lint::lint_plan(&plan));
+        lint
+    };
     if !lint.is_clean() {
         obs.metrics().inc(
             "ppp_plan_lint_failures_total",

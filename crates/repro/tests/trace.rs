@@ -50,6 +50,7 @@ fn trace_renders_stage_tree_and_metrics() {
         "stage.profile@opt",
         "pipeline.run",
         "pipeline.profiler",
+        "pipeline.lint",
         "vm.run",
     ] {
         assert!(text.contains(stage), "{stage}: {text}");
