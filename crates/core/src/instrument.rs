@@ -104,10 +104,6 @@ pub struct FuncPlan {
     pub checked: bool,
     /// Edge-profile coverage estimate used by LC (branch metric).
     pub lc_coverage: f64,
-    /// [`Function::code_digest`] of the routine before instrumentation,
-    /// so a checker can confirm that instrumenting it changed nothing but
-    /// profiling ops and split edges.
-    pub source_digest: u64,
 }
 
 /// A fully planned, instrumented module.
@@ -223,7 +219,6 @@ fn plan_function(
         placements: Vec::new(),
         checked: false,
         lc_coverage: 0.0,
-        source_digest: f.code_digest(f.blocks.len(), |b| b),
         dag,
     };
     let dag = &plan.dag;

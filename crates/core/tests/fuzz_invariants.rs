@@ -85,14 +85,10 @@ fn check_prepared(name: &str, m: &Module) {
     );
     let edges = truth.edge_profile.as_ref().unwrap();
     let truth_paths = truth.path_profile.as_ref().unwrap();
-    // ppp-lint: no dataflow warnings in the module (info is advisory);
-    // each plan's lint checks that instrumentation changed nothing these
-    // lints see.
-    let generic = ppp_lint::lint_module(&m);
-    assert!(
-        generic.is_clean(),
-        "{spec_name}: lint reported problems:\n{generic}"
-    );
+    // ppp-lint: the generic lints run once, on the module; each plan's
+    // lint merges them in and checks that instrumentation changed nothing
+    // they see.
+    let lint = ppp_lint::ModuleLint::new(&m);
 
     for config in all_configs() {
         let plan = instrument_module(&m, Some(edges), &config);
@@ -104,9 +100,9 @@ fn check_prepared(name: &str, m: &Module) {
             spec_name,
             label
         );
-        // ppp-lint: a fresh plan must lint clean — no soundness or
-        // conformance errors.
-        let report = ppp_lint::lint_plan(&plan);
+        // ppp-lint: a fresh plan must lint clean — no dataflow warnings
+        // (info is advisory), no soundness or conformance errors.
+        let report = lint.plan(&plan);
         assert!(
             report.is_clean(),
             "{} {}: lint reported problems:\n{}",

@@ -151,36 +151,6 @@ impl Function {
             .map(|b| b.insts.iter().filter(|i| i.is_prof()).count())
             .sum()
     }
-
-    /// A 64-bit digest of the function as code analyses see it: its
-    /// signature and entry, and for each of its first `blocks` blocks the
-    /// non-`Prof` instructions and the terminator, every successor mapped
-    /// through `succ`.
-    ///
-    /// Profiling instructions never enter the digest, so instrumenting a
-    /// function in place leaves it unchanged; `blocks` and `succ` let a
-    /// checker leave out the blocks an instrumenter appended to split
-    /// edges and follow each split edge through to its target.
-    pub fn code_digest(&self, blocks: usize, succ: impl Fn(BlockId) -> BlockId) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        (&self.name, self.param_count, self.reg_count, self.entry).hash(&mut h);
-        for block in &self.blocks[..blocks.min(self.blocks.len())] {
-            for inst in block.insts.iter().filter(|i| !i.is_prof()) {
-                inst.hash(&mut h);
-            }
-            match &block.term {
-                Terminator::Jump { .. } => 0u8.hash(&mut h),
-                Terminator::Branch { cond, .. } => (1u8, cond).hash(&mut h),
-                Terminator::Switch { disc, .. } => (2u8, disc).hash(&mut h),
-                Terminator::Return { value } => (3u8, value).hash(&mut h),
-            }
-            for s in 0..block.term.successor_count() {
-                succ(block.term.successor(s).expect("in-range successor")).hash(&mut h);
-            }
-        }
-        h.finish()
-    }
 }
 
 /// Incrementally constructs a [`Function`].

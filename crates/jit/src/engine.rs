@@ -323,19 +323,6 @@ pub fn transfer_guidance(
     (out, s)
 }
 
-/// Lints `plan`, instrumented from `m`, with the generic lints of `m`
-/// merged in, under a `jit.lint` span.
-fn lint_instrumented(
-    m: &Module,
-    plan: &ppp_core::ModulePlan,
-    parent: &ppp_obs::Span,
-) -> LintReport {
-    let _s = parent.child("jit.lint");
-    let mut report = ppp_lint::lint_module(m);
-    report.merge(ppp_lint::lint_plan(plan));
-    report
-}
-
 /// Runs the closed re-optimization loop on one (freshly generated,
 /// unoptimized) module until steady state or the generation cap.
 ///
@@ -401,7 +388,11 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
             let _s = gspan.child("jit.instrument");
             instrument_module(&m, Some(&guidance), &ProfilerConfig::ppp())
         };
-        stages.push(("instrument".into(), lint_instrumented(&m, &plan, &gspan)));
+        let lint = {
+            let _s = gspan.child("jit.lint");
+            ppp_lint::ModuleLint::new(&m).plan(&plan)
+        };
+        stages.push(("instrument".into(), lint));
         let instrumented = Arc::new(plan.module.clone());
         let host_generation = match &host {
             None => {
@@ -565,7 +556,10 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
     // Leave the host serving the steady-state code, re-instrumented
     // with the warm guidance.
     let final_plan = instrument_module(&m, Some(&guidance), &ProfilerConfig::ppp());
-    let final_instrument = lint_instrumented(&m, &final_plan, &span);
+    let final_instrument = {
+        let _s = span.child("jit.lint");
+        ppp_lint::ModuleLint::new(&m).plan(&final_plan)
+    };
     if let Some(h) = &host {
         swaps += 1;
         obs.metrics()

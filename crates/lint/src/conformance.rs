@@ -13,20 +13,20 @@
 //!   placement ops — nothing lost, nothing duplicated (`PPP202`);
 //! - every op must reference the plan's own counter table (`PPP203`).
 //!
-//! It also checks that instrumentation changed nothing the generic lints
-//! see (`PPP204`), so their report on the uninstrumented module holds for
-//! every plan made from it: with profiling ops left out and split edges
-//! followed through, each routine must hash to the
-//! [`source_digest`](ppp_core::FuncPlan::source_digest) the planner
-//! recorded, and every block the instrumenter added must split one edge,
-//! holding only profiling ops and a jump to an original block.
+//! It also checks, against the module the plan was instrumented from,
+//! that instrumentation changed nothing the generic lints see (`PPP204`),
+//! so their report on the uninstrumented module holds for every plan made
+//! from it: with profiling ops left out and split edges followed through,
+//! each original block must be unchanged, and every block the
+//! instrumenter added must split one edge, holding only profiling ops and
+//! a jump to an original block.
 //!
 //! The placement checks cover instrumented routines only; stray ops in
 //! uninstrumented ones are the soundness checker's `PPP105`.
 
 use crate::diag::{Code, Diagnostic};
 use ppp_core::{FuncPlan, PlacePos};
-use ppp_ir::{BlockId, Function, Inst, ProfOp, Terminator};
+use ppp_ir::{Function, Inst, Module, ProfOp, Terminator};
 use std::collections::HashMap;
 
 /// Checks one instrumented routine against its recorded placements.
@@ -150,9 +150,13 @@ pub fn check_function(f: &Function, fp: &FuncPlan) -> Vec<Diagnostic> {
     out
 }
 
-/// Checks that instrumenting a routine changed only profiling ops and
-/// split edges (`PPP204`).
-pub fn check_structure(f: &Function, fp: &FuncPlan) -> Vec<Diagnostic> {
+/// Checks that instrumenting `original` into `f` changed only profiling
+/// ops and split edges (`PPP204`): every original block keeps its
+/// non-profiling instructions and its terminator, with each successor
+/// that is an added block followed through to that block's target, and
+/// every added block splits one edge, holding only profiling ops and a
+/// jump to an original block.
+fn check_routine(original: &Function, f: &Function, fp: &FuncPlan) -> Vec<Diagnostic> {
     let diag = |block, message: String| Diagnostic {
         code: Code::CodeChanged,
         func: fp.func,
@@ -160,7 +164,7 @@ pub fn check_structure(f: &Function, fp: &FuncPlan) -> Vec<Diagnostic> {
         block,
         message,
     };
-    let n = fp.dag.block_count();
+    let n = original.blocks.len();
     if f.blocks.len() < n {
         let message = format!(
             "routine has {} blocks, {n} before instrumentation",
@@ -169,56 +173,82 @@ pub fn check_structure(f: &Function, fp: &FuncPlan) -> Vec<Diagnostic> {
         return vec![diag(None, message)];
     }
     let mut out = Vec::new();
-    if f.blocks.len() > n {
-        let mut preds = vec![0usize; f.blocks.len() - n];
-        for block in &f.blocks {
-            for i in 0..block.term.successor_count() {
-                let s = block.term.successor(i).expect("in-range successor");
-                if s.index() >= n {
-                    preds[s.index() - n] += 1;
-                }
-            }
-        }
-        for (b, block) in f.iter_blocks().skip(n) {
-            let split = block.insts.iter().all(Inst::is_prof)
-                && matches!(block.term, Terminator::Jump { target } if target.index() < n)
-                && preds[b.index() - n] == 1;
-            if !split {
-                out.push(diag(
-                    Some(b),
-                    format!(
-                        "added block {b} does not split one edge: it must be reached by one \
-                         edge and hold only profiling ops and a jump to an original block"
-                    ),
-                ));
-            }
-        }
-    }
-    let through = |s: BlockId| match f.block(s).term {
-        Terminator::Jump { target } if s.index() >= n => target,
-        _ => s,
-    };
-    if f.code_digest(n, through) != fp.source_digest {
+    if (&f.name, f.param_count, f.reg_count, f.entry)
+        != (
+            &original.name,
+            original.param_count,
+            original.reg_count,
+            original.entry,
+        )
+    {
         out.push(diag(
             None,
-            "non-profiling instructions or control flow differ from the routine before \
+            "name, signature, register count or entry differ from the routine before \
              instrumentation"
                 .to_owned(),
         ));
     }
+    let mut preds = vec![0usize; f.blocks.len() - n];
+    for block in &f.blocks {
+        for i in 0..block.term.successor_count() {
+            let s = block.term.successor(i).expect("in-range successor");
+            if s.index() >= n {
+                preds[s.index() - n] += 1;
+            }
+        }
+    }
+    for (b, block) in f.iter_blocks().skip(n) {
+        let split = block.insts.iter().all(Inst::is_prof)
+            && matches!(block.term, Terminator::Jump { target } if target.index() < n)
+            && preds[b.index() - n] == 1;
+        if !split {
+            out.push(diag(
+                Some(b),
+                format!(
+                    "added block {b} does not split one edge: it must be reached by one \
+                     edge and hold only profiling ops and a jump to an original block"
+                ),
+            ));
+        }
+    }
+    for ((b, block), before) in f.iter_blocks().zip(&original.blocks) {
+        let mut term = block.term.clone();
+        for i in 0..term.successor_count() {
+            let s = term.successor(i).expect("in-range successor");
+            if s.index() >= n {
+                if let Terminator::Jump { target } = f.block(s).term {
+                    term.set_successor(i, target);
+                }
+            }
+        }
+        let insts = block.insts.iter().filter(|i| !i.is_prof());
+        if term != before.term || !insts.eq(before.insts.iter().filter(|i| !i.is_prof())) {
+            out.push(diag(
+                Some(b),
+                format!("{b}'s non-profiling instructions or successors changed"),
+            ));
+        }
+    }
     out
 }
 
-/// Checks every routine of a plan: structure everywhere, placements in
-/// the instrumented ones.
+/// Checks every routine of a plan against its recorded placements
+/// (`PPP201`–`PPP203`).
 pub fn check_plan(plan: &ppp_core::ModulePlan) -> Vec<Diagnostic> {
+    plan.funcs
+        .iter()
+        .flat_map(|fp| check_function(plan.module.function(fp.func), fp))
+        .collect()
+}
+
+/// Checks every routine of a plan against the same routine in
+/// `original`, the module it was instrumented from (`PPP204`).
+pub fn check_structure(original: &Module, plan: &ppp_core::ModulePlan) -> Vec<Diagnostic> {
     plan.funcs
         .iter()
         .flat_map(|fp| {
             let f = plan.module.function(fp.func);
-            let mut out = check_function(f, fp);
-            out.extend(check_structure(f, fp));
-            out
+            check_routine(original.function(fp.func), f, fp)
         })
         .collect()
 }

@@ -346,12 +346,6 @@ impl LintReport {
         self.diagnostics.extend(ds);
     }
 
-    /// Adds `other`'s findings, keeping report order.
-    pub fn merge(&mut self, other: LintReport) {
-        self.diagnostics.extend(other.diagnostics);
-        self.sort();
-    }
-
     /// Sorts diagnostics by (function, code, block) for stable output.
     pub fn sort(&mut self) {
         self.diagnostics

@@ -19,9 +19,10 @@
 //! 4. **Plan conformance** ([`conformance`]) — compares the `Prof`
 //!    instructions physically present in the instrumented code against
 //!    the placements the planner recorded (`PPP201`–`PPP203`), and checks
-//!    that instrumentation changed nothing else (`PPP204`). The generic
-//!    lints therefore run once, on the uninstrumented module
-//!    ([`lint_module`]), not once per plan ([`lint_plan`]).
+//!    that instrumentation changed nothing else (`PPP204`) by comparing
+//!    each routine with the uninstrumented one. The generic lints
+//!    therefore run once per module ([`ModuleLint::new`]), not once per
+//!    plan ([`ModuleLint::plan`]).
 //! 5. **Translation validation** ([`transval`]) — replays the
 //!    [`ppp_ir::TransformWitness`] each optimizer transform emits and
 //!    checks it against the source and optimized modules (CFG simulation,
@@ -43,9 +44,9 @@
 //! module.add_function(b.finish());
 //! normalize_module(&mut module);
 //!
+//! let lint = ppp_lint::ModuleLint::new(&module);
 //! let plan = instrument_module(&module, None, &ProfilerConfig::pp());
-//! let report = ppp_lint::lint_plan(&plan);
-//! assert!(report.is_clean());
+//! assert!(lint.plan(&plan).is_clean());
 //! ```
 
 #![warn(missing_docs)]
@@ -79,15 +80,43 @@ pub fn lint_module(module: &Module) -> LintReport {
     report
 }
 
-/// Lints an instrumentation plan: the soundness proof and plan
-/// conformance. The generic lints are not re-run on the instrumented
-/// module; conformance checks that instrumentation changed nothing they
-/// see, so [`lint_module`] on the uninstrumented module, run once, covers
-/// every plan made from it.
+/// Lints an instrumentation plan on its own: the soundness proof and the
+/// placement checks of plan conformance (`PPP101`–`PPP203`). The full
+/// lint of a plan is [`ModuleLint::plan`].
 pub fn lint_plan(plan: &ModulePlan) -> LintReport {
     let mut report = LintReport::new();
     report.extend(soundness::check_plan(plan));
     report.extend(conformance::check_plan(plan));
     report.sort();
     report
+}
+
+/// The generic lints of one uninstrumented module, run once and shared
+/// by the full lint of every plan instrumented from it.
+pub struct ModuleLint<'m> {
+    module: &'m Module,
+    generic: LintReport,
+}
+
+impl<'m> ModuleLint<'m> {
+    /// Runs [`lint_module`] on `module`.
+    pub fn new(module: &'m Module) -> Self {
+        ModuleLint {
+            module,
+            generic: lint_module(module),
+        }
+    }
+
+    /// The full lint of `plan`, instrumented from this module: the
+    /// generic findings, [`lint_plan`], and the check that instrumentation
+    /// changed nothing the generic lints see (`PPP204`), which makes the
+    /// generic findings hold for the instrumented module too.
+    pub fn plan(&self, plan: &ModulePlan) -> LintReport {
+        let mut report = self.generic.clone();
+        report.extend(soundness::check_plan(plan));
+        report.extend(conformance::check_plan(plan));
+        report.extend(conformance::check_structure(self.module, plan));
+        report.sort();
+        report
+    }
 }

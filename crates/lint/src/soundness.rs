@@ -29,7 +29,11 @@
 //! node of a sound plan sees at most two states. A node that receives
 //! more keeps them apart (each with the range of ids its paths can end
 //! at), so an unsound routine gets the same codes a path-by-path
-//! simulation would find, however many paths it has.
+//! simulation would find, however many paths it has, as long as no node
+//! receives more than 16 states. A node past that limit is itself
+//! reported (`PPP101`, naming the node) and its extra states are not
+//! followed; every other state is still judged. Each finding is reported
+//! once, however many `EXIT` edges its paths reach.
 //! Routines the plan leaves uninstrumented must contain no profiling
 //! instructions at all (`PPP105`).
 
@@ -44,8 +48,10 @@ use ppp_ir::{BlockId, Inst, Module, ProfOp, TableKind};
 /// cannot flood the report.
 const MAX_DIAGS_PER_CODE: usize = 8;
 
-/// Distinct states one node may receive before the proof stops. A sound
-/// plan has at most two; a defect adds a few.
+/// Distinct states the proof follows out of one node. A sound plan has
+/// at most two; a defect adds a few. Past the limit the node gets a
+/// `PPP101` of its own and the extra states are dropped, so the code set
+/// matches a path-by-path simulation only while no node exceeds it.
 const MAX_STATES_PER_NODE: usize = 16;
 
 /// The path register, relative to the id prefix `B` of the path so far.
@@ -209,7 +215,7 @@ impl Class {
 }
 
 /// One routine's findings, at most [`MAX_DIAGS_PER_CODE`] per code from
-/// the proof.
+/// the proof, each once.
 struct Findings<'a> {
     fp: &'a FuncPlan,
     name: &'a str,
@@ -227,10 +233,14 @@ impl Findings<'_> {
         }
     }
 
+    /// Reports a finding unless the same one is already reported or its
+    /// code has used up its budget.
     fn report(&mut self, code: Code, block: BlockId, message: impl FnOnce() -> String) {
         if self.out.iter().filter(|d| d.code == code).count() < MAX_DIAGS_PER_CODE {
             let d = self.diag(code, Some(block), message());
-            self.out.push(d);
+            if !self.out.contains(&d) {
+                self.out.push(d);
+            }
         }
     }
 }
@@ -397,12 +407,12 @@ fn prove(num: &Numbering, array_size: Option<u64>, found: &mut Findings<'_>) {
                 } else {
                     found.report(Code::PathNumbering, edge.to, || {
                         format!(
-                            "more than {MAX_STATES_PER_NODE} path-register states reach {}; \
-                             the proof stops there",
+                            "more than {MAX_STATES_PER_NODE} path-register states reach {}, \
+                             where a sound plan has at most 2; paths in the states past \
+                             the limit are not judged",
                             edge.to
                         )
                     });
-                    return;
                 }
             }
         }

@@ -16,7 +16,7 @@ use ppp_core::{instrument_module, normalize_module, FuncPlan, ModulePlan, Profil
 use ppp_ir::{
     BinOp, Block, Function, FunctionBuilder, Inst, Module, ProfOp, TableId, TableKind, Terminator,
 };
-use ppp_lint::{lint_module, Code};
+use ppp_lint::{lint_module, Code, LintReport};
 use ppp_vm::{run, RunOptions};
 use soundness_oracle::{assert_agree, lint_plan, mutants};
 
@@ -106,13 +106,25 @@ fn retable(op: ProfOp, t: TableId) -> ProfOp {
     }
 }
 
+/// Asserts that no finding of `report` is reported twice.
+fn assert_each_once(report: &LintReport) {
+    for (i, d) in report.diagnostics.iter().enumerate() {
+        assert!(
+            !report.diagnostics[..i].contains(d),
+            "reported twice: {d:?}\n{report}"
+        );
+    }
+}
+
 #[test]
 fn untampered_plans_are_clean() {
-    let pp = lint_plan(&pp_plan());
+    let m = sample_module();
+    let pp = lint_plan(&m, &pp_plan());
     assert!(pp.is_clean(), "pp plan not clean:\n{pp}");
     assert!(pp.is_empty(), "pp plan not even info-free:\n{pp}");
-    let tpp = lint_plan(&tpp_plan());
+    let tpp = lint_plan(&m, &tpp_plan());
     assert!(tpp.is_clean(), "tpp plan not clean:\n{tpp}");
+    assert!(tpp.is_empty(), "tpp plan not even info-free:\n{tpp}");
 }
 
 #[test]
@@ -179,7 +191,7 @@ fn ppp101_shifted_increment_breaks_numbering() {
     // Shift every path through this edge by one: some path now counts an
     // index that is not its own id.
     fp.edge_ops[e.index()].insert(0, PlanOp::Add(1));
-    assert!(lint_plan(&plan).has(Code::PathNumbering));
+    assert!(lint_plan(&sample_module(), &plan).has(Code::PathNumbering));
 }
 
 #[test]
@@ -188,7 +200,7 @@ fn ppp102_shrunken_table_breaks_bounds() {
     let table = main_fp(&mut plan).table.unwrap();
     assert!(main_fp(&mut plan).n_paths > 1);
     plan.module.tables[table.index()].kind = TableKind::Array { size: 1 };
-    assert!(lint_plan(&plan).has(Code::CounterBounds));
+    assert!(lint_plan(&sample_module(), &plan).has(Code::CounterBounds));
 }
 
 #[test]
@@ -197,7 +209,7 @@ fn ppp103_dropped_count_breaks_multiplicity() {
     let fp = main_fp(&mut plan);
     let e = count_edge(fp);
     fp.edge_ops[e.index()].retain(|op| !op.is_count());
-    assert!(lint_plan(&plan).has(Code::CountMultiplicity));
+    assert!(lint_plan(&sample_module(), &plan).has(Code::CountMultiplicity));
 }
 
 #[test]
@@ -220,7 +232,7 @@ fn ppp104_unset_iteration_path_leaks_register() {
             *op = PlanOp::Add(v);
         }
     }
-    assert!(lint_plan(&plan).has(Code::RegisterLeak));
+    assert!(lint_plan(&sample_module(), &plan).has(Code::RegisterLeak));
 }
 
 #[test]
@@ -238,7 +250,7 @@ fn ppp105_prof_in_uninstrumented_routine() {
             table: TableId(0),
             index: 0,
         }));
-    assert!(lint_plan(&plan).has(Code::StrayInstrumentation));
+    assert!(lint_plan(&sample_module(), &plan).has(Code::StrayInstrumentation));
 }
 
 #[test]
@@ -259,7 +271,7 @@ fn ppp201_displaced_op_breaks_placement() {
         .expect("some block has body instructions before its appended op");
     let n = block.insts.len();
     block.insts.swap(n - 1, n - 2);
-    let report = lint_plan(&plan);
+    let report = lint_plan(&sample_module(), &plan);
     assert!(report.has(Code::PlacementMismatch));
     assert!(!report.has(Code::OpMultisetMismatch));
 }
@@ -274,7 +286,7 @@ fn ppp202_unrecorded_op_breaks_multiset() {
         .find(|p| !p.ops.is_empty())
         .expect("instrumented main has placements");
     placement.ops.pop();
-    assert!(lint_plan(&plan).has(Code::OpMultisetMismatch));
+    assert!(lint_plan(&sample_module(), &plan).has(Code::OpMultisetMismatch));
 }
 
 #[test]
@@ -298,13 +310,13 @@ fn ppp203_foreign_table_reference() {
         })
         .expect("main contains a counting op");
     *op = retable(*op, foreign);
-    assert!(lint_plan(&plan).has(Code::TableBinding));
+    assert!(lint_plan(&sample_module(), &plan).has(Code::TableBinding));
 }
 
 #[test]
 fn ppp204_changed_code_breaks_structure() {
     let mut plan = pp_plan();
-    assert!(!lint_plan(&plan).has(Code::CodeChanged));
+    assert!(!lint_plan(&sample_module(), &plan).has(Code::CodeChanged));
     let fid = main_fp(&mut plan).func;
     let f = plan.module.function_mut(fid);
     let (b, i) = f
@@ -315,18 +327,122 @@ fn ppp204_changed_code_breaks_structure() {
         })
         .expect("main has program code");
     f.block_mut(b).insts.remove(i);
-    assert!(lint_plan(&plan).has(Code::CodeChanged));
+    let report = lint_plan(&sample_module(), &plan);
+    let changed: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.code == Code::CodeChanged)
+        .collect();
+    assert_eq!(changed.len(), 1, "{report}");
+    assert_eq!(changed[0].block, Some(b), "names the changed block");
+
+    // A branch retargeted to another original block.
+    let mut plan = pp_plan();
+    let f = plan.module.function_mut(fid);
+    let (b, _) = f
+        .iter_blocks()
+        .find(|(_, block)| matches!(block.term, Terminator::Branch { .. }))
+        .expect("main branches");
+    let term = &mut f.block_mut(b).term;
+    let other = term.successor(1).expect("a branch has two successors");
+    term.set_successor(0, other);
+    let report = lint_plan(&sample_module(), &plan);
+    assert!(
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == Code::CodeChanged && d.block == Some(b)),
+        "{report}"
+    );
 
     // An added block that splits no edge.
     let mut plan = pp_plan();
     let f = plan.module.function_mut(fid);
     f.add_block(Block::new(Terminator::Return { value: None }));
-    let report = lint_plan(&plan);
+    let report = lint_plan(&sample_module(), &plan);
     assert!(report.has(Code::CodeChanged), "{report}");
     assert!(report
         .diagnostics
         .iter()
         .all(|d| d.code == Code::CodeChanged));
+}
+
+#[test]
+fn a_defect_is_reported_once_however_many_exit_edges_it_reaches() {
+    // A count right out of ENTRY, where the loop's iteration paths still
+    // hold a stale register and its activation paths have yet to count:
+    // each defect then reaches EXIT by the return and by the back edge.
+    for (dummy, code) in [(true, Code::RegisterLeak), (false, Code::CountMultiplicity)] {
+        let mut plan = pp_plan();
+        let fp = main_fp(&mut plan);
+        let e = *fp
+            .dag
+            .out_edges(fp.dag.entry)
+            .iter()
+            .find(|&&e| matches!(fp.dag.edge(e).kind, DagEdgeKind::EntryDummy { .. }) == dummy)
+            .expect("ENTRY has a real edge and a loop-header dummy");
+        let ops = &mut fp.edge_ops[e.index()];
+        ops.insert(0, PlanOp::Count);
+        ops.insert(0, PlanOp::Count);
+        let report = lint_plan(&sample_module(), &plan);
+        let found = report.diagnostics.iter().filter(|d| d.code == code);
+        assert_eq!(found.count(), 1, "{report}");
+        assert_each_once(&report);
+    }
+}
+
+/// `chain` runs through `k` if-diamonds in a row: `2^k` paths.
+fn chain_module(k: usize) -> Module {
+    let mut b = FunctionBuilder::new("chain", 1);
+    let p = b.param(0);
+    for _ in 0..k {
+        let (t, e, j) = (b.new_block(), b.new_block(), b.new_block());
+        b.branch(p, t, e);
+        b.switch_to(t);
+        b.emit(p);
+        b.jump(j);
+        b.switch_to(e);
+        b.jump(j);
+        b.switch_to(j);
+    }
+    b.ret(None);
+    let mut m = Module::new();
+    m.add_function(b.finish());
+    normalize_module(&mut m);
+    m
+}
+
+#[test]
+fn a_node_past_the_state_limit_is_reported_and_the_rest_judged() {
+    let mut plan = instrument_module(&chain_module(8), None, &ProfilerConfig::pp());
+    let fp = main_fp(&mut plan);
+    assert_eq!(fp.n_paths, 256);
+    // Shift the register by a distinct power of two on one arm of every
+    // diamond. The first diamond's arms reset the register and the last
+    // one's arms count, but the six shifts between them give the prefixes
+    // reaching the last branch 64 different offsets, past the 16 states
+    // the proof follows out of one node.
+    let mut shift = 1 << 10;
+    for &v in fp.dag.topo() {
+        let outs = fp.dag.out_edges(v);
+        if outs.len() == 2 {
+            fp.edge_ops[outs[0].index()].push(PlanOp::Add(shift));
+            shift <<= 1;
+        }
+    }
+    assert_eq!(shift, 1 << 18, "eight diamonds");
+    let report = ppp_lint::lint_plan(&plan);
+    assert!(
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == Code::PathNumbering && d.message.contains("not judged")),
+        "{report}"
+    );
+    // The states kept are still judged at EXIT: shifted paths count
+    // outside the 256-entry table.
+    assert!(report.has(Code::CounterBounds), "{report}");
+    assert_each_once(&report);
 }
 
 #[test]

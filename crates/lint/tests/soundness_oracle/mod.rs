@@ -6,7 +6,7 @@
 //! its cost grows with the path count, it stands aside (`None`) for
 //! routines above [`MAX_ORACLE_PATHS`].
 //!
-//! [`lint_plan`] lints a plan the way a test wants it, but first asserts
+//! [`lint_plan`] lints a plan the way callers do, but first asserts
 //! that the proof reports the same set of codes as the oracle for every
 //! routine, so each call site in a test is a differential check.
 //! [`mutants`] makes the seeded single-defect variants of a plan that
@@ -20,7 +20,7 @@ use ppp_core::numbering::decode_path;
 use ppp_core::plan::{simulate as run_ops, PlanOp};
 use ppp_core::{FuncPlan, ModulePlan};
 use ppp_ir::{Inst, Module, ProfOp, TableKind};
-use ppp_lint::{soundness, Code, LintReport};
+use ppp_lint::{soundness, Code, LintReport, ModuleLint};
 use ppp_vm::SplitMix64;
 use std::collections::BTreeSet;
 
@@ -144,10 +144,11 @@ pub fn assert_agree(plan: &ModulePlan, case: &str) -> Agreement {
     seen
 }
 
-/// [`ppp_lint::lint_plan`], after checking the proof against the oracle.
-pub fn lint_plan(plan: &ModulePlan) -> LintReport {
+/// The full lint of `plan`, instrumented from `original`
+/// ([`ModuleLint::plan`]), after checking the proof against the oracle.
+pub fn lint_plan(original: &Module, plan: &ModulePlan) -> LintReport {
     assert_agree(plan, "plan");
-    ppp_lint::lint_plan(plan)
+    ModuleLint::new(original).plan(plan)
 }
 
 /// Seeded single-defect variants of `plan`, each named: one `Add` or

@@ -457,15 +457,15 @@ pub fn run_prepared(
 
     // The generic lints see nothing instrumentation changes (the plan
     // lint checks that), so they run once, on the uninstrumented module.
-    let generic = {
+    let lint = {
         let _s = span.child("pipeline.lint");
-        ppp_lint::lint_module(&prep.module)
+        ppp_lint::ModuleLint::new(&prep.module)
     };
     let profilers = pipeline_configs(options)
         .iter()
         .map(|c| {
             let guidance = guidance.as_ref();
-            run_profiler(&prep, guidance, &generic, c, options, &est_opts, &span)
+            run_profiler(&prep, guidance, &lint, c, options, &est_opts, &span)
         })
         .collect();
 
@@ -505,14 +505,12 @@ pub fn lint_benchmark(
     options: &PipelineOptions,
 ) -> Result<NamedReports, PipelineError> {
     let prep = prepare_benchmark(entry, options)?;
-    let generic = ppp_lint::lint_module(&prep.module);
+    let lint = ppp_lint::ModuleLint::new(&prep.module);
     Ok(pipeline_configs(options)
         .iter()
         .map(|c| {
             let plan = instrument_module(&prep.module, Some(&prep.edges), c);
-            let mut report = generic.clone();
-            report.merge(ppp_lint::lint_plan(&plan));
-            (c.label(), report)
+            (c.label(), lint.plan(&plan))
         })
         .collect())
 }
@@ -536,7 +534,7 @@ pub fn estimate_options(truth: &ModulePathProfile, options: &PipelineOptions) ->
 fn run_profiler(
     prep: &PreparedBenchmark,
     guidance: Option<&ModuleEdgeProfile>,
-    generic: &ppp_lint::LintReport,
+    module_lint: &ppp_lint::ModuleLint<'_>,
     config: &ProfilerConfig,
     options: &PipelineOptions,
     est_opts: &EstimateOptions,
@@ -574,9 +572,7 @@ fn run_profiler(
     // the measured profile, so surface it loudly before running.
     let lint = {
         let _s = span.child("pipeline.lint");
-        let mut lint = generic.clone();
-        lint.merge(ppp_lint::lint_plan(&plan));
-        lint
+        module_lint.plan(&plan)
     };
     if !lint.is_clean() {
         obs.metrics().inc(
