@@ -31,11 +31,12 @@
 //! 2. [`salvage_edge_profile`] / [`salvage_path_profile`] — per-section
 //!    salvage: a corrupted section quarantines *that function only*
 //!    (left zeroed / pathless); everything else loads normally.
-//! 3. [`read_edge_profile_stale`] / [`read_path_profile_stale`] — stale
-//!    shape tolerance: sections are matched to functions **by name**
-//!    (indices are allowed to have shifted), records that still fit the
-//!    current CFG shape are kept, and the rest are dropped and counted
-//!    (Meta's Stale Profile Matching shows salvaging beats discarding).
+//! 3. [`read_edge_profile_stale`] — stale shape tolerance: sections are
+//!    matched to functions **by name** (indices are allowed to have
+//!    shifted), records that still fit the current CFG shape are kept,
+//!    and the rest are dropped and counted (Meta's Stale Profile Matching
+//!    shows salvaging beats discarding). `ppp-match` builds its
+//!    cross-version transfer on this loader.
 //!
 //! All loaders take raw bytes and never panic: corrupt input — including
 //! invalid UTF-8 from byte-level damage — yields a typed error or a
@@ -783,29 +784,21 @@ fn parse_path_record(
     Ok((PathKey { start, edges }, freq))
 }
 
-/// Parses a path section payload into `out` (lenient: drop + count).
+/// Parses a path section payload into `out`; the first bad record wins.
 fn parse_path_section(
     f: &Function,
     text: &str,
-    lenient: bool,
     out: &mut FuncPathProfile,
-) -> Result<u64, ProfileParseError> {
-    let mut dropped = 0u64;
+) -> Result<(), ProfileParseError> {
     for (ln, raw) in text.lines().enumerate() {
         let line = raw.split(';').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
-        match parse_path_record(f, line, ln + 1) {
-            Ok((key, freq)) => out.record(f, key, freq),
-            Err(e) if lenient => {
-                let _ = e;
-                dropped += 1;
-            }
-            Err(e) => return Err(e),
-        }
+        let (key, freq) = parse_path_record(f, line, ln + 1)?;
+        out.record(f, key, freq);
     }
-    Ok(dropped)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -888,7 +881,7 @@ pub fn read_path_profile_v2(
     let mut profile = ModulePathProfile::with_capacity(module.functions.len());
     for (fid, text) in sections {
         let f = module.function(fid);
-        parse_path_section(f, text, false, profile.func_mut(fid)).map_err(|error| {
+        parse_path_section(f, text, profile.func_mut(fid)).map_err(|error| {
             ProfileLoadError::Record {
                 func: fid.index(),
                 name: f.name.clone(),
@@ -1018,7 +1011,7 @@ pub fn salvage_path_profile(
         |profile, fid, text| {
             let f = module.function(fid);
             let mut scratch = FuncPathProfile::new();
-            parse_path_section(f, text, false, &mut scratch)?;
+            parse_path_section(f, text, &mut scratch)?;
             *profile.func_mut(fid) = scratch;
             Ok(())
         },
@@ -1026,17 +1019,29 @@ pub fn salvage_path_profile(
 }
 
 // ---------------------------------------------------------------------------
-// Stale-shape loaders
+// Stale-shape loader
 // ---------------------------------------------------------------------------
 
-fn stale_load<T>(
+/// Loads a v2 edge profile written for a *different build* of the module:
+/// sections are matched to functions by name (indices may have shifted),
+/// and every record that still fits the current CFG shape is kept while
+/// the rest are dropped and counted — salvaging a stale profile instead
+/// of refusing it.
+///
+/// The result is generally *not* flow conservative (dropped records break
+/// Kirchhoff's law); callers are expected to push it through the
+/// degradation ladder, which quarantines or re-derives the functions that
+/// no longer balance.
+///
+/// # Errors
+///
+/// Only container-level damage is fatal.
+pub fn read_edge_profile_stale(
     module: &Module,
     bytes: &[u8],
-    kind: &'static str,
-    mut profile: T,
-    mut apply: impl FnMut(&mut T, FuncId, &str) -> Result<u64, ProfileParseError>,
-) -> Result<(T, StaleReport), ProfileLoadError> {
-    let (_, sections) = walk_sections(bytes, kind)?;
+) -> Result<(ModuleEdgeProfile, StaleReport), ProfileLoadError> {
+    let (_, sections) = walk_sections(bytes, "edge")?;
+    let mut profile = ModuleEdgeProfile::zeroed(module);
     let mut report = StaleReport::default();
     let mut seen = vec![false; module.functions.len()];
     for s in sections {
@@ -1048,21 +1053,24 @@ fn stale_load<T>(
                     if fid.index() != raw.index {
                         report.renumbered_funcs += 1;
                     }
+                    let f = module.function(fid);
                     match section_text(&raw) {
-                        Ok(text) => match apply(&mut profile, fid, text) {
-                            Ok(dropped) => report.dropped_records += dropped,
-                            // Lenient application never errors, but keep
-                            // the plumbing honest.
-                            Err(error) => report.faults.push(SectionFault {
-                                func: raw.index,
-                                name: raw.name,
-                                error: ProfileLoadError::Record {
-                                    func: fid.index(),
-                                    name: module.function(fid).name.clone(),
-                                    error,
-                                },
-                            }),
-                        },
+                        Ok(text) => {
+                            match parse_edge_section(f, text, true, profile.func_mut(fid)) {
+                                Ok(dropped) => report.dropped_records += dropped,
+                                // Lenient parsing never errors, but keep the
+                                // plumbing honest.
+                                Err(error) => report.faults.push(SectionFault {
+                                    func: raw.index,
+                                    name: raw.name,
+                                    error: ProfileLoadError::Record {
+                                        func: fid.index(),
+                                        name: f.name.clone(),
+                                        error,
+                                    },
+                                }),
+                            }
+                        }
                         Err(error) => report.faults.push(SectionFault {
                             func: raw.index,
                             name: raw.name,
@@ -1083,57 +1091,6 @@ fn stale_load<T>(
         }
     }
     Ok((profile, report))
-}
-
-/// Loads a v2 edge profile written for a *different build* of the module:
-/// sections are matched to functions by name (indices may have shifted),
-/// and every record that still fits the current CFG shape is kept while
-/// the rest are dropped and counted — salvaging a stale profile instead
-/// of refusing it.
-///
-/// The result is generally *not* flow conservative (dropped records break
-/// Kirchhoff's law); callers are expected to push it through the
-/// degradation ladder, which quarantines or re-derives the functions that
-/// no longer balance.
-///
-/// # Errors
-///
-/// Only container-level damage is fatal.
-pub fn read_edge_profile_stale(
-    module: &Module,
-    bytes: &[u8],
-) -> Result<(ModuleEdgeProfile, StaleReport), ProfileLoadError> {
-    stale_load(
-        module,
-        bytes,
-        "edge",
-        ModuleEdgeProfile::zeroed(module),
-        |profile, fid, text| {
-            parse_edge_section(module.function(fid), text, true, profile.func_mut(fid))
-        },
-    )
-}
-
-/// Loads a v2 path profile for a different build of the module; see
-/// [`read_edge_profile_stale`]. Paths whose edges no longer chain in the
-/// renamed function are dropped and counted.
-///
-/// # Errors
-///
-/// Only container-level damage is fatal.
-pub fn read_path_profile_stale(
-    module: &Module,
-    bytes: &[u8],
-) -> Result<(ModulePathProfile, StaleReport), ProfileLoadError> {
-    stale_load(
-        module,
-        bytes,
-        "path",
-        ModulePathProfile::with_capacity(module.functions.len()),
-        |profile, fid, text| {
-            parse_path_section(module.function(fid), text, true, profile.func_mut(fid))
-        },
-    )
 }
 
 #[cfg(test)]

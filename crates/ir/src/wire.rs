@@ -731,4 +731,43 @@ mod tests {
             ("timed-out".to_owned(), String::new())
         );
     }
+
+    /// Damaged trace-context blocks are not a context: a short block, a
+    /// near-miss magic or an empty container comes back whole, with
+    /// `None`, and nothing panics.
+    #[test]
+    fn damaged_trace_context_blocks_come_back_untouched() {
+        let block = TraceContext::sampled(0xFEED, 3).encode();
+        for cut in 0..TRACE_CONTEXT_LEN {
+            let short = &block[..cut];
+            assert_eq!(split_trace_context(short), (None, short), "cut {cut}");
+        }
+        for i in 0..TRACE_CONTEXT_MAGIC.len() {
+            let mut near = block;
+            near[i] ^= 0x20;
+            assert_eq!(split_trace_context(&near), (None, &near[..]), "byte {i}");
+        }
+        assert_eq!(split_trace_context(b""), (None, &b""[..]));
+        // Exactly a block and nothing after it: the context, an empty rest.
+        let (ctx, rest) = split_trace_context(&block);
+        assert_eq!(ctx, Some(TraceContext::sampled(0xFEED, 3)));
+        assert!(rest.is_empty());
+    }
+
+    /// Damaged reject payloads decode as documented: no newline is all
+    /// class, invalid UTF-8 is replaced rather than refused.
+    #[test]
+    fn damaged_reject_payloads_decode_as_documented() {
+        assert_eq!(split_reject_payload(b""), (String::new(), String::new()));
+        assert_eq!(
+            split_reject_payload(b"overloaded queue depth 64"),
+            ("overloaded queue depth 64".to_owned(), String::new())
+        );
+        let (class, detail) = split_reject_payload(b"over\xFFloaded\nqueue \xC3");
+        assert_eq!(class, "over\u{FFFD}loaded");
+        assert_eq!(detail, "queue \u{FFFD}");
+        let (class, detail) = split_reject_payload(&[0xFF, 0xFE, 0xFD]);
+        assert_eq!(class, "\u{FFFD}\u{FFFD}\u{FFFD}");
+        assert!(detail.is_empty());
+    }
 }

@@ -7,10 +7,9 @@
 //! through all three strictness levels (strict, salvage, stale).
 
 use ppp_ir::{
-    read_edge_profile_stale, read_edge_profile_v2, read_path_profile_stale, read_path_profile_v2,
-    salvage_edge_profile, salvage_path_profile, write_edge_profile_v2, write_path_profile_v2,
-    BlockId, EdgeRef, FuncId, FunctionBuilder, Module, ModuleEdgeProfile, ModulePathProfile,
-    PathKey, Reg,
+    read_edge_profile_stale, read_edge_profile_v2, read_path_profile_v2, salvage_edge_profile,
+    salvage_path_profile, write_edge_profile_v2, write_path_profile_v2, BlockId, EdgeRef, FuncId,
+    FunctionBuilder, Module, ModuleEdgeProfile, ModulePathProfile, PathKey, Reg,
 };
 
 const SEEDS: u64 = 300;
@@ -107,7 +106,6 @@ fn exercise_v2(m: &Module, edge_bytes: &[u8], path_bytes: &[u8]) {
     let _ = read_edge_profile_stale(m, edge_bytes);
     let _ = read_path_profile_v2(m, path_bytes);
     let _ = salvage_path_profile(m, path_bytes);
-    let _ = read_path_profile_stale(m, path_bytes);
     // Kind confusion: each artifact through the other kind's loaders.
     let _ = read_edge_profile_v2(m, path_bytes);
     let _ = salvage_path_profile(m, edge_bytes);

@@ -7,8 +7,8 @@ use ppp_agg::{AggClient, AggConfig, AggService, Hello, InProcSink};
 use ppp_core::{instrument_module, ProfilerConfig};
 use ppp_ir::{Module, ModuleEdgeProfile};
 use ppp_lint::LintReport;
-use ppp_match::{match_modules, transfer_edge_profile};
-use ppp_opt::{InlineOptions, InlineReport, UnrollOptions, UnrollReport};
+use ppp_match::{transfer_module_edges, TransferReport};
+use ppp_opt::{InlineReport, UnrollReport};
 use ppp_vm::{RunOptions, VmError, VmHost};
 use std::fmt;
 use std::sync::Arc;
@@ -88,17 +88,14 @@ pub struct JitOptions {
     /// Start generation 1 from a `ppp-est` static estimate instead of a
     /// traced warmup profile (a cold code cache).
     pub cold_start: bool,
-    /// Tracer delta interval for the serving run's stream.
-    pub delta_interval: u64,
-    /// Deltas per shipped frame batch.
-    pub batch: usize,
-    /// Aggregator shard threads.
-    pub shards: usize,
-    /// Inliner tuning.
-    pub inline: InlineOptions,
-    /// Unroller tuning.
-    pub unroll: UnrollOptions,
 }
+
+/// Tracer delta interval of each serving run's stream.
+const DELTA_INTERVAL: u64 = 2048;
+/// Deltas per shipped frame batch.
+const BATCH: usize = 4;
+/// Aggregator shard threads.
+const SHARDS: usize = 2;
 
 impl Default for JitOptions {
     fn default() -> Self {
@@ -109,45 +106,8 @@ impl Default for JitOptions {
             seed: 0x5EED,
             scale: 1.0,
             cold_start: false,
-            delta_interval: 2048,
-            batch: 4,
-            shards: 2,
-            inline: InlineOptions::default(),
-            unroll: UnrollOptions::default(),
         }
     }
-}
-
-/// What carrying the previous generation's profile onto the new module
-/// did (the warm-restart step).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TransferSummary {
-    /// Function pairs matched across the generations.
-    pub pairs: usize,
-    /// Pairs found by anchor fingerprint rather than name.
-    pub anchor_pairs: usize,
-    /// Old functions with no counterpart (their flow is dropped).
-    pub unmatched_old: usize,
-    /// New functions starting unprofiled.
-    pub unmatched_new: usize,
-    /// Edge records copied onto the new CFGs.
-    pub transferred_edges: usize,
-    /// Old edge flow with no usable image in the new module.
-    pub dropped_flow: u64,
-    /// Total block-frequency adjustment made by renormalization.
-    pub moved_flow: u64,
-    /// Functions whose transfer needed the renormalization repair.
-    pub renormalized_funcs: usize,
-    /// Functions zeroed because repair failed (`PPP404`).
-    pub zeroed_funcs: usize,
-    /// Fraction of old edge flow carried across (1.0 = lossless).
-    pub coverage: f64,
-    /// `true` when every pair was a block-level identity.
-    pub identity: bool,
-    /// `true` when the transferred guidance passed the PPP308
-    /// flow-conservation gate (always expected: transfer repairs or
-    /// zeroes).
-    pub conservative: bool,
 }
 
 /// Everything one generation of the loop did.
@@ -194,7 +154,7 @@ pub struct GenerationReport {
     pub promoted: bool,
     /// Profile transfer onto the promoted module (None when the
     /// candidate was rejected).
-    pub transfer: Option<TransferSummary>,
+    pub transfer: Option<TransferReport>,
     /// Wall-clock time of the generation (recorded, never gated).
     pub wall_ms: f64,
 }
@@ -203,6 +163,17 @@ impl GenerationReport {
     /// `true` when every stage gate of this generation came back clean.
     pub fn witness_clean(&self) -> bool {
         self.stages.iter().all(|(_, r)| r.is_empty())
+    }
+
+    /// `true` when the transferred guidance passed the PPP308
+    /// flow-conservation gate (the `transfer` stage; vacuously true when
+    /// nothing was transferred). Always expected: transfer repairs or
+    /// zeroes.
+    pub fn transfer_conservative(&self) -> bool {
+        self.stages
+            .iter()
+            .filter(|(name, _)| name == "transfer")
+            .all(|(_, r)| r.is_empty())
     }
 }
 
@@ -265,62 +236,8 @@ impl JitOutcome {
     pub fn transfers_conservative(&self) -> bool {
         self.generations
             .iter()
-            .filter_map(|g| g.transfer.as_ref())
-            .all(|t| t.conservative)
+            .all(GenerationReport::transfer_conservative)
     }
-}
-
-/// Transfers `profile` (collected on `old`) onto `new` via `ppp-match`,
-/// pairing functions by name and anchor fingerprint and repairing or
-/// zeroing any pair that would violate flow conservation.
-pub fn transfer_guidance(
-    old: &Module,
-    new: &Module,
-    profile: &ModuleEdgeProfile,
-) -> (ModuleEdgeProfile, TransferSummary) {
-    let mm = match_modules(old, new);
-    let mut out = ModuleEdgeProfile::zeroed(new);
-    let mut s = TransferSummary {
-        pairs: mm.pairs.len(),
-        anchor_pairs: mm.anchor_paired(),
-        unmatched_old: mm.unmatched_old.len(),
-        unmatched_new: mm.unmatched_new.len(),
-        identity: mm.is_identity(),
-        ..TransferSummary::default()
-    };
-    let total_old_flow: u64 = old
-        .func_ids()
-        .map(|f| profile.func(f).total_edge_flow())
-        .sum();
-    for pair in &mm.pairs {
-        let (fp, st) = transfer_edge_profile(
-            &pair.report,
-            old.function(pair.old),
-            new.function(pair.new),
-            profile.func(pair.old),
-        );
-        s.transferred_edges += st.transferred_edges;
-        s.dropped_flow = s.dropped_flow.saturating_add(st.dropped_flow);
-        s.moved_flow = s.moved_flow.saturating_add(st.moved_flow);
-        if st.renormalized {
-            s.renormalized_funcs += 1;
-        }
-        if st.zeroed {
-            s.zeroed_funcs += 1;
-        }
-        *out.func_mut(pair.new) = fp;
-    }
-    for &f in &mm.unmatched_old {
-        s.dropped_flow = s
-            .dropped_flow
-            .saturating_add(profile.func(f).total_edge_flow());
-    }
-    s.coverage = if total_old_flow == 0 {
-        1.0
-    } else {
-        1.0 - s.dropped_flow as f64 / total_old_flow as f64
-    };
-    (out, s)
 }
 
 /// Runs the closed re-optimization loop on one (freshly generated,
@@ -368,7 +285,7 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
     ));
 
     let service = AggService::new(AggConfig {
-        shards: options.shards.max(1),
+        shards: SHARDS,
         ..AggConfig::default()
     });
     let mut host: Option<VmHost> = None;
@@ -419,7 +336,7 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
                     &RunOptions::default()
                         .with_seed(options.seed)
                         .traced()
-                        .with_delta_interval(options.delta_interval.max(1)),
+                        .with_delta_interval(DELTA_INTERVAL),
                 )
                 .map_err(JitError::no_main(bench))?;
             s.set("cost_units", served.cost);
@@ -443,7 +360,7 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
         let mut client = AggClient::open(
             Arc::clone(&checkout.module),
             InProcSink::new(Arc::clone(&agg)),
-            options.batch.max(1),
+            BATCH,
             &hello,
         )
         .map_err(agg_err)?;
@@ -494,16 +411,17 @@ pub fn run_jit(module: &Module, bench: &str, options: &JitOptions) -> Result<Jit
         let mut transfer = None;
         if promoted {
             let _s = gspan.child("jit.transfer");
-            let (warm, mut summary) = transfer_guidance(&m, &reopt.module, &profile);
-            let gate = ppp_lint::check_profile(&reopt.module, &warm);
-            summary.conservative = gate.is_empty();
+            let (warm, report) = transfer_module_edges(&m, &reopt.module, &profile);
             obs.metrics().inc_by(
                 "ppp_jit_transfer_dropped_flow_total",
                 &[("bench", bench)],
-                summary.dropped_flow,
+                report.dropped_flow,
             );
-            stages.push(("transfer".into(), gate));
-            transfer = Some(summary);
+            stages.push((
+                "transfer".into(),
+                ppp_lint::check_profile(&reopt.module, &warm),
+            ));
+            transfer = Some(report);
             m = reopt.module;
             cost_cur = candidate_cost;
             guidance = warm;

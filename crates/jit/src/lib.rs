@@ -10,10 +10,12 @@
 //! control flow at a fixed seed), re-optimizes the hot functions with
 //! the witnessed profile-guided transforms (`ppp-opt`), validates every
 //! witness (`ppp-lint`, PPP3xx) and every profile (PPP307/308),
-//! transfers the stale profile onto the new module (`ppp-match`) so the
-//! next generation's instrumentation starts warm, hot-swaps the
-//! re-optimized code into the host, and iterates until the cost-model
-//! improvement between generations drops below epsilon.
+//! transfers the stale profile onto the new module
+//! ([`ppp_match::transfer_module_edges`], the same transfer the
+//! matched-stale loader runs) so the next generation's instrumentation
+//! starts warm, hot-swaps the re-optimized code into the host, and
+//! iterates until the cost-model improvement between generations drops
+//! below epsilon.
 //!
 //! Promotion is conservative — a candidate replaces the served module
 //! only if its uninstrumented cost-model cost did not increase — so the
@@ -35,9 +37,7 @@ mod engine;
 mod fold;
 mod reopt;
 
-pub use engine::{
-    run_jit, transfer_guidance, GenerationReport, JitError, JitOptions, JitOutcome, TransferSummary,
-};
+pub use engine::{run_jit, GenerationReport, JitError, JitOptions, JitOutcome};
 pub use fold::fold_edge_profile;
 pub use reopt::{bootstrap, profile_stage, reoptimize, traced, Reoptimized};
 
@@ -139,6 +139,72 @@ mod tests {
             ppp_ir::write_edge_profile_v2(&warm.final_module, &warm.final_guidance),
             ppp_ir::write_edge_profile_v2(&cold.final_module, &cold.final_guidance),
         );
+    }
+
+    /// Every count of a transfer report, the PPP4xx findings included.
+    fn counts(t: &ppp_match::TransferReport) -> impl PartialEq + std::fmt::Debug {
+        (
+            (t.paired_funcs, t.anchor_paired, t.identity),
+            (t.unmatched_old.clone(), t.unmatched_new.clone()),
+            (t.matched_blocks, t.total_old_blocks, t.transferred_edges),
+            (t.renormalized_funcs.clone(), t.zeroed_funcs.clone()),
+            (t.dropped_flow, t.moved_flow, t.old_flow),
+            t.diagnostics.diagnostics.clone(),
+        )
+    }
+
+    #[test]
+    fn the_loop_and_the_matched_loader_report_one_transfer_alike() {
+        // mcf's first re-optimization zeroes functions, the case where a
+        // second copy of the transfer once counted them as renormalized
+        // too. Rebuild the loop's generation-1 transfer by hand, carry
+        // the profile across in memory and through a persisted artifact,
+        // and hold both reports to the loop's own.
+        let entry = &spec2000_suite()[1];
+        let name = entry.spec.name.as_str();
+        let module = generate(&entry.spec.clone().scaled(0.05));
+        let out = run_jit(
+            &module,
+            name,
+            &JitOptions {
+                generations: 1,
+                ..options()
+            },
+        )
+        .expect("loop completes");
+        let looped = out.generations[0]
+            .transfer
+            .as_ref()
+            .expect("gen 1 promotes");
+
+        let span = ppp_obs::global().span("test");
+        let mut old = module.clone();
+        bootstrap(&mut old, &span);
+        let (_, profile, _) = traced(&old, options().seed, name).expect("runs");
+        let new = reoptimize(old.clone(), &profile, name, &options(), &span)
+            .expect("re-optimizes")
+            .module;
+        let (warm, in_memory) = ppp_match::transfer_module_edges(&old, &new, &profile);
+        let bytes = ppp_ir::write_edge_profile_v2(&old, &profile);
+        let (loaded, msr) =
+            ppp_match::read_edge_profile_matched(&old, &new, bytes.as_bytes()).expect("loads");
+
+        assert!(
+            !in_memory.zeroed_funcs.is_empty(),
+            "{name} zeroes a function"
+        );
+        assert!(in_memory
+            .zeroed_funcs
+            .iter()
+            .all(|f| !in_memory.renormalized_funcs.contains(f)));
+        assert_eq!(counts(&in_memory), counts(&msr.transfer));
+        assert_eq!(counts(&in_memory), counts(looped));
+        assert_eq!(
+            ppp_ir::write_edge_profile_v2(&new, &warm),
+            ppp_ir::write_edge_profile_v2(&new, &loaded)
+        );
+        assert!(msr.stale.is_exact());
+        assert_eq!(msr.is_lossless(), in_memory.is_lossless());
     }
 
     #[test]

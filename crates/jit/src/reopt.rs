@@ -16,7 +16,7 @@ use ppp_lint::LintReport;
 use ppp_obs::Span;
 use ppp_opt::{
     focus_profile, inline_module_witnessed, optimize_module_witnessed, select_hot_functions,
-    unroll_module_witnessed, InlineReport, UnrollReport,
+    unroll_module_witnessed, InlineOptions, InlineReport, UnrollOptions, UnrollReport,
 };
 use ppp_vm::{run, RunOptions, RunResult};
 
@@ -128,7 +128,7 @@ pub fn reoptimize(
         let _s = parent.child("stage.inline");
         let focused = focus_profile(&module, profile, &hot);
         let src = module.clone();
-        let (rep, w) = inline_module_witnessed(&mut module, &focused, &options.inline);
+        let (rep, w) = inline_module_witnessed(&mut module, &focused, &InlineOptions::default());
         stages.push((
             "inline".into(),
             ppp_lint::check_transform(&src, &w, &module),
@@ -144,7 +144,7 @@ pub fn reoptimize(
             &select_hot_functions(&module, &e1, options.hot_threshold),
         );
         let src = module.clone();
-        let (rep, w) = unroll_module_witnessed(&mut module, &focused, &options.unroll);
+        let (rep, w) = unroll_module_witnessed(&mut module, &focused, &UnrollOptions::default());
         stages.push((
             "unroll".into(),
             ppp_lint::check_transform(&src, &w, &module),

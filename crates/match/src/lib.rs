@@ -1,4 +1,4 @@
-//! Stale-profile matching: transferring path profiles across program
+//! Stale-profile matching: transferring edge profiles across program
 //! versions.
 //!
 //! Production PGO's hardest problem is that profiles are collected on
@@ -16,13 +16,18 @@
 //!   typed [`MatchReport`] with per-block confidence and stable PPP4xx
 //!   diagnostics (PPP401 unanchored, PPP402 ambiguous, PPP403
 //!   split/merged region) through the `ppp-lint` machinery;
-//! * [`transfer`] — remaps edge and path profiles through a
-//!   [`MatchReport`], renormalizing at matched-region boundaries so the
-//!   result always passes PPP308 flow conservation (functions that
-//!   cannot be repaired are zeroed and flagged PPP404);
-//! * [`stale`] — the matched-stale loaders: name- then anchor-identity
-//!   function pairing across two module versions, wholesale profile
-//!   transfer, and `ppp_stale_*`/`ppp_match_*` observability metrics.
+//! * [`transfer`] — remaps edge profiles through a [`MatchReport`],
+//!   renormalizing at matched-region boundaries so the result always
+//!   passes PPP308 flow conservation (functions that cannot be repaired
+//!   are zeroed and flagged PPP404). [`transfer_module_edges`] is the one
+//!   cross-version transfer of a whole module's profile; its
+//!   [`TransferReport`] counts a function as renormalized *or* zeroed,
+//!   never both;
+//! * [`stale`] — name- then anchor-identity function pairing across two
+//!   module versions, and the matched-stale loader
+//!   [`read_edge_profile_matched`]: a stale load, then
+//!   [`transfer_module_edges`], with `ppp_stale_*`/`ppp_match_*`
+//!   observability metrics.
 //!
 //! The crate is deterministic end to end: hashing is FNV-1a (no
 //! `DefaultHasher`), every iteration over a hash map is sorted, and the
@@ -39,18 +44,16 @@ pub mod transfer;
 pub use anchor::{anchor_function, function_fingerprint, AnchorSet, BlockAnchor};
 pub use matcher::{match_functions, MatchReport};
 pub use stale::{
-    match_modules, read_edge_profile_matched, read_path_profile_matched, FuncPair,
-    MatchedStaleReport, ModuleMatch, PairMethod,
+    match_modules, read_edge_profile_matched, FuncPair, MatchedStaleReport, ModuleMatch, PairMethod,
 };
-pub use transfer::{transfer_edge_profile, transfer_path_profile, TransferStats};
+pub use transfer::{transfer_module_edges, TransferReport};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ppp_ir::{
-        read_edge_profile_stale, write_edge_profile_v2, write_path_profile_v2, BlockId, EdgeRef,
-        FuncId, FunctionBuilder, Inst, Module, ModuleEdgeProfile, ModulePathProfile, PathKey, Reg,
-        Terminator,
+        read_edge_profile_stale, write_edge_profile_v2, BlockId, EdgeRef, FuncId, FunctionBuilder,
+        Inst, Module, ModuleEdgeProfile, Reg, Terminator,
     };
     use ppp_lint::Code;
 
@@ -101,26 +104,10 @@ mod tests {
         let bytes = write_edge_profile_v2(&m, &edges);
         let (loaded, report) = read_edge_profile_matched(&m, &m, bytes.as_bytes()).unwrap();
         assert!(report.is_lossless(), "report: {report:?}");
-        assert!(report.diagnostics.is_empty());
+        assert!(report.transfer.diagnostics.is_empty());
         // Byte-identical round trip: serialize the transferred profile
         // and compare to the original artifact.
         assert_eq!(write_edge_profile_v2(&m, &loaded), bytes);
-    }
-
-    #[test]
-    fn identity_matched_path_load_is_lossless() {
-        let m = sample();
-        let f = m.function(FuncId(0));
-        let mut paths = ModulePathProfile::with_capacity(m.functions.len());
-        let key = PathKey {
-            start: BlockId(0),
-            edges: vec![EdgeRef::new(BlockId(0), 0), EdgeRef::new(BlockId(1), 0)],
-        };
-        paths.func_mut(FuncId(0)).record(f, key, 7);
-        let bytes = write_path_profile_v2(&m, &paths);
-        let (loaded, report) = read_path_profile_matched(&m, &m, bytes.as_bytes()).unwrap();
-        assert!(report.is_lossless());
-        assert_eq!(write_path_profile_v2(&m, &loaded), bytes);
     }
 
     #[test]
@@ -145,7 +132,7 @@ mod tests {
         assert_eq!(plain_report.unmatched_sections, vec!["work".to_string()]);
 
         let (matched, report) = read_edge_profile_matched(&old, &new, bytes.as_bytes()).unwrap();
-        assert_eq!(report.anchor_paired, 1);
+        assert_eq!(report.transfer.anchor_paired, 1);
         assert_eq!(matched.func(FuncId(1)).entries(), 5);
         assert_eq!(matched.func(FuncId(1)).block(BlockId(0)), 5);
         assert!(matched.is_flow_conservative(&new));
@@ -262,7 +249,7 @@ mod tests {
         let bytes = write_edge_profile_v2(&old, &edges);
         let (loaded, msr) = read_edge_profile_matched(&old, &new, bytes.as_bytes()).unwrap();
         assert!(loaded.is_flow_conservative(&new));
-        assert!(msr.diagnostics.has(Code::SplitMergedRegion));
+        assert!(msr.transfer.diagnostics.has(Code::SplitMergedRegion));
     }
 
     #[test]
@@ -311,10 +298,15 @@ mod tests {
         let bytes = write_edge_profile_v2(&old, &edges);
         let (loaded, report) = read_edge_profile_matched(&old, &new, bytes.as_bytes()).unwrap();
         assert!(
-            report.diagnostics.has(Code::NonConservativeTransfer),
+            report
+                .transfer
+                .diagnostics
+                .has(Code::NonConservativeTransfer),
             "report: {report:?}"
         );
-        assert_eq!(report.zeroed_funcs, vec!["f".to_string()]);
+        assert_eq!(report.transfer.zeroed_funcs, vec!["f".to_string()]);
+        // A zeroed function is not also counted as renormalized.
+        assert!(report.transfer.renormalized_funcs.is_empty());
         assert!(loaded.func(FuncId(0)).is_zero());
         assert!(loaded.is_flow_conservative(&new));
     }
@@ -393,8 +385,8 @@ mod tests {
         edges.func_mut(FuncId(1)).set_block(BlockId(0), 9);
         let bytes = write_edge_profile_v2(&old, &edges);
         let (_, report) = read_edge_profile_matched(&old, &new, bytes.as_bytes()).unwrap();
-        assert_eq!(report.unmatched_old, vec!["work".to_string()]);
-        assert!(report.dropped_flow > 0);
+        assert_eq!(report.transfer.unmatched_old, vec!["work".to_string()]);
+        assert!(report.transfer.dropped_flow > 0);
         assert!(!report.is_lossless());
     }
 }

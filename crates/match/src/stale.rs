@@ -1,7 +1,7 @@
-//! Module-level matching and the matched-stale profile loaders.
+//! Module-level matching and the matched-stale edge profile loader.
 //!
-//! The persist-v2 stale loaders (PR 3) match sections to functions by
-//! *name* and drop everything that no longer fits. The matched-stale mode
+//! The persist-v2 stale loader matches sections to functions by *name*
+//! and drops everything that no longer fits. The matched-stale mode
 //! layered here goes two steps further:
 //!
 //! 1. functions are paired by name first and by **anchor identity**
@@ -21,12 +21,11 @@
 
 use crate::anchor::function_fingerprint;
 use crate::matcher::{match_functions, MatchReport};
-use crate::transfer::{transfer_edge_profile, transfer_path_profile};
+use crate::transfer::{transfer_module_edges, TransferReport};
 use ppp_ir::{
-    read_edge_profile_stale, read_path_profile_stale, FuncId, Module, ModuleEdgeProfile,
-    ModulePathProfile, ProfileLoadError, StaleReport,
+    read_edge_profile_stale, FuncId, Module, ModuleEdgeProfile, ProfileLoadError, StaleReport,
 };
-use ppp_lint::{Code, Diagnostic, LintReport, Severity};
+use ppp_lint::Code;
 use std::collections::HashMap;
 
 /// How a function pair was discovered.
@@ -149,113 +148,89 @@ pub fn match_modules(old: &Module, new: &Module) -> ModuleMatch {
     }
 }
 
-/// The outcome of a matched-stale load: the section-level stale report,
-/// the module correspondence summary, transfer quality, and the PPP4xx
-/// findings.
+/// The outcome of a matched-stale load: the section-level stale report
+/// and what the transfer onto the new module did.
 #[derive(Clone, Debug)]
 pub struct MatchedStaleReport {
     /// Section-level outcome from the underlying stale loader.
     pub stale: StaleReport,
-    /// Function pairs transferred.
-    pub paired_funcs: usize,
-    /// Pairs found by anchor identity (renamed functions rescued).
-    pub anchor_paired: usize,
-    /// Names of old functions whose profiles had no destination.
-    pub unmatched_old: Vec<String>,
-    /// Names of new functions that start unprofiled.
-    pub unmatched_new: Vec<String>,
-    /// Old blocks matched onto the new CFG, across all pairs.
-    pub matched_blocks: usize,
-    /// Total old blocks across all pairs.
-    pub total_old_blocks: usize,
-    /// Functions whose transfer needed boundary renormalization.
-    pub renormalized_funcs: Vec<String>,
-    /// Functions zeroed because the transfer could not be made
-    /// flow-conservative (each also carries a PPP404 finding).
-    pub zeroed_funcs: Vec<String>,
-    /// Edge flow (or path frequency) dropped in transfer.
-    pub dropped_flow: u64,
-    /// All PPP4xx findings, sorted.
-    pub diagnostics: LintReport,
-    /// `true` when the load was a lossless identity transfer.
-    pub lossless: bool,
+    /// The cross-version transfer of the loaded profile.
+    pub transfer: TransferReport,
 }
 
 impl MatchedStaleReport {
-    /// `true` when nothing was dropped, renormalized, or zeroed anywhere:
-    /// the transferred profile is the old profile, bit for bit.
+    /// `true` when every section loaded exactly and the transfer was
+    /// lossless: the transferred profile is the old profile, bit for bit.
     pub fn is_lossless(&self) -> bool {
-        self.lossless
+        self.stale.is_exact() && self.transfer.is_lossless()
     }
 }
 
-fn record_metrics(r: &MatchedStaleReport, kind: &str) {
+fn record_metrics(r: &MatchedStaleReport) {
     let obs = ppp_obs::global();
     let m = obs.metrics();
+    let kind = "edge";
     let k = [("kind", kind)];
+    let (stale, t) = (&r.stale, &r.transfer);
     m.inc_by(
         "ppp_stale_sections_total",
         &[("kind", kind), ("outcome", "matched")],
-        r.stale.matched_funcs as u64,
+        stale.matched_funcs as u64,
     );
     m.inc_by(
         "ppp_stale_sections_total",
         &[("kind", kind), ("outcome", "unmatched")],
-        r.stale.unmatched_sections.len() as u64,
+        stale.unmatched_sections.len() as u64,
     );
-    m.inc_by(
-        "ppp_stale_dropped_records_total",
-        &k,
-        r.stale.dropped_records,
-    );
+    m.inc_by("ppp_stale_dropped_records_total", &k, stale.dropped_records);
     m.inc_by(
         "ppp_stale_section_faults_total",
         &k,
-        r.stale.faults.len() as u64,
+        stale.faults.len() as u64,
     );
     m.inc_by(
         "ppp_match_funcs_total",
         &[("kind", kind), ("method", "name")],
-        (r.paired_funcs - r.anchor_paired) as u64,
+        (t.paired_funcs - t.anchor_paired) as u64,
     );
     m.inc_by(
         "ppp_match_funcs_total",
         &[("kind", kind), ("method", "anchor")],
-        r.anchor_paired as u64,
+        t.anchor_paired as u64,
     );
     m.inc_by(
         "ppp_match_funcs_total",
         &[("kind", kind), ("method", "unmatched")],
-        r.unmatched_old.len() as u64,
+        t.unmatched_old.len() as u64,
     );
     m.inc_by(
         "ppp_match_blocks_total",
         &[("kind", kind), ("outcome", "matched")],
-        r.matched_blocks as u64,
+        t.matched_blocks as u64,
     );
     m.inc_by(
         "ppp_match_blocks_total",
         &[("kind", kind), ("outcome", "unmatched")],
-        (r.total_old_blocks - r.matched_blocks) as u64,
+        (t.total_old_blocks - t.matched_blocks) as u64,
     );
     m.inc_by(
         "ppp_match_transfer_funcs_total",
         &[("kind", kind), ("outcome", "renormalized")],
-        r.renormalized_funcs.len() as u64,
+        t.renormalized_funcs.len() as u64,
     );
     m.inc_by(
         "ppp_match_transfer_funcs_total",
         &[("kind", kind), ("outcome", "zeroed")],
-        r.zeroed_funcs.len() as u64,
+        t.zeroed_funcs.len() as u64,
     );
-    m.inc_by("ppp_match_dropped_flow_total", &k, r.dropped_flow);
+    m.inc_by("ppp_match_dropped_flow_total", &k, t.dropped_flow);
     for code in [
         Code::UnanchoredBlock,
         Code::AmbiguousAnchor,
         Code::SplitMergedRegion,
         Code::NonConservativeTransfer,
     ] {
-        let n = r
+        let n = t
             .diagnostics
             .diagnostics
             .iter()
@@ -271,62 +246,10 @@ fn record_metrics(r: &MatchedStaleReport, kind: &str) {
     }
 }
 
-fn base_report(stale: StaleReport, old: &Module, mm: &ModuleMatch) -> MatchedStaleReport {
-    let mut diagnostics = LintReport::new();
-    let mut matched_blocks = 0;
-    let mut total_old_blocks = 0;
-    for pair in &mm.pairs {
-        matched_blocks += pair.report.matched_blocks();
-        total_old_blocks += old.function(pair.old).blocks.len();
-        diagnostics.extend(pair.report.diagnostics.iter().cloned());
-    }
-    MatchedStaleReport {
-        paired_funcs: mm.pairs.len(),
-        anchor_paired: mm.anchor_paired(),
-        unmatched_old: mm
-            .unmatched_old
-            .iter()
-            .map(|&f| old.function(f).name.clone())
-            .collect(),
-        unmatched_new: Vec::new(), // filled by caller (needs the new module)
-        matched_blocks,
-        total_old_blocks,
-        renormalized_funcs: Vec::new(),
-        zeroed_funcs: Vec::new(),
-        dropped_flow: 0,
-        diagnostics,
-        lossless: false,
-        stale,
-    }
-}
-
-fn finish_report(r: &mut MatchedStaleReport, new: &Module, mm: &ModuleMatch, kind: &str) {
-    r.unmatched_new = mm
-        .unmatched_new
-        .iter()
-        .map(|&f| new.function(f).name.clone())
-        .collect();
-    r.lossless = r.stale.is_exact()
-        && mm.is_identity()
-        && r.dropped_flow == 0
-        && r.renormalized_funcs.is_empty()
-        && r.zeroed_funcs.is_empty();
-    r.diagnostics.sort();
-    debug_assert!(
-        r.diagnostics.count(Severity::Error)
-            == r.diagnostics
-                .diagnostics
-                .iter()
-                .filter(|d| d.code == Code::NonConservativeTransfer)
-                .count()
-    );
-    record_metrics(r, kind);
-}
-
 /// Loads a v2 edge profile written for an *older version* of the program
-/// and transfers it onto `new` through the CFG matcher. The artifact is
-/// first stale-loaded against `old` (the module it was written for), then
-/// each function pair's profile is remapped block-by-block.
+/// and transfers it onto `new`: the artifact is first stale-loaded
+/// against `old` (the module it was written for), then carried across
+/// by [`transfer_module_edges`].
 ///
 /// The returned profile always satisfies PPP308 flow conservation for
 /// every function. When `old` and `new` are the same program the load is
@@ -342,69 +265,8 @@ pub fn read_edge_profile_matched(
     bytes: &[u8],
 ) -> Result<(ModuleEdgeProfile, MatchedStaleReport), ProfileLoadError> {
     let (old_p, stale) = read_edge_profile_stale(old, bytes)?;
-    let mm = match_modules(old, new);
-    let mut report = base_report(stale, old, &mm);
-    let mut out = ModuleEdgeProfile::zeroed(new);
-    for pair in &mm.pairs {
-        let (old_f, new_f) = (old.function(pair.old), new.function(pair.new));
-        let (p, stats) = transfer_edge_profile(&pair.report, old_f, new_f, old_p.func(pair.old));
-        report.dropped_flow = report.dropped_flow.saturating_add(stats.dropped_flow);
-        if stats.renormalized && !stats.zeroed {
-            report.renormalized_funcs.push(new_f.name.clone());
-        }
-        if stats.zeroed {
-            report.zeroed_funcs.push(new_f.name.clone());
-            report.diagnostics.push(Diagnostic {
-                code: Code::NonConservativeTransfer,
-                func: pair.new,
-                func_name: new_f.name.clone(),
-                block: None,
-                message: "transferred profile could not be renormalized to flow \
-                          conservation; function profile zeroed"
-                    .to_string(),
-            });
-        }
-        debug_assert!(p.flow_violations(new_f).is_empty());
-        *out.func_mut(pair.new) = p;
-    }
-    for &f in &mm.unmatched_old {
-        let p = old_p.func(f);
-        report.dropped_flow = report
-            .dropped_flow
-            .saturating_add(p.total_edge_flow().saturating_add(p.entries()));
-    }
-    finish_report(&mut report, new, &mm, "edge");
-    Ok((out, report))
-}
-
-/// Loads a v2 path profile for an older program version and transfers it
-/// onto `new`; see [`read_edge_profile_matched`]. Paths that no longer
-/// chain through matched blocks are dropped and their frequency counted
-/// in `dropped_flow`.
-///
-/// # Errors
-///
-/// Only container-level damage is fatal.
-pub fn read_path_profile_matched(
-    old: &Module,
-    new: &Module,
-    bytes: &[u8],
-) -> Result<(ModulePathProfile, MatchedStaleReport), ProfileLoadError> {
-    let (old_p, stale) = read_path_profile_stale(old, bytes)?;
-    let mm = match_modules(old, new);
-    let mut report = base_report(stale, old, &mm);
-    let mut out = ModulePathProfile::with_capacity(new.functions.len());
-    for pair in &mm.pairs {
-        let (old_f, new_f) = (old.function(pair.old), new.function(pair.new));
-        let (p, dropped) = transfer_path_profile(&pair.report, old_f, new_f, old_p.func(pair.old));
-        report.dropped_flow = report.dropped_flow.saturating_add(dropped);
-        *out.func_mut(pair.new) = p;
-    }
-    for &f in &mm.unmatched_old {
-        report.dropped_flow = report
-            .dropped_flow
-            .saturating_add(old_p.func(f).total_unit_flow());
-    }
-    finish_report(&mut report, new, &mm, "path");
+    let (out, transfer) = transfer_module_edges(old, new, &old_p);
+    let report = MatchedStaleReport { stale, transfer };
+    record_metrics(&report);
     Ok((out, report))
 }

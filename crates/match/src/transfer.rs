@@ -29,13 +29,19 @@
 //! zero profile is trivially conservative) and flagged `PPP404`, so the
 //! invariant "every transferred profile passes PPP308" holds
 //! unconditionally.
+//!
+//! [`transfer_module_edges`] is the one way a module's edge profile
+//! crosses program versions: the matched-stale loader runs it after its
+//! stale load, the JIT loop runs it on every promotion.
 
 use crate::matcher::MatchReport;
-use ppp_ir::{Cfg, EdgeRef, FuncEdgeProfile, FuncPathProfile, Function, PathKey};
+use crate::stale::match_modules;
+use ppp_ir::{Cfg, EdgeRef, FuncEdgeProfile, Function, Module, ModuleEdgeProfile};
+use ppp_lint::{Code, Diagnostic, LintReport, Severity};
 
 /// What the transfer did to one function's profile.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransferStats {
+pub(crate) struct TransferStats {
     /// Edge records copied onto the new CFG.
     pub transferred_edges: usize,
     /// Edge flow on old edges with no usable image in the new CFG.
@@ -49,17 +55,9 @@ pub struct TransferStats {
     pub zeroed: bool,
 }
 
-impl TransferStats {
-    /// `true` when the transfer neither dropped, moved, nor zeroed any
-    /// flow: the profile came across bit-exact.
-    pub fn is_exact(&self) -> bool {
-        self.dropped_flow == 0 && !self.renormalized && !self.zeroed
-    }
-}
-
 /// Transfers an edge profile for one function pair. The result always
 /// satisfies `FuncEdgeProfile::flow_violations(new_f).is_empty()`.
-pub fn transfer_edge_profile(
+pub(crate) fn transfer_edge_profile(
     report: &MatchReport,
     old_f: &Function,
     new_f: &Function,
@@ -108,6 +106,135 @@ pub fn transfer_edge_profile(
         }
     }
     (p, stats)
+}
+
+/// What carrying a module's edge profile across program versions did.
+#[derive(Clone, Debug, Default)]
+pub struct TransferReport {
+    /// Function pairs transferred.
+    pub paired_funcs: usize,
+    /// Pairs found by anchor identity (renamed functions rescued).
+    pub anchor_paired: usize,
+    /// Names of old functions whose profiles had no destination.
+    pub unmatched_old: Vec<String>,
+    /// Names of new functions that start unprofiled.
+    pub unmatched_new: Vec<String>,
+    /// Old blocks matched onto the new CFG, across all pairs.
+    pub matched_blocks: usize,
+    /// Total old blocks across all pairs.
+    pub total_old_blocks: usize,
+    /// Edge records copied onto the new CFGs.
+    pub transferred_edges: usize,
+    /// Functions whose transfer needed boundary renormalization and
+    /// kept a profile. Disjoint from `zeroed_funcs`.
+    pub renormalized_funcs: Vec<String>,
+    /// Functions zeroed because the transfer could not be made
+    /// flow-conservative (each also carries a PPP404 finding).
+    pub zeroed_funcs: Vec<String>,
+    /// Old flow with no image in the new module: edge flow on unmapped
+    /// edges of paired functions, plus the edge flow and entries of
+    /// every unmatched old function.
+    pub dropped_flow: u64,
+    /// Total absolute flow adjustment made by renormalization.
+    pub moved_flow: u64,
+    /// Old flow the transfer had to place, in `dropped_flow`'s units.
+    pub old_flow: u64,
+    /// `true` when every pair is a block-level identity and nothing went
+    /// unmatched on either side.
+    pub identity: bool,
+    /// All PPP4xx findings, sorted.
+    pub diagnostics: LintReport,
+}
+
+impl TransferReport {
+    /// Fraction of the old flow carried across (1.0 when nothing was
+    /// dropped).
+    pub fn coverage(&self) -> f64 {
+        if self.old_flow == 0 {
+            1.0
+        } else {
+            1.0 - self.dropped_flow as f64 / self.old_flow as f64
+        }
+    }
+
+    /// `true` when nothing was dropped, renormalized, or zeroed anywhere:
+    /// the transferred profile is the old profile, bit for bit.
+    pub fn is_lossless(&self) -> bool {
+        self.identity
+            && self.dropped_flow == 0
+            && self.renormalized_funcs.is_empty()
+            && self.zeroed_funcs.is_empty()
+    }
+}
+
+/// Transfers `profile` (collected on `old`) onto `new`: pairs the
+/// functions ([`match_modules`]), transfers each pair's edge profile,
+/// and zeroes every pair that cannot be repaired (`PPP404`).
+///
+/// The returned profile always satisfies PPP308 flow conservation for
+/// every function. When `old` and `new` are the same program the
+/// transfer is lossless and the profile comes back unchanged.
+pub fn transfer_module_edges(
+    old: &Module,
+    new: &Module,
+    profile: &ModuleEdgeProfile,
+) -> (ModuleEdgeProfile, TransferReport) {
+    let mm = match_modules(old, new);
+    let name = |m: &Module, f| m.function(f).name.clone();
+    let mut r = TransferReport {
+        paired_funcs: mm.pairs.len(),
+        anchor_paired: mm.anchor_paired(),
+        unmatched_old: mm.unmatched_old.iter().map(|&f| name(old, f)).collect(),
+        unmatched_new: mm.unmatched_new.iter().map(|&f| name(new, f)).collect(),
+        identity: mm.is_identity(),
+        ..TransferReport::default()
+    };
+    let mut out = ModuleEdgeProfile::zeroed(new);
+    for pair in &mm.pairs {
+        let (old_f, new_f) = (old.function(pair.old), new.function(pair.new));
+        let old_p = profile.func(pair.old);
+        r.matched_blocks += pair.report.matched_blocks();
+        r.total_old_blocks += old_f.blocks.len();
+        r.diagnostics
+            .extend(pair.report.diagnostics.iter().cloned());
+        r.old_flow = r.old_flow.saturating_add(old_p.total_edge_flow());
+        let (p, stats) = transfer_edge_profile(&pair.report, old_f, new_f, old_p);
+        r.transferred_edges += stats.transferred_edges;
+        r.dropped_flow = r.dropped_flow.saturating_add(stats.dropped_flow);
+        r.moved_flow = r.moved_flow.saturating_add(stats.moved_flow);
+        if stats.zeroed {
+            r.zeroed_funcs.push(new_f.name.clone());
+            r.diagnostics.push(Diagnostic {
+                code: Code::NonConservativeTransfer,
+                func: pair.new,
+                func_name: new_f.name.clone(),
+                block: None,
+                message: "transferred profile could not be renormalized to flow \
+                          conservation; function profile zeroed"
+                    .to_string(),
+            });
+        } else if stats.renormalized {
+            r.renormalized_funcs.push(new_f.name.clone());
+        }
+        debug_assert!(p.flow_violations(new_f).is_empty());
+        *out.func_mut(pair.new) = p;
+    }
+    for &f in &mm.unmatched_old {
+        let p = profile.func(f);
+        let flow = p.total_edge_flow().saturating_add(p.entries());
+        r.dropped_flow = r.dropped_flow.saturating_add(flow);
+        r.old_flow = r.old_flow.saturating_add(flow);
+    }
+    r.diagnostics.sort();
+    debug_assert!(
+        r.diagnostics.count(Severity::Error)
+            == r.diagnostics
+                .diagnostics
+                .iter()
+                .filter(|d| d.code == Code::NonConservativeTransfer)
+                .count()
+    );
+    (out, r)
 }
 
 /// One-pass RPO flow repair; returns the moved flow, or `None` when the
@@ -189,49 +316,6 @@ fn renormalize(f: &Function, p: &mut FuncEdgeProfile) -> Option<u64> {
     }
 }
 
-/// Transfers a path profile: each old path is re-chained through the
-/// block map and kept only if it still walks a real path in the new CFG.
-/// Returns the profile and the total frequency of dropped paths.
-pub fn transfer_path_profile(
-    report: &MatchReport,
-    old_f: &Function,
-    new_f: &Function,
-    old_p: &FuncPathProfile,
-) -> (FuncPathProfile, u64) {
-    let mut out = FuncPathProfile::new();
-    let mut dropped: u64 = 0;
-    let mut keys: Vec<&PathKey> = old_p.paths.keys().collect();
-    keys.sort_by_key(|k| (k.start, k.edges.clone()));
-    for key in keys {
-        let freq = old_p.paths[key].freq;
-        match map_path(report, old_f, new_f, key) {
-            Some(new_key) => out.record(new_f, new_key, freq),
-            None => dropped = dropped.saturating_add(freq),
-        }
-    }
-    (out, dropped)
-}
-
-fn map_path(
-    report: &MatchReport,
-    old_f: &Function,
-    new_f: &Function,
-    key: &PathKey,
-) -> Option<PathKey> {
-    let start = report.map_block(key.start)?;
-    let mut cur = start;
-    let mut edges = Vec::with_capacity(key.edges.len());
-    for &e in &key.edges {
-        let ne = report.map_edge(old_f, new_f, e)?;
-        if ne.from != cur {
-            return None; // mapped edges no longer chain
-        }
-        cur = new_f.edge_target(ne);
-        edges.push(ne);
-    }
-    Some(PathKey { start, edges })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,7 +358,8 @@ mod tests {
         let old = diamond_profile(f);
         let r = match_functions(&m, f, &m, f, FuncId(0), "f");
         let (new, stats) = transfer_edge_profile(&r, f, f, &old);
-        assert!(stats.is_exact());
+        assert_eq!(stats.dropped_flow, 0);
+        assert!(!stats.renormalized && !stats.zeroed);
         assert_eq!(new, old);
         assert!(new.flow_violations(f).is_empty());
     }
@@ -307,7 +392,7 @@ mod tests {
         let (new, stats) = transfer_edge_profile(&r, old_f, new_f, &old);
         assert!(new.flow_violations(new_f).is_empty());
         assert_eq!(new.entries(), 10);
-        assert!(stats.renormalized || stats.is_exact());
+        assert!(stats.renormalized || stats.dropped_flow == 0);
         assert!(!stats.zeroed);
     }
 }

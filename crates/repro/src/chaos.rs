@@ -14,14 +14,13 @@
 //! 3. whatever guidance survives still passes the `ppp-lint` profile
 //!    checks (shape + Kirchhoff flow conservation, PPP308).
 
-use crate::degrade::{ingest_guidance_at, DegradationReport, LadderRung};
+use crate::degrade::{ingest_guidance_at, transfer_floor, DegradationReport, LadderRung};
 use crate::format::Table;
 use crate::pipeline::{
-    instrument_and_run, prepare_benchmark, sweep_suite, PipelineError, PipelineOptions,
-    PreparedBenchmark,
+    prepare_benchmark, sweep_suite, PipelineError, PipelineOptions, PreparedBenchmark,
 };
 use ppp_agg::{AggConfig, Aggregator, DurOptions, Hello, ReadError};
-use ppp_core::ProfilerConfig;
+use ppp_core::{instrument_module, ProfilerConfig};
 use ppp_faults::{FaultPlan, FaultSite};
 use ppp_ir::wire::check_frame;
 use ppp_ir::{
@@ -29,7 +28,7 @@ use ppp_ir::{
     salvage_path_profile, write_edge_profile_v2, write_path_profile_v2, FrameKind, Module,
     ModuleEdgeProfile, ModulePathProfile, SectionFault, WireError,
 };
-use ppp_match::read_edge_profile_matched;
+use ppp_match::{read_edge_profile_matched, transfer_module_edges};
 use ppp_obs::json::{self, ToJson};
 use ppp_vm::{run, HaltReason, RunOptions, SplitMix64};
 use std::borrow::Cow;
@@ -389,16 +388,6 @@ fn wire_fault<'a>(prep: &'a PreparedBenchmark, detail: String, stream: &[u8]) ->
     inj.merged(edges, paths)
 }
 
-/// The rung floor of a profile carried across program versions: only a
-/// lossless transfer may claim the full profile.
-fn stale_floor(lossless: bool) -> LadderRung {
-    if lossless {
-        LadderRung::FullProfile
-    } else {
-        LadderRung::MatchedStale
-    }
-}
-
 /// Runs one fault scenario against a prepared benchmark.
 ///
 /// Never panics: every outcome — including container-level load errors —
@@ -472,7 +461,13 @@ pub fn chaos_scenario(
             let mut config = ProfilerConfig::ppp();
             config.params.hash_threshold = 0;
             config.params.hash_slots = 7;
-            let (_, r) = instrument_and_run(module, &prep.edges, &config, options.seed);
+            let instrumented = instrument_module(module, Some(&prep.edges), &config).module;
+            let detail = "ran PPP with a 7-slot hash table (hash threshold 0)".to_owned();
+            let opts = RunOptions::default().with_seed(options.seed);
+            let r = match run(&instrumented, "main", &opts) {
+                Ok(r) => r,
+                Err(e) => return settle(prep, &plan, on(detail).event("run-error", e)),
+            };
             let lost = r.store.total_lost();
             let mut report = DegradationReport::default();
             if lost > 0 {
@@ -482,7 +477,6 @@ pub fn chaos_scenario(
                     format!("{lost} dynamic paths lost to probe exhaustion in a 7x3 table"),
                 );
             }
-            let detail = "ran PPP with a 7-slot hash table (hash threshold 0)".to_owned();
             return outcome(prep, &plan, detail, report, lost == 0);
         }
         FaultSite::DropTraceEvents => {
@@ -738,17 +732,18 @@ pub fn chaos_scenario(
             match read_edge_profile_matched(module, &stale, &bytes) {
                 Ok((p, msr)) => {
                     let harmless = msr.is_lossless();
+                    let t = &msr.transfer;
                     let transferred = format!(
                         "transferred {} of {} blocks across versions ({} funcs renormalized, {} zeroed, {} flow dropped)",
-                        msr.matched_blocks,
-                        msr.total_old_blocks,
-                        msr.renormalized_funcs.len(),
-                        msr.zeroed_funcs.len(),
-                        msr.dropped_flow
+                        t.matched_blocks,
+                        t.total_old_blocks,
+                        t.renormalized_funcs.len(),
+                        t.zeroed_funcs.len(),
+                        t.dropped_flow
                     );
                     let mut inj = Injection {
                         edges: Some(p),
-                        floor: stale_floor(harmless),
+                        floor: transfer_floor(harmless),
                         harmless,
                         ..Injection::on(Cow::Owned(stale), detail)
                     }
@@ -838,20 +833,19 @@ pub fn chaos_scenario(
             match run(&checkout.module, "main", &opts) {
                 Ok(r) => {
                     let old_edges = r.edge_profile.unwrap_or_else(|| prep.edges.clone());
-                    let (warm, summary) =
-                        ppp_jit::transfer_guidance(&checkout.module, &next_gen, &old_edges);
-                    let harmless = summary.identity && summary.dropped_flow == 0;
+                    let (warm, t) = transfer_module_edges(&checkout.module, &next_gen, &old_edges);
+                    let harmless = t.is_lossless();
                     let swapped = format!(
                         "in-flight run finished on stale code after the swap; \
                          transferred {} pairs ({} renormalized, {} zeroed, {} flow dropped)",
-                        summary.pairs,
-                        summary.renormalized_funcs,
-                        summary.zeroed_funcs,
-                        summary.dropped_flow
+                        t.paired_funcs,
+                        t.renormalized_funcs.len(),
+                        t.zeroed_funcs.len(),
+                        t.dropped_flow
                     );
                     Injection {
                         edges: Some(warm),
-                        floor: stale_floor(harmless),
+                        floor: transfer_floor(harmless),
                         harmless,
                         ..Injection::on(Cow::Owned(next_gen), detail)
                     }

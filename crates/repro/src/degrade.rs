@@ -241,6 +241,17 @@ pub fn ingest_guidance_at(
     (guidance, report)
 }
 
+/// The rung floor of a profile carried across program versions: only a
+/// lossless transfer may claim the full profile, anything else lands on
+/// (at least) [`LadderRung::MatchedStale`].
+pub fn transfer_floor(lossless: bool) -> LadderRung {
+    if lossless {
+        LadderRung::FullProfile
+    } else {
+        LadderRung::MatchedStale
+    }
+}
+
 fn ingest_guidance_inner(
     module: &Module,
     edges: Option<ModuleEdgeProfile>,

@@ -21,7 +21,7 @@
 //! Everything is seeded: the same `--seed` yields byte-identical
 //! perturbations, transfers, and scores.
 
-use crate::degrade::{ingest_guidance_at, DegradationReport, LadderRung};
+use crate::degrade::{ingest_guidance_at, transfer_floor, DegradationReport};
 use crate::format::Table;
 use crate::pipeline::{
     estimate_options, prepare_benchmark, sweep_suite, PipelineError, PipelineOptions,
@@ -403,7 +403,8 @@ pub fn drift_prepared(
                 .expect("self-written artifact has an intact container");
         let conservative = transferred.is_flow_conservative(&new_module);
         let lossless = msr.is_lossless();
-        let total_old: usize = msr.total_old_blocks.max(1);
+        let t = &msr.transfer;
+        let total_old: usize = t.total_old_blocks.max(1);
         let diag_counts = [
             Code::UnanchoredBlock,
             Code::AmbiguousAnchor,
@@ -411,7 +412,7 @@ pub fn drift_prepared(
             Code::NonConservativeTransfer,
         ]
         .map(|c| {
-            msr.diagnostics
+            t.diagnostics
                 .diagnostics
                 .iter()
                 .filter(|d| d.code == c)
@@ -420,12 +421,12 @@ pub fn drift_prepared(
 
         // Ladder ingestion: a non-lossless transfer lands on (at least)
         // the matched-stale rung, never on full-profile.
-        let floor = if lossless {
-            LadderRung::FullProfile
-        } else {
-            LadderRung::MatchedStale
-        };
-        let (guidance, report) = ingest_guidance_at(&new_module, Some(transferred), None, floor);
+        let (guidance, report) = ingest_guidance_at(
+            &new_module,
+            Some(transferred),
+            None,
+            transfer_floor(lossless),
+        );
 
         // Score both profiles against the perturbed version's truth.
         let zeroed = ModuleEdgeProfile::zeroed(&new_module);
@@ -449,9 +450,9 @@ pub fn drift_prepared(
             scenario,
             lossless,
             conservative,
-            matched_ratio: msr.matched_blocks as f64 / total_old as f64,
-            anchor_paired: msr.anchor_paired,
-            dropped_flow: msr.dropped_flow,
+            matched_ratio: t.matched_blocks as f64 / total_old as f64,
+            anchor_paired: t.anchor_paired,
+            dropped_flow: t.dropped_flow,
             diag_counts,
             report,
             fresh_accuracy,
@@ -546,6 +547,7 @@ pub fn drift_json(outcomes: &[DriftOutcome], seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::degrade::LadderRung;
     use ppp_workloads::spec2000_suite;
 
     fn tiny() -> PipelineOptions {

@@ -140,18 +140,18 @@ pub fn jit_json(outcomes: &[JitOutcome], jopts: &JitOptions) -> String {
                         match &g.transfer {
                             None => o.field("transfer", ()),
                             Some(t) => o.obj("transfer", |o| {
-                                o.field("pairs", t.pairs)
-                                    .field("anchor_pairs", t.anchor_pairs)
-                                    .field("unmatched_old", t.unmatched_old)
-                                    .field("unmatched_new", t.unmatched_new)
+                                o.field("pairs", t.paired_funcs)
+                                    .field("anchor_pairs", t.anchor_paired)
+                                    .field("unmatched_old", t.unmatched_old.len())
+                                    .field("unmatched_new", t.unmatched_new.len())
                                     .field("transferred_edges", t.transferred_edges)
                                     .field("dropped_flow", t.dropped_flow)
                                     .field("moved_flow", t.moved_flow)
-                                    .field("renormalized_funcs", t.renormalized_funcs)
-                                    .field("zeroed_funcs", t.zeroed_funcs)
-                                    .field("coverage", t.coverage)
+                                    .field("renormalized_funcs", t.renormalized_funcs.len())
+                                    .field("zeroed_funcs", t.zeroed_funcs.len())
+                                    .field("coverage", t.coverage())
                                     .field("identity", t.identity)
-                                    .field("conservative", t.conservative);
+                                    .field("conservative", g.transfer_conservative());
                             }),
                         };
                         o.field("wall_ms", g.wall_ms);
@@ -179,7 +179,7 @@ pub fn jit_table(outcomes: &[JitOutcome]) -> String {
             .generations
             .iter()
             .filter_map(|g| g.transfer.as_ref())
-            .map(|tr| tr.coverage)
+            .map(|tr| tr.coverage())
             .fold(f64::NAN, f64::min);
         t.row([
             o.bench.clone(),

@@ -5,7 +5,7 @@
 use ppp_core::{
     accuracy, actual_hot_paths, edge_profile_score, hot_flow_fraction, instrument_module,
     instrumented_fraction, profiler_coverage, profiler_estimate, EstimateOptions, FlowMetric,
-    InstrumentedFraction, ModulePlan, ProfilerConfig, Technique,
+    InstrumentedFraction, ProfilerConfig, Technique,
 };
 use ppp_ir::{Module, ModuleEdgeProfile, ModulePathProfile};
 use ppp_jit::{bootstrap, profile_stage, reoptimize, JitError, JitOptions};
@@ -652,20 +652,6 @@ fn run_profiler(
         static_prof_insts: plan.static_prof_insts(),
         lost_paths: r.store.total_lost(),
     }
-}
-
-/// Convenience wrapper: plan + instrumented run for one config (used by
-/// examples and benches that need the raw artifacts).
-pub fn instrument_and_run(
-    module: &Module,
-    edges: &ModuleEdgeProfile,
-    config: &ProfilerConfig,
-    seed: u64,
-) -> (ModulePlan, RunResult) {
-    let plan = instrument_module(module, Some(edges), config);
-    let r = run(&plan.module, "main", &RunOptions::default().with_seed(seed))
-        .expect("instrumented module runs");
-    (plan, r)
 }
 
 #[cfg(test)]
