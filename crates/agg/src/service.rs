@@ -19,6 +19,7 @@ use ppp_ir::wire::{
     encode_frame, encode_seq_payload, encode_seq_payload_traced, FrameKind, TraceContext,
 };
 use ppp_ir::{encode_edge_delta, encode_path_delta, Module, ModuleEdgeProfile, ModulePathProfile};
+use ppp_obs::{CounterHandle, HistogramHandle};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -336,6 +337,12 @@ pub struct AggClient<S: FrameSink> {
     /// this client's send spans. `None` keeps the wire bytes identical
     /// to an untraced client.
     trace_id: Option<u64>,
+    /// The process-global context when the client opened: its send
+    /// spans and metrics go there.
+    obs: ppp_obs::ObsCtx,
+    /// `ppp_agg_client_frames_sent_total{kind}`, one per frame kind.
+    sent_by_kind: Vec<(FrameKind, CounterHandle)>,
+    batch_deltas: HistogramHandle,
 }
 
 impl<S: FrameSink> AggClient<S> {
@@ -351,6 +358,8 @@ impl<S: FrameSink> AggClient<S> {
         max_batch: usize,
         hello: &Hello,
     ) -> Result<Self, String> {
+        let obs = ppp_obs::global();
+        let metrics = obs.metrics();
         let mut client = Self {
             batch_edges: ModuleEdgeProfile::zeroed(&module),
             batch_paths: ModulePathProfile::with_capacity(module.functions.len()),
@@ -364,6 +373,18 @@ impl<S: FrameSink> AggClient<S> {
             bytes_sent: 0,
             finished: false,
             trace_id: None,
+            sent_by_kind: FrameKind::ALL
+                .iter()
+                .map(|&k| {
+                    let labels = [("kind", k.name())];
+                    (
+                        k,
+                        metrics.counter("ppp_agg_client_frames_sent_total", &labels),
+                    )
+                })
+                .collect(),
+            batch_deltas: metrics.histogram("ppp_agg_batch_deltas", &[]),
+            obs,
         };
         client.send(FrameKind::Hello, &hello.encode())?;
         Ok(client)
@@ -399,16 +420,14 @@ impl<S: FrameSink> AggClient<S> {
         if self.batched == 0 {
             return Ok(());
         }
-        ppp_obs::global()
-            .metrics()
-            .observe("ppp_agg_batch_deltas", &[], self.batched as u64);
+        self.batch_deltas.observe(self.batched as u64);
         let edges = encode_edge_delta(&self.module, &self.batch_edges);
         let paths = encode_path_delta(&self.module, &self.batch_paths);
         // The send span's id rides inside the frames, so it must be
         // open (and allocated) before the payloads are encoded; it
         // closes when this flush returns, covering the delivery.
         let send_span = self.trace_id.map(|tid| {
-            let mut s = ppp_obs::global().span("client.send");
+            let mut s = self.obs.span("client.send");
             s.set("trace_id", tid);
             s.set("client", self.client);
             s.set("first_seq", self.next_seq);
@@ -485,9 +504,9 @@ impl<S: FrameSink> AggClient<S> {
         self.sink.send_frame(&bytes)?;
         self.frames_sent += 1;
         self.bytes_sent += payload.len() as u64;
-        ppp_obs::global()
-            .metrics()
-            .inc("ppp_agg_client_frames_sent_total", &[("kind", kind.name())]);
+        if let Some((_, sent)) = self.sent_by_kind.iter().find(|(k, _)| *k == kind) {
+            sent.inc();
+        }
         Ok(())
     }
 }

@@ -28,6 +28,7 @@ use ppp_ir::{
     decode_edge_records, decode_path_records, EdgeRecords, Module, ModuleEdgeProfile,
     ModulePathProfile, PathRecords,
 };
+use ppp_obs::{names, CounterHandle, HistogramHandle, Registry};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::iter::StepBy;
@@ -200,6 +201,101 @@ impl StreamReport {
     }
 }
 
+/// Every class a refused frame or damaged stream is counted under:
+/// the [`IngestError`] classes, then the [`WireError`] classes. A new
+/// class must be added here to be counted.
+const REJECT_CLASSES: [&str; 11] = [
+    "closed",
+    "payload",
+    "protocol",
+    "seq-gap",
+    "wal",
+    "bad-magic",
+    "unknown-kind",
+    "oversize",
+    "truncated",
+    "checksum",
+    "timed-out",
+];
+
+/// An aggregator's metric handles, bound once when it is built, so
+/// ingestion records through atomics alone.
+struct AggMetrics {
+    /// `ppp_agg_frames_ingested_total{bench,kind}`, one per frame kind.
+    frames: Vec<(FrameKind, CounterHandle)>,
+    bytes: CounterHandle,
+    ingest_micros: HistogramHandle,
+    queue_depth: HistogramHandle,
+    snapshot_micros: HistogramHandle,
+    duplicates: CounterHandle,
+    /// `ppp_agg_frames_rejected_total{bench,reason}`, one per
+    /// [`REJECT_CLASSES`] entry.
+    rejected: Vec<(&'static str, CounterHandle)>,
+    wal_append_errors: CounterHandle,
+    wal_checkpoint_errors: CounterHandle,
+}
+
+impl AggMetrics {
+    fn bind(m: &Registry, bench: &str) -> Self {
+        let b = [("bench", bench)];
+        Self {
+            frames: FrameKind::ALL
+                .iter()
+                .map(|&k| {
+                    let labels = [("bench", bench), ("kind", k.name())];
+                    (k, m.counter(names::AGG_FRAMES_INGESTED, &labels))
+                })
+                .collect(),
+            bytes: m.counter("ppp_agg_bytes_ingested_total", &b),
+            ingest_micros: m.histogram(names::INGEST_MICROS, &b),
+            queue_depth: m.histogram("ppp_agg_queue_depth", &b),
+            snapshot_micros: m.histogram("ppp_agg_snapshot_micros", &b),
+            duplicates: m.counter(names::AGG_DUPLICATES, &b),
+            rejected: REJECT_CLASSES
+                .iter()
+                .map(|&class| {
+                    let labels = [("bench", bench), ("reason", class)];
+                    (class, m.counter("ppp_agg_frames_rejected_total", &labels))
+                })
+                .collect(),
+            wal_append_errors: m.counter(names::WAL_ERRORS, &[("bench", bench), ("op", "append")]),
+            wal_checkpoint_errors: m
+                .counter(names::WAL_ERRORS, &[("bench", bench), ("op", "checkpoint")]),
+        }
+    }
+}
+
+/// One shard thread's metric handles, bound with its aggregator.
+struct ShardMetrics {
+    queue_wait: HistogramHandle,
+    /// `ppp_agg_deltas_merged_total{bench,shard}`.
+    merged: CounterHandle,
+    merge_micros: HistogramHandle,
+}
+
+impl ShardMetrics {
+    fn bind(m: &Registry, bench: &str, shard: usize) -> Self {
+        let b = [("bench", bench)];
+        Self {
+            queue_wait: m.histogram(names::QUEUE_WAIT_MICROS, &b),
+            merged: m.counter(
+                "ppp_agg_deltas_merged_total",
+                &[("bench", bench), ("shard", &shard.to_string())],
+            ),
+            merge_micros: m.histogram("ppp_agg_merge_micros", &b),
+        }
+    }
+
+    /// Accounts one message's queue wait and merge.
+    fn record(&self, enqueued: Instant, started: Instant) {
+        self.queue_wait
+            .observe(started.duration_since(enqueued).as_micros() as u64);
+        self.merged.inc();
+        self.merge_micros
+            .observe(started.elapsed().as_micros() as u64);
+    }
+}
+
 /// A sharded, concurrent profile aggregator for one module.
 ///
 /// Dropping the aggregator closes the queues and joins the shard
@@ -211,6 +307,7 @@ pub struct Aggregator {
     states: Vec<Arc<Mutex<ShardState>>>,
     workers: Vec<JoinHandle<()>>,
     obs: ppp_obs::ObsCtx,
+    metrics: AggMetrics,
     pub(crate) front: Mutex<Front>,
 }
 
@@ -230,11 +327,10 @@ impl Aggregator {
             let worker = {
                 let queue = Arc::clone(&queue);
                 let state = Arc::clone(&state);
-                let obs = obs.clone();
-                let bench = bench.to_owned();
+                let metrics = ShardMetrics::bind(obs.metrics(), bench, k);
                 std::thread::Builder::new()
                     .name(format!("agg-shard-{k}"))
-                    .spawn(move || shard_loop(k, &queue, &state, &obs, &bench))
+                    .spawn(move || shard_loop(&queue, &state, &metrics))
                     .expect("spawn shard thread")
             };
             queues.push(queue);
@@ -247,6 +343,7 @@ impl Aggregator {
             queues,
             states,
             workers,
+            metrics: AggMetrics::bind(obs.metrics(), bench),
             obs,
             front: Mutex::new(Front {
                 watermarks: BTreeMap::new(),
@@ -278,11 +375,7 @@ impl Aggregator {
     fn fan_out(&self, msgs: Vec<Option<Msg>>) -> Result<(), IngestError> {
         for (q, msg) in self.queues.iter().zip(msgs) {
             let Some(msg) = msg else { continue };
-            self.obs.metrics().observe(
-                "ppp_agg_queue_depth",
-                &[("bench", &self.bench)],
-                q.depth() as u64,
-            );
+            self.metrics.queue_depth.observe(q.depth() as u64);
             if !q.push(msg) {
                 return Err(IngestError {
                     class: "closed",
@@ -335,38 +428,31 @@ impl Aggregator {
                 detail: format!("{kind} frames are not ingested"),
             }),
         };
-        let metrics = self.obs.metrics();
-        let bench: &str = &self.bench;
+        let metrics = &self.metrics;
         match &out {
             Ok(IngestOutcome::Applied) => {
-                metrics.inc(
-                    ppp_obs::names::AGG_FRAMES_INGESTED,
-                    &[("bench", bench), ("kind", kind.name())],
-                );
-                metrics.inc_by(
-                    "ppp_agg_bytes_ingested_total",
-                    &[("bench", bench)],
-                    (wire.len() - FRAME_HEADER_LEN) as u64,
-                );
+                if let Some((_, frames)) = metrics.frames.iter().find(|(k, _)| *k == kind) {
+                    frames.inc();
+                }
+                metrics.bytes.inc_by((wire.len() - FRAME_HEADER_LEN) as u64);
             }
             Ok(IngestOutcome::Duplicate) => {} // counted by `apply_seq`
             Err(e) => self.count_rejected(e.class),
         }
-        metrics.observe(
-            ppp_obs::names::INGEST_MICROS,
-            &[("bench", bench)],
-            started.elapsed().as_micros() as u64,
-        );
+        metrics
+            .ingest_micros
+            .observe(started.elapsed().as_micros() as u64);
         out
     }
 
     /// Counts one refused frame, or wire damage that ended a stream,
     /// under `ppp_agg_frames_rejected_total{reason}`.
     pub(crate) fn count_rejected(&self, reason: &str) {
-        self.obs.metrics().inc(
-            "ppp_agg_frames_rejected_total",
-            &[("bench", &self.bench), ("reason", reason)],
-        );
+        let rejected = self.metrics.rejected.iter().find(|(c, _)| *c == reason);
+        debug_assert!(rejected.is_some(), "reject class {reason} is not bound");
+        if let Some((_, rejected)) = rejected {
+            rejected.inc();
+        }
     }
 
     /// Core of sequenced ingestion: validate the payload and split it
@@ -445,9 +531,7 @@ impl Aggregator {
         let mut front = self.front.lock().expect("front lock");
         let watermark = front.watermarks.get(&client).copied().unwrap_or(0);
         if seq <= watermark {
-            self.obs
-                .metrics()
-                .inc(ppp_obs::names::AGG_DUPLICATES, &[("bench", &self.bench)]);
+            self.metrics.duplicates.inc();
             return Ok(IngestOutcome::Duplicate);
         }
         if seq != watermark + 1 {
@@ -464,10 +548,7 @@ impl Aggregator {
                 // Never apply what was not logged: losing the WAL
                 // loses the durability contract, so the delta is
                 // refused and the client retries (or fails loudly).
-                self.obs.metrics().inc(
-                    ppp_obs::names::WAL_ERRORS,
-                    &[("bench", &self.bench), ("op", "append")],
-                );
+                self.metrics.wal_append_errors.inc();
                 return Err(IngestError {
                     class: "wal",
                     detail: format!("wal append failed: {e}"),
@@ -484,10 +565,7 @@ impl Aggregator {
         fanned?;
         if due {
             if let Err(e) = self.checkpoint() {
-                self.obs.metrics().inc(
-                    ppp_obs::names::WAL_ERRORS,
-                    &[("bench", &self.bench), ("op", "checkpoint")],
-                );
+                self.metrics.wal_checkpoint_errors.inc();
                 self.obs.warn(
                     "agg.checkpoint_failed",
                     &[("error", ppp_obs::Value::from(e))],
@@ -663,11 +741,9 @@ impl Aggregator {
         let started = Instant::now();
         let (mut edges, mut paths) = empty_profiles(&self.module);
         self.flush_each(|st, owned| st.copy_owned(owned, &mut edges, &mut paths));
-        self.obs.metrics().observe(
-            "ppp_agg_snapshot_micros",
-            &[("bench", &self.bench)],
-            started.elapsed().as_micros() as u64,
-        );
+        self.metrics
+            .snapshot_micros
+            .observe(started.elapsed().as_micros() as u64);
         (edges, paths)
     }
 
@@ -704,52 +780,22 @@ fn empty_profiles(module: &Module) -> (ModuleEdgeProfile, ModulePathProfile) {
 
 /// Body of one shard thread: drain the queue, add each delta's
 /// records (all of them for functions this shard owns).
-fn shard_loop(
-    k: usize,
-    queue: &BoundedQueue<Msg>,
-    state: &Mutex<ShardState>,
-    obs: &ppp_obs::ObsCtx,
-    bench: &str,
-) {
-    let shard_label = k.to_string();
+fn shard_loop(queue: &BoundedQueue<Msg>, state: &Mutex<ShardState>, metrics: &ShardMetrics) {
     while let Some(msg) = queue.pop() {
         match msg {
             Msg::Edges(records, enqueued) => {
-                record_queue_wait(obs, bench, enqueued);
                 let started = Instant::now();
                 records.add_to(&mut state.lock().expect("shard state lock").edges);
-                record_merge(obs, bench, &shard_label, started);
+                metrics.record(enqueued, started);
             }
             Msg::Paths(records, enqueued) => {
-                record_queue_wait(obs, bench, enqueued);
                 let started = Instant::now();
                 records.add_to(&mut state.lock().expect("shard state lock").paths);
-                record_merge(obs, bench, &shard_label, started);
+                metrics.record(enqueued, started);
             }
             Msg::Flush(gate) => gate.arrive(),
         }
     }
-}
-
-fn record_queue_wait(obs: &ppp_obs::ObsCtx, bench: &str, enqueued: Instant) {
-    obs.metrics().observe(
-        ppp_obs::names::QUEUE_WAIT_MICROS,
-        &[("bench", bench)],
-        enqueued.elapsed().as_micros() as u64,
-    );
-}
-
-fn record_merge(obs: &ppp_obs::ObsCtx, bench: &str, shard: &str, started: Instant) {
-    let metrics = obs.metrics();
-    metrics.inc(
-        "ppp_agg_deltas_merged_total",
-        &[("bench", bench), ("shard", shard)],
-    );
-    metrics.observe(
-        "ppp_agg_merge_micros",
-        &[("bench", bench)],
-        started.elapsed().as_micros() as u64,
-    );
 }
 
 #[cfg(test)]
@@ -822,6 +868,29 @@ mod tests {
                 write_edge_profile_v2(&m, &edges),
                 write_edge_profile_v2(&m, &reference)
             );
+        }
+    }
+
+    /// Wire damage is counted through a handle bound with the
+    /// aggregator, never by name.
+    #[test]
+    fn every_wire_error_class_has_a_bound_reject_counter() {
+        let damage = [
+            WireError::BadMagic,
+            WireError::UnknownKind(0),
+            WireError::Oversize { declared: 0 },
+            WireError::Truncated {
+                expected: 0,
+                available: 0,
+            },
+            WireError::ChecksumMismatch {
+                expected: 0,
+                actual: 0,
+            },
+            WireError::TimedOut,
+        ];
+        for e in damage {
+            assert!(REJECT_CLASSES.contains(&e.class()), "{}", e.class());
         }
     }
 

@@ -24,6 +24,7 @@ use ppp_ir::{
     read_edge_profile_v2, read_path_profile_v2, write_edge_profile_v2, write_path_profile_v2,
     Module, ModuleEdgeProfile, ModulePathProfile,
 };
+use ppp_obs::{names, CounterHandle, HistogramHandle};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
@@ -84,13 +85,35 @@ pub fn checkpoint_path(dir: &Path, bench: &str) -> PathBuf {
 pub struct Wal {
     file: File,
     len: u64,
-    bench: String,
+    metrics: WalMetrics,
+}
+
+/// A WAL's metric handles, bound in the process-global registry when
+/// the WAL is opened.
+struct WalMetrics {
+    append_micros: HistogramHandle,
+    appends: CounterHandle,
+    bytes: CounterHandle,
+}
+
+impl WalMetrics {
+    fn bind(bench: &str) -> Self {
+        let obs = ppp_obs::global();
+        let (m, b) = (obs.metrics(), [("bench", bench)]);
+        Self {
+            append_micros: m.histogram(names::WAL_APPEND_MICROS, &b),
+            appends: m.counter(names::WAL_APPENDS, &b),
+            bytes: m.counter(names::WAL_BYTES, &b),
+        }
+    }
 }
 
 impl Wal {
     /// Opens (creating if absent) the WAL at `path`, truncated to
     /// `valid_len` — recovery passes the verified frame-prefix length
-    /// so a torn tail never survives into the next append.
+    /// so a torn tail never survives into the next append. `bench`
+    /// labels the WAL's metrics, bound here in the process-global
+    /// registry.
     ///
     /// # Errors
     ///
@@ -108,7 +131,7 @@ impl Wal {
         Ok(Wal {
             file,
             len: valid_len,
-            bench: bench.to_owned(),
+            metrics: WalMetrics::bind(bench),
         })
     }
 
@@ -134,19 +157,12 @@ impl Wal {
         let started = std::time::Instant::now();
         self.file.write_all(frame_bytes)?;
         self.len += frame_bytes.len() as u64;
-        let obs = ppp_obs::global();
-        let metrics = obs.metrics();
-        metrics.observe(
-            ppp_obs::names::WAL_APPEND_MICROS,
-            &[("bench", &self.bench)],
-            started.elapsed().as_micros() as u64,
-        );
-        metrics.inc(ppp_obs::names::WAL_APPENDS, &[("bench", &self.bench)]);
-        metrics.inc_by(
-            ppp_obs::names::WAL_BYTES,
-            &[("bench", &self.bench)],
-            frame_bytes.len() as u64,
-        );
+        let metrics = &self.metrics;
+        metrics
+            .append_micros
+            .observe(started.elapsed().as_micros() as u64);
+        metrics.appends.inc();
+        metrics.bytes.inc_by(frame_bytes.len() as u64);
         Ok(())
     }
 
@@ -266,9 +282,9 @@ pub fn write_checkpoint(
     std::fs::rename(&tmp, &target)?;
     let obs = ppp_obs::global();
     let metrics = obs.metrics();
-    metrics.inc(ppp_obs::names::WAL_CHECKPOINTS, &[("bench", bench)]);
+    metrics.inc(names::WAL_CHECKPOINTS, &[("bench", bench)]);
     metrics.inc_by(
-        ppp_obs::names::WAL_CHECKPOINT_BYTES,
+        names::WAL_CHECKPOINT_BYTES,
         &[("bench", bench)],
         bytes.len() as u64,
     );

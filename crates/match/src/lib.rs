@@ -309,6 +309,10 @@ mod tests {
         assert!(report.transfer.renormalized_funcs.is_empty());
         assert!(loaded.func(FuncId(0)).is_zero());
         assert!(loaded.is_flow_conservative(&new));
+        // Nothing of the zeroed function's flow was carried across.
+        assert_eq!(report.transfer.old_flow, 105);
+        assert_eq!(report.transfer.dropped_flow, 105);
+        assert_eq!(report.transfer.coverage(), 0.0);
     }
 
     #[test]

@@ -44,7 +44,8 @@ use ppp_lint::{Code, Diagnostic, LintReport, Severity};
 pub(crate) struct TransferStats {
     /// Edge records copied onto the new CFG.
     pub transferred_edges: usize,
-    /// Edge flow on old edges with no usable image in the new CFG.
+    /// Edge flow on old edges with no usable image in the new CFG, or
+    /// all of the old edge flow when the function was zeroed.
     pub dropped_flow: u64,
     /// Total absolute block-frequency adjustment made by renormalization.
     pub moved_flow: u64,
@@ -103,6 +104,8 @@ pub(crate) fn transfer_edge_profile(
         None => {
             p.zero();
             stats.zeroed = true;
+            // Nothing reaches the new CFG: the mapped flow is dropped too.
+            stats.dropped_flow = old_p.total_edge_flow();
         }
     }
     (p, stats)
@@ -132,8 +135,12 @@ pub struct TransferReport {
     /// flow-conservative (each also carries a PPP404 finding).
     pub zeroed_funcs: Vec<String>,
     /// Old flow with no image in the new module: edge flow on unmapped
-    /// edges of paired functions, plus the edge flow and entries of
-    /// every unmatched old function.
+    /// edges of paired functions, all the edge flow of every zeroed
+    /// function, plus the edge flow *and entry count* of every
+    /// unmatched old function. The units are mixed — a paired function
+    /// contributes edge flow only, an unmatched one its entries too —
+    /// so this is not pure edge flow; `old_flow` is summed the same way,
+    /// which keeps [`TransferReport::coverage`] in `[0, 1]`.
     pub dropped_flow: u64,
     /// Total absolute flow adjustment made by renormalization.
     pub moved_flow: u64,

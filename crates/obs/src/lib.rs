@@ -57,8 +57,8 @@ pub use flight::{
     FLIGHT_SCHEMA,
 };
 pub use metrics::{
-    Histogram, MetricKey, MetricValue, Registry, HISTOGRAM_BUCKETS, LABEL_OTHER,
-    MAX_LABEL_CARDINALITY,
+    CounterHandle, Histogram, HistogramHandle, MetricKey, MetricValue, Registry, HISTOGRAM_BUCKETS,
+    LABEL_OTHER, MAX_LABEL_CARDINALITY,
 };
 pub use sink::{CollectSink, Level, NoopSink, Obs, Record, RecordKind, TextSink, Value};
 pub use span::{global, install_global, ObsCtx, Span};

@@ -1,17 +1,22 @@
 //! A typed metrics registry: counters, gauges, and histograms with fixed
 //! log2 buckets, exposed as Prometheus-style text and as JSON.
 //!
-//! Metrics are keyed by `(name, sorted labels)`. The registry is
-//! internally synchronized (a single mutex — the pipeline records metrics
-//! at stage boundaries, not per instruction, so contention is nil) and
-//! cheap to clone-share via [`std::sync::Arc`].
+//! Metrics are keyed by `(name, sorted labels)`. Every series lives in
+//! atomics behind an `Arc`, and the registry's map (one mutex) only
+//! finds or creates series. A hot path binds a handle once —
+//! [`Registry::counter`] or [`Registry::histogram`] — and then records
+//! with atomic adds alone: no map lock, no label strings, no
+//! cardinality lookup. The string API ([`Registry::inc_by`],
+//! [`Registry::observe`], ...) binds and records in one call on the
+//! same storage, which suits stage boundaries and cold paths. The
+//! registry is cheap to clone-share via [`std::sync::Arc`].
 //!
 //! Semantics follow the Prometheus data model:
 //!
 //! - **counter** — monotonically non-decreasing `u64`, saturating;
 //! - **gauge** — last-write-wins `f64`;
 //! - **histogram** — `u64` observations in buckets `[2^(i-1), 2^i)`
-//!   (bucket 0 holds zeros), plus exact `sum` and `count`.
+//!   (bucket 0 holds zeros), plus exact `count` and saturating `sum`.
 //!
 //! A name registered as one type and used as another is a programming
 //! error; the mismatched write is dropped and counted in the registry's
@@ -21,7 +26,8 @@
 use crate::json::{self, ToJson};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
 
 /// Number of log2 histogram buckets: bucket 0 holds zeros, bucket `i`
 /// (1..=64) holds values in `[2^(i-1), 2^i)`.
@@ -120,12 +126,6 @@ impl Histogram {
         (64 - v.leading_zeros()) as usize
     }
 
-    fn observe(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-    }
-
     /// Inclusive upper bound of bucket `i` (`None` for the zero bucket's
     /// exact bound, which is 0).
     pub fn upper_bound(i: usize) -> u64 {
@@ -170,23 +170,195 @@ impl Histogram {
 /// Maximum distinct values accepted per `(metric name, label key)`
 /// pair; later values collapse into [`LABEL_OTHER`] so unbounded
 /// identifier spaces (client ids, worker ids) cannot grow the registry
-/// without bound.
+/// without bound. The cap applies when a series is bound, so a handle
+/// claims its label values once, at bind.
 pub const MAX_LABEL_CARDINALITY: usize = 32;
 
 /// The collapse bucket label value for over-cardinality writes.
 pub const LABEL_OTHER: &str = "other";
 
+/// A counter's or a gauge's storage: a `u64` (a gauge keeps its `f64`
+/// bits) and whether any write has reached it. A series that was bound
+/// but never written stays out of every reader, exactly as if it had
+/// never been named.
+#[derive(Debug, Default)]
+struct Cell {
+    value: AtomicU64,
+    written: AtomicBool,
+}
+
+impl Cell {
+    fn mark_written(&self) {
+        if !self.written.load(Relaxed) {
+            self.written.store(true, Relaxed);
+        }
+    }
+
+    fn add(&self, by: u64) {
+        // Relaxed: a statistic that publishes no other data.
+        let _ = self
+            .value
+            .fetch_update(Relaxed, Relaxed, |c| Some(c.saturating_add(by)));
+        self.mark_written();
+    }
+
+    fn set(&self, bits: u64) {
+        self.value.store(bits, Relaxed);
+        self.mark_written();
+    }
+
+    /// The value, once written.
+    fn load(&self) -> Option<u64> {
+        self.written.load(Relaxed).then(|| self.value.load(Relaxed))
+    }
+}
+
+/// A histogram's storage. The observation count is the sum of the
+/// buckets, so a snapshot taken mid-write never holds a count its
+/// buckets cannot account for, and a series with no observation yet
+/// (bound, never written) reads as absent.
+#[derive(Debug)]
+struct HistogramCell {
+    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+    sum: AtomicU64,
+}
+
+impl Default for HistogramCell {
+    fn default() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
+        }
+    }
+}
+
+impl HistogramCell {
+    fn observe(&self, v: u64) {
+        self.buckets[Histogram::bucket_of(v)].fetch_add(1, Relaxed);
+        let _ = self
+            .sum
+            .fetch_update(Relaxed, Relaxed, |s| Some(s.saturating_add(v)));
+    }
+
+    /// The histogram, once observed.
+    fn load(&self) -> Option<Histogram> {
+        let buckets: Vec<u64> = self.buckets.iter().map(|b| b.load(Relaxed)).collect();
+        let count = buckets.iter().fold(0u64, |n, &b| n.saturating_add(b));
+        (count > 0).then(|| Histogram {
+            buckets,
+            count,
+            sum: self.sum.load(Relaxed),
+        })
+    }
+}
+
+/// One series in the registry map: the storage its handles share.
+#[derive(Debug)]
+enum Series {
+    Counter(Arc<Cell>),
+    Gauge(Arc<Cell>),
+    Histogram(Arc<HistogramCell>),
+}
+
+impl Series {
+    /// The current value, `None` while nothing was written.
+    fn read(&self) -> Option<MetricValue> {
+        match self {
+            Series::Counter(c) => c.load().map(MetricValue::Counter),
+            Series::Gauge(c) => c
+                .load()
+                .map(|bits| MetricValue::Gauge(f64::from_bits(bits))),
+            Series::Histogram(h) => h.load().map(MetricValue::Histogram),
+        }
+    }
+}
+
+/// The registry's own accounting, shared with every handle.
+#[derive(Debug, Default)]
+struct Tallies {
+    conflicts: AtomicU64,
+    collapsed: AtomicU64,
+}
+
+/// What each write through a handle also counts in its registry.
+#[derive(Clone, Debug)]
+struct Tally {
+    tallies: Arc<Tallies>,
+    /// Label values rewritten to [`LABEL_OTHER`] at bind; every write
+    /// counts them again, so [`Registry::labels_collapsed`] counts
+    /// collapsed writes.
+    collapsed: u64,
+    /// The series already exists as another type: writes are dropped
+    /// and counted as type conflicts.
+    conflict: bool,
+}
+
+impl Tally {
+    /// Accounts one write; `false` when the write must be dropped.
+    #[inline]
+    fn admit(&self) -> bool {
+        if self.collapsed > 0 {
+            self.tallies.collapsed.fetch_add(self.collapsed, Relaxed);
+        }
+        if self.conflict {
+            self.tallies.conflicts.fetch_add(1, Relaxed);
+        }
+        !self.conflict
+    }
+}
+
+/// A counter series bound once ([`Registry::counter`]); clones share
+/// it. Writes are atomic adds and take no lock.
+#[derive(Clone, Debug)]
+pub struct CounterHandle {
+    cell: Arc<Cell>,
+    tally: Tally,
+}
+
+impl CounterHandle {
+    /// Adds `by` to the counter (saturating).
+    #[inline]
+    pub fn inc_by(&self, by: u64) {
+        if self.tally.admit() {
+            self.cell.add(by);
+        }
+    }
+
+    /// Increments the counter by one.
+    #[inline]
+    pub fn inc(&self) {
+        self.inc_by(1);
+    }
+}
+
+/// A histogram series bound once ([`Registry::histogram`]); clones
+/// share it. Writes are atomic adds and take no lock.
+#[derive(Clone, Debug)]
+pub struct HistogramHandle {
+    cell: Arc<HistogramCell>,
+    tally: Tally,
+}
+
+impl HistogramHandle {
+    /// Records one observation.
+    #[inline]
+    pub fn observe(&self, v: u64) {
+        if self.tally.admit() {
+            self.cell.observe(v);
+        }
+    }
+}
+
 /// The metrics registry.
 #[derive(Default, Debug)]
 pub struct Registry {
-    inner: Mutex<BTreeMap<MetricKey, MetricValue>>,
-    conflicts: Mutex<u64>,
+    series: Mutex<BTreeMap<MetricKey, Series>>,
     /// Distinct values seen per `(metric name, label key)`, capped at
     /// [`MAX_LABEL_CARDINALITY`]. A short linear-scanned list: the set
-    /// of metric/label-key combinations is small and fixed, so lookups
-    /// stay allocation-free on the hot path.
+    /// of metric/label-key combinations is small and fixed, and only
+    /// binding reads it.
     cardinality: Mutex<Vec<(String, String, Vec<String>)>>,
-    collapsed: Mutex<u64>,
+    tallies: Arc<Tallies>,
 }
 
 impl Registry {
@@ -196,10 +368,16 @@ impl Registry {
     }
 
     /// Caps label cardinality: a value past the per-key limit is
-    /// rewritten to [`LABEL_OTHER`] before keying the metric.
-    fn bounded<'a>(&self, name: &str, labels: &[(&'a str, &'a str)]) -> Vec<(&'a str, &'a str)> {
+    /// rewritten to [`LABEL_OTHER`] before keying the metric. Returns
+    /// the labels and how many were rewritten.
+    fn bounded<'a>(
+        &self,
+        name: &str,
+        labels: &[(&'a str, &'a str)],
+    ) -> (Vec<(&'a str, &'a str)>, u64) {
         let mut card = self.cardinality.lock().expect("cardinality lock");
-        labels
+        let mut collapsed = 0;
+        let labels = labels
             .iter()
             .map(|&(k, v)| {
                 if v == LABEL_OTHER {
@@ -219,22 +397,74 @@ impl Registry {
                     values.push(v.to_owned());
                     (k, v)
                 } else {
-                    *self.collapsed.lock().expect("collapsed lock") += 1;
+                    collapsed += 1;
                     (k, LABEL_OTHER)
                 }
             })
-            .collect()
+            .collect();
+        (labels, collapsed)
+    }
+
+    /// Finds or creates the series `name{labels}` (after the
+    /// cardinality cap) and returns its storage. `pick` selects the
+    /// wanted type from an existing series; on a type conflict the
+    /// storage is a detached cell and the tally drops every write.
+    fn bind<T: Default>(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        pick: fn(&Series) -> Option<&Arc<T>>,
+        wrap: fn(Arc<T>) -> Series,
+    ) -> (Arc<T>, Tally) {
+        let (labels, collapsed) = self.bounded(name, labels);
+        let key = MetricKey::new(name, &labels);
+        let mut map = self.series.lock().expect("registry lock");
+        let series = map.entry(key).or_insert_with(|| wrap(Arc::default()));
+        let (cell, conflict) = match pick(series) {
+            Some(cell) => (Arc::clone(cell), false),
+            None => (Arc::default(), true),
+        };
+        let tally = Tally {
+            tallies: Arc::clone(&self.tallies),
+            collapsed,
+            conflict,
+        };
+        (cell, tally)
+    }
+
+    /// Binds the counter `name{labels}` (created at zero). The series
+    /// renders once something is written through the handle.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
+        let (cell, tally) = self.bind(
+            name,
+            labels,
+            |s| match s {
+                Series::Counter(c) => Some(c),
+                _ => None,
+            },
+            Series::Counter,
+        );
+        CounterHandle { cell, tally }
+    }
+
+    /// Binds the histogram `name{labels}`. The series renders once an
+    /// observation is recorded through the handle.
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
+        let (cell, tally) = self.bind(
+            name,
+            labels,
+            |s| match s {
+                Series::Histogram(h) => Some(h),
+                _ => None,
+            },
+            Series::Histogram,
+        );
+        HistogramHandle { cell, tally }
     }
 
     /// Adds `by` to the counter `name{labels}` (created at zero).
     pub fn inc_by(&self, name: &str, labels: &[(&str, &str)], by: u64) {
-        let labels = self.bounded(name, labels);
-        let key = MetricKey::new(name, &labels);
-        let mut m = self.inner.lock().expect("registry lock");
-        match m.entry(key).or_insert(MetricValue::Counter(0)) {
-            MetricValue::Counter(c) => *c = c.saturating_add(by),
-            _ => self.conflict(),
-        }
+        self.counter(name, labels).inc_by(by);
     }
 
     /// Increments the counter `name{labels}` by one.
@@ -244,89 +474,81 @@ impl Registry {
 
     /// Sets the gauge `name{labels}`.
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let labels = self.bounded(name, labels);
-        let key = MetricKey::new(name, &labels);
-        let mut m = self.inner.lock().expect("registry lock");
-        match m.entry(key).or_insert(MetricValue::Gauge(0.0)) {
-            MetricValue::Gauge(g) => *g = v,
-            _ => self.conflict(),
+        let (cell, tally) = self.bind(
+            name,
+            labels,
+            |s| match s {
+                Series::Gauge(c) => Some(c),
+                _ => None,
+            },
+            Series::Gauge,
+        );
+        if tally.admit() {
+            cell.set(v.to_bits());
         }
     }
 
     /// Records `v` into the histogram `name{labels}`.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], v: u64) {
-        let labels = self.bounded(name, labels);
-        let key = MetricKey::new(name, &labels);
-        let mut m = self.inner.lock().expect("registry lock");
-        match m
-            .entry(key)
-            .or_insert_with(|| MetricValue::Histogram(Histogram::default()))
-        {
-            MetricValue::Histogram(h) => h.observe(v),
-            _ => self.conflict(),
-        }
-    }
-
-    fn conflict(&self) {
-        *self.conflicts.lock().expect("conflict lock") += 1;
+        self.histogram(name, labels).observe(v);
     }
 
     /// How many writes were dropped due to a type conflict.
     pub fn type_conflicts(&self) -> u64 {
-        *self.conflicts.lock().expect("conflict lock")
+        self.tallies.conflicts.load(Relaxed)
     }
 
     /// How many label values were collapsed into [`LABEL_OTHER`]
-    /// because their `(metric, label key)` hit the cardinality cap.
+    /// because their `(metric, label key)` hit the cardinality cap,
+    /// counted per write.
     pub fn labels_collapsed(&self) -> u64 {
-        *self.collapsed.lock().expect("collapsed lock")
+        self.tallies.collapsed.load(Relaxed)
+    }
+
+    /// The current value of `name{labels}`, `None` when absent.
+    fn value(&self, name: &str, labels: &[(&str, &str)]) -> Option<MetricValue> {
+        self.series
+            .lock()
+            .expect("registry lock")
+            .get(&MetricKey::new(name, labels))
+            .and_then(Series::read)
     }
 
     /// Current value of a counter (0 when absent).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        match self
-            .inner
-            .lock()
-            .expect("registry lock")
-            .get(&MetricKey::new(name, labels))
-        {
-            Some(MetricValue::Counter(c)) => *c,
+        match self.value(name, labels) {
+            Some(MetricValue::Counter(c)) => c,
             _ => 0,
         }
     }
 
     /// Current value of a gauge (`None` when absent).
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        match self
-            .inner
-            .lock()
-            .expect("registry lock")
-            .get(&MetricKey::new(name, labels))
-        {
-            Some(MetricValue::Gauge(g)) => Some(*g),
+        match self.value(name, labels) {
+            Some(MetricValue::Gauge(g)) => Some(g),
             _ => None,
         }
     }
 
     /// Snapshot of every metric, sorted by key.
     pub fn snapshot(&self) -> Vec<(MetricKey, MetricValue)> {
-        self.inner
+        self.series
             .lock()
             .expect("registry lock")
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .filter_map(|(k, s)| Some((k.clone(), s.read()?)))
             .collect()
     }
 
     /// Merge of a histogram across all label sets sharing `name`
     /// (`None` when no histogram by that name exists).
     pub fn merged_histogram(&self, name: &str) -> Option<Histogram> {
-        let m = self.inner.lock().expect("registry lock");
+        let m = self.series.lock().expect("registry lock");
         let mut merged: Option<Histogram> = None;
-        for (k, v) in m.iter() {
+        for (k, s) in m.iter() {
             if k.name == name {
-                if let MetricValue::Histogram(h) = v {
-                    merged.get_or_insert_with(Histogram::default).merge(h);
+                if let Some(MetricValue::Histogram(h)) = s.read() {
+                    merged.get_or_insert_with(Histogram::default).merge(&h);
                 }
             }
         }
@@ -335,13 +557,13 @@ impl Registry {
 
     /// Sum of a counter across all label sets sharing `name`.
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.inner
+        self.series
             .lock()
             .expect("registry lock")
             .iter()
             .filter(|(k, _)| k.name == name)
-            .map(|(_, v)| match v {
-                MetricValue::Counter(c) => *c,
+            .map(|(_, s)| match s.read() {
+                Some(MetricValue::Counter(c)) => c,
                 _ => 0,
             })
             .sum()
@@ -638,5 +860,167 @@ mod tests {
             r.counter_value("ppp_retry_resent_frames_total", &[("client", "0")]),
             1
         );
+    }
+
+    /// One write of the replayed sequence.
+    enum Write {
+        Inc(&'static str, Vec<(&'static str, String)>, u64),
+        Observe(&'static str, Vec<(&'static str, String)>, u64),
+    }
+
+    /// A fixed sequence over 40 clients, so the `client` label runs 8
+    /// values past the cap, with zero, repeated and saturating writes.
+    fn write_sequence() -> Vec<Write> {
+        let mut seq = Vec::new();
+        for round in 0..3u64 {
+            for client in 0..40u64 {
+                let id = client.to_string();
+                let kind = if client % 3 == 0 { "edge" } else { "path" };
+                let by = if client == 5 { 0 } else { client * round };
+                seq.push(Write::Inc(
+                    "ppp_eq_frames_total",
+                    vec![("client", id.clone()), ("kind", kind.to_owned())],
+                    by,
+                ));
+                seq.push(Write::Observe(
+                    "ppp_eq_latency_micros",
+                    vec![("client", id)],
+                    client.wrapping_mul(0x9E37_79B9) >> (round * 7),
+                ));
+            }
+            seq.push(Write::Inc("ppp_eq_big_total", vec![], u64::MAX / 2));
+            seq.push(Write::Observe("ppp_eq_size_bytes", vec![], u64::MAX));
+        }
+        seq
+    }
+
+    fn str_labels<'a>(labels: &'a [(&'static str, String)]) -> Vec<(&'static str, &'a str)> {
+        labels.iter().map(|(k, v)| (*k, v.as_str())).collect()
+    }
+
+    /// Handles and the string API share one storage path: the same
+    /// writes render, serialize and snapshot byte for byte alike, and
+    /// collapse the same number of label values.
+    #[test]
+    fn handle_writes_equal_string_writes() {
+        let by_string = Registry::new();
+        for w in write_sequence() {
+            match w {
+                Write::Inc(name, labels, by) => by_string.inc_by(name, &str_labels(&labels), by),
+                Write::Observe(name, labels, v) => by_string.observe(name, &str_labels(&labels), v),
+            }
+        }
+
+        let by_handle = Registry::new();
+        // Bound but never written: must not render anywhere.
+        let idle_counter = by_handle.counter("ppp_eq_idle_total", &[("bench", "mcf")]);
+        let idle_histogram = by_handle.histogram("ppp_eq_idle_micros", &[]);
+        let mut counters: BTreeMap<String, CounterHandle> = BTreeMap::new();
+        let mut histograms: BTreeMap<String, HistogramHandle> = BTreeMap::new();
+        for w in write_sequence() {
+            match w {
+                Write::Inc(name, labels, by) => counters
+                    .entry(format!("{name}{labels:?}"))
+                    .or_insert_with(|| by_handle.counter(name, &str_labels(&labels)))
+                    .inc_by(by),
+                Write::Observe(name, labels, v) => histograms
+                    .entry(format!("{name}{labels:?}"))
+                    .or_insert_with(|| by_handle.histogram(name, &str_labels(&labels)))
+                    .observe(v),
+            }
+        }
+
+        assert_eq!(by_handle.render_prometheus(), by_string.render_prometheus());
+        assert_eq!(by_handle.to_json(), by_string.to_json());
+        assert_eq!(by_handle.snapshot(), by_string.snapshot());
+        for name in [
+            "ppp_eq_latency_micros",
+            "ppp_eq_size_bytes",
+            "ppp_eq_idle_micros",
+        ] {
+            assert_eq!(
+                by_handle.merged_histogram(name),
+                by_string.merged_histogram(name),
+                "{name}"
+            );
+        }
+        assert!(by_handle.merged_histogram("ppp_eq_idle_micros").is_none());
+        assert_eq!(by_handle.labels_collapsed(), by_string.labels_collapsed());
+        // 8 clients past the cap, two labelled writes each per round.
+        assert_eq!(by_string.labels_collapsed(), 3 * 8 * 2);
+        assert!(by_string
+            .render_prometheus()
+            .contains("ppp_eq_frames_total{client=\"5\",kind=\"path\"} 0"));
+
+        // Writing through the idle handles makes them appear.
+        idle_counter.inc();
+        idle_histogram.observe(3);
+        assert_eq!(
+            by_handle.counter_value("ppp_eq_idle_total", &[("bench", "mcf")]),
+            1
+        );
+        assert_eq!(by_handle.snapshot().len(), by_string.snapshot().len() + 2);
+    }
+
+    /// Four threads write one series through a shared handle and the
+    /// string API at once; no write is lost.
+    #[test]
+    fn concurrent_handle_and_string_writes_are_exact() {
+        const THREADS: u64 = 4;
+        const WRITES: u64 = 5_000;
+        let value = |t: u64, i: u64| (t * WRITES + i).wrapping_mul(0x2545_F491) >> 12;
+        let r = Registry::new();
+        let labels = [("bench", "mcf")];
+        let counter = r.counter("ppp_conc_total", &labels);
+        let histogram = r.histogram("ppp_conc_micros", &labels);
+        let barrier = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (counter, histogram, r, barrier) =
+                    (counter.clone(), histogram.clone(), &r, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for i in 0..WRITES {
+                        if i % 2 == 0 {
+                            counter.inc_by(i);
+                            histogram.observe(value(t, i));
+                        } else {
+                            r.inc_by("ppp_conc_total", &labels, i);
+                            r.observe("ppp_conc_micros", &labels, value(t, i));
+                        }
+                    }
+                });
+            }
+        });
+        let mut want = Histogram::default();
+        for t in 0..THREADS {
+            for i in 0..WRITES {
+                let v = value(t, i);
+                want.buckets[Histogram::bucket_of(v)] += 1;
+                want.count += 1;
+                want.sum += v;
+            }
+        }
+        assert_eq!(
+            r.counter_value("ppp_conc_total", &labels),
+            THREADS * (0..WRITES).sum::<u64>()
+        );
+        let got = r.merged_histogram("ppp_conc_micros").expect("observed");
+        assert_eq!(got.count, THREADS * WRITES);
+        assert_eq!(got.sum, want.sum);
+        assert_eq!(got.buckets, want.buckets);
+        assert_eq!(r.type_conflicts(), 0);
+    }
+
+    #[test]
+    fn a_handle_of_the_wrong_type_drops_and_counts_each_write() {
+        let r = Registry::new();
+        r.inc("m", &[]);
+        let h = r.histogram("m", &[]);
+        h.observe(1);
+        h.observe(2);
+        assert_eq!(r.type_conflicts(), 2);
+        assert_eq!(r.counter_value("m", &[]), 1);
+        assert!(r.merged_histogram("m").is_none());
     }
 }
