@@ -141,6 +141,11 @@ struct Shared {
     crash: AtomicBool,
     /// Delta frames accepted, across all connections.
     frames: AtomicU64,
+    /// The accepted-frame count at which connections stop serving
+    /// ([`Server::hold_at`]; `u64::MAX` = never).
+    hold_at: AtomicU64,
+    /// A connection has stopped at `hold_at`.
+    held: AtomicBool,
     /// Connections being served (admission control).
     active: AtomicUsize,
     /// A clone of each live connection's socket, for [`Server::kill`].
@@ -166,6 +171,8 @@ impl Server {
             stop: AtomicBool::new(false),
             crash: AtomicBool::new(false),
             frames: AtomicU64::new(0),
+            hold_at: AtomicU64::new(u64::MAX),
+            held: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             conns: Mutex::new(Vec::new()),
         });
@@ -190,6 +197,20 @@ impl Server {
     /// Delta frames accepted (merged) so far, across all connections.
     pub fn frames_accepted(&self) -> u64 {
         self.shared.frames.load(Ordering::SeqCst)
+    }
+
+    /// Stops serving at the `n`-th accepted delta frame: each connection
+    /// that accepts it, or a later one, then sends nothing more (no ack)
+    /// until [`Server::kill`] or shutdown, and [`Server::held`] turns
+    /// true. Arm it before clients connect; a crash test then kills the
+    /// server mid-stream however fast the clients finish.
+    pub fn hold_at(&self, n: u64) {
+        self.shared.hold_at.store(n, Ordering::SeqCst);
+    }
+
+    /// Whether a connection has stopped at the [`Server::hold_at`] mark.
+    pub fn held(&self) -> bool {
+        self.shared.held.load(Ordering::SeqCst)
     }
 
     /// Graceful shutdown: stops accepting, lets every connection
@@ -555,7 +576,10 @@ fn serve_connection(stream: &mut TcpStream, shared: &Shared) -> Result<(), Strin
         match a.ingest_wire(kind, &wire) {
             Ok(IngestOutcome::Applied) => {
                 if matches!(kind, FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta) {
-                    shared.frames.fetch_add(1, Ordering::SeqCst);
+                    let accepted = shared.frames.fetch_add(1, Ordering::SeqCst) + 1;
+                    if accepted >= shared.hold_at.load(Ordering::SeqCst) {
+                        return hold(shared);
+                    }
                 }
             }
             Ok(IngestOutcome::Duplicate) => {}
@@ -568,6 +592,17 @@ fn serve_connection(stream: &mut TcpStream, shared: &Shared) -> Result<(), Strin
             send_ack(stream, client_id, a.watermark(client_id)).map_err(|e| e.to_string())?;
         }
     }
+}
+
+/// Parks a connection that reached [`Server::hold_at`]: it sends
+/// nothing more until the server is killed or shut down, then drops.
+#[cold]
+fn hold(shared: &Shared) -> Result<(), String> {
+    shared.held.store(true, Ordering::SeqCst);
+    while !shared.crash.load(Ordering::SeqCst) && !shared.stop.load(Ordering::SeqCst) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    Err("held at the hold mark".to_owned())
 }
 
 /// A [`FrameSink`] writing frames to one TCP connection (no retry —

@@ -1,12 +1,16 @@
 //! Micro-benchmarks for the flow-estimation algorithms (appendix
 //! Figs. 14–16): definite flow, potential flow, and hot-path
-//! reconstruction over a profiled module; and the edge-profile score
-//! (§6), top-k next to the full estimate + accuracy + coverage.
+//! reconstruction over a profiled module; the edge-profile score (§6),
+//! top-k next to the full estimate + accuracy + coverage; and the
+//! PP/TPP/PPP scores, each from its own reconstructions and decodes next
+//! to one shared analysis.
 
 use ppp_bench::harness::bench;
 use ppp_core::{
     accuracy, definite_flow, edge_profile_coverage, edge_profile_estimate, edge_profile_score,
-    normalize_module, potential_flow, reconstruct, Dag, EstimateOptions, FlowKind, FlowMetric,
+    instrument_module, instrumented_fraction, normalize_module, potential_flow, profiler_coverage,
+    profiler_estimate, profiler_score, reconstruct, Dag, EstimateOptions, FlowKind, FlowMetric,
+    ModuleAnalysis, ProfilerConfig,
 };
 use ppp_vm::{run, RunOptions};
 use ppp_workloads::{generate, BenchmarkSpec};
@@ -88,7 +92,10 @@ fn main() {
                 edge_profile_coverage(&module, &edges, &truth, metric).ratio(),
             )
         };
-        let top_k = || edge_profile_score(&module, &edges, &truth, metric, hot_ratio, &opts);
+        let top_k = || {
+            let analysis = ModuleAnalysis::new(&module, Some(&edges), metric, &opts);
+            edge_profile_score(&analysis, &truth, hot_ratio)
+        };
         let (acc, cov) = full();
         let score = top_k();
         assert_eq!(score.accuracy.to_bits(), acc.to_bits(), "accuracy");
@@ -99,5 +106,49 @@ fn main() {
         );
         bench("flow", "edge-score-full", full);
         bench("flow", "edge-score-top-k", top_k);
+
+        // PP, TPP and PPP runs of the module, then each scored the way
+        // the pipeline used to (estimate + accuracy, coverage and
+        // fractions, each decoding the counters and reconstructing
+        // definite flow itself) and from one shared analysis. Both must
+        // agree before either is timed.
+        let runs: Vec<_> = [
+            ProfilerConfig::pp(),
+            ProfilerConfig::tpp(),
+            ProfilerConfig::ppp(),
+        ]
+        .iter()
+        .map(|config| {
+            let plan = instrument_module(&module, Some(&edges), config);
+            let store = run(&plan.module, "main", &RunOptions::default())
+                .unwrap()
+                .store;
+            (plan, store)
+        })
+        .collect();
+        let separate = || {
+            runs.iter()
+                .map(|(plan, store)| {
+                    let est = profiler_estimate(&module, plan, &edges, store, metric, &opts);
+                    let cov = profiler_coverage(&module, plan, store, &truth, metric, &opts);
+                    let fraction = instrumented_fraction(&module, plan, store, &truth);
+                    let acc = accuracy(&truth, &est, metric, hot_ratio);
+                    [acc, cov.ratio(), fraction.measured, fraction.hashed].map(f64::to_bits)
+                })
+                .collect::<Vec<_>>()
+        };
+        let shared = || {
+            let analysis = ModuleAnalysis::new(&module, Some(&edges), metric, &opts);
+            runs.iter()
+                .map(|(plan, store)| {
+                    let s = profiler_score(&analysis, plan, store, &truth, hot_ratio);
+                    let f = s.fraction;
+                    [s.accuracy, s.coverage.ratio(), f.measured, f.hashed].map(f64::to_bits)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(separate(), shared(), "profiler scores");
+        bench("flow", "profiler-score-separate", separate);
+        bench("flow", "profiler-score-shared", shared);
     }
 }

@@ -11,12 +11,11 @@
 //!   Coverage = (F(P_instr) + DF(P_uninstr) - F_overcount) / F(P)
 //! ```
 
-use crate::dag::Dag;
+use crate::analysis::ModuleAnalysis;
 use crate::estimate::EstimateOptions;
-use crate::flow::{definite_flow, reconstruct, FlowKind, FlowMetric};
+use crate::flow::FlowMetric;
 use crate::instrument::{measured_paths, ModulePlan};
-use ppp_ir::{FuncId, Module, ModulePathProfile, PathKey};
-use std::collections::HashSet;
+use ppp_ir::{Module, ModulePathProfile};
 
 /// Coverage components (all flows under the chosen metric).
 #[derive(Clone, Copy, Debug, Default)]
@@ -52,13 +51,22 @@ pub fn edge_profile_coverage(
     truth: &ModulePathProfile,
     metric: FlowMetric,
 ) -> Coverage {
+    let analysis = ModuleAnalysis::new(module, Some(edges), metric, &EstimateOptions::default());
+    edge_coverage(&analysis, truth)
+}
+
+/// [`edge_profile_coverage`] of the analysis's profile.
+pub(crate) fn edge_coverage(analysis: &ModuleAnalysis<'_>, truth: &ModulePathProfile) -> Coverage {
+    let metric = analysis.metric();
     let mut c = Coverage {
         total: total_flow(truth, metric),
         ..Coverage::default()
     };
-    for fid in module.func_ids() {
-        let dag = Dag::build(module.function(fid), Some(edges.func(fid)));
-        let definite = definite_flow(&dag).entry_map(&dag).total_flow(metric);
+    for fid in analysis.module().func_ids() {
+        let definite = analysis
+            .definite_flow(fid)
+            .entry_map(analysis.dag(fid))
+            .total_flow(metric);
         c.definite_uninstrumented = c.definite_uninstrumented.saturating_add(definite);
     }
     c
@@ -73,16 +81,32 @@ pub fn profiler_coverage(
     metric: FlowMetric,
     opts: &EstimateOptions,
 ) -> Coverage {
-    let measured = measured_paths(plan, original, store);
+    let analysis = ModuleAnalysis::of_plan(original, plan, metric, opts);
+    coverage_measured(
+        &analysis,
+        plan,
+        &measured_paths(plan, original, store),
+        truth,
+    )
+}
+
+/// [`profiler_coverage`] from the plan's decoded counters `measured`,
+/// with the definite-flow paths of `analysis`, which `plan` was
+/// instrumented from.
+pub(crate) fn coverage_measured(
+    analysis: &ModuleAnalysis<'_>,
+    plan: &ModulePlan,
+    measured: &ModulePathProfile,
+    truth: &ModulePathProfile,
+) -> Coverage {
+    let metric = analysis.metric();
     let mut c = Coverage {
         total: total_flow(truth, metric),
         ..Coverage::default()
     };
 
     // Measured flow: reported by counters vs. actually executed.
-    let mut instr_keys: HashSet<(FuncId, &PathKey)> = HashSet::new();
     for (fid, key, stats) in measured.iter() {
-        instr_keys.insert((fid, key));
         c.measured_reported += metric.flow(stats.freq, stats.branches);
         if let Some(actual) = truth.func(fid).paths.get(key) {
             c.measured_actual += metric.flow(actual.freq, actual.branches);
@@ -92,21 +116,18 @@ pub fn profiler_coverage(
 
     // Definite flow of everything not measured: exact per-path definite
     // flows, reconstructed from the edge profile embedded in each DAG.
+    // Every reconstructed path counts, duplicate keys included.
     for fp in &plan.funcs {
         if fp.dag.entries() == 0 {
             continue;
         }
-        let df = definite_flow(&fp.dag);
-        for p in reconstruct(
-            &fp.dag,
-            &df,
-            FlowKind::Definite,
-            metric,
-            0,
-            opts.max_paths_per_func,
-        ) {
-            let key = fp.dag.path_key(&p.edges);
-            if !instr_keys.contains(&(fp.func, &key)) {
+        debug_assert!(
+            fp.dag == *analysis.dag(fp.func),
+            "plan and analysis disagree"
+        );
+        let instrumented = &measured.func(fp.func).paths;
+        for p in analysis.definite_paths(fp.func) {
+            if !instrumented.contains_key(&p.key) {
                 c.definite_uninstrumented += p.flow(metric);
             }
         }
@@ -132,11 +153,19 @@ pub fn instrumented_fraction(
     store: &ppp_vm::ProfileStore,
     truth: &ModulePathProfile,
 ) -> InstrumentedFraction {
+    fraction_measured(plan, &measured_paths(plan, original, store), truth)
+}
+
+/// [`instrumented_fraction`] from the plan's decoded counters `measured`.
+pub(crate) fn fraction_measured(
+    plan: &ModulePlan,
+    measured: &ModulePathProfile,
+    truth: &ModulePathProfile,
+) -> InstrumentedFraction {
     let total = truth.total_unit_flow();
     if total == 0 {
         return InstrumentedFraction::default();
     }
-    let measured = measured_paths(plan, original, store);
     let mut counted = 0u64;
     let mut hashed = 0u64;
     for fp in &plan.funcs {
@@ -180,7 +209,7 @@ mod tests {
     use super::*;
     use crate::instrument::{instrument_module, normalize_module};
     use crate::profiler::ProfilerConfig;
-    use ppp_ir::{BinOp, FunctionBuilder, Module};
+    use ppp_ir::{BinOp, FuncId, FunctionBuilder, Module};
     use ppp_vm::{run, RunOptions};
 
     fn workload() -> Module {

@@ -14,7 +14,7 @@
 //! branchiness of the back edge they stand for, so branch-flow accounting
 //! agrees exactly with the VM's ground-truth tracer.
 
-use ppp_ir::{analyze_loops, BlockId, Cfg, EdgeRef, FuncEdgeProfile, Function};
+use ppp_ir::{analyze_loops, BlockId, Cfg, EdgeRef, FuncEdgeProfile, Function, LoopForest};
 
 /// Index of an edge within a [`Dag`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -77,7 +77,7 @@ pub struct DagEdge {
 }
 
 /// The profiling DAG of one function.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Dag {
     /// Function entry block (the DAG's `ENTRY`).
     pub entry: BlockId,
@@ -103,6 +103,29 @@ impl Dag {
     /// [`ensure_virtual_entry`](ppp_ir::transform::ensure_virtual_entry)
     /// first.
     pub fn build(f: &Function, profile: Option<&FuncEdgeProfile>) -> Self {
+        Self::build_with_loops(f, profile).0
+    }
+
+    /// [`Dag::build`], also returning the loop forest of `f` that the
+    /// static weights are computed from.
+    ///
+    /// # Panics
+    ///
+    /// As [`Dag::build`].
+    pub(crate) fn build_with_loops(
+        f: &Function,
+        profile: Option<&FuncEdgeProfile>,
+    ) -> (Self, LoopForest) {
+        let (cfg, _, loops) = analyze_loops(f);
+        (Self::from_parts(f, &cfg, &loops, profile), loops)
+    }
+
+    fn from_parts(
+        f: &Function,
+        cfg: &Cfg,
+        loops: &LoopForest,
+        profile: Option<&FuncEdgeProfile>,
+    ) -> Self {
         let returns = f.return_blocks();
         assert_eq!(
             returns.len(),
@@ -111,7 +134,6 @@ impl Dag {
             f.name
         );
         let exit = returns[0];
-        let cfg = Cfg::new(f);
         assert!(
             cfg.preds(f.entry).is_empty(),
             "function {} entry must have no predecessors",
@@ -119,7 +141,7 @@ impl Dag {
         );
 
         let n = f.blocks.len();
-        let weights = static_weights(f);
+        let weights = static_weights(f, loops);
         let mut edges: Vec<DagEdge> = Vec::new();
         let mut out: Vec<Vec<DagEdgeId>> = vec![Vec::new(); n];
         let mut inn: Vec<Vec<DagEdgeId>> = vec![Vec::new(); n];
@@ -394,8 +416,7 @@ impl StaticWeights {
     }
 }
 
-fn static_weights(f: &Function) -> StaticWeights {
-    let (_, _, loops) = analyze_loops(f);
+fn static_weights(f: &Function, loops: &LoopForest) -> StaticWeights {
     let block = f
         .block_ids()
         .map(|b| 10f64.powi(loops.depth(b) as i32))

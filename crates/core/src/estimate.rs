@@ -12,10 +12,12 @@
 //!   instruments nothing at all, potential flow substitutes so accuracy
 //!   matches plain edge profiling (§6.1).
 
+use crate::analysis::ModuleAnalysis;
 use crate::dag::Dag;
-use crate::flow::{definite_flow, potential_flow, reconstruct, FlowKind, FlowMetric};
+use crate::flow::{potential_flow, reconstruct, FlowKind, FlowMetric};
 use crate::instrument::{measured_paths, ModulePlan};
-use ppp_ir::{FuncId, Module, ModuleEdgeProfile, PathKey};
+use crate::profiler::ProfilerKind;
+use ppp_ir::{FuncId, Module, ModuleEdgeProfile, ModulePathProfile, PathKey};
 use std::collections::HashMap;
 
 /// One estimated path.
@@ -92,46 +94,72 @@ pub fn edge_profile_estimate(
     metric: FlowMetric,
     opts: &EstimateOptions,
 ) -> EstimatedProfile {
-    let mut out = EstimatedProfile {
-        funcs: vec![HashMap::new(); module.functions.len()],
-    };
+    let analysis = ModuleAnalysis::new(module, Some(edges), metric, opts);
+    let mut out = EstimatedProfile::empty(module);
     for fid in module.func_ids() {
-        let f = module.function(fid);
-        let dag = Dag::build(f, Some(edges.func(fid)));
-        reconstruct_into(&dag, kind, metric, opts, &mut out.funcs[fid.index()]);
+        let slot = &mut out.funcs[fid.index()];
+        match kind {
+            FlowKind::Definite => insert_definite(&analysis, fid, slot),
+            FlowKind::Potential => insert_potential(analysis.dag(fid), metric, opts, slot),
+        }
     }
     out
 }
 
-fn reconstruct_into(
+impl EstimatedProfile {
+    fn empty(module: &Module) -> Self {
+        Self {
+            funcs: vec![HashMap::new(); module.functions.len()],
+        }
+    }
+}
+
+/// Adds a reconstructed path unless its key is already estimated: the
+/// first estimate of a key wins.
+fn insert_reconstructed(
+    out: &mut HashMap<PathKey, EstimatedPath>,
+    key: &PathKey,
+    freq: u64,
+    branches: u32,
+) {
+    if !out.contains_key(key) {
+        out.insert(
+            key.clone(),
+            EstimatedPath {
+                freq,
+                branches,
+                measured: false,
+            },
+        );
+    }
+}
+
+fn insert_definite(
+    analysis: &ModuleAnalysis<'_>,
+    fid: FuncId,
+    out: &mut HashMap<PathKey, EstimatedPath>,
+) {
+    for p in analysis.definite_paths(fid) {
+        insert_reconstructed(out, &p.key, p.freq, p.branches);
+    }
+}
+
+fn insert_potential(
     dag: &Dag,
-    kind: FlowKind,
     metric: FlowMetric,
     opts: &EstimateOptions,
     out: &mut HashMap<PathKey, EstimatedPath>,
 ) {
-    let analysis = match kind {
-        FlowKind::Definite => definite_flow(dag),
-        FlowKind::Potential => potential_flow(dag),
-    };
-    let cutoff = match kind {
-        FlowKind::Definite => 0,
-        FlowKind::Potential => opts.potential_cutoff,
-    };
+    let flow = potential_flow(dag);
     for p in reconstruct(
         dag,
-        &analysis,
-        kind,
+        &flow,
+        FlowKind::Potential,
         metric,
-        cutoff,
+        opts.potential_cutoff,
         opts.max_paths_per_func,
     ) {
-        let key = dag.path_key(&p.edges);
-        out.entry(key).or_insert(EstimatedPath {
-            freq: p.freq,
-            branches: p.branches,
-            measured: false,
-        });
+        insert_reconstructed(out, &dag.path_key(&p.edges), p.freq, p.branches);
     }
 }
 
@@ -146,12 +174,23 @@ pub fn profiler_estimate(
     metric: FlowMetric,
     opts: &EstimateOptions,
 ) -> EstimatedProfile {
-    let mut out = EstimatedProfile {
-        funcs: vec![HashMap::new(); original.functions.len()],
-    };
+    // The plan's DAGs already carry the edge profile's frequencies.
+    let _ = edges;
+    let analysis = ModuleAnalysis::of_plan(original, plan, metric, opts);
+    estimate_measured(&analysis, plan, &measured_paths(plan, original, store))
+}
+
+/// [`profiler_estimate`] from the plan's decoded counters `measured`,
+/// with the definite-flow paths of `analysis`, which `plan` was
+/// instrumented from.
+pub(crate) fn estimate_measured(
+    analysis: &ModuleAnalysis<'_>,
+    plan: &ModulePlan,
+    measured: &ModulePathProfile,
+) -> EstimatedProfile {
+    let mut out = EstimatedProfile::empty(analysis.module());
 
     // Measured paths first: they take precedence over reconstructions.
-    let measured = measured_paths(plan, original, store);
     for (fid, key, stats) in measured.iter() {
         out.funcs[fid.index()].insert(
             key.clone(),
@@ -166,28 +205,22 @@ pub fn profiler_estimate(
     // Uninstrumented estimation: when nothing at all was instrumented the
     // paper falls back to potential flow (§6.1); otherwise definite flow
     // (§5) fills P_uninstr.
-    let kind = if plan.instrumented_count() == 0 {
-        FlowKind::Potential
-    } else {
-        FlowKind::Definite
-    };
+    let potential = plan.instrumented_count() == 0;
     for fp in &plan.funcs {
-        let fid = fp.func;
-        let dag = if fp.dag.entries() > 0 || plan.config.kind == crate::profiler::ProfilerKind::Pp {
-            &fp.dag
-        } else {
+        if fp.dag.entries() == 0 && plan.config.kind != ProfilerKind::Pp {
             continue; // never ran: nothing to estimate
-        };
-        let mut rec: HashMap<PathKey, EstimatedPath> = HashMap::new();
-        reconstruct_into(dag, kind, metric, opts, &mut rec);
-        let slot = &mut out.funcs[fid.index()];
-        for (k, v) in rec {
-            slot.entry(k).or_insert(v);
+        }
+        let slot = &mut out.funcs[fp.func.index()];
+        if potential {
+            insert_potential(&fp.dag, analysis.metric(), analysis.options(), slot);
+        } else {
+            debug_assert!(
+                fp.dag == *analysis.dag(fp.func),
+                "plan and analysis disagree"
+            );
+            insert_definite(analysis, fp.func, slot);
         }
     }
-    // Re-attach the edge profile for symmetry of the signature (the DAGs
-    // already carry the frequencies).
-    let _ = edges;
     out
 }
 

@@ -15,11 +15,17 @@
 //!
 //! The returned [`ModulePlan`] retains everything needed to *decode*
 //! runtime counters back into concrete paths ([`measured_paths`]).
+//!
+//! [`instrument_analyzed`] instruments from a [`ModuleAnalysis`], so
+//! every configuration of a benchmark shares one DAG, loop forest and
+//! definite flow per routine; [`instrument_module`] analyzes first.
 
+use crate::analysis::ModuleAnalysis;
 use crate::cold::{cold_edges, union_cold, ColdCriteria};
 use crate::dag::{Dag, DagEdgeId, DagEdgeKind};
+use crate::estimate::EstimateOptions;
 use crate::events::{event_counting, TreeWeights};
-use crate::flow::{definite_flow, FlowMetric};
+use crate::flow::FlowMetric;
 use crate::numbering::{decode_path, number_paths, Numbering, NumberingOrder};
 use crate::obvious::{all_paths_obvious, disconnectable_loops};
 use crate::plan::{combine, lower, PlanOp};
@@ -27,10 +33,11 @@ use crate::poison::{apply_poisoning, PoisonMode};
 use crate::profiler::{ProfilerConfig, ProfilerKind};
 use crate::push::{place_and_push, PushConfig};
 use ppp_ir::{
-    analyze_loops, Cfg, EdgeRef, FuncId, Function, Inst, Module, ModuleEdgeProfile,
-    ModulePathProfile, TableDecl, TableId, TableKind,
+    Cfg, EdgeRef, FuncId, Function, Inst, Module, ModuleEdgeProfile, ModulePathProfile, TableDecl,
+    TableId, TableKind,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Why a routine was left uninstrumented.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -71,7 +78,7 @@ pub struct Placement {
 }
 
 /// Per-routine instrumentation outcome.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FuncPlan {
     /// The routine.
     pub func: FuncId,
@@ -79,8 +86,9 @@ pub struct FuncPlan {
     pub instrumented: bool,
     /// Why not, when not.
     pub skip_reason: Option<SkipReason>,
-    /// The profiling DAG (pre-instrumentation CFG).
-    pub dag: Dag,
+    /// The profiling DAG (pre-instrumentation CFG), shared with the
+    /// [`ModuleAnalysis`] the plan was instrumented from.
+    pub dag: Arc<Dag>,
     /// Cold-edge mask.
     pub cold: Vec<bool>,
     /// Path numbering over the pruned DAG (when instrumented).
@@ -154,37 +162,34 @@ pub fn instrument_module(
     profile: Option<&ModuleEdgeProfile>,
     config: &ProfilerConfig,
 ) -> ModulePlan {
+    let analysis = ModuleAnalysis::new(
+        module,
+        profile,
+        FlowMetric::Branch,
+        &EstimateOptions::default(),
+    );
+    instrument_analyzed(&analysis, config)
+}
+
+/// Instruments the analyzed module per `config`, reusing the analysis's
+/// DAGs, loop forests and definite flows; equal to [`instrument_module`]
+/// over the analysis's module and profile.
+///
+/// # Panics
+///
+/// Panics if TPP/PPP is requested from an analysis without a profile.
+pub fn instrument_analyzed(analysis: &ModuleAnalysis<'_>, config: &ProfilerConfig) -> ModulePlan {
+    let (module, profile) = (analysis.module(), analysis.profile());
     assert!(
         config.kind == ProfilerKind::Pp || profile.is_some(),
         "{} requires an edge profile",
         config.kind.name()
     );
-
-    // Program-wide unit flow (total dynamic paths) for the global cold
-    // criterion (§4.2).
-    let dags: Vec<Dag> = module
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(i, f)| Dag::build(f, profile.map(|p| p.func(FuncId::new(i)))))
-        .collect();
-    let program_unit_flow: u64 = dags.iter().map(Dag::total_path_freq).sum();
-
     let mut out_module = module.clone();
-    let mut funcs = Vec::with_capacity(module.functions.len());
-    for (i, dag) in dags.into_iter().enumerate() {
-        let fid = FuncId::new(i);
-        let plan = plan_function(
-            module.function(fid),
-            fid,
-            dag,
-            profile.map(|p| p.func(fid)),
-            program_unit_flow,
-            config,
-            &mut out_module,
-        );
-        funcs.push(plan);
-    }
+    let funcs = module
+        .func_ids()
+        .map(|fid| plan_function(analysis, fid, config, &mut out_module))
+        .collect();
     ModulePlan {
         module: out_module,
         funcs,
@@ -192,16 +197,16 @@ pub fn instrument_module(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn plan_function(
-    f: &Function,
+    analysis: &ModuleAnalysis<'_>,
     fid: FuncId,
-    dag: Dag,
-    profile: Option<&ppp_ir::FuncEdgeProfile>,
-    program_unit_flow: u64,
     config: &ProfilerConfig,
     out_module: &mut Module,
 ) -> FuncPlan {
+    let f = analysis.module().function(fid);
+    let profile = analysis.profile().map(|p| p.func(fid));
+    let program_unit_flow = analysis.program_unit_flow();
+    let dag = Arc::clone(analysis.dag(fid));
     let ne = dag.edge_count();
     let p = &config.params;
     let mut plan = FuncPlan {
@@ -235,7 +240,7 @@ fn plan_function(
         plan.lc_coverage = if total == 0 {
             1.0
         } else {
-            let df = definite_flow(dag);
+            let df = analysis.definite_flow(fid);
             df.entry_map(dag).total_flow(FlowMetric::Branch) as f64 / total as f64
         };
         if config.kind == ProfilerKind::Ppp
@@ -254,10 +259,9 @@ fn plan_function(
         vec![false; ne]
     } else {
         let profile = profile.expect("guided profilers have a profile");
-        let (_, _, forest) = analyze_loops(f);
+        let forest = analysis.loops(fid);
         let mut disconnect = |current: &[bool]| -> Vec<bool> {
-            let loops =
-                disconnectable_loops(f, dag, &forest, profile, current, p.obvious_loop_trip);
+            let loops = disconnectable_loops(f, dag, forest, profile, current, p.obvious_loop_trip);
             disconnected_loops = loops.len();
             let mut mask = current.to_vec();
             for l in &loops {

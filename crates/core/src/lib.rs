@@ -59,6 +59,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod accuracy;
+pub mod analysis;
 pub mod cold;
 pub mod coverage;
 pub mod dag;
@@ -78,6 +79,7 @@ pub mod sampling;
 pub mod score;
 
 pub use accuracy::{accuracy, actual_hot_paths, hot_flow_fraction, HotPath};
+pub use analysis::ModuleAnalysis;
 pub use coverage::{
     edge_profile_coverage, instrumented_fraction, profiler_coverage, Coverage, InstrumentedFraction,
 };
@@ -91,10 +93,10 @@ pub use flow::{
     ReconstructedPath,
 };
 pub use instrument::{
-    instrument_module, measured_paths, normalize_module, FuncPlan, ModulePlan, PlacePos, Placement,
-    SkipReason,
+    instrument_analyzed, instrument_module, measured_paths, normalize_module, FuncPlan, ModulePlan,
+    PlacePos, Placement, SkipReason,
 };
 pub use net::{net_hot_flow_coverage, NetConfig, NetPredictor};
 pub use profiler::{Params, PppToggles, ProfilerConfig, ProfilerKind, Technique};
 pub use sampling::{sampled_module, SAMPLE_COUNTER_BASE};
-pub use score::{edge_profile_score, EdgeScore};
+pub use score::{edge_profile_score, profiler_score, EdgeScore, ProfilerScore};

@@ -32,7 +32,7 @@ pub enum NumberingOrder {
 }
 
 /// The result of numbering a (possibly pruned) DAG.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Numbering {
     /// `Val(e)` per DAG edge; `0` for cold edges and edges off all
     /// counted paths.

@@ -1,12 +1,20 @@
-//! Scoring plain edge profiling (§6): accuracy and coverage in one pass.
+//! Scoring edge profiling and the path profilers (§6) from one
+//! [`ModuleAnalysis`].
+//!
+//! [`profiler_score`] decodes a profiler's counters once and returns what
+//! [`profiler_estimate`](crate::profiler_estimate) scored by
+//! [`accuracy`](crate::accuracy()),
+//! [`profiler_coverage`](crate::profiler_coverage) and
+//! [`instrumented_fraction`](crate::instrumented_fraction) return, with
+//! the analysis's definite-flow paths standing in for the
+//! reconstructions each of them repeats.
 //!
 //! [`edge_profile_score`] returns exactly what
 //! [`edge_profile_estimate`](crate::edge_profile_estimate) (potential
 //! flow) followed by [`accuracy`](crate::accuracy()) and
 //! [`edge_profile_coverage`](crate::edge_profile_coverage) return, but
 //! enumerates only the estimated paths that can enter the top
-//! `k = |H_actual|`, and builds each routine's [`Dag`] once for both
-//! flows.
+//! `k = |H_actual|`.
 //!
 //! Why stopping early is exact:
 //!
@@ -22,15 +30,18 @@
 //!   are still enumerated, so the ranking's tie-break sees every
 //!   candidate.
 
-use crate::accuracy::{actual_hot_paths, matched_fraction};
-use crate::coverage::{total_flow, Coverage};
-use crate::dag::Dag;
-use crate::estimate::EstimateOptions;
-use crate::flow::{
-    definite_flow, potential_flow, reconstruct_seed, seeds, FlowAnalysis, FlowKind, FlowMetric,
-    ReconstructedPath,
+use crate::accuracy::{accuracy, actual_hot_paths, matched_fraction};
+use crate::analysis::ModuleAnalysis;
+use crate::coverage::{
+    coverage_measured, edge_coverage, fraction_measured, Coverage, InstrumentedFraction,
 };
-use ppp_ir::{FuncId, Module, ModuleEdgeProfile, ModulePathProfile, PathKey};
+use crate::dag::Dag;
+use crate::estimate::estimate_measured;
+use crate::flow::{
+    potential_flow, reconstruct_seed, seeds, FlowAnalysis, FlowKind, ReconstructedPath,
+};
+use crate::instrument::{measured_paths, ModulePlan};
+use ppp_ir::{FuncId, ModulePathProfile, PathKey};
 use std::cmp::Reverse;
 use std::collections::HashSet;
 
@@ -47,55 +58,78 @@ pub struct EdgeScore {
     pub paths_enumerated: usize,
 }
 
+/// Accuracy, coverage and instrumented fractions of one profiler run.
+#[derive(Clone, Copy, Debug)]
+pub struct ProfilerScore {
+    /// Wall-style accuracy of the estimated profile (§6.1).
+    pub accuracy: f64,
+    /// Coverage components (§6.2).
+    pub coverage: Coverage,
+    /// Figure 11's measured and hashed fractions.
+    pub fraction: InstrumentedFraction,
+}
+
+/// Scores the run of `plan`, instrumented from `analysis`, whose counters
+/// are in `store`, against `truth` at `hot_ratio`: the profiler's
+/// estimate scored by `accuracy`, its coverage and its instrumented
+/// fractions, from one decode of the counters.
+pub fn profiler_score(
+    analysis: &ModuleAnalysis<'_>,
+    plan: &ModulePlan,
+    store: &ppp_vm::ProfileStore,
+    truth: &ModulePathProfile,
+    hot_ratio: f64,
+) -> ProfilerScore {
+    let measured = measured_paths(plan, analysis.module(), store);
+    let est = estimate_measured(analysis, plan, &measured);
+    ProfilerScore {
+        accuracy: accuracy(truth, &est, analysis.metric(), hot_ratio),
+        coverage: coverage_measured(analysis, plan, &measured, truth),
+        fraction: fraction_measured(plan, &measured, truth),
+    }
+}
+
 /// One routine's potential-flow reconstruction state.
-struct Routine {
+struct Routine<'d> {
     func: FuncId,
-    dag: Dag,
+    dag: &'d Dag,
     flow: FlowAnalysis,
     seeds: Vec<(u64, u32, u64)>,
     produced: Vec<ReconstructedPath>,
     seen: HashSet<PathKey>,
 }
 
-/// Scores the edge profile `edges` against `truth`: the accuracy of its
-/// potential-flow estimate at `hot_ratio` and its definite-flow coverage,
-/// equal to the three-call oracle described in the module docs.
+/// Scores the edge profile of `analysis` against `truth`: the accuracy
+/// of its potential-flow estimate at `hot_ratio` and its definite-flow
+/// coverage, equal to the three-call oracle described in the module docs.
 pub fn edge_profile_score(
-    module: &Module,
-    edges: &ModuleEdgeProfile,
+    analysis: &ModuleAnalysis<'_>,
     truth: &ModulePathProfile,
-    metric: FlowMetric,
     hot_ratio: f64,
-    opts: &EstimateOptions,
 ) -> EdgeScore {
+    let (metric, opts) = (analysis.metric(), analysis.options());
     let hot = actual_hot_paths(truth, metric, hot_ratio);
     let k = hot.len();
-    let mut cov = Coverage {
-        total: total_flow(truth, metric),
-        ..Coverage::default()
-    };
-    let mut routines = Vec::new();
-    for fid in module.func_ids() {
-        let dag = Dag::build(module.function(fid), Some(edges.func(fid)));
-        let definite = definite_flow(&dag).entry_map(&dag).total_flow(metric);
-        cov.definite_uninstrumented = cov.definite_uninstrumented.saturating_add(definite);
-        if k == 0 {
-            continue;
-        }
-        let flow = potential_flow(&dag);
-        let seeds = seeds(&dag, &flow, metric, opts.potential_cutoff);
-        if seeds.is_empty() {
-            continue;
-        }
-        routines.push(Routine {
-            func: fid,
-            dag,
-            flow,
-            seeds,
-            produced: Vec::new(),
-            seen: HashSet::new(),
-        });
-    }
+    let cov = edge_coverage(analysis, truth);
+    // With no hot paths there is nothing to rank.
+    let mut routines: Vec<Routine<'_>> = analysis
+        .module()
+        .func_ids()
+        .filter(|_| k > 0)
+        .filter_map(|fid| {
+            let dag = &**analysis.dag(fid);
+            let flow = potential_flow(dag);
+            let seeds = seeds(dag, &flow, metric, opts.potential_cutoff);
+            (!seeds.is_empty()).then(|| Routine {
+                func: fid,
+                dag,
+                flow,
+                seeds,
+                produced: Vec::new(),
+                seen: HashSet::new(),
+            })
+        })
+        .collect();
 
     // All seeds, hottest first; each routine keeps its own seed order.
     let mut order: Vec<(u64, usize, usize)> = routines
@@ -123,7 +157,7 @@ pub fn edge_profile_score(
             continue;
         }
         reconstruct_seed(
-            &routine.dag,
+            routine.dag,
             &routine.flow,
             FlowKind::Potential,
             routine.seeds[i],
@@ -160,9 +194,14 @@ pub fn edge_profile_score(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::EstimateOptions;
     use crate::flow::fixtures::figure8;
-    use crate::{accuracy, edge_profile_coverage, edge_profile_estimate};
-    use ppp_ir::{BlockId, EdgeRef, FuncEdgeProfile, Function, FunctionBuilder, Reg};
+    use crate::flow::FlowMetric;
+    use crate::{edge_profile_coverage, edge_profile_estimate};
+    use ppp_ir::{
+        BlockId, EdgeRef, FuncEdgeProfile, Function, FunctionBuilder, Module, ModuleEdgeProfile,
+        Reg,
+    };
 
     fn module_of(f: Function, p: FuncEdgeProfile) -> (Module, ModuleEdgeProfile) {
         let mut m = Module::new();
@@ -214,7 +253,8 @@ mod tests {
         ratio: f64,
         opts: &EstimateOptions,
     ) -> EdgeScore {
-        let s = edge_profile_score(m, edges, truth, FlowMetric::Branch, ratio, opts);
+        let analysis = ModuleAnalysis::new(m, Some(edges), FlowMetric::Branch, opts);
+        let s = edge_profile_score(&analysis, truth, ratio);
         let (acc, cov) = oracle(m, edges, truth, ratio, opts);
         assert_eq!(s.accuracy.to_bits(), acc.to_bits(), "accuracy");
         assert_eq!(s.coverage.to_bits(), cov.to_bits(), "coverage");

@@ -27,7 +27,7 @@ use crate::pipeline::{
     estimate_options, prepare_benchmark, sweep_suite, PipelineError, PipelineOptions,
     PreparedBenchmark,
 };
-use ppp_core::edge_profile_score;
+use ppp_core::{edge_profile_score, ModuleAnalysis};
 use ppp_ir::{
     analyze_loops, verify_module, write_edge_profile_v2, Block, FuncId, Inst, Module,
     ModuleEdgeProfile, Reg, Terminator,
@@ -432,14 +432,9 @@ pub fn drift_prepared(
         let zeroed = ModuleEdgeProfile::zeroed(&new_module);
         let guide_ref = guidance.as_ref().unwrap_or(&zeroed);
         let score = |profile: &ModuleEdgeProfile| {
-            let s = edge_profile_score(
-                &new_module,
-                profile,
-                &fresh_truth,
-                options.metric,
-                options.hot_ratio,
-                &est_opts,
-            );
+            let analysis =
+                ModuleAnalysis::new(&new_module, Some(profile), options.metric, &est_opts);
+            let s = edge_profile_score(&analysis, &fresh_truth, options.hot_ratio);
             (s.accuracy, s.coverage)
         };
         let (fresh_accuracy, fresh_coverage) = score(&fresh_edges);

@@ -231,6 +231,8 @@ fn histogram_delta(before: Option<&Histogram>, after: Option<Histogram>) -> Opti
 struct UnitStats {
     bench: usize,
     frames: u64,
+    /// Sequenced delta frames, the ones `--kill-after` counts.
+    delta_frames: u64,
     bytes: u64,
     deltas: u64,
     events: u64,
@@ -325,18 +327,22 @@ pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, 
     }));
     if options.transport == Transport::Tcp {
         let server = spawn_server(&service_slot.lock().expect("service slot"))?;
+        if let Some(n) = options.kill_after {
+            server.hold_at(n);
+        }
         *addr_slot.lock().expect("addr slot") = server.addr();
         *server_slot.lock().expect("server slot") = Some(server);
     }
 
-    // The kill monitor: once the server has accepted `kill_after`
-    // frames, kill it abruptly (no drain, no acks, no final
-    // checkpoint), stand up a fresh service that recovers from the
-    // checkpoint + WAL, and repoint the shared address so the
-    // resilient clients reconnect and resume.
+    // The kill monitor: the server stops serving once it has accepted
+    // `kill_after` frames (so the drive cannot finish first); kill it
+    // abruptly then (no drain, no acks, no final checkpoint), stand up
+    // a fresh service that recovers from the checkpoint + WAL, and
+    // repoint the shared address so the resilient clients reconnect
+    // and resume.
     let drive_done = Arc::new(AtomicBool::new(false));
     let mut kills = 0u64;
-    let monitor = options.kill_after.map(|kill_after| {
+    let monitor = options.kill_after.is_some().then(|| {
         let server_slot = Arc::clone(&server_slot);
         let service_slot = Arc::clone(&service_slot);
         let addr_slot = Arc::clone(&addr_slot);
@@ -345,17 +351,19 @@ pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, 
         let spawn_server = spawn_server.clone();
         std::thread::spawn(move || -> Result<u64, String> {
             while !drive_done.load(Ordering::SeqCst) {
-                let accepted = server_slot
+                let held = server_slot
                     .lock()
                     .expect("server slot")
                     .as_ref()
-                    .map_or(0, Server::frames_accepted);
-                if accepted < kill_after {
+                    .is_some_and(Server::held);
+                if !held {
                     std::thread::sleep(Duration::from_millis(2));
                     continue;
                 }
                 let server = server_slot.lock().expect("server slot").take();
+                let mut accepted = 0;
                 if let Some(server) = server {
+                    accepted = server.frames_accepted();
                     server.kill();
                 }
                 let fresh = make_service();
@@ -461,6 +469,7 @@ pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, 
         Ok(UnitStats {
             bench,
             frames,
+            delta_frames: client.last_seq(),
             bytes,
             deltas: result.deltas.len() as u64,
             events: result.steps,
@@ -488,14 +497,26 @@ pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, 
             lint_clean: None,
         })
         .collect();
+    let mut delta_frames = 0;
     for s in stats {
         let s = s?;
+        delta_frames += s.delta_frames;
         let b = &mut benches[s.bench];
         b.runs += 1;
         b.frames += s.frames;
         b.bytes += s.bytes;
         b.deltas += s.deltas;
         b.events += s.events;
+    }
+    // A kill that was due but never fired leaves the crash path
+    // untested: fail rather than report a clean drive.
+    if let Some(n) = options.kill_after {
+        if kills == 0 && n <= delta_frames {
+            return Err(format!(
+                "--kill-after {n}: {delta_frames} delta frames were sent but the server \
+                 was never killed"
+            ));
+        }
     }
     if !matches!(options.transport, Transport::Connect(_)) {
         let service = Arc::clone(&*service_slot.lock().expect("service slot"));
@@ -823,6 +844,24 @@ mod tests {
         );
         // …and the registry snapshot rode along.
         assert!(v.get("registry").is_some());
+    }
+
+    #[test]
+    fn kill_after_fires_even_when_the_drive_is_short() {
+        // mcf's whole drive sends few frames: the kill must still land
+        // once frame 8 is accepted, not race the drive's end.
+        let _obs = crate::obs_test_lock();
+        let options = DriveOptions {
+            workers: 2,
+            shards: 2,
+            transport: Transport::Tcp,
+            checkpoint_dir: Some(scratch("kill-after-8")),
+            kill_after: Some(8),
+            ..DriveOptions::default()
+        };
+        let r = drive(Some("mcf"), &options).expect("drive completes");
+        assert_eq!(r.kills, 1, "the kill fired");
+        assert!(r.ok(), "{}", drive_table(&r));
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! run → evaluate.
 
 use ppp_core::{
-    accuracy, actual_hot_paths, edge_profile_score, hot_flow_fraction, instrument_module,
-    instrumented_fraction, profiler_coverage, profiler_estimate, EstimateOptions, FlowMetric,
-    InstrumentedFraction, ProfilerConfig, Technique,
+    actual_hot_paths, edge_profile_score, hot_flow_fraction, instrument_analyzed, profiler_score,
+    EstimateOptions, FlowMetric, InstrumentedFraction, ModuleAnalysis, ProfilerConfig, Technique,
 };
 use ppp_ir::{Module, ModuleEdgeProfile, ModulePathProfile};
 use ppp_jit::{bootstrap, profile_stage, reoptimize, JitError, JitOptions};
@@ -432,19 +431,23 @@ pub fn run_prepared(
     let zeroed = ModuleEdgeProfile::zeroed(&prep.module);
     let guide_ref = guidance.as_ref().unwrap_or(&zeroed);
 
+    // One analysis of the module under its guidance serves the edge
+    // scorer and every profiler: each routine's DAG, loop forest and
+    // definite-flow paths, built once.
+    let analysis = {
+        let _s = span.child("pipeline.analyze");
+        let est_opts = estimate_options(&prep.truth, options);
+        let analysis =
+            ModuleAnalysis::new(&prep.module, Some(guide_ref), options.metric, &est_opts);
+        analysis.reconstruct_executed();
+        analysis
+    };
+
     // Edge-profiling estimator (accuracy from potential flow, §6.1;
     // coverage = attribution of definite flow, §6.2).
-    let est_opts = estimate_options(&prep.truth, options);
     let edge = {
         let mut s = span.child("pipeline.edge_estimate");
-        let score = edge_profile_score(
-            &prep.module,
-            guide_ref,
-            &prep.truth,
-            options.metric,
-            options.hot_ratio,
-            &est_opts,
-        );
+        let score = edge_profile_score(&analysis, &prep.truth, options.hot_ratio);
         s.set("accuracy", score.accuracy);
         s.set("coverage", score.coverage);
         s.set("hot_paths", score.hot_paths);
@@ -463,10 +466,7 @@ pub fn run_prepared(
     };
     let profilers = pipeline_configs(options)
         .iter()
-        .map(|c| {
-            let guidance = guidance.as_ref();
-            run_profiler(&prep, guidance, &lint, c, options, &est_opts, &span)
-        })
+        .map(|c| run_profiler(&prep, &analysis, &lint, c, options, &span))
         .collect();
 
     let _s = span.child("pipeline.summarize");
@@ -506,10 +506,12 @@ pub fn lint_benchmark(
 ) -> Result<NamedReports, PipelineError> {
     let prep = prepare_benchmark(entry, options)?;
     let lint = ppp_lint::ModuleLint::new(&prep.module);
+    let est_opts = estimate_options(&prep.truth, options);
+    let analysis = ModuleAnalysis::new(&prep.module, Some(&prep.edges), options.metric, &est_opts);
     Ok(pipeline_configs(options)
         .iter()
         .map(|c| {
-            let plan = instrument_module(&prep.module, Some(&prep.edges), c);
+            let plan = instrument_analyzed(&analysis, c);
             (c.label(), lint.plan(&plan))
         })
         .collect())
@@ -533,40 +535,33 @@ pub fn estimate_options(truth: &ModulePathProfile, options: &PipelineOptions) ->
 
 fn run_profiler(
     prep: &PreparedBenchmark,
-    guidance: Option<&ModuleEdgeProfile>,
+    analysis: &ModuleAnalysis<'_>,
     module_lint: &ppp_lint::ModuleLint<'_>,
     config: &ProfilerConfig,
     options: &PipelineOptions,
-    est_opts: &EstimateOptions,
     parent: &ppp_obs::Span,
 ) -> ProfilerResult {
     let obs = ppp_obs::global();
     let mut span = parent.child("pipeline.profiler");
     span.set("profiler", config.label());
-    let (module, truth) = (&prep.module, &prep.truth);
+    let module = &prep.module;
     // A guidance profile that violates Kirchhoff's law would silently
     // misdirect instrumentation placement. The degradation ladder
-    // (`ingest_guidance`) guarantees `guidance` is shape-matching and
+    // (`ingest_guidance`) guarantees the guidance is shape-matching and
     // flow conservative on every rung — rung 5 hands back a ppp-est
     // static estimate, not `None`.
     debug_assert!(
-        guidance.is_none_or(|g| g.shape_matches(module) && g.is_flow_conservative(module)),
+        analysis
+            .profile()
+            .is_none_or(|g| g.shape_matches(module) && g.is_flow_conservative(module)),
         "{}: {} handed unsanitized guidance",
         prep.name,
         config.label(),
     );
-    let zeroed;
-    let edges = match guidance {
-        Some(g) => g,
-        None => {
-            zeroed = ModuleEdgeProfile::zeroed(module);
-            &zeroed
-        }
-    };
     let label = config.label();
     let plan = {
         let _s = span.child("pipeline.instrument");
-        instrument_module(module, guidance, config)
+        instrument_analyzed(analysis, config)
     };
     // Soundness gate: a plan that fails the lint would silently corrupt
     // the measured profile, so surface it loudly before running.
@@ -610,13 +605,9 @@ fn run_profiler(
         obs.metrics(),
         &[("bench", prep.name.as_str()), ("profiler", label.as_str())],
     );
-    let (acc, cov, fraction) = {
+    let score = {
         let _s = span.child("pipeline.estimate");
-        let est = profiler_estimate(module, &plan, edges, &r.store, options.metric, est_opts);
-        let acc = accuracy(truth, &est, options.metric, options.hot_ratio);
-        let cov = profiler_coverage(module, &plan, &r.store, truth, options.metric, est_opts);
-        let fraction = instrumented_fraction(module, &plan, &r.store, truth);
-        (acc, cov, fraction)
+        profiler_score(analysis, &plan, &r.store, &prep.truth, options.hot_ratio)
     };
     let overhead = match r.overhead_vs(prep.baseline_cost) {
         Some(oh) => oh,
@@ -640,13 +631,13 @@ fn run_profiler(
         }
     };
     span.set("overhead", overhead);
-    span.set("accuracy", acc);
+    span.set("accuracy", score.accuracy);
     ProfilerResult {
         label,
         overhead,
-        accuracy: acc,
-        coverage: cov.ratio(),
-        fraction,
+        accuracy: score.accuracy,
+        coverage: score.coverage.ratio(),
+        fraction: score.fraction,
         instrumented_routines: plan.instrumented_count(),
         hashed_routines: plan.funcs.iter().filter(|f| f.uses_hash).count(),
         static_prof_insts: plan.static_prof_insts(),

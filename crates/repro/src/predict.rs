@@ -26,7 +26,7 @@ use crate::pipeline::{
     estimate_options, prepare_benchmark, sweep_suite, PipelineError, PipelineOptions,
     PreparedBenchmark,
 };
-use ppp_core::edge_profile_score;
+use ppp_core::{edge_profile_score, ModuleAnalysis};
 use ppp_est::{estimate_module, EstOptions};
 use ppp_ir::ModuleEdgeProfile;
 use ppp_lint::Code;
@@ -153,14 +153,8 @@ pub fn predict_prepared(prep: &PreparedBenchmark, options: &PipelineOptions) -> 
     // Both profiles drive the same potential-flow path estimator and are
     // scored against the measured truth with the branch-flow metric.
     let score = |profile: &ModuleEdgeProfile| {
-        let s = edge_profile_score(
-            module,
-            profile,
-            &prep.truth,
-            options.metric,
-            options.hot_ratio,
-            &est_opts,
-        );
+        let analysis = ModuleAnalysis::new(module, Some(profile), options.metric, &est_opts);
+        let s = edge_profile_score(&analysis, &prep.truth, options.hot_ratio);
         (s.accuracy, s.coverage)
     };
     let (est_accuracy, est_coverage) = score(&est);

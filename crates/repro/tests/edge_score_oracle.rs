@@ -6,7 +6,7 @@
 
 use ppp_core::{
     accuracy, edge_profile_coverage, edge_profile_estimate, edge_profile_score, EstimateOptions,
-    FlowKind,
+    FlowKind, ModuleAnalysis,
 };
 use ppp_ir::ModuleEdgeProfile;
 use ppp_repro::{
@@ -26,7 +26,11 @@ fn check(
     let est = edge_profile_estimate(m, guide, FlowKind::Potential, metric, opts);
     let acc = accuracy(truth, &est, metric, ratio);
     let cov = edge_profile_coverage(m, guide, truth, metric).ratio();
-    let s = edge_profile_score(m, guide, truth, metric, ratio, opts);
+    let s = edge_profile_score(
+        &ModuleAnalysis::new(m, Some(guide), metric, opts),
+        truth,
+        ratio,
+    );
     let case = format!(
         "{} seed {} ratio {} cap {}",
         prep.name, options.seed, ratio, opts.max_paths_per_func
