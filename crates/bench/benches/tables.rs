@@ -21,7 +21,7 @@ fn main() {
     };
     eprintln!("[tables] regenerating all tables and figures at scale {scale}");
     let start = std::time::Instant::now();
-    let runs = run_suite(&options);
+    let runs = run_suite(&options).expect("every suite entry runs");
     println!("{}", all_reports(&runs));
     eprintln!("[tables] done in {:.1?}", start.elapsed());
 }

@@ -77,7 +77,9 @@ pub use predict::{
     predict_gate, predict_json, predict_prepared, predict_suite, predict_table, PredictOutcome,
     WINS_REQUIRED,
 };
-pub use reports::{all_reports, fig10, fig11, fig12, fig13, fig9, run_suite, table1, table2};
+pub use reports::{
+    all_reports, fig10, fig11, fig12, fig13, fig9, run_suite, table1, table2, SuiteError,
+};
 pub use top::{render_stats, top};
 pub use trace::{trace_benchmark, Trace};
 

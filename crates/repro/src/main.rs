@@ -226,7 +226,16 @@ fn main() {
         options.ablations = false; // fig13 is the only consumer
     }
 
-    let runs = run_suite(&options);
+    let runs = run_suite(&options).unwrap_or_else(|e| std::process::exit(failed(e)));
+    // The reports are a pure function of the scale, the seed and the
+    // configuration set, so the output names them.
+    println!(
+        "ppp-repro reports: scale {}, VM seed {} ({:#x}), ablations {}",
+        options.scale,
+        options.seed,
+        options.seed,
+        if options.ablations { "on" } else { "off" }
+    );
     for w in &wanted {
         let out = match w.as_str() {
             "table1" => table1(&runs),

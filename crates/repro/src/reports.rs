@@ -6,35 +6,74 @@
 //! `ppp-repro all` regenerates the entire evaluation in one pass.
 
 use crate::format::{f2, pct, pct_signed, Table};
-use crate::pipeline::{run_benchmark, sweep_suite, BenchmarkRun, PipelineOptions};
+use crate::pipeline::{run_benchmark, sweep_suite, BenchmarkRun, PipelineError, PipelineOptions};
 use ppp_workloads::BenchClass;
+use std::fmt;
+
+/// Suite entries whose pipeline failed, in suite order. Each error
+/// names its benchmark.
+#[derive(Debug)]
+pub struct SuiteError {
+    /// The failed entries' errors.
+    pub failed: Vec<PipelineError>,
+}
+
+impl fmt::Display for SuiteError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} suite entr", self.failed.len())?;
+        f.write_str(if self.failed.len() == 1 { "y" } else { "ies" })?;
+        f.write_str(" failed")?;
+        for (i, e) in self.failed.iter().enumerate() {
+            f.write_str(if i == 0 { ": " } else { "; " })?;
+            write!(f, "{e}")?;
+        }
+        Ok(())
+    }
+}
+
+impl std::error::Error for SuiteError {}
 
 /// Runs the whole 18-benchmark suite, `options.workers` benchmarks at a
 /// time; runs come back in suite order, so the reports do not depend on
 /// the worker count.
 ///
 /// Progress goes to stderr (runs take seconds each at full scale).
-pub fn run_suite(options: &PipelineOptions) -> Vec<BenchmarkRun> {
-    sweep_suite(None, options.workers, "suite.progress", |e| {
-        run_benchmark(e, options)
-            .inspect_err(|err| {
-                let obs = ppp_obs::global();
-                obs.metrics()
-                    .inc("ppp_suite_errors_total", &[("bench", &e.spec.name)]);
-                obs.event(
-                    ppp_obs::Level::Error,
-                    "suite.benchmark_failed",
-                    &[
-                        ("bench", ppp_obs::Value::from(e.spec.name.as_str())),
-                        ("error", ppp_obs::Value::from(err.to_string())),
-                    ],
-                );
-            })
-            .ok()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+///
+/// # Errors
+///
+/// A [`SuiteError`] naming every entry whose pipeline failed: a report
+/// over the remaining entries would silently drop rows from every
+/// average.
+pub fn run_suite(options: &PipelineOptions) -> Result<Vec<BenchmarkRun>, SuiteError> {
+    suite_runs(sweep_suite(None, options.workers, "suite.progress", |e| {
+        run_benchmark(e, options).inspect_err(|err| {
+            let obs = ppp_obs::global();
+            obs.metrics()
+                .inc("ppp_suite_errors_total", &[("bench", &e.spec.name)]);
+            obs.event(
+                ppp_obs::Level::Error,
+                "suite.benchmark_failed",
+                &[
+                    ("bench", ppp_obs::Value::from(e.spec.name.as_str())),
+                    ("error", ppp_obs::Value::from(err.to_string())),
+                ],
+            );
+        })
+    }))
+}
+
+/// Every run, or every failure when any entry failed.
+fn suite_runs(
+    results: Vec<Result<BenchmarkRun, PipelineError>>,
+) -> Result<Vec<BenchmarkRun>, SuiteError> {
+    let (runs, failed): (Vec<_>, Vec<_>) = results.into_iter().partition(Result::is_ok);
+    if failed.is_empty() {
+        Ok(runs.into_iter().map(Result::unwrap).collect())
+    } else {
+        Err(SuiteError {
+            failed: failed.into_iter().filter_map(Result::err).collect(),
+        })
+    }
 }
 
 fn class_rows(runs: &[BenchmarkRun], class: BenchClass) -> impl Iterator<Item = &BenchmarkRun> {
@@ -507,5 +546,23 @@ mod tests {
         assert!(f13.contains("Figure 13"));
         let all = all_reports(&runs);
         assert!(all.len() > 1000);
+    }
+
+    #[test]
+    fn a_failed_entry_fails_the_suite_and_is_named() {
+        let mut results: Vec<_> = tiny_runs().into_iter().map(Ok).collect();
+        assert_eq!(suite_runs(results.clone()).expect("no failure").len(), 2);
+        results.insert(
+            1,
+            Err(PipelineError::NotTraced {
+                benchmark: "swim".into(),
+            }),
+        );
+        let err = suite_runs(results).expect_err("a failed entry fails the suite");
+        assert_eq!(err.failed.len(), 1);
+        assert_eq!(
+            err.to_string(),
+            "1 suite entry failed: swim: traced run produced no profiles"
+        );
     }
 }
