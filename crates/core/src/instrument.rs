@@ -33,8 +33,8 @@ use crate::poison::{apply_poisoning, PoisonMode};
 use crate::profiler::{ProfilerConfig, ProfilerKind};
 use crate::push::{place_and_push, PushConfig};
 use ppp_ir::{
-    Cfg, EdgeRef, FuncId, Function, Inst, Module, ModuleEdgeProfile, ModulePathProfile, TableDecl,
-    TableId, TableKind,
+    Cfg, EdgeRef, FuncId, Function, Inst, Module, ModuleEdgeProfile, ModulePathProfile, ProfOp,
+    TableDecl, TableId, TableKind,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -138,6 +138,53 @@ impl ModulePlan {
             .iter()
             .map(Function::prof_inst_count)
             .sum()
+    }
+
+    /// The plan's placements as op lists placed into `original`, the
+    /// module the plan was instrumented from: a prepended list runs when
+    /// its block is entered, an appended one when its block is left, and
+    /// a split block's list when its edge is taken. Fed to
+    /// [`ppp_vm::PlanConsumers`] beside [`ModulePlan::module`], they give
+    /// the plan's instrumented run from a run of `original`.
+    ///
+    /// That holds when the instrumented routines differ from `original`
+    /// only by the placed ops and split edges, as a clean plan lint
+    /// proves (PPP204 and the conformance check).
+    pub fn op_sites(&self, original: &Module) -> Vec<(FuncId, ppp_vm::OpSite, Vec<ProfOp>)> {
+        use ppp_vm::OpSite;
+        let mut sites = Vec::new();
+        for fp in self.funcs.iter().filter(|fp| !fp.placements.is_empty()) {
+            let func = fp.func;
+            let n = original.function(func).blocks.len();
+            // Every block past the original ones is one split edge.
+            let mut split_of = HashMap::new();
+            for (b, block) in self.module.function(func).iter_blocks().take(n) {
+                for s in 0..block.term.successor_count() {
+                    let target = block.term.successor(s).expect("in-range successor");
+                    if target.index() >= n {
+                        let e = EdgeRef::new(b, s);
+                        split_of.insert(target, e);
+                        sites.push((func, OpSite::Split(e), Vec::new()));
+                    }
+                }
+            }
+            // A later prepend lands in front of an earlier one.
+            for p in fp.placements.iter().rev() {
+                if p.pos == PlacePos::Prepend {
+                    sites.push((func, OpSite::Enter(p.block), p.ops.clone()));
+                }
+            }
+            for p in &fp.placements {
+                if p.pos == PlacePos::Append {
+                    let site = match split_of.get(&p.block) {
+                        Some(&e) => OpSite::Split(e),
+                        None => OpSite::Leave(p.block),
+                    };
+                    sites.push((func, site, p.ops.clone()));
+                }
+            }
+        }
+        sites
     }
 }
 

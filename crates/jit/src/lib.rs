@@ -39,7 +39,9 @@ mod reopt;
 
 pub use engine::{run_jit, GenerationReport, JitError, JitOptions, JitOutcome};
 pub use fold::fold_edge_profile;
-pub use reopt::{bootstrap, profile_stage, reoptimize, traced, Reoptimized};
+pub use reopt::{
+    bootstrap, edge_profile, edge_profile_stage, profile_stage, reoptimize, traced, Reoptimized,
+};
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,7 @@ use ppp_opt::{
     focus_profile, inline_module_witnessed, optimize_module_witnessed, select_hot_functions,
     unroll_module_witnessed, InlineOptions, InlineReport, UnrollOptions, UnrollReport,
 };
-use ppp_vm::{run, RunOptions, RunResult};
+use ppp_vm::{run, run_with, EdgeCounter, RunOptions, RunResult};
 
 /// Runs `module` traced at `seed` and moves its edge and exact path
 /// profiles out of the result. A traced run retires the same cost as an
@@ -43,6 +43,24 @@ pub fn traced(
     Ok((r, edges, paths))
 }
 
+/// Runs `module` at `seed` counting edges only, for callers that need no
+/// path profile: the traced run's edge profile, at about the cost of an
+/// uninstrumented run.
+///
+/// # Errors
+///
+/// [`JitError::NoMain`] when the module cannot execute.
+pub fn edge_profile(
+    module: &Module,
+    seed: u64,
+    bench: &str,
+) -> Result<(RunResult, ModuleEdgeProfile), JitError> {
+    let options = RunOptions::default().with_seed(seed);
+    let mut counter = EdgeCounter::new(module);
+    let r = run_with(module, "main", &options, &mut counter).map_err(JitError::no_main(bench))?;
+    Ok((r, counter.finish()))
+}
+
 /// The `stage.profile@<at>` step: a traced run of `module` whose edge
 /// profile is gated into `stages`. The stage span is handed back open so
 /// the caller can attach the run's figures to it.
@@ -65,6 +83,30 @@ pub fn profile_stage(
         ppp_lint::check_profile(module, &edges),
     ));
     Ok((span, r, edges, paths))
+}
+
+/// The `stage.profile@<at>` step for a caller that needs the edge
+/// profile only: [`profile_stage`] with an edge-counting run in place of
+/// the traced one.
+///
+/// # Errors
+///
+/// As [`edge_profile`].
+pub fn edge_profile_stage(
+    module: &Module,
+    at: &str,
+    seed: u64,
+    bench: &str,
+    parent: &Span,
+    stages: &mut Vec<(String, LintReport)>,
+) -> Result<ModuleEdgeProfile, JitError> {
+    let _span = parent.child(&format!("stage.profile@{at}"));
+    let (_, edges) = edge_profile(module, seed, bench)?;
+    stages.push((
+        format!("profile@{at}"),
+        ppp_lint::check_profile(module, &edges),
+    ));
+    Ok(edges)
 }
 
 /// The witnessed scalar pass then normalization, as a
@@ -135,7 +177,9 @@ pub fn reoptimize(
         ));
         rep
     };
-    let (_, _, e1, _) = profile_stage(&module, "inline", options.seed, bench, parent, &mut stages)?;
+    // Unrolling is guided by edges alone (§7.3), so this re-profile
+    // counts edges and builds no path profile.
+    let e1 = edge_profile_stage(&module, "inline", options.seed, bench, parent, &mut stages)?;
     let unroll = {
         let _s = parent.child("stage.unroll");
         let focused = focus_profile(

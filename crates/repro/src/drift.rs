@@ -32,7 +32,7 @@ use ppp_ir::{
     analyze_loops, verify_module, write_edge_profile_v2, Block, FuncId, Inst, Module,
     ModuleEdgeProfile, Reg, Terminator,
 };
-use ppp_jit::traced;
+use ppp_jit::{edge_profile, traced};
 use ppp_lint::Code;
 use ppp_match::read_edge_profile_matched;
 use ppp_obs::json::{self, Fixed4, ToJson};
@@ -283,7 +283,7 @@ fn apply_scenario(
         DriftScenario::RenameFunctions => rename_functions(&mut m),
         DriftScenario::InlineUnroll => {
             let _ = inline_module_witnessed(&mut m, &prep.edges, &InlineOptions::default());
-            let (_, e1, _) = traced(&m, options.seed, &prep.name)?;
+            let (_, e1) = edge_profile(&m, options.seed, &prep.name)?;
             let _ = unroll_module_witnessed(&mut m, &e1, &UnrollOptions::default());
         }
     }

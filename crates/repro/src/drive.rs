@@ -111,8 +111,12 @@ pub struct BenchDrive {
     pub bench: String,
     /// Completed runs.
     pub runs: usize,
-    /// Wire frames shipped by this benchmark's clients.
+    /// Wire frames shipped by this benchmark's clients, hellos and
+    /// finishes included.
     pub frames: u64,
+    /// Sequenced delta frames among them, the ones `--kill-after`
+    /// counts.
+    pub delta_frames: u64,
     /// Wire payload bytes shipped.
     pub bytes: u64,
     /// Profile deltas cut and streamed.
@@ -161,6 +165,11 @@ impl DriveReport {
     /// Total frames shipped.
     pub fn frames(&self) -> u64 {
         self.benches.iter().map(|b| b.frames).sum()
+    }
+
+    /// Total sequenced delta frames shipped.
+    pub fn delta_frames(&self) -> u64 {
+        self.benches.iter().map(|b| b.delta_frames).sum()
     }
 
     /// Total wire payload bytes shipped.
@@ -490,6 +499,7 @@ pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, 
             bench: name.clone(),
             runs: 0,
             frames: 0,
+            delta_frames: 0,
             bytes: 0,
             deltas: 0,
             events: 0,
@@ -497,13 +507,12 @@ pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, 
             lint_clean: None,
         })
         .collect();
-    let mut delta_frames = 0;
     for s in stats {
         let s = s?;
-        delta_frames += s.delta_frames;
         let b = &mut benches[s.bench];
         b.runs += 1;
         b.frames += s.frames;
+        b.delta_frames += s.delta_frames;
         b.bytes += s.bytes;
         b.deltas += s.deltas;
         b.events += s.events;
@@ -511,6 +520,7 @@ pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, 
     // A kill that was due but never fired leaves the crash path
     // untested: fail rather than report a clean drive.
     if let Some(n) = options.kill_after {
+        let delta_frames: u64 = benches.iter().map(|b| b.delta_frames).sum();
         if kills == 0 && n <= delta_frames {
             return Err(format!(
                 "--kill-after {n}: {delta_frames} delta frames were sent but the server \
@@ -589,6 +599,7 @@ pub fn drive_table(r: &DriveReport) -> String {
         "Runs",
         "Deltas",
         "Frames",
+        "Delta frames",
         "Bytes",
         "Events",
         "Identical",
@@ -605,6 +616,7 @@ pub fn drive_table(r: &DriveReport) -> String {
             b.runs.to_string(),
             b.deltas.to_string(),
             b.frames.to_string(),
+            b.delta_frames.to_string(),
             b.bytes.to_string(),
             b.events.to_string(),
             verdict(b.deterministic, "yes", "NO"),
@@ -625,7 +637,7 @@ pub fn drive_table(r: &DriveReport) -> String {
     };
     format!(
         "drive: {} worker(s) x {} repeat(s) over {} benchmark(s), {} shard(s), {} transport{}\n\
-         {} frames, {} bytes in {:.0} ms -> {:.0} events/sec\n\
+         {} frames ({} delta frames), {} bytes in {:.0} ms -> {:.0} events/sec\n\
          {}; {}; {}\n{}",
         r.workers,
         r.repeats,
@@ -634,6 +646,7 @@ pub fn drive_table(r: &DriveReport) -> String {
         r.transport,
         kills,
         r.frames(),
+        r.delta_frames(),
         r.bytes(),
         r.wall_ms,
         r.events_per_sec,
@@ -665,6 +678,7 @@ pub fn drive_json(r: &DriveReport) -> String {
             .field("wall_ms", r.wall_ms)
             .field("events_per_sec", r.events_per_sec)
             .field("frames", r.frames())
+            .field("delta_frames", r.delta_frames())
             .field("bytes", r.bytes())
             .field("kills", r.kills)
             .field("ok", r.ok())
@@ -678,6 +692,7 @@ pub fn drive_json(r: &DriveReport) -> String {
                     .field("runs", b.runs)
                     .field("deltas", b.deltas)
                     .field("frames", b.frames)
+                    .field("delta_frames", b.delta_frames)
                     .field("bytes", b.bytes)
                     .field("events", b.events)
                     .field("deterministic", b.deterministic)
@@ -861,6 +876,9 @@ mod tests {
         };
         let r = drive(Some("mcf"), &options).expect("drive completes");
         assert_eq!(r.kills, 1, "the kill fired");
+        // Hellos and finishes are frames too, but the kill counts only
+        // the sequenced delta frames.
+        assert!(r.delta_frames() >= 8 && r.frames() > r.delta_frames());
         assert!(r.ok(), "{}", drive_table(&r));
     }
 
@@ -889,8 +907,10 @@ mod tests {
         let r = drive(Some("mcf"), &tiny(Transport::InProc)).expect("drive completes");
         let table = drive_table(&r);
         assert!(table.contains("mcf") && table.contains("events/sec"));
+        assert!(table.contains("delta frames"), "{table}");
         let json_doc = drive_json(&r);
         assert!(json_doc.contains("\"ok\":true"));
+        assert!(json_doc.contains("\"delta_frames\":"));
         assert!(json_doc.contains("\"bench\":\"mcf\""));
     }
 }

@@ -17,7 +17,8 @@ pub fn inspect_benchmark(
     let mut module = generate(&spec);
     ppp_opt::optimize_module(&mut module);
     ppp_core::normalize_module(&mut module);
-    let (_, edges, _) = ppp_jit::traced(&module, options.seed, &spec.name).expect("benchmark runs");
+    let (_, edges) =
+        ppp_jit::edge_profile(&module, options.seed, &spec.name).expect("benchmark runs");
     let plan = instrument_module(&module, Some(&edges), profiler);
 
     let mut t = Table::new([

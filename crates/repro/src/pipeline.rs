@@ -4,12 +4,13 @@
 
 use ppp_core::{
     actual_hot_paths, edge_profile_score, hot_flow_fraction, instrument_analyzed, profiler_score,
-    EstimateOptions, FlowMetric, InstrumentedFraction, ModuleAnalysis, ProfilerConfig, Technique,
+    EstimateOptions, FlowMetric, InstrumentedFraction, ModuleAnalysis, ModulePlan, ProfilerConfig,
+    Technique,
 };
 use ppp_ir::{Module, ModuleEdgeProfile, ModulePathProfile};
 use ppp_jit::{bootstrap, profile_stage, reoptimize, JitError, JitOptions};
 use ppp_opt::{InlineReport, UnrollReport};
-use ppp_vm::{run, RunOptions, RunResult};
+use ppp_vm::{run, run_with, PlanConsumers, RunOptions, RunResult};
 use ppp_workloads::{generate, spec2000_suite, BenchClass, SuiteEntry};
 
 use crate::degrade::{ingest_guidance, DegradationReport};
@@ -464,9 +465,17 @@ pub fn run_prepared(
         let _s = span.child("pipeline.lint");
         ppp_lint::ModuleLint::new(&prep.module)
     };
-    let profilers = pipeline_configs(options)
+    // Every configuration is instrumented and linted first, so one run
+    // of the optimized module can serve them all.
+    let plans: Vec<_> = pipeline_configs(options)
         .iter()
-        .map(|c| run_profiler(&prep, &analysis, &lint, c, options, &span))
+        .map(|c| plan_profiler(&prep, &analysis, &lint, c, &span))
+        .collect();
+    let runs = run_plans(&prep, &plans, options, &span);
+    let profilers = plans
+        .iter()
+        .zip(runs)
+        .map(|((plan, _), r)| score_profiler(&prep, &analysis, plan, &r, options, &span))
         .collect();
 
     let _s = span.child("pipeline.summarize");
@@ -533,18 +542,17 @@ pub fn estimate_options(truth: &ModulePathProfile, options: &PipelineOptions) ->
     }
 }
 
-fn run_profiler(
+/// Instruments `prep` under `config` and lints the plan; `true` with a
+/// clean lint.
+fn plan_profiler(
     prep: &PreparedBenchmark,
     analysis: &ModuleAnalysis<'_>,
     module_lint: &ppp_lint::ModuleLint<'_>,
     config: &ProfilerConfig,
-    options: &PipelineOptions,
     parent: &ppp_obs::Span,
-) -> ProfilerResult {
-    let obs = ppp_obs::global();
-    let mut span = parent.child("pipeline.profiler");
-    span.set("profiler", config.label());
+) -> (ModulePlan, bool) {
     let module = &prep.module;
+    let label = config.label();
     // A guidance profile that violates Kirchhoff's law would silently
     // misdirect instrumentation placement. The degradation ladder
     // (`ingest_guidance`) guarantees the guidance is shape-matching and
@@ -554,27 +562,29 @@ fn run_profiler(
         analysis
             .profile()
             .is_none_or(|g| g.shape_matches(module) && g.is_flow_conservative(module)),
-        "{}: {} handed unsanitized guidance",
+        "{}: {label} handed unsanitized guidance",
         prep.name,
-        config.label(),
     );
-    let label = config.label();
     let plan = {
-        let _s = span.child("pipeline.instrument");
+        let mut s = parent.child("pipeline.instrument");
+        s.set("profiler", label.as_str());
         instrument_analyzed(analysis, config)
     };
     // Soundness gate: a plan that fails the lint would silently corrupt
     // the measured profile, so surface it loudly before running.
     let lint = {
-        let _s = span.child("pipeline.lint");
+        let mut s = parent.child("pipeline.lint");
+        s.set("profiler", label.as_str());
         module_lint.plan(&plan)
     };
-    if !lint.is_clean() {
+    let clean = lint.is_clean();
+    if !clean {
+        let obs = ppp_obs::global();
         obs.metrics().inc(
             "ppp_plan_lint_failures_total",
             &[("bench", prep.name.as_str()), ("profiler", label.as_str())],
         );
-        span.event(
+        parent.event(
             ppp_obs::Level::Warn,
             "pipeline.lint_failed",
             &[
@@ -584,21 +594,79 @@ fn run_profiler(
             ],
         );
     }
-    let r = {
-        let mut s = span.child("vm.run");
-        let r = run(
-            &plan.module,
-            "main",
-            &RunOptions::default().with_seed(options.seed),
-        )
-        .expect("instrumented module runs");
-        s.set("steps", r.steps);
-        s.set("cost_units", r.cost);
-        s.set("prof_cost_units", r.prof_cost);
-        s.set("paths_lost", r.store.total_lost());
-        s.set("hash_collisions", r.store.total_collisions());
-        r
-    };
+    (plan, clean)
+}
+
+/// The instrumented run of every plan, in order, from one run of the
+/// optimized module.
+///
+/// The consumer of each lint-clean plan replays the plan's ops against
+/// that run's walk. The lint proves the instrumented code differs from
+/// the optimized module only by those ops and split edges (PPP204), so
+/// the consumer's counters, cost and steps are the instrumented run's,
+/// unless the instrumented run's total step count passes `max_steps`
+/// and it would have halted early. A plan with a dirty lint or past the
+/// step budget runs instrumented instead.
+fn run_plans(
+    prep: &PreparedBenchmark,
+    plans: &[(ModulePlan, bool)],
+    options: &PipelineOptions,
+    parent: &ppp_obs::Span,
+) -> Vec<RunResult> {
+    let opts = RunOptions::default().with_seed(options.seed);
+    let mut span = parent.child("vm.run");
+    let clean = plans.iter().filter(|(_, clean)| *clean);
+    let mut consumers = PlanConsumers::new(
+        &prep.module,
+        &opts.cost,
+        clean
+            .clone()
+            .map(|(plan, _)| (&plan.module, plan.op_sites(&prep.module))),
+    );
+    let driver =
+        run_with(&prep.module, "main", &opts, &mut consumers).expect("optimized module runs");
+    span.set("consumers", clean.count());
+    span.set("steps", driver.steps);
+    span.set("cost_units", driver.cost);
+    let mut consumed = consumers.into_results(&driver).into_iter();
+    let mut fallbacks = 0usize;
+    let runs = plans
+        .iter()
+        .map(|(plan, clean)| {
+            let consumed = clean.then(|| consumed.next().expect("one result per clean plan"));
+            match consumed {
+                Some(r) if r.steps <= opts.max_steps => r,
+                _ => {
+                    fallbacks += 1;
+                    let mut s = span.child("vm.fallback");
+                    s.set("profiler", plan.config.label());
+                    run(&plan.module, "main", &opts).expect("instrumented module runs")
+                }
+            }
+        })
+        .collect();
+    span.set("fallbacks", fallbacks);
+    runs
+}
+
+/// Scores one profiler's run `r` of `plan`.
+fn score_profiler(
+    prep: &PreparedBenchmark,
+    analysis: &ModuleAnalysis<'_>,
+    plan: &ModulePlan,
+    r: &RunResult,
+    options: &PipelineOptions,
+    parent: &ppp_obs::Span,
+) -> ProfilerResult {
+    let obs = ppp_obs::global();
+    let label = plan.config.label();
+    let mut span = parent.child("pipeline.profiler");
+    span.set("profiler", label.as_str());
+    span.set("steps", r.steps);
+    span.set("cost_units", r.cost);
+    span.set("prof_cost_units", r.prof_cost);
+    span.set("paths_lost", r.store.total_lost());
+    span.set("hash_collisions", r.store.total_collisions());
     // VM observables are read post-run from counters the interpreter
     // already keeps; nothing here perturbed the measured execution.
     r.record_metrics(
@@ -607,7 +675,7 @@ fn run_profiler(
     );
     let score = {
         let _s = span.child("pipeline.estimate");
-        profiler_score(analysis, &plan, &r.store, &prep.truth, options.hot_ratio)
+        profiler_score(analysis, plan, &r.store, &prep.truth, options.hot_ratio)
     };
     let overhead = match r.overhead_vs(prep.baseline_cost) {
         Some(oh) => oh,

@@ -16,19 +16,28 @@
 //! at back edges found by [`EdgeClassifier`], and its path profile must
 //! equal the tracer's.
 //!
+//! The plan consumers ([`PlanConsumers`]) stand in for instrumented runs:
+//! one run of an uninstrumented module feeds every plan's consumer. The
+//! consumer oracle below holds each consumer's result equal to the
+//! plan's instrumented run, field for field and counter for counter, and
+//! checks the step-budget rule that decides when the pipeline must run
+//! the instrumented module instead. The [`EdgeCounter`] sink must record
+//! the tracer's edge profile byte for byte.
+//!
 //! The reference lives here, in a crate that already depends on
 //! `ppp-vm`, `ppp-core` and `ppp-workloads`, so `ppp-vm` needs no
 //! dev-dependency cycle.
 
-use ppp_core::{instrument_module, normalize_module, ProfilerConfig, ProfilerKind};
+use ppp_core::{instrument_module, normalize_module, ModulePlan, ProfilerConfig, ProfilerKind};
 use ppp_ir::{
     write_edge_profile_v2, write_path_profile_v2, BinOp, BlockId, EdgeRef, FuncId, FunctionBuilder,
     Inst, Module, ModuleEdgeProfile, ModulePathProfile, PathKey, ProfOp, Reg, TableDecl, TableKind,
     Terminator,
 };
+use ppp_repro::{pipeline_configs, PipelineOptions};
 use ppp_vm::{
-    run, EdgeClassifier, EdgeKind, HaltReason, PathCursor, ProfileStore, RunOptions, RunResult,
-    SplitMix64, TraceFaults, Tracer,
+    run, run_with, EdgeClassifier, EdgeCounter, EdgeKind, HaltReason, PathCursor, PlanConsumers,
+    ProfileStore, RunOptions, RunResult, SplitMix64, TraceFaults, Tracer,
 };
 use ppp_workloads::{generate, spec2000_suite};
 
@@ -580,10 +589,60 @@ fn trie_paths_match_naive_recorder_on_suite() {
 /// ops on an array and a hash table) and `rec` (which recurses `depth`
 /// deep), emitting each result.
 fn calls_module(depth: i64) -> Module {
+    let mut m = plain_calls_module(depth);
+    let leaf = FuncId::new(0);
+    let (t, j, out) = (BlockId::new(1), BlockId::new(3), BlockId::new(7));
+
+    // Counting ops in leaf's blocks: array t0 and a tiny hash t1 (so
+    // probes collide and paths are lost).
+    let t0 = m.add_table(TableDecl {
+        func: leaf,
+        kind: TableKind::Array { size: 4 },
+        hot_paths: 4,
+    });
+    let t1 = m.add_table(TableDecl {
+        func: leaf,
+        kind: TableKind::Hash {
+            slots: 3,
+            max_probes: 2,
+        },
+        hot_paths: 3,
+    });
+    let f = m.function_mut(leaf);
+    f.blocks[0]
+        .insts
+        .insert(0, Inst::Prof(ProfOp::SetR { value: -1 }));
+    f.blocks[t.index()]
+        .insts
+        .push(Inst::Prof(ProfOp::AddR { value: 3 }));
+    f.blocks[j.index()].insts.extend([
+        Inst::Prof(ProfOp::CountRChecked { table: t0 }),
+        Inst::Prof(ProfOp::CountRPlus {
+            table: t1,
+            addend: 5,
+        }),
+        Inst::Prof(ProfOp::CountConst {
+            table: t1,
+            index: 11,
+        }),
+        Inst::Prof(ProfOp::CountRPlusChecked {
+            table: t0,
+            addend: 1,
+        }),
+        Inst::Prof(ProfOp::CountR { table: t1 }),
+    ]);
+    f.blocks[out.index()]
+        .insts
+        .push(Inst::Prof(ProfOp::SetR { value: 0 }));
+    m
+}
+
+/// [`calls_module`] without its counting ops.
+fn plain_calls_module(depth: i64) -> Module {
     let mut m = Module::new();
 
     // leaf(x): branch on x & 1, switch on x - 3 (negative and too-large
-    // values take the default), count into t0 and t1.
+    // values take the default).
     let mut b = FunctionBuilder::new("leaf", 1);
     let x = b.param(0);
     let one = b.constant(1);
@@ -602,6 +661,10 @@ fn calls_module(depth: i64) -> Module {
     b.switch_to(j);
     let disc = b.binary(BinOp::Sub, x, three);
     let (s0, s1, sd, out) = (b.new_block(), b.new_block(), b.new_block(), b.new_block());
+    assert_eq!(
+        (t, j, out),
+        (BlockId::new(1), BlockId::new(3), BlockId::new(7))
+    );
     b.switch(disc, vec![s0, s1], sd);
     for s in [s0, s1, sd] {
         b.switch_to(s);
@@ -648,48 +711,6 @@ fn calls_module(depth: i64) -> Module {
     b.switch_to(exit);
     b.ret(None);
     m.add_function(b.finish());
-
-    // Counting ops in leaf's blocks: array t0 and a tiny hash t1 (so
-    // probes collide and paths are lost).
-    let t0 = m.add_table(TableDecl {
-        func: leaf,
-        kind: TableKind::Array { size: 4 },
-        hot_paths: 4,
-    });
-    let t1 = m.add_table(TableDecl {
-        func: leaf,
-        kind: TableKind::Hash {
-            slots: 3,
-            max_probes: 2,
-        },
-        hot_paths: 3,
-    });
-    let f = m.function_mut(leaf);
-    f.blocks[0]
-        .insts
-        .insert(0, Inst::Prof(ProfOp::SetR { value: -1 }));
-    f.blocks[t.index()]
-        .insts
-        .push(Inst::Prof(ProfOp::AddR { value: 3 }));
-    f.blocks[j.index()].insts.extend([
-        Inst::Prof(ProfOp::CountRChecked { table: t0 }),
-        Inst::Prof(ProfOp::CountRPlus {
-            table: t1,
-            addend: 5,
-        }),
-        Inst::Prof(ProfOp::CountConst {
-            table: t1,
-            index: 11,
-        }),
-        Inst::Prof(ProfOp::CountRPlusChecked {
-            table: t0,
-            addend: 1,
-        }),
-        Inst::Prof(ProfOp::CountR { table: t1 }),
-    ]);
-    f.blocks[out.index()]
-        .insts
-        .push(Inst::Prof(ProfOp::SetR { value: 0 }));
     m
 }
 
@@ -747,5 +768,255 @@ fn call_depth_limit_matches_reference() {
             HaltReason::Finished
         };
         assert_eq!(r.halt, want, "max_call_depth={max_call_depth}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Plan consumers against instrumented runs.
+// ---------------------------------------------------------------------
+
+/// The 13 pipeline configurations: PP, TPP, PPP and the ablations.
+fn all_configs() -> Vec<ProfilerConfig> {
+    pipeline_configs(&PipelineOptions {
+        ablations: true,
+        ..PipelineOptions::default()
+    })
+}
+
+/// Every plan of `m` under `profile`, in [`all_configs`] order.
+fn plans_of(m: &Module, profile: &ModuleEdgeProfile) -> Vec<ModulePlan> {
+    all_configs()
+        .iter()
+        .map(|config| instrument_module(m, Some(profile), config))
+        .collect()
+}
+
+/// Every plan of `m` under `profile`, each with a clean plan lint: the
+/// plans the pipeline hands to consumers.
+fn clean_plans(m: &Module, profile: &ModuleEdgeProfile, what: &str) -> Vec<ModulePlan> {
+    let lint = ppp_lint::ModuleLint::new(m);
+    let plans = plans_of(m, profile);
+    for plan in &plans {
+        let report = lint.plan(plan);
+        assert!(
+            report.is_clean(),
+            "{what} {}:\n{report}",
+            plan.config.label()
+        );
+    }
+    plans
+}
+
+/// One run of `m` under `opts` feeding every plan's consumer: the
+/// driver's result and each plan's consumed result.
+fn consume(m: &Module, plans: &[ModulePlan], opts: &RunOptions) -> (RunResult, Vec<RunResult>) {
+    let mut consumers = PlanConsumers::new(
+        m,
+        &opts.cost,
+        plans.iter().map(|p| (&p.module, p.op_sites(m))),
+    );
+    let driver = run_with(m, "main", opts, &mut consumers).expect("main exists");
+    let results = consumers.into_results(&driver);
+    (driver, results)
+}
+
+/// Asserts each plan's consumed result under `opts` equals its
+/// instrumented run whenever the consumed total steps are within the
+/// budget, and that the instrumented run halts on the budget otherwise
+/// (the case the pipeline hands to the instrumented run). Returns each
+/// plan's consumed total steps.
+fn check_consumers(m: &Module, plans: &[ModulePlan], opts: &RunOptions, what: &str) -> Vec<u64> {
+    let (driver, results) = consume(m, plans, opts);
+    plans
+        .iter()
+        .zip(&results)
+        .map(|(plan, got)| {
+            let what = format!("{what} {}", plan.config.label());
+            let want = run(&plan.module, "main", opts).expect("main exists");
+            if got.steps <= opts.max_steps {
+                assert_same(m, &what, got, &want);
+            } else {
+                assert_eq!(want.halt, HaltReason::StepLimit, "{what}: fallback halts");
+                assert!(driver.steps <= opts.max_steps, "{what}: driver steps");
+            }
+            got.steps
+        })
+        .collect()
+}
+
+#[test]
+fn plan_consumers_match_instrumented_runs_on_suite() {
+    let mut checked_cold = 0u64;
+    for (name, m) in suite() {
+        for seed in SEEDS {
+            let base = RunOptions::default().with_seed(seed);
+            let traced = run(&m, "main", &base.traced()).expect("main exists");
+            let edges = traced.edge_profile.as_ref().expect("traced");
+            let what = format!("{name}/{seed}");
+            let plans = clean_plans(&m, edges, &what);
+            let totals = check_consumers(&m, &plans, &base, &what);
+            let (_, results) = consume(&m, &plans, &base);
+            checked_cold += results.iter().map(|r| r.store.total_cold()).sum::<u64>();
+            // The step budget around each consumer's total: the consumer
+            // stands in for the instrumented run at the total and above,
+            // and hands over below it; one step short of the driver's own
+            // total the driver halts too.
+            let mut budgets: Vec<u64> = totals
+                .iter()
+                .flat_map(|&t| [t - 1, t, t + 1])
+                .chain([traced.steps - 1])
+                .collect();
+            budgets.sort_unstable();
+            budgets.dedup();
+            for max_steps in budgets {
+                let opts = RunOptions { max_steps, ..base };
+                check_consumers(&m, &plans, &opts, &format!("{what} max_steps={max_steps}"));
+            }
+        }
+    }
+    assert!(checked_cold > 0, "checked counts saw poisoned paths");
+}
+
+#[test]
+fn plan_consumers_match_under_every_call_depth_limit() {
+    let mut m = plain_calls_module(6);
+    normalize_module(&mut m);
+    let base = RunOptions::default().with_seed(4);
+    let traced = run(&m, "main", &base.traced()).expect("main exists");
+    let plans = clean_plans(&m, traced.edge_profile.as_ref().expect("traced"), "calls");
+    for max_call_depth in 0..=9 {
+        let opts = RunOptions {
+            max_call_depth,
+            ..base
+        };
+        let what = format!("calls max_call_depth={max_call_depth}");
+        check_consumers(&m, &plans, &opts, &what);
+        let (driver, _) = consume(&m, &plans, &opts);
+        // main + rec(6) .. rec(0) is 8 frames deep.
+        let want = if max_call_depth < 8 {
+            HaltReason::CallDepthLimit
+        } else {
+            HaltReason::Finished
+        };
+        assert_eq!(driver.halt, want, "{what}");
+    }
+}
+
+/// `main` calls `explode(rand(1000))` 200 times. `explode` takes a rare
+/// branch (about 1% of calls, cold under the 5% local criterion) and
+/// then 66 diamonds, so its path count saturates `NumPaths` and cold
+/// paths reach the checked counts poisoned.
+fn diamonds_module() -> Module {
+    let mut m = Module::new();
+    let mut mb = FunctionBuilder::new("main", 0);
+    let n = mb.constant(200);
+    let i = mb.copy(n);
+    let (hdr, body, exit) = (mb.new_block(), mb.new_block(), mb.new_block());
+    mb.jump(hdr);
+    mb.switch_to(hdr);
+    mb.branch(i, body, exit);
+    mb.switch_to(body);
+    let b1000 = mb.constant(1000);
+    let a = mb.rand(b1000);
+    let r = mb.call(FuncId(1), vec![a]);
+    mb.emit(r);
+    let one = mb.constant(1);
+    mb.binary_to(i, BinOp::Sub, i, one);
+    mb.jump(hdr);
+    mb.switch_to(exit);
+    mb.ret(None);
+    m.add_function(mb.finish());
+
+    let mut b = FunctionBuilder::new("explode", 1);
+    let x = b.param(0);
+    let acc = b.copy(x);
+    let cut = b.constant(990);
+    let rare = b.binary(BinOp::Lt, cut, x);
+    let (rt, join0) = (b.new_block(), b.new_block());
+    b.branch(rare, rt, join0);
+    b.switch_to(rt);
+    let k = b.constant(777);
+    b.binary_to(acc, BinOp::Add, acc, k);
+    b.jump(join0);
+    b.switch_to(join0);
+    for j in 0..66i64 {
+        let shift = b.constant(j % 9);
+        let sh = b.binary(BinOp::Shr, x, shift);
+        let one = b.constant(1);
+        let bit = b.binary(BinOp::And, sh, one);
+        let (t, e, join) = (b.new_block(), b.new_block(), b.new_block());
+        b.branch(bit, t, e);
+        b.switch_to(t);
+        let k = b.constant(j * 31 + 1);
+        b.binary_to(acc, BinOp::Add, acc, k);
+        b.jump(join);
+        b.switch_to(e);
+        let k = b.constant(j * 13 + 5);
+        b.binary_to(acc, BinOp::Xor, acc, k);
+        b.jump(join);
+        b.switch_to(join);
+    }
+    b.emit(acc);
+    b.ret(Some(acc));
+    m.add_function(b.finish());
+    normalize_module(&mut m);
+    m
+}
+
+#[test]
+fn plan_consumers_match_on_saturated_diamonds_with_checked_counts() {
+    let m = diamonds_module();
+    assert_eq!(ppp_ir::verify_module(&m), Ok(()));
+    let base = RunOptions::default();
+    let truth = run(&m, "main", &base.traced()).expect("main exists");
+    assert_eq!(truth.halt, HaltReason::Finished);
+    // PP's numbering overflows here, so its lint fails (PPP101) and the
+    // pipeline runs it instrumented; the consumer still matches, since
+    // its ops are placed as planned.
+    let plans = plans_of(&m, truth.edge_profile.as_ref().expect("traced"));
+    let totals = check_consumers(&m, &plans, &base, "diamonds");
+    let (_, results) = consume(&m, &plans, &base);
+    for (plan, r) in plans.iter().zip(&results) {
+        let label = plan.config.label();
+        assert_eq!(r.halt, HaltReason::Finished, "{label}");
+        assert_eq!(r.checksum, truth.checksum, "{label}: checksum");
+    }
+    // The explode routine's path count saturates, and some checked plan
+    // tallied poisoned paths: the consumers took the cold count path.
+    let explode = FuncId(1);
+    assert!(plans
+        .iter()
+        .any(|p| p.funcs[explode.index()].n_paths == u64::MAX));
+    assert!(plans
+        .iter()
+        .zip(&results)
+        .any(|(p, r)| p.funcs[explode.index()].checked && r.store.total_cold() > 0));
+    for max_steps in totals.iter().flat_map(|&t| [t - 1, t]) {
+        let opts = RunOptions { max_steps, ..base };
+        check_consumers(
+            &m,
+            &plans,
+            &opts,
+            &format!("diamonds max_steps={max_steps}"),
+        );
+    }
+}
+
+#[test]
+fn edge_counter_matches_tracer_edge_profile_on_suite() {
+    for (name, m) in suite() {
+        for seed in SEEDS {
+            let opts = RunOptions::default().with_seed(seed);
+            let traced = run(&m, "main", &opts.traced()).expect("main exists");
+            let mut counter = EdgeCounter::new(&m);
+            let got = run_with(&m, "main", &opts, &mut counter).expect("main exists");
+            let want = run(&m, "main", &opts).expect("main exists");
+            assert_same(&m, &format!("{name}/{seed} edges"), &got, &want);
+            assert_eq!(
+                write_edge_profile_v2(&m, &counter.finish()),
+                edge_bytes(&m, &traced.edge_profile).expect("traced"),
+                "{name}/{seed}: edge counter differs from the tracer"
+            );
+        }
     }
 }

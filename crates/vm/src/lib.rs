@@ -12,7 +12,10 @@
 //!   (§7.4),
 //! - optionally traces execution exactly, producing the reference edge
 //!   profile and ground-truth path profile that accuracy and coverage are
-//!   measured against (§6), and
+//!   measured against (§6),
+//! - reports function entries, taken edges and returns to a [`Sink`]:
+//!   one run of an uninstrumented module drives [`PlanConsumers`] in
+//!   place of the instrumented run of each of a set of plans, and
 //! - draws program input from a seeded stream so instrumented and
 //!   uninstrumented runs of the same seed follow bit-identical control
 //!   flow (the paper's *self advice* setting, §7.2).
@@ -56,12 +59,14 @@ mod cost;
 mod host;
 mod machine;
 mod rng;
+mod sink;
 mod storage;
 mod trace;
 
 pub use cost::CostModel;
 pub use host::{Checkout, VmHost};
-pub use machine::{run, run_func, HaltReason, RunOptions, RunResult, VmError};
+pub use machine::{run, run_func, run_with, HaltReason, RunOptions, RunResult, VmError};
 pub use rng::SplitMix64;
+pub use sink::{EdgeCounter, OpSite, PlanConsumers, Sink};
 pub use storage::{CounterTable, ProfileStore};
 pub use trace::{EdgeClassifier, EdgeKind, PathCursor, ProfileDelta, TraceFaults, Tracer};

@@ -2,16 +2,18 @@
 //!
 //! A small register-machine interpreter over [`ppp_ir`] modules with an
 //! explicit frame stack (no host recursion), a deterministic input stream,
-//! a cost model, optional exact tracing, and profile counter storage for
-//! instrumented code.
+//! a cost model, profile counter storage for instrumented code, and a
+//! [`Sink`] type parameter that observes control flow (nothing, the exact
+//! tracer, or plan consumers).
 
 use crate::cost::CostModel;
 use crate::rng::SplitMix64;
+use crate::sink::{exec_prof, Sink};
 use crate::storage::ProfileStore;
-use crate::trace::{PathCursor, TraceFaults, Tracer};
+use crate::trace::{TraceFaults, Tracer};
 use ppp_ir::{
     Block, BlockId, EdgeRef, FuncId, Function, Inst, Module, ModuleEdgeProfile, ModulePathProfile,
-    ProfOp, Reg, Terminator,
+    Reg, Terminator,
 };
 use std::fmt;
 
@@ -53,7 +55,11 @@ pub struct RunOptions {
     pub seed: u64,
     /// Dynamic step budget (instructions + terminators, including
     /// instrumentation); the run halts with [`HaltReason::StepLimit`] when
-    /// exhausted.
+    /// exhausted. A run whose total step count `T` is at most the budget
+    /// is never cut short, so an instrumented run with `T <= max_steps`
+    /// takes exactly the walk of its uninstrumented module; that is when
+    /// [`PlanConsumers`](crate::PlanConsumers) fed by the uninstrumented
+    /// run stand in for it exactly.
     pub max_steps: u64,
     /// Global memory size in 64-bit words; addresses wrap.
     pub mem_words: usize,
@@ -219,7 +225,7 @@ impl RunResult {
 
 /// One activation. The running frame lives in a local of the
 /// interpreter loop; suspended callers wait on [`Interp::stack`].
-struct Frame<'m> {
+struct Frame<'m, C> {
     func: FuncId,
     f: &'m Function,
     block: BlockId,
@@ -231,7 +237,8 @@ struct Frame<'m> {
     base: usize,
     path_r: i64,
     ret_dst: Option<Reg>,
-    cursor: Option<PathCursor>,
+    /// The sink's state for this activation.
+    cursor: C,
 }
 
 /// Runs `module` starting at its function named `entry`.
@@ -268,10 +275,52 @@ pub fn run(module: &Module, entry: &str, options: &RunOptions) -> Result<RunResu
 
 /// Runs `module` starting at `entry` (which receives zeroed arguments).
 pub fn run_func(module: &Module, entry: FuncId, options: &RunOptions) -> RunResult {
-    Interp::new(module, options).run(entry)
+    if !options.trace {
+        return Interp::new(module, options, &mut ()).run(entry);
+    }
+    let mut tracer = Tracer::new(module);
+    if options.trace_sequence {
+        tracer.record_sequence();
+    }
+    if let Some(f) = options.trace_faults {
+        tracer.inject_faults(f);
+    }
+    if options.delta_interval > 0 {
+        tracer.enable_deltas(module, options.delta_interval);
+    }
+    let mut r = Interp::new(module, options, &mut tracer).run(entry);
+    r.trace_events_dropped = tracer.dropped_events();
+    let (edges, paths, sequence, deltas) = tracer.finish_full(module);
+    r.edge_profile = Some(edges);
+    r.path_profile = Some(paths);
+    r.path_sequence = sequence;
+    r.deltas = deltas;
+    r
 }
 
-struct Interp<'m> {
+/// Runs `module` from its function named `entry`, reporting every
+/// function entry, taken edge and return to `sink`. The options' tracing
+/// fields are ignored (the sink is the run's observer), so the result
+/// carries no profiles.
+///
+/// # Errors
+///
+/// Returns [`VmError::NoSuchFunction`] if `entry` does not name a function.
+pub fn run_with<S: Sink + ?Sized>(
+    module: &Module,
+    entry: &str,
+    options: &RunOptions,
+    sink: &mut S,
+) -> Result<RunResult, VmError> {
+    let entry_id = module
+        .function_by_name(entry)
+        .ok_or_else(|| VmError::NoSuchFunction {
+            name: entry.to_owned(),
+        })?;
+    Ok(Interp::new(module, options, sink).run(entry_id))
+}
+
+struct Interp<'m, 's, S: Sink + ?Sized> {
     module: &'m Module,
     opts: &'m RunOptions,
     mem: Vec<i64>,
@@ -283,7 +332,7 @@ struct Interp<'m> {
     prof_steps: u64,
     calls: u64,
     store: ProfileStore,
-    tracer: Option<Tracer>,
+    sink: &'s mut S,
     /// `hash_tables[t]`: table `t` is hash-backed (resolved once per run
     /// for the cost model).
     hash_tables: Vec<bool>,
@@ -291,11 +340,11 @@ struct Interp<'m> {
     /// caller, truncated on return.
     regs: Vec<i64>,
     /// Suspended callers of the running frame.
-    stack: Vec<Frame<'m>>,
+    stack: Vec<Frame<'m, S::Cursor>>,
 }
 
-impl<'m> Interp<'m> {
-    fn new(module: &'m Module, opts: &'m RunOptions) -> Self {
+impl<'m, 's, S: Sink + ?Sized> Interp<'m, 's, S> {
+    fn new(module: &'m Module, opts: &'m RunOptions, sink: &'s mut S) -> Self {
         Self {
             module,
             opts,
@@ -308,19 +357,7 @@ impl<'m> Interp<'m> {
             prof_steps: 0,
             calls: 0,
             store: ProfileStore::for_module(module),
-            tracer: opts.trace.then(|| {
-                let mut t = Tracer::new(module);
-                if opts.trace_sequence {
-                    t.record_sequence();
-                }
-                if let Some(f) = opts.trace_faults {
-                    t.inject_faults(f);
-                }
-                if opts.delta_interval > 0 {
-                    t.enable_deltas(module, opts.delta_interval);
-                }
-                t
-            }),
+            sink,
             hash_tables: module.tables.iter().map(|t| t.kind.is_hash()).collect(),
             regs: Vec::new(),
             stack: Vec::new(),
@@ -329,12 +366,9 @@ impl<'m> Interp<'m> {
 
     /// Opens a frame for `func` whose registers start at `base`
     /// (already sized and holding the arguments).
-    fn enter(&mut self, func: FuncId, base: usize, ret_dst: Option<Reg>) -> Frame<'m> {
+    fn enter(&mut self, func: FuncId, base: usize, ret_dst: Option<Reg>) -> Frame<'m, S::Cursor> {
         let f = self.module.function(func);
-        let cursor = self
-            .tracer
-            .as_mut()
-            .map(|t| t.enter_function(func, f.entry));
+        let cursor = self.sink.enter(func, f.entry);
         self.calls += 1;
         Frame {
             func,
@@ -354,15 +388,6 @@ impl<'m> Interp<'m> {
         self.regs.resize(n, 0);
         let frame = self.enter(entry, 0, None);
         let halt = self.exec_loop(frame);
-        let (edge_profile, path_profile, path_sequence, trace_events_dropped, deltas) =
-            match self.tracer {
-                Some(t) => {
-                    let dropped = t.dropped_events();
-                    let (e, p, s, d) = t.finish_full(self.module);
-                    (Some(e), Some(p), s, dropped, d)
-                }
-                None => (None, None, Vec::new(), (0, 0), Vec::new()),
-            };
         RunResult {
             halt,
             checksum: self.checksum,
@@ -372,11 +397,11 @@ impl<'m> Interp<'m> {
             prof_steps: self.prof_steps,
             calls: self.calls,
             store: self.store,
-            edge_profile,
-            path_profile,
-            path_sequence,
-            trace_events_dropped,
-            deltas,
+            edge_profile: None,
+            path_profile: None,
+            path_sequence: Vec::new(),
+            trace_events_dropped: (0, 0),
+            deltas: Vec::new(),
         }
     }
 
@@ -387,7 +412,7 @@ impl<'m> Interp<'m> {
     /// register and memory stores cannot alias them), and each block's
     /// straight-line instructions run in an inner loop over one register
     /// slice; only calls, returns and taken edges leave it.
-    fn exec_loop(&mut self, mut cur: Frame<'m>) -> HaltReason {
+    fn exec_loop(&mut self, mut cur: Frame<'m, S::Cursor>) -> HaltReason {
         let cm = self.opts.cost;
         let max_steps = self.opts.max_steps;
         let max_depth = self.opts.max_call_depth;
@@ -484,9 +509,7 @@ impl<'m> Interp<'m> {
             let (s, target) = match &b.term {
                 Terminator::Return { value } => {
                     let v = value.map_or(0, |r| regs[r.index()]);
-                    if let (Some(t), Some(c)) = (self.tracer.as_mut(), cur.cursor) {
-                        t.exit_function(cur.func, c);
-                    }
+                    self.sink.exit(cur.func, cur.cursor, cur.block);
                     let Some(parent) = self.stack.pop() else {
                         break 'run HaltReason::Finished;
                     };
@@ -526,9 +549,7 @@ impl<'m> Interp<'m> {
             cur.block = target;
             cur.b = cur.f.block(target);
             cur.inst = 0;
-            if let (Some(t), Some(c)) = (self.tracer.as_mut(), cur.cursor.as_mut()) {
-                t.take_edge(cur.func, c, edge, target);
-            }
+            self.sink.edge(cur.func, &mut cur.cursor, edge, target);
         };
         self.steps = steps;
         self.cost = cost;
@@ -539,40 +560,10 @@ impl<'m> Interp<'m> {
     }
 }
 
-/// Executes one profiling op against the running frame's path register.
-#[inline]
-fn exec_prof(store: &mut ProfileStore, path_r: &mut i64, op: ProfOp) {
-    match op {
-        ProfOp::SetR { value } => *path_r = value,
-        ProfOp::AddR { value } => *path_r = path_r.wrapping_add(value),
-        ProfOp::CountR { table } => store.table_mut(table).bump(*path_r),
-        ProfOp::CountRPlus { table, addend } => {
-            store.table_mut(table).bump(path_r.wrapping_add(addend));
-        }
-        ProfOp::CountConst { table, index } => store.table_mut(table).bump(index),
-        ProfOp::CountRChecked { table } => {
-            let t = store.table_mut(table);
-            if *path_r < 0 {
-                t.bump_cold();
-            } else {
-                t.bump(*path_r);
-            }
-        }
-        ProfOp::CountRPlusChecked { table, addend } => {
-            let t = store.table_mut(table);
-            if *path_r < 0 {
-                t.bump_cold();
-            } else {
-                t.bump(path_r.wrapping_add(addend));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppp_ir::{BinOp, FunctionBuilder, TableDecl, TableKind};
+    use ppp_ir::{BinOp, FunctionBuilder, ProfOp, TableDecl, TableKind};
 
     fn module_one(f: ppp_ir::Function) -> Module {
         let mut m = Module::new();
