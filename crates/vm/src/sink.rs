@@ -20,7 +20,6 @@ use crate::machine::RunResult;
 use crate::storage::ProfileStore;
 use crate::trace::{PathCursor, Tracer};
 use ppp_ir::{BlockId, EdgeRef, FuncId, Module, ModuleEdgeProfile, ProfOp, Terminator};
-use std::collections::HashMap;
 
 /// A consumer of the interpreter's control-flow events.
 pub trait Sink {
@@ -217,20 +216,17 @@ impl PlanConsumers {
         let jump = Terminator::Jump {
             target: BlockId::new(0),
         };
-        let mut per_slot: Vec<Vec<Fire>> = vec![Vec::new(); slots as usize];
+        // Every plan's lists as `(slot, fire)`, grouped by slot below.
+        let mut fires: Vec<(u32, Fire)> = Vec::new();
         for (plan, (instrumented, sites)) in plans.into_iter().enumerate() {
-            let mut at: HashMap<(FuncId, OpSite), Vec<ProfOp>> = HashMap::new();
-            for (func, site, ops) in sites {
-                at.entry((func, site)).or_default().extend(ops);
-            }
             let hash: Vec<bool> = instrumented
                 .tables
                 .iter()
                 .map(|t| t.kind.is_hash())
                 .collect();
-            let mut compile = |slot: u32, parts: &[Option<&Vec<ProfOp>>], split: bool| {
+            let mut compile = |slot: u32, parts: &[&Option<Vec<ProfOp>>], split: bool| {
                 let start = out.ops.len() as u32;
-                for part in parts.iter().flatten() {
+                for part in parts.iter().filter_map(|p| p.as_ref()) {
                     out.ops.extend_from_slice(part);
                 }
                 let ops = &out.ops[start as usize..];
@@ -242,7 +238,7 @@ impl PlanConsumers {
                     .map(|op| cost.prof_cost(*op, op.table().is_some_and(|t| hash[t.index()])))
                     .sum();
                 let split_cost = if split { cost.term_cost(&jump) } else { 0 };
-                per_slot[slot as usize].push(Fire {
+                let fire = Fire {
                     plan: plan as u32,
                     start,
                     end: out.ops.len() as u32,
@@ -250,34 +246,62 @@ impl PlanConsumers {
                     cost: prof_cost + split_cost,
                     prof_cost,
                     hits: 0,
-                });
+                };
+                fires.push((slot, fire));
             };
-            for (fi, f) in original.functions.iter().enumerate() {
-                let func = FuncId::new(fi);
-                let get = |site| at.get(&(func, site));
-                compile(out.entry_slot[fi], &[get(OpSite::Enter(f.entry))], false);
+            let mut by_func = vec![Vec::new(); original.functions.len()];
+            for (func, site, ops) in sites {
+                by_func[func.index()].push((site, ops));
+            }
+            for (fi, func_sites) in by_func.into_iter().enumerate() {
+                if func_sites.is_empty() {
+                    continue;
+                }
+                let f = &original.functions[fi];
+                let bases = &out.block_slot[fi];
+                let first = out.entry_slot[fi];
+                let end = out.entry_slot.get(fi + 1).copied().unwrap_or(slots);
+                // Each site's list: enter and leave by block, split by
+                // the edge's slot within the function.
+                let mut enter = vec![None; f.blocks.len()];
+                let mut leave = vec![None; f.blocks.len()];
+                let mut split = vec![None; (end - first) as usize];
+                for (site, ops) in func_sites {
+                    let list: &mut Option<Vec<ProfOp>> = match site {
+                        OpSite::Enter(b) => &mut enter[b.index()],
+                        OpSite::Leave(b) => &mut leave[b.index()],
+                        OpSite::Split(e) => {
+                            &mut split[(bases[e.from.index()] - first) as usize + e.succ_index()]
+                        }
+                    };
+                    list.get_or_insert_with(Vec::new).extend(ops);
+                }
+                compile(first, &[&enter[f.entry.index()]], false);
                 for (b, block) in f.iter_blocks() {
-                    let base = out.block_slot[fi][b.index()];
-                    let leave = get(OpSite::Leave(b));
+                    let base = bases[b.index()];
+                    let leave = &leave[b.index()];
                     if let Terminator::Return { .. } = block.term {
                         compile(base, &[leave], false);
                     }
                     for s in 0..block.term.successor_count() {
                         let target = block.term.successor(s).expect("in-range successor");
-                        let split = get(OpSite::Split(EdgeRef::new(b, s)));
-                        let parts = [leave, split, get(OpSite::Enter(target))];
+                        let split = &split[(base - first) as usize + s];
+                        let parts = [leave, split, &enter[target.index()]];
                         compile(base + s as u32, &parts, split.is_some());
                     }
                 }
             }
             out.stores.push(ProfileStore::for_module(instrumented));
         }
-        out.fire_start.reserve(per_slot.len() + 1);
-        for fires in per_slot {
-            out.fire_start.push(out.fires.len() as u32);
-            out.fires.extend(fires);
+        fires.sort_by_key(|&(slot, _)| slot);
+        out.fire_start = vec![0; slots as usize + 1];
+        for &(slot, _) in &fires {
+            out.fire_start[slot as usize + 1] += 1;
         }
-        out.fire_start.push(out.fires.len() as u32);
+        for s in 1..out.fire_start.len() {
+            out.fire_start[s] += out.fire_start[s - 1];
+        }
+        out.fires = fires.into_iter().map(|(_, fire)| fire).collect();
         out
     }
 
