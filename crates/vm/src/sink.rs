@@ -415,3 +415,158 @@ pub(crate) fn exec_prof(store: &mut ProfileStore, path_r: &mut i64, op: ProfOp) 
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{run, run_with, RunOptions};
+    use ppp_ir::{BinOp, FunctionBuilder, Inst, TableDecl, TableKind};
+
+    /// `main` counts `x` down from 3; each iteration of its loop body
+    /// calls `g`. Block ids: main `b0` entry, `b1` header (branch to
+    /// `b2` body or `b3` return); g is one block.
+    fn looped_calls() -> Module {
+        let mut m = Module::new();
+        let mut g = FunctionBuilder::new("g", 0);
+        g.ret(None);
+        let gid = m.add_function(g.finish());
+        let mut b = FunctionBuilder::new("main", 0);
+        let x = b.constant(3);
+        let (hdr, body, exit) = (b.new_block(), b.new_block(), b.new_block());
+        b.jump(hdr);
+        b.switch_to(hdr);
+        b.branch(x, body, exit);
+        b.switch_to(body);
+        b.call_void(gid, vec![]);
+        let one = b.constant(1);
+        b.binary_to(x, BinOp::Sub, x, one);
+        b.jump(hdr);
+        b.switch_to(exit);
+        b.ret(None);
+        m.add_function(b.finish());
+        m
+    }
+
+    #[test]
+    fn lists_fire_in_the_order_the_instrumented_code_runs_them() {
+        let original = looped_calls();
+        let (g, main) = (FuncId::new(0), FuncId::new(1));
+        let mut instrumented = original.clone();
+        let table = |m: &mut Module, func, kind| {
+            m.add_table(TableDecl {
+                func,
+                kind,
+                hot_paths: 4,
+            })
+        };
+        let t = table(&mut instrumented, main, TableKind::Array { size: 128 });
+        let tg = table(
+            &mut instrumented,
+            g,
+            TableKind::Hash {
+                slots: 7,
+                max_probes: 2,
+            },
+        );
+        // Every list reads what the one before it left in the path
+        // register, so firing them out of order moves the counts.
+        let e = EdgeRef::new(BlockId::new(1), 0);
+        let sites = vec![
+            (
+                main,
+                OpSite::Enter(BlockId::new(0)),
+                vec![ProfOp::SetR { value: 7 }],
+            ),
+            (
+                main,
+                OpSite::Leave(BlockId::new(1)),
+                vec![ProfOp::AddR { value: 1 }],
+            ),
+            (
+                main,
+                OpSite::Split(e),
+                vec![ProfOp::AddR { value: 10 }, ProfOp::CountR { table: t }],
+            ),
+            (
+                main,
+                OpSite::Enter(BlockId::new(2)),
+                vec![
+                    ProfOp::AddR { value: 20 },
+                    ProfOp::CountRPlus {
+                        table: t,
+                        addend: 1,
+                    },
+                ],
+            ),
+            // Read after `g` returns: `g`'s own register must not leak.
+            (
+                main,
+                OpSite::Leave(BlockId::new(2)),
+                vec![ProfOp::CountRChecked { table: t }],
+            ),
+            (
+                main,
+                OpSite::Leave(BlockId::new(3)),
+                vec![ProfOp::CountR { table: t }],
+            ),
+            (
+                g,
+                OpSite::Leave(BlockId::new(0)),
+                vec![
+                    ProfOp::SetR { value: -5 },
+                    ProfOp::CountRChecked { table: tg },
+                    ProfOp::CountConst {
+                        table: tg,
+                        index: 3,
+                    },
+                ],
+            ),
+        ];
+        // The same lists, placed as the instrumenter places them.
+        let prof = |ops: &[ProfOp]| ops.iter().copied().map(Inst::Prof).collect::<Vec<_>>();
+        for (func, site, ops) in &sites {
+            let f = instrumented.function_mut(*func);
+            match *site {
+                OpSite::Enter(b) => {
+                    f.block_mut(b).insts.splice(0..0, prof(ops));
+                }
+                OpSite::Leave(b) => f.block_mut(b).insts.extend(prof(ops)),
+                OpSite::Split(e) => {
+                    let mid = ppp_ir::transform::split_edge(f, e);
+                    f.block_mut(mid).insts.extend(prof(ops));
+                }
+            }
+        }
+
+        let opts = RunOptions::default();
+        let want = run(&instrumented, "main", &opts).unwrap();
+        let mut consumers = PlanConsumers::new(&original, &opts.cost, [(&instrumented, sites)]);
+        let driver = run_with(&original, "main", &opts, &mut consumers).unwrap();
+        let got = consumers.into_results(&driver).pop().unwrap();
+        assert_eq!(
+            (got.halt, got.checksum, got.calls),
+            (want.halt, want.checksum, want.calls)
+        );
+        assert_eq!(
+            (got.cost, got.prof_cost, got.steps, got.prof_steps),
+            (want.cost, want.prof_cost, want.steps, want.prof_steps)
+        );
+        for table in [t, tg] {
+            let (g, w) = (got.store.table(table), want.store.table(table));
+            let counts = |c: &crate::CounterTable| c.iter_counts().collect::<Vec<_>>();
+            assert_eq!(counts(g), counts(w), "table {table:?}");
+            assert_eq!(
+                (g.cold(), g.lost()),
+                (w.cold(), w.lost()),
+                "table {table:?}"
+            );
+        }
+        // Entry 7, leave +1, split +10: count[18]; enter +20: count[39].
+        let counts: Vec<_> = want.store.table(t).iter_counts().collect();
+        assert!(
+            counts.contains(&(18, 1)) && counts.contains(&(39, 1)),
+            "{counts:?}"
+        );
+        assert_eq!(want.store.table(tg).cold(), 3);
+    }
+}
