@@ -824,24 +824,25 @@ fn consume(m: &Module, plans: &[ModulePlan], opts: &RunOptions) -> (RunResult, V
 /// instrumented run whenever the consumed total steps are within the
 /// budget, and that the instrumented run halts on the budget otherwise
 /// (the case the pipeline hands to the instrumented run). Returns each
-/// plan's consumed total steps.
-fn check_consumers(m: &Module, plans: &[ModulePlan], opts: &RunOptions, what: &str) -> Vec<u64> {
+/// plan's consumed result.
+fn check_consumers(
+    m: &Module,
+    plans: &[ModulePlan],
+    opts: &RunOptions,
+    what: &str,
+) -> Vec<RunResult> {
     let (driver, results) = consume(m, plans, opts);
-    plans
-        .iter()
-        .zip(&results)
-        .map(|(plan, got)| {
-            let what = format!("{what} {}", plan.config.label());
-            let want = run(&plan.module, "main", opts).expect("main exists");
-            if got.steps <= opts.max_steps {
-                assert_same(m, &what, got, &want);
-            } else {
-                assert_eq!(want.halt, HaltReason::StepLimit, "{what}: fallback halts");
-                assert!(driver.steps <= opts.max_steps, "{what}: driver steps");
-            }
-            got.steps
-        })
-        .collect()
+    for (plan, got) in plans.iter().zip(&results) {
+        let what = format!("{what} {}", plan.config.label());
+        let want = run(&plan.module, "main", opts).expect("main exists");
+        if got.steps <= opts.max_steps {
+            assert_same(m, &what, got, &want);
+        } else {
+            assert_eq!(want.halt, HaltReason::StepLimit, "{what}: fallback halts");
+            assert!(driver.steps <= opts.max_steps, "{what}: driver steps");
+        }
+    }
+    results
 }
 
 #[test]
@@ -854,16 +855,15 @@ fn plan_consumers_match_instrumented_runs_on_suite() {
             let edges = traced.edge_profile.as_ref().expect("traced");
             let what = format!("{name}/{seed}");
             let plans = clean_plans(&m, edges, &what);
-            let totals = check_consumers(&m, &plans, &base, &what);
-            let (_, results) = consume(&m, &plans, &base);
+            let results = check_consumers(&m, &plans, &base, &what);
             checked_cold += results.iter().map(|r| r.store.total_cold()).sum::<u64>();
             // The step budget around each consumer's total: the consumer
             // stands in for the instrumented run at the total and above,
             // and hands over below it; one step short of the driver's own
             // total the driver halts too.
-            let mut budgets: Vec<u64> = totals
+            let mut budgets: Vec<u64> = results
                 .iter()
-                .flat_map(|&t| [t - 1, t, t + 1])
+                .flat_map(|r| [r.steps - 1, r.steps, r.steps + 1])
                 .chain([traced.steps - 1])
                 .collect();
             budgets.sort_unstable();
@@ -974,8 +974,7 @@ fn plan_consumers_match_on_saturated_diamonds_with_checked_counts() {
     // pipeline runs it instrumented; the consumer still matches, since
     // its ops are placed as planned.
     let plans = plans_of(&m, truth.edge_profile.as_ref().expect("traced"));
-    let totals = check_consumers(&m, &plans, &base, "diamonds");
-    let (_, results) = consume(&m, &plans, &base);
+    let results = check_consumers(&m, &plans, &base, "diamonds");
     for (plan, r) in plans.iter().zip(&results) {
         let label = plan.config.label();
         assert_eq!(r.halt, HaltReason::Finished, "{label}");
@@ -991,7 +990,7 @@ fn plan_consumers_match_on_saturated_diamonds_with_checked_counts() {
         .iter()
         .zip(&results)
         .any(|(p, r)| p.funcs[explode.index()].checked && r.store.total_cold() > 0));
-    for max_steps in totals.iter().flat_map(|&t| [t - 1, t]) {
+    for max_steps in results.iter().flat_map(|r| [r.steps - 1, r.steps]) {
         let opts = RunOptions { max_steps, ..base };
         check_consumers(
             &m,

@@ -115,7 +115,7 @@ impl Sink for EdgeCounter {
 }
 
 /// Where a list of profiling ops sits relative to the uninstrumented code.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum OpSite {
     /// At the start of a block: runs when the block is entered.
     Enter(BlockId),
