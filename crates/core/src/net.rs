@@ -12,7 +12,7 @@
 //! and their relative weights (§2, §8.1).
 //!
 //! The predictor consumes the VM tracer's ordered path stream
-//! ([`ppp_vm::RunOptions::traced_with_sequence`]).
+//! ([`ppp_vm::Tracer::record_sequence`]).
 
 use crate::accuracy::actual_hot_paths;
 use crate::flow::FlowMetric;

@@ -1,6 +1,6 @@
 //! Textual printing of modules and functions.
 //!
-//! The format round-trips through [`crate::parse::parse_module`]. Example:
+//! The format is for people to read; nothing parses it back. Example:
 //!
 //! ```text
 //! func @abs(params=1, regs=3) {
@@ -21,7 +21,7 @@ use crate::inst::{Inst, Terminator};
 use crate::module::{Module, TableKind};
 use std::fmt::{self, Write as _};
 
-/// Renders a whole module, including table declarations, in parseable form.
+/// Renders a whole module, including table declarations.
 pub fn print_module(m: &Module) -> String {
     let mut out = String::new();
     for (i, t) in m.tables.iter().enumerate() {

@@ -86,7 +86,7 @@ impl BinOp {
         }
     }
 
-    /// Returns the lowercase mnemonic used by the printer and parser.
+    /// Returns the lowercase mnemonic the printer uses.
     pub fn mnemonic(self) -> &'static str {
         match self {
             BinOp::Add => "add",
@@ -150,7 +150,7 @@ impl UnOp {
         }
     }
 
-    /// Returns the lowercase mnemonic used by the printer and parser.
+    /// Returns the lowercase mnemonic the printer uses.
     pub fn mnemonic(self) -> &'static str {
         match self {
             UnOp::Neg => "neg",

@@ -25,11 +25,6 @@ pub enum JitError {
         /// Underlying VM error.
         error: VmError,
     },
-    /// A traced run came back without profiles (tracing disabled).
-    NotTraced {
-        /// Benchmark name.
-        benchmark: String,
-    },
     /// The aggregation tier refused a registration or a frame.
     Agg {
         /// Benchmark name.
@@ -44,9 +39,6 @@ impl fmt::Display for JitError {
         match self {
             JitError::NoMain { benchmark, error } => {
                 write!(f, "{benchmark}: cannot execute benchmark: {error}")
-            }
-            JitError::NotTraced { benchmark } => {
-                write!(f, "{benchmark}: traced run produced no profiles")
             }
             JitError::Agg { benchmark, detail } => {
                 write!(f, "{benchmark}: aggregation: {detail}")

@@ -18,28 +18,24 @@ use ppp_opt::{
     focus_profile, inline_module_witnessed, optimize_module_witnessed, select_hot_functions,
     unroll_module_witnessed, InlineOptions, InlineReport, UnrollOptions, UnrollReport,
 };
-use ppp_vm::{run, run_with, EdgeCounter, RunOptions, RunResult};
+use ppp_vm::{run_with, EdgeCounter, RunOptions, RunResult, Tracer};
 
-/// Runs `module` traced at `seed` and moves its edge and exact path
-/// profiles out of the result. A traced run retires the same cost as an
+/// Runs `module` at `seed` under a [`Tracer`] and returns its edge and
+/// exact path profiles. A traced run retires the same cost as an
 /// uninstrumented one.
 ///
 /// # Errors
 ///
-/// [`JitError::NoMain`] when the module cannot execute,
-/// [`JitError::NotTraced`] when the run came back without profiles.
+/// [`JitError::NoMain`] when the module cannot execute.
 pub fn traced(
     module: &Module,
     seed: u64,
     bench: &str,
 ) -> Result<(RunResult, ModuleEdgeProfile, ModulePathProfile), JitError> {
-    let options = RunOptions::default().with_seed(seed).traced();
-    let mut r = run(module, "main", &options).map_err(JitError::no_main(bench))?;
-    let (Some(edges), Some(paths)) = (r.edge_profile.take(), r.path_profile.take()) else {
-        return Err(JitError::NotTraced {
-            benchmark: bench.to_owned(),
-        });
-    };
+    let options = RunOptions::default().with_seed(seed);
+    let mut tracer = Tracer::new(module);
+    let r = run_with(module, "main", &options, &mut tracer).map_err(JitError::no_main(bench))?;
+    let (edges, paths) = tracer.finish(module);
     Ok((r, edges, paths))
 }
 

@@ -21,7 +21,6 @@ use crate::pipeline::{
 };
 use ppp_agg::{AggConfig, Aggregator, DurOptions, Hello, ReadError};
 use ppp_core::{instrument_module, ProfilerConfig};
-use ppp_faults::{FaultPlan, FaultSite};
 use ppp_ir::wire::check_frame;
 use ppp_ir::{
     encode_edge_delta, encode_frame, encode_path_delta, encode_seq_payload, salvage_edge_profile,
@@ -30,11 +29,15 @@ use ppp_ir::{
 };
 use ppp_match::{read_edge_profile_matched, transfer_module_edges};
 use ppp_obs::json::{self, ToJson};
-use ppp_vm::{run, HaltReason, RunOptions, SplitMix64};
+use ppp_vm::{run, run_with, HaltReason, RunOptions, SplitMix64, Tracer};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+mod faults;
+
+pub use faults::{FaultPlan, FaultSite};
 
 /// How one injected fault played out.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -481,21 +484,27 @@ pub fn chaos_scenario(
         }
         FaultSite::DropTraceEvents => {
             let tf = plan.trace_faults();
-            let opts = RunOptions::default()
-                .with_seed(options.seed)
-                .traced()
-                .with_trace_faults(tf);
             let detail = format!(
                 "dropped every {}th edge event and {}th path completion",
                 tf.drop_edge_every, tf.drop_path_every
             );
-            match run(module, "main", &opts) {
-                Ok(r) => {
-                    let (de, dp) = r.trace_events_dropped;
+            let mut tracer = Tracer::new(module);
+            tracer.inject_faults(tf);
+            let opts = RunOptions::default().with_seed(options.seed);
+            match run_with(module, "main", &opts, &mut tracer) {
+                Ok(_) => {
+                    let (de, dp) = tracer.dropped_events();
+                    let obs = ppp_obs::global();
+                    let labels = [("bench", prep.name.as_str())];
+                    obs.metrics()
+                        .inc_by("ppp_vm_trace_edge_events_dropped_total", &labels, de);
+                    obs.metrics()
+                        .inc_by("ppp_vm_trace_path_events_dropped_total", &labels, dp);
+                    let (edges, paths) = tracer.finish(module);
                     let drops = format!("VM dropped {de} edge event(s), {dp} path completion(s)");
                     Injection {
-                        edges: r.edge_profile,
-                        paths: r.path_profile.map(Cow::Owned),
+                        edges: Some(edges),
+                        paths: Some(Cow::Owned(paths)),
                         harmless: de + dp == 0,
                         ..on(detail)
                     }

@@ -1,9 +1,10 @@
-//! # ppp-faults: deterministic fault injection for profile ingestion
+//! The fault model: deterministic, seeded damage at every site the
+//! sweep injects.
 //!
 //! The paper's premise (§1, §5) is that path profiles feed a *dynamic*
 //! optimizer — an environment where truncated runs, saturated counters,
 //! lost trace events, and stale profile artifacts are the norm, not the
-//! exception. This crate produces exactly those damage shapes, on
+//! exception. This module produces exactly those damage shapes, on
 //! purpose and reproducibly, so the ingestion pipeline's degradation
 //! ladder can be exercised and gated in CI.
 //!
@@ -16,17 +17,15 @@
 //! The sites ([`FaultSite`]) cover the ingestion surface end to end:
 //! persisted-artifact damage ([`FaultPlan::truncate_bytes`],
 //! [`FaultPlan::corrupt_bytes`]), counter saturation
-//! ([`FaultPlan::saturate_edge_profile`],
-//! [`FaultPlan::saturate_path_profile`]), the 701×3 hash table
+//! ([`FaultPlan::saturate_edge_profile`]), the 701×3 hash table
 //! overflowing (driven by running the profiler with a deliberately
 //! undersized table), dropped VM trace events
 //! ([`FaultPlan::trace_faults`] → [`TraceFaults`]), a run killed
-//! mid-execution (a tiny step budget), and a stale profile shape.
+//! mid-execution (a tiny step budget), a stale profile shape, damaged
+//! or cut aggregation streams, a crashed, stalled or overloaded server,
+//! and the JIT loop's stale snapshot and mid-run swap.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-use ppp_ir::{ModuleEdgeProfile, ModulePathProfile};
+use ppp_ir::ModuleEdgeProfile;
 use ppp_vm::{SplitMix64, TraceFaults};
 use std::fmt;
 
@@ -229,29 +228,6 @@ impl FaultPlan {
         let i = (rng.next_u64() % n as u64) as usize;
         let f = &mut profile.funcs[i];
         f.set_entries(u64::MAX);
-        Some(i)
-    }
-
-    /// Pins one seed-chosen recorded path's frequency at `u64::MAX`;
-    /// returns the function index, or `None` if no paths are recorded.
-    pub fn saturate_path_profile(&self, profile: &mut ModulePathProfile) -> Option<usize> {
-        let populated: Vec<usize> = profile
-            .funcs
-            .iter()
-            .enumerate()
-            .filter(|(_, fp)| !fp.paths.is_empty())
-            .map(|(i, _)| i)
-            .collect();
-        if populated.is_empty() {
-            return None;
-        }
-        let mut rng = self.rng();
-        let i = populated[(rng.next_u64() % populated.len() as u64) as usize];
-        let fp = &mut profile.funcs[i];
-        let mut keys: Vec<_> = fp.paths.keys().cloned().collect();
-        keys.sort_by(|a, b| a.start.cmp(&b.start).then(a.edges.cmp(&b.edges)));
-        let k = &keys[(rng.next_u64() % keys.len() as u64) as usize];
-        fp.paths.get_mut(k).expect("key exists").freq = u64::MAX;
         Some(i)
     }
 

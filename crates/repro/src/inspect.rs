@@ -2,25 +2,39 @@
 //! fired where, and what each routine's instrumentation looks like.
 
 use crate::format::{pct, Table};
-use crate::pipeline::PipelineOptions;
-use ppp_core::{instrument_module, ProfilerConfig, SkipReason};
-use ppp_workloads::{generate, SuiteEntry};
+use crate::pipeline::{estimate_options, prepare_benchmark, PipelineError, PipelineOptions};
+use ppp_core::{instrument_analyzed, ModuleAnalysis, ModulePlan, ProfilerConfig, SkipReason};
+use ppp_workloads::SuiteEntry;
 
-/// Renders a per-routine breakdown of `profiler`'s plan for `entry`'s
-/// benchmark (after the usual optimize → profile pipeline phases).
+/// Renders a per-routine breakdown of the PP, TPP and PPP plans for
+/// `entry`'s benchmark: the plans the pipeline instruments, made from
+/// the prepared (inlined, unrolled, profiled) module and its guidance.
+///
+/// # Errors
+///
+/// As [`prepare_benchmark`].
 pub fn inspect_benchmark(
     entry: &SuiteEntry,
-    profiler: &ProfilerConfig,
     options: &PipelineOptions,
-) -> String {
-    let spec = entry.spec.clone().scaled(options.scale);
-    let mut module = generate(&spec);
-    ppp_opt::optimize_module(&mut module);
-    ppp_core::normalize_module(&mut module);
-    let (_, edges) =
-        ppp_jit::edge_profile(&module, options.seed, &spec.name).expect("benchmark runs");
-    let plan = instrument_module(&module, Some(&edges), profiler);
+) -> Result<String, PipelineError> {
+    let prep = prepare_benchmark(entry, options)?;
+    let est_opts = estimate_options(&prep.truth, options);
+    let analysis = ModuleAnalysis::new(&prep.module, Some(&prep.edges), options.metric, &est_opts);
+    let mut out = String::new();
+    for config in [
+        ProfilerConfig::pp(),
+        ProfilerConfig::tpp(),
+        ProfilerConfig::ppp(),
+    ] {
+        let plan = instrument_analyzed(&analysis, &config);
+        out += &render_plan(&prep.module, &plan, &prep.name, options.scale);
+        out.push('\n');
+    }
+    Ok(out)
+}
 
+/// One plan's header line and per-routine table.
+fn render_plan(module: &ppp_ir::Module, plan: &ModulePlan, name: &str, scale: f64) -> String {
     let mut t = Table::new([
         "Routine",
         "Blocks",
@@ -67,9 +81,9 @@ pub fn inspect_benchmark(
     }
     format!(
         "{} plan for {} (scale {}): {} of {} routines instrumented, {} static prof insts\n{}",
-        profiler.label(),
-        spec.name,
-        options.scale,
+        plan.config.label(),
+        name,
+        scale,
         plan.instrumented_count(),
         plan.funcs.len(),
         plan.static_prof_insts(),
@@ -80,6 +94,7 @@ pub fn inspect_benchmark(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::run_benchmark;
     use ppp_workloads::spec2000_suite;
 
     #[test]
@@ -90,15 +105,27 @@ mod tests {
             scale: 0.02,
             ..PipelineOptions::default()
         };
-        for config in [
-            ProfilerConfig::pp(),
-            ProfilerConfig::tpp(),
-            ProfilerConfig::ppp(),
-        ] {
-            let out = inspect_benchmark(entry, &config, &opts);
-            assert!(out.contains("main"));
-            assert!(out.contains("Routine"));
-            assert!(out.contains(&config.label()));
+        let out = inspect_benchmark(entry, &opts).expect("mcf prepares");
+        assert!(out.contains("main"));
+        assert!(out.contains("Routine"));
+        let run = run_benchmark(entry, &opts).expect("mcf runs");
+        for label in ["PP", "TPP", "PPP"] {
+            let r = run.profiler(label).expect("a paper profiler");
+            let header = format!(
+                "{label} plan for mcf (scale 0.02): {} of ",
+                r.instrumented_routines
+            );
+            let line = out
+                .lines()
+                .find(|l| l.starts_with(&header))
+                .unwrap_or_else(|| panic!("{label}: no header {header:?} in\n{out}"));
+            assert!(
+                line.ends_with(&format!(
+                    "routines instrumented, {} static prof insts",
+                    r.static_prof_insts
+                )),
+                "{label}: {line}"
+            );
         }
     }
 }

@@ -16,8 +16,8 @@
 //! plan the pipeline produces, `ppp-repro validate` replays each
 //! optimizer transform's witness through the `ppp-lint` translation
 //! validator (`PPP3xx`) and checks every traced edge profile for flow
-//! conservation, and `ppp-repro chaos` sweeps every `ppp-faults` fault
-//! site across the suite, asserting the ingestion pipeline always
+//! conservation, and `ppp-repro chaos` sweeps every fault site of its
+//! fault model across the suite, asserting the ingestion pipeline always
 //! completes with a *reported* (never silent) degradation.
 //!
 //! The pipeline is instrumented with `ppp-obs` spans and metrics:
@@ -52,6 +52,7 @@ pub use bench::{
 };
 pub use chaos::{
     chaos_prepared, chaos_scenario, chaos_suite, chaos_table, ChaosOutcome, ChaosVerdict,
+    FaultPlan, FaultSite,
 };
 pub use cli::ArgCursor;
 pub use degrade::{
@@ -78,7 +79,8 @@ pub use predict::{
     WINS_REQUIRED,
 };
 pub use reports::{
-    all_reports, fig10, fig11, fig12, fig13, fig9, run_suite, table1, table2, SuiteError,
+    all_reports, fig10, fig11, fig12, fig13, fig9, run_suite, table1, table2, MissingConfig,
+    SuiteError,
 };
 pub use top::{render_stats, top};
 pub use trace::{trace_benchmark, Trace};

@@ -201,13 +201,9 @@ fn main() {
         });
     }
     if let Some(name) = inspect {
-        let entry = entry(&name);
-        for config in [
-            ppp_core::ProfilerConfig::pp(),
-            ppp_core::ProfilerConfig::tpp(),
-            ppp_core::ProfilerConfig::ppp(),
-        ] {
-            println!("{}", inspect_benchmark(&entry, &config, &options));
+        match inspect_benchmark(&entry(&name), &options) {
+            Ok(out) => print!("{out}"),
+            Err(e) => std::process::exit(failed(e)),
         }
         return;
     }
@@ -222,11 +218,29 @@ fn main() {
             usage(&format!("unknown report {w}"));
         }
     }
+    // fig13 is the only consumer of the ablations.
     if !wanted.iter().any(|w| w == "fig13" || w == "all") {
-        options.ablations = false; // fig13 is the only consumer
+        options.ablations = false;
+    } else if !options.ablations {
+        usage("fig13 and all read the ablations; drop --no-ablations");
     }
 
     let runs = run_suite(&options).unwrap_or_else(|e| std::process::exit(failed(e)));
+    let outs: Vec<String> = wanted
+        .iter()
+        .map(|w| match w.as_str() {
+            "table1" => Ok(table1(&runs)),
+            "table2" => Ok(table2(&runs)),
+            "fig9" => fig9(&runs),
+            "fig10" => fig10(&runs),
+            "fig11" => fig11(&runs),
+            "fig12" => fig12(&runs),
+            "fig13" => fig13(&runs),
+            "all" => all_reports(&runs),
+            other => unreachable!("validated above: {other}"),
+        })
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| std::process::exit(failed(e)));
     // The reports are a pure function of the scale, the seed and the
     // configuration set, so the output names them.
     println!(
@@ -236,18 +250,7 @@ fn main() {
         options.seed,
         if options.ablations { "on" } else { "off" }
     );
-    for w in &wanted {
-        let out = match w.as_str() {
-            "table1" => table1(&runs),
-            "table2" => table2(&runs),
-            "fig9" => fig9(&runs),
-            "fig10" => fig10(&runs),
-            "fig11" => fig11(&runs),
-            "fig12" => fig12(&runs),
-            "fig13" => fig13(&runs),
-            "all" => all_reports(&runs),
-            other => unreachable!("validated above: {other}"),
-        };
+    for out in outs {
         println!("{out}");
     }
 }

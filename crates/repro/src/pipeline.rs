@@ -18,7 +18,7 @@ use ppp_obs::Value;
 
 /// Typed failures of the experiment pipeline. Its front half is
 /// generation 1 of the `ppp-jit` loop, so it fails the way the loop's
-/// re-optimize step does ([`JitError::NoMain`], [`JitError::NotTraced`]).
+/// re-optimize step does ([`JitError::NoMain`]).
 /// As typed errors they feed the degradation ladder (a damaged *profile*
 /// degrades, a damaged *workload* is an error the caller sees) instead
 /// of aborting the run.

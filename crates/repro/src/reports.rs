@@ -6,7 +6,10 @@
 //! `ppp-repro all` regenerates the entire evaluation in one pass.
 
 use crate::format::{f2, pct, pct_signed, Table};
-use crate::pipeline::{run_benchmark, sweep_suite, BenchmarkRun, PipelineError, PipelineOptions};
+use crate::pipeline::{
+    run_benchmark, sweep_suite, BenchmarkRun, PipelineError, PipelineOptions, ProfilerResult,
+};
+use ppp_core::{ProfilerConfig, Technique};
 use ppp_workloads::BenchClass;
 use std::fmt;
 
@@ -32,6 +35,27 @@ impl fmt::Display for SuiteError {
 }
 
 impl std::error::Error for SuiteError {}
+
+/// A run set that lacks a configuration a report reads.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct MissingConfig {
+    /// The run without it.
+    pub benchmark: String,
+    /// The configuration's label.
+    pub label: String,
+}
+
+impl fmt::Display for MissingConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}: no {} result in the run set",
+            self.benchmark, self.label
+        )
+    }
+}
+
+impl std::error::Error for MissingConfig {}
 
 /// Runs the whole 18-benchmark suite, `options.workers` benchmarks at a
 /// time; runs come back in suite order, so the reports do not depend on
@@ -232,84 +256,127 @@ pub fn table2(runs: &[BenchmarkRun]) -> String {
     )
 }
 
+/// The paper's three profilers, in figure order.
+fn paper_configs() -> [ProfilerConfig; 3] {
+    [
+        ProfilerConfig::pp(),
+        ProfilerConfig::tpp(),
+        ProfilerConfig::ppp(),
+    ]
+}
+
+/// The average rows under every per-benchmark figure: a class, or the
+/// whole suite.
+const AVERAGES: [(&str, Option<BenchClass>); 3] = [
+    ("INT Avg", Some(BenchClass::Int)),
+    ("FP Avg", Some(BenchClass::Fp)),
+    ("Overall Avg", None),
+];
+
+/// A run with its results for a report's configurations, in order.
+type Row<'a> = (&'a BenchmarkRun, Vec<&'a ProfilerResult>);
+
+/// Each run with its results for `configs`, in order.
+///
+/// # Errors
+///
+/// [`MissingConfig`] naming the first run and configuration without a
+/// result: a missing configuration never reads as zero or drops a row.
+fn with_results<'a>(
+    runs: &'a [BenchmarkRun],
+    configs: &[ProfilerConfig],
+) -> Result<Vec<Row<'a>>, MissingConfig> {
+    runs.iter()
+        .map(|r| {
+            let results = configs
+                .iter()
+                .map(|c| {
+                    let label = c.label();
+                    r.profiler(&label).ok_or_else(|| MissingConfig {
+                        benchmark: r.name.clone(),
+                        label,
+                    })
+                })
+                .collect::<Result<_, _>>()?;
+            Ok((r, results))
+        })
+        .collect()
+}
+
+/// The rows of `rows` in `class` (every row for `None`).
+fn in_class<'r, 'a>(rows: &'r [Row<'a>], class: Option<BenchClass>) -> Vec<&'r Row<'a>> {
+    rows.iter()
+        .filter(|(r, _)| class.is_none_or(|c| r.class == c))
+        .collect()
+}
+
 fn per_profiler_figure(
     runs: &[BenchmarkRun],
     title: &str,
     note: &str,
     with_edge: bool,
-    get: impl Fn(&BenchmarkRun, &str) -> f64,
+    get: impl Fn(&ProfilerResult) -> f64,
     get_edge: impl Fn(&BenchmarkRun) -> f64,
     fmt: impl Fn(f64) -> String,
-) -> String {
+) -> Result<String, MissingConfig> {
+    let configs = paper_configs();
+    let rows = with_results(runs, &configs)?;
     let mut headers = vec!["Benchmark".to_owned()];
     if with_edge {
         headers.push("Edge".to_owned());
     }
-    headers.extend(["PP", "TPP", "PPP"].map(String::from));
+    headers.extend(configs.iter().map(ProfilerConfig::label));
     let mut t = Table::new(headers);
-    let row = |t: &mut Table, label: String, r: Option<&BenchmarkRun>, rs: Vec<&BenchmarkRun>| {
+    let row = |t: &mut Table, label: String, rs: &[&Row<'_>]| {
         let mut cells = vec![label];
-        let vals = |f: &dyn Fn(&BenchmarkRun) -> f64| -> f64 {
-            match r {
-                Some(one) => f(one),
-                None => mean(rs.iter().map(|x| f(x))),
-            }
-        };
         if with_edge {
-            cells.push(fmt(vals(&|x| get_edge(x))));
+            cells.push(fmt(mean(rs.iter().map(|(r, _)| get_edge(r)))));
         }
-        for p in ["PP", "TPP", "PPP"] {
-            cells.push(fmt(vals(&|x| get(x, p))));
+        for i in 0..configs.len() {
+            cells.push(fmt(mean(rs.iter().map(|(_, p)| get(p[i])))));
         }
         t.row(cells);
     };
-    for r in runs.iter() {
-        row(&mut t, r.name.clone(), Some(r), vec![]);
+    for one in &rows {
+        row(&mut t, one.0.name.clone(), &[one]);
     }
     t.separator();
-    row(
-        &mut t,
-        "INT Avg".to_owned(),
-        None,
-        class_rows(runs, BenchClass::Int).collect(),
-    );
-    row(
-        &mut t,
-        "FP Avg".to_owned(),
-        None,
-        class_rows(runs, BenchClass::Fp).collect(),
-    );
-    row(
-        &mut t,
-        "Overall Avg".to_owned(),
-        None,
-        runs.iter().collect(),
-    );
-    format!("{title}\n{note}\n{}", t.render())
+    for (label, class) in AVERAGES {
+        row(&mut t, label.to_owned(), &in_class(&rows, class));
+    }
+    Ok(format!("{title}\n{note}\n{}", t.render()))
 }
 
 /// Figure 9: accuracy of edge profiling, TPP, and PPP (PP shown as the
 /// measurement reference).
-pub fn fig9(runs: &[BenchmarkRun]) -> String {
+///
+/// # Errors
+///
+/// [`MissingConfig`] when a run lacks PP, TPP or PPP.
+pub fn fig9(runs: &[BenchmarkRun]) -> Result<String, MissingConfig> {
     per_profiler_figure(
         runs,
         "Figure 9: accuracy (fraction of hot path flow predicted)",
         "(paper: edge profiles average 73% and fall to 26%; PPP averages 96%, within 1% of TPP)",
         true,
-        |r, p| r.profiler(p).map_or(0.0, |x| x.accuracy),
+        |p| p.accuracy,
         |r| r.edge.accuracy,
         pct,
     )
 }
 
 /// Figure 10: coverage of edge profiling, TPP, and PPP.
-pub fn fig10(runs: &[BenchmarkRun]) -> String {
+///
+/// # Errors
+///
+/// [`MissingConfig`] when a run lacks PP, TPP or PPP.
+pub fn fig10(runs: &[BenchmarkRun]) -> Result<String, MissingConfig> {
     per_profiler_figure(
         runs,
         "Figure 10: coverage (fraction of actual path profile measured)",
         "(paper: edge profiles capture about half; TPP slightly above PPP)",
         true,
-        |r, p| r.profiler(p).map_or(0.0, |x| x.coverage),
+        |p| p.coverage,
         |r| r.edge.coverage,
         pct,
     )
@@ -317,60 +384,57 @@ pub fn fig10(runs: &[BenchmarkRun]) -> String {
 
 /// Figure 11: fraction of dynamic paths instrumented (hashed portion in
 /// parentheses, the paper's stripes).
-pub fn fig11(runs: &[BenchmarkRun]) -> String {
-    let mut t = Table::new(["Benchmark", "PP", "TPP", "PPP"]);
-    let cell = |r: &BenchmarkRun, p: &str| {
-        let pr = r.profiler(p).expect("profiler present");
-        if pr.fraction.hashed > 0.0005 {
+///
+/// # Errors
+///
+/// [`MissingConfig`] when a run lacks PP, TPP or PPP.
+pub fn fig11(runs: &[BenchmarkRun]) -> Result<String, MissingConfig> {
+    let configs = paper_configs();
+    let rows = with_results(runs, &configs)?;
+    let mut t = Table::new(
+        std::iter::once("Benchmark".to_owned())
+            .chain(configs.iter().map(ProfilerConfig::label))
+            .collect::<Vec<_>>(),
+    );
+    let cell = |p: &ProfilerResult| {
+        if p.fraction.hashed > 0.0005 {
             format!(
                 "{} ({} hashed)",
-                pct(pr.fraction.measured),
-                pct(pr.fraction.hashed)
+                pct(p.fraction.measured),
+                pct(p.fraction.hashed)
             )
         } else {
-            pct(pr.fraction.measured)
+            pct(p.fraction.measured)
         }
     };
-    for r in runs {
-        t.row([
-            r.name.clone(),
-            cell(r, "PP"),
-            cell(r, "TPP"),
-            cell(r, "PPP"),
-        ]);
+    for (r, results) in &rows {
+        t.row(std::iter::once(r.name.clone()).chain(results.iter().map(|p| cell(p))));
     }
     t.separator();
-    for (label, class) in [
-        ("INT Avg", Some(BenchClass::Int)),
-        ("FP Avg", Some(BenchClass::Fp)),
-        ("Overall Avg", None),
-    ] {
-        let rs: Vec<&BenchmarkRun> = match class {
-            Some(c) => class_rows(runs, c).collect(),
-            None => runs.iter().collect(),
-        };
-        let avg = |p: &str| {
-            pct(mean(rs.iter().map(|r| {
-                r.profiler(p).map_or(0.0, |x| x.fraction.measured)
-            })))
-        };
-        t.row([label.to_owned(), avg("PP"), avg("TPP"), avg("PPP")]);
+    for (label, class) in AVERAGES {
+        let rs = in_class(&rows, class);
+        let avg = |i: usize| pct(mean(rs.iter().map(|(_, p)| p[i].fraction.measured)));
+        t.row(std::iter::once(label.to_owned()).chain((0..configs.len()).map(avg)));
     }
-    format!(
+    Ok(format!(
         "Figure 11: fraction of dynamic paths instrumented (hashed share in parens)\n\
          (paper: TPP and PPP instrument about half of dynamic paths)\n{}",
         t.render()
-    )
+    ))
 }
 
 /// Figure 12: runtime overheads of PP, TPP, and PPP.
-pub fn fig12(runs: &[BenchmarkRun]) -> String {
+///
+/// # Errors
+///
+/// [`MissingConfig`] when a run lacks PP, TPP or PPP.
+pub fn fig12(runs: &[BenchmarkRun]) -> Result<String, MissingConfig> {
     per_profiler_figure(
         runs,
         "Figure 12: runtime overhead of path profiling",
         "(paper averages: PP 31%, TPP 12%, PPP 5%)",
         false,
-        |r, p| r.profiler(p).map_or(0.0, |x| x.overhead),
+        |p| p.overhead,
         |_| 0.0,
         pct_signed,
     )
@@ -378,36 +442,41 @@ pub fn fig12(runs: &[BenchmarkRun]) -> String {
 
 /// Figure 13: leave-one-out ablation of PPP's techniques, normalized to
 /// TPP's overhead, for benchmarks where PPP improves on TPP by more than
-/// 5% (the paper's selection rule).
-pub fn fig13(runs: &[BenchmarkRun]) -> String {
-    let labels = ["PPP", "PPP-SAC", "PPP-FP", "PPP-Push", "PPP-SPN", "PPP-LC"];
-    let mut t = Table::new(
+/// 5% (the paper's selection rule); then the one-at-a-time table.
+///
+/// # Errors
+///
+/// [`MissingConfig`] when a run lacks TPP or one of the ablation
+/// configurations [`pipeline_configs`](crate::pipeline_configs) adds.
+pub fn fig13(runs: &[BenchmarkRun]) -> Result<String, MissingConfig> {
+    let leave_one_out: Vec<ProfilerConfig> = std::iter::once(ProfilerConfig::ppp())
+        .chain(Technique::ALL.map(ProfilerConfig::ppp_without))
+        .collect();
+    let labels = |configs: &[ProfilerConfig]| {
         std::iter::once("Benchmark".to_owned())
-            .chain(labels.iter().map(|s| s.to_string()))
-            .collect::<Vec<_>>(),
-    );
+            .chain(configs.iter().map(ProfilerConfig::label))
+            .collect::<Vec<_>>()
+    };
+    let mut t = Table::new(labels(&leave_one_out));
+    let with_tpp: Vec<ProfilerConfig> = std::iter::once(ProfilerConfig::tpp())
+        .chain(leave_one_out.iter().copied())
+        .collect();
     let mut qualifying = 0;
-    for r in runs {
-        let (Some(tpp), Some(ppp)) = (r.profiler("TPP"), r.profiler("PPP")) else {
-            continue;
-        };
+    for (r, results) in with_results(runs, &with_tpp)? {
+        let (tpp, ppp) = (results[0], results[1]);
         // Selection rule: PPP improves runtime by > 5% over TPP (i.e. the
         // overhead gap exceeds 5 percentage points of runtime... the
         // paper's phrasing "more than 5% over TPP" — use overhead gap).
         if tpp.overhead - ppp.overhead <= 0.005 {
             continue;
         }
-        if r.profiler("PPP-FP").is_none() {
-            continue; // ablations were not run
-        }
         qualifying += 1;
         let mut cells = vec![r.name.clone()];
-        for l in labels {
-            let v = r.profiler(l).map_or(f64::NAN, |x| x.overhead);
+        for p in &results[1..] {
             let norm = if tpp.overhead.abs() < 1e-9 {
                 f64::NAN
             } else {
-                v / tpp.overhead
+                p.overhead / tpp.overhead
             };
             cells.push(if norm.is_nan() {
                 "-".to_owned()
@@ -418,8 +487,7 @@ pub fn fig13(runs: &[BenchmarkRun]) -> String {
         t.row(cells);
     }
     let body = if qualifying == 0 {
-        "(no benchmark met the selection rule at this scale, or ablations were disabled)\n"
-            .to_owned()
+        "(no benchmark met the selection rule at this scale)\n".to_owned()
     } else {
         t.render()
     };
@@ -427,82 +495,61 @@ pub fn fig13(runs: &[BenchmarkRun]) -> String {
     // One-at-a-time methodology (§8.3): the paper reports it only in
     // prose ("LC and SPN are beneficial, lowering TPP's overhead by 27%
     // and 16%"); we render the full table.
-    let oat_labels = [
-        "TPPbase",
-        "TPPbase+SAC",
-        "TPPbase+Push",
-        "TPPbase+SPN",
-        "TPPbase+LC",
-    ];
-    let have_oat = runs.iter().any(|r| r.profiler("TPPbase").is_some());
-    let oat = if have_oat {
-        let mut t2 = Table::new(
-            std::iter::once("Benchmark".to_owned())
-                .chain(oat_labels.iter().map(|s| s.to_string()))
-                .collect::<Vec<_>>(),
-        );
-        for r in runs {
-            let Some(base) = r.profiler("TPPbase") else {
-                continue;
-            };
-            if base.overhead.abs() < 1e-9 {
-                continue;
-            }
-            let mut cells = vec![r.name.clone()];
-            for l in oat_labels {
-                let v = r.profiler(l).map_or(f64::NAN, |x| x.overhead);
-                cells.push(if v.is_nan() {
-                    "-".to_owned()
-                } else {
-                    f2(v / base.overhead)
-                });
-            }
-            t2.row(cells);
-        }
-        let mut avg = vec!["Avg".to_owned()];
-        for l in oat_labels {
-            let vals: Vec<f64> = runs
+    let one_at_a_time: Vec<ProfilerConfig> = std::iter::once(ProfilerConfig::ppp_baseline())
+        .chain(
+            Technique::ALL
                 .iter()
-                .filter_map(|r| {
-                    let base = r.profiler("TPPbase")?;
-                    if base.overhead.abs() < 1e-9 {
-                        return None;
-                    }
-                    Some(r.profiler(l)?.overhead / base.overhead)
-                })
-                .collect();
-            avg.push(f2(mean(vals)));
-        }
-        t2.separator();
-        t2.row(avg);
-        format!(
-            "\nOne-at-a-time (§8.3): baseline + one technique, normalized to the baseline\n\
-             (paper prose: LC and SPN lower the baseline's overhead by 27% and 16%)\n{}",
-            t2.render()
+                .filter_map(|&t| ProfilerConfig::one_at_a_time(t)),
         )
-    } else {
-        String::new()
-    };
+        .collect();
+    let rows = with_results(runs, &one_at_a_time)?;
+    // Rows whose baseline has an overhead to normalize by.
+    let live: Vec<&Row<'_>> = rows
+        .iter()
+        .filter(|(_, p)| p[0].overhead.abs() >= 1e-9)
+        .collect();
+    let mut t2 = Table::new(labels(&one_at_a_time));
+    for (r, results) in &live {
+        let base = results[0].overhead;
+        t2.row(
+            std::iter::once(r.name.clone()).chain(results.iter().map(|p| f2(p.overhead / base))),
+        );
+    }
+    let mut avg = vec!["Avg".to_owned()];
+    for i in 0..one_at_a_time.len() {
+        avg.push(f2(mean(
+            live.iter().map(|(_, p)| p[i].overhead / p[0].overhead),
+        )));
+    }
+    t2.separator();
+    t2.row(avg);
 
-    format!(
+    Ok(format!(
         "Figure 13: PPP leave-one-out overhead, normalized to TPP (1.00 = TPP's overhead)\n\
          (lower is better; paper: FP and SAC matter most, Push next; removing a\n\
-         technique sometimes helps on specific benchmarks — performance anomalies)\n{body}{oat}"
-    )
+         technique sometimes helps on specific benchmarks — performance anomalies)\n{body}\n\
+         One-at-a-time (§8.3): baseline + one technique, normalized to the baseline\n\
+         (paper prose: LC and SPN lower the baseline's overhead by 27% and 16%)\n{}",
+        t2.render()
+    ))
 }
 
 /// Renders every table and figure.
-pub fn all_reports(runs: &[BenchmarkRun]) -> String {
-    [
+///
+/// # Errors
+///
+/// [`MissingConfig`] when a run lacks a configuration a figure reads.
+pub fn all_reports(runs: &[BenchmarkRun]) -> Result<String, MissingConfig> {
+    Ok([
         table1(runs),
         table2(runs),
-        fig9(runs),
-        fig10(runs),
-        fig11(runs),
-        fig12(runs),
-        fig13(runs),
+        fig9(runs)?,
+        fig10(runs)?,
+        fig11(runs)?,
+        fig12(runs)?,
+        fig13(runs)?,
     ]
-    .join("\n")
+    .join("\n"))
 }
 
 #[cfg(test)]
@@ -535,17 +582,33 @@ mod tests {
         assert!(t1.contains("INT Avg"));
         let t2 = table2(&runs);
         assert!(t2.contains("Distinct paths"));
-        let f9 = fig9(&runs);
+        let f9 = fig9(&runs).expect("every configuration ran");
         assert!(f9.contains("Edge"));
         assert!(f9.contains("Overall Avg"));
-        let f12 = fig12(&runs);
+        let f12 = fig12(&runs).expect("every configuration ran");
         assert!(f12.contains("PPP"));
-        let f11 = fig11(&runs);
+        let f11 = fig11(&runs).expect("every configuration ran");
         assert!(f11.contains("mgrid"));
-        let f13 = fig13(&runs);
+        let f13 = fig13(&runs).expect("every configuration ran");
         assert!(f13.contains("Figure 13"));
-        let all = all_reports(&runs);
+        let all = all_reports(&runs).expect("every configuration ran");
         assert!(all.len() > 1000);
+    }
+
+    #[test]
+    fn a_missing_configuration_fails_the_reports_and_is_named() {
+        let mut runs = tiny_runs();
+        runs[1].profilers.retain(|p| p.label != "PPP-SPN");
+        let missing = MissingConfig {
+            benchmark: "mgrid".into(),
+            label: "PPP-SPN".into(),
+        };
+        assert_eq!(fig13(&runs), Err(missing.clone()));
+        assert_eq!(all_reports(&runs), Err(missing));
+        assert!(fig12(&runs).is_ok(), "fig12 reads no ablation");
+        runs[0].profilers.retain(|p| p.label != "TPP");
+        let err = fig9(&runs).expect_err("mcf has no TPP");
+        assert_eq!(err.to_string(), "mcf: no TPP result in the run set");
     }
 
     #[test]
@@ -554,15 +617,18 @@ mod tests {
         assert_eq!(suite_runs(results.clone()).expect("no failure").len(), 2);
         results.insert(
             1,
-            Err(PipelineError::NotTraced {
+            Err(PipelineError::NoMain {
                 benchmark: "swim".into(),
+                error: ppp_vm::VmError::NoSuchFunction {
+                    name: "main".into(),
+                },
             }),
         );
         let err = suite_runs(results).expect_err("a failed entry fails the suite");
         assert_eq!(err.failed.len(), 1);
         assert_eq!(
             err.to_string(),
-            "1 suite entry failed: swim: traced run produced no profiles"
+            "1 suite entry failed: swim: cannot execute benchmark: no function named \"main\""
         );
     }
 }

@@ -55,3 +55,13 @@ fn a_second_subcommand_is_a_usage_error() {
         assert!(stderr.contains("one subcommand at a time"), "{args:?}");
     }
 }
+
+#[test]
+fn figure_13_without_its_ablations_is_a_usage_error() {
+    for report in ["fig13", "all"] {
+        let out = repro(&["--no-ablations", report]);
+        assert_eq!(out.status.code(), Some(2), "{report}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("drop --no-ablations"), "{report}: {stderr}");
+    }
+}

@@ -4,14 +4,13 @@
 //! profile must still pass the `ppp-lint` flow-conservation checks
 //! (PPP308) on its surviving functions.
 
-use ppp_faults::{FaultPlan, FaultSite};
 use ppp_ir::{
     read_edge_profile_stale, salvage_edge_profile, write_edge_profile_v2, EdgeRef, FuncId,
     ModuleEdgeProfile,
 };
 use ppp_repro::{
-    chaos_prepared, ingest_guidance, prepare_benchmark, run_prepared, ChaosVerdict, LadderRung,
-    PipelineOptions, PreparedBenchmark,
+    chaos_prepared, ingest_guidance, prepare_benchmark, run_prepared, ChaosVerdict, FaultPlan,
+    FaultSite, LadderRung, PipelineOptions, PreparedBenchmark,
 };
 use ppp_workloads::spec2000_suite;
 

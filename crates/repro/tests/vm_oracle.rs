@@ -6,9 +6,11 @@
 //! up on every step, and table kinds resolved per profiling op. It drives
 //! the same public [`Tracer`], [`ProfileStore`], [`CostModel`] and
 //! [`SplitMix64`] as the real VM, so every [`RunResult`] field must come
-//! out byte-identical: checksum, costs, steps, calls, counter tables,
-//! edge and path profiles, deltas, path sequence, dropped-event counts
-//! and the halt reason at the exact step.
+//! out byte-identical: checksum, costs, steps, calls, counter tables and
+//! the halt reason at the exact step. Traced runs hand each side a
+//! [`Tracer`] armed alike (path sequence, dropped events, deltas), and
+//! everything the two tracers saw must match too: edge and path
+//! profiles, deltas, path sequence and dropped-event counts.
 //!
 //! Because both sides share the `Tracer`, the oracle alone cannot catch a
 //! bug in the tracer's path trie. `NaiveRecorder` covers that: it builds
@@ -49,7 +51,8 @@ const SEEDS: [u64; 2] = [701, 702];
 
 // ---------------------------------------------------------------------
 // The reference interpreter (the pre-rewrite loop, kept as it was; the
-// only additions are the `naive` observer calls beside the tracer's).
+// only changes are that the caller hands it the tracer, and the `naive`
+// observer calls beside the tracer's).
 // ---------------------------------------------------------------------
 
 mod reference {
@@ -65,15 +68,17 @@ mod reference {
         cursor: Option<PathCursor>,
     }
 
-    /// Runs `module` from `main` exactly as the pre-rewrite VM did; with
-    /// `naive`, also feeds every trace event to a [`NaiveRecorder`].
+    /// Runs `module` from `main` exactly as the pre-rewrite VM did,
+    /// feeding every trace event to `tracer` and `naive` when given; the
+    /// result carries no profiles.
     pub fn run_reference(
         module: &Module,
         options: &RunOptions,
+        tracer: Option<&mut Tracer>,
         naive: Option<&mut NaiveRecorder>,
     ) -> RunResult {
         let entry = module.function_by_name("main").expect("main exists");
-        Interp::new(module, options, naive).run(entry)
+        Interp::new(module, options, tracer, naive).run(entry)
     }
 
     struct Interp<'m, 'n> {
@@ -88,7 +93,7 @@ mod reference {
         prof_steps: u64,
         calls: u64,
         store: ProfileStore,
-        tracer: Option<Tracer>,
+        tracer: Option<&'n mut Tracer>,
         naive: Option<&'n mut NaiveRecorder>,
         stack: Vec<Frame>,
     }
@@ -97,6 +102,7 @@ mod reference {
         fn new(
             module: &'m Module,
             opts: &'m RunOptions,
+            tracer: Option<&'n mut Tracer>,
             naive: Option<&'n mut NaiveRecorder>,
         ) -> Self {
             Self {
@@ -111,19 +117,7 @@ mod reference {
                 prof_steps: 0,
                 calls: 0,
                 store: ProfileStore::for_module(module),
-                tracer: opts.trace.then(|| {
-                    let mut t = Tracer::new(module);
-                    if opts.trace_sequence {
-                        t.record_sequence();
-                    }
-                    if let Some(f) = opts.trace_faults {
-                        t.inject_faults(f);
-                    }
-                    if opts.delta_interval > 0 {
-                        t.enable_deltas(module, opts.delta_interval);
-                    }
-                    t
-                }),
+                tracer,
                 naive,
                 stack: Vec::new(),
             }
@@ -156,15 +150,6 @@ mod reference {
         fn run(mut self, entry: FuncId) -> RunResult {
             self.push_frame(entry, &[], None);
             let halt = self.exec_loop();
-            let (edge_profile, path_profile, path_sequence, trace_events_dropped, deltas) =
-                match self.tracer {
-                    Some(t) => {
-                        let dropped = t.dropped_events();
-                        let (e, p, s, d) = t.finish_full(self.module);
-                        (Some(e), Some(p), s, dropped, d)
-                    }
-                    None => (None, None, Vec::new(), (0, 0), Vec::new()),
-                };
             RunResult {
                 halt,
                 checksum: self.checksum,
@@ -174,11 +159,9 @@ mod reference {
                 prof_steps: self.prof_steps,
                 calls: self.calls,
                 store: self.store,
-                edge_profile,
-                path_profile,
-                path_sequence,
-                trace_events_dropped,
-                deltas,
+                edge_profile: None,
+                path_profile: None,
+                deltas: Vec::new(),
             }
         }
 
@@ -464,14 +447,6 @@ fn assert_same(m: &Module, what: &str, got: &RunResult, want: &RunResult) {
         path_bytes(m, &want.path_profile),
         "{what}: path profile"
     );
-    assert_eq!(
-        got.path_sequence, want.path_sequence,
-        "{what}: path sequence"
-    );
-    assert_eq!(
-        got.trace_events_dropped, want.trace_events_dropped,
-        "{what}: dropped events"
-    );
     assert_eq!(got.deltas.len(), want.deltas.len(), "{what}: delta count");
     for (i, (g, w)) in got.deltas.iter().zip(&want.deltas).enumerate() {
         assert_eq!(
@@ -487,11 +462,80 @@ fn assert_same(m: &Module, what: &str, got: &RunResult, want: &RunResult) {
     }
 }
 
-/// Runs `m` on the VM and on the reference under `opts` and compares.
+/// What a caller-owned [`Tracer`] is armed with.
+#[derive(Clone, Copy, Default)]
+struct Arming {
+    sequence: bool,
+    faults: Option<TraceFaults>,
+    delta_interval: u64,
+}
+
+impl Arming {
+    fn tracer(&self, m: &Module) -> Tracer {
+        let mut t = Tracer::new(m);
+        if self.sequence {
+            t.record_sequence();
+        }
+        if let Some(f) = self.faults {
+            t.inject_faults(f);
+        }
+        t.enable_deltas(m, self.delta_interval);
+        t
+    }
+}
+
+/// A traced run: its result, holding the tracer's profiles and deltas,
+/// and the rest of what the tracer saw.
+struct Traced {
+    run: RunResult,
+    sequence: Vec<(FuncId, PathKey)>,
+    dropped: (u64, u64),
+}
+
+/// Moves everything `t` saw during `run` into a [`Traced`].
+fn traced(m: &Module, mut run: RunResult, mut t: Tracer) -> Traced {
+    let sequence = t.take_sequence();
+    let dropped = t.dropped_events();
+    run.deltas = t.take_deltas(m);
+    let (edges, paths) = t.finish(m);
+    run.edge_profile = Some(edges);
+    run.path_profile = Some(paths);
+    Traced {
+        run,
+        sequence,
+        dropped,
+    }
+}
+
+/// Runs `m` with [`run`] and on the reference under `opts` and compares;
+/// a traced `opts` gives the reference the tracer `run` arms.
 fn check(m: &Module, what: &str, opts: &RunOptions) -> RunResult {
     let got = run(m, "main", opts).expect("main exists");
-    let want = run_reference(m, opts, None);
+    let want = if opts.trace {
+        let arming = Arming {
+            delta_interval: opts.delta_interval,
+            ..Arming::default()
+        };
+        let mut t = arming.tracer(m);
+        traced(m, run_reference(m, opts, Some(&mut t), None), t).run
+    } else {
+        run_reference(m, opts, None, None)
+    };
     assert_same(m, what, &got, &want);
+    got
+}
+
+/// Runs `m` with [`run_with`] and on the reference under `opts`, each
+/// observed by its own tracer armed as `arming` says, and compares.
+fn check_traced(m: &Module, what: &str, opts: &RunOptions, arming: Arming) -> Traced {
+    let mut t = arming.tracer(m);
+    let got = run_with(m, "main", opts, &mut t).expect("main exists");
+    let got = traced(m, got, t);
+    let mut t = arming.tracer(m);
+    let want = traced(m, run_reference(m, opts, Some(&mut t), None), t);
+    assert_same(m, what, &got.run, &want.run);
+    assert_eq!(got.sequence, want.sequence, "{what}: path sequence");
+    assert_eq!(got.dropped, want.dropped, "{what}: dropped events");
     got
 }
 
@@ -533,34 +577,69 @@ fn vm_matches_reference_on_suite() {
                     assert!(r.prof_steps > 0, "{what}: instrumentation ran");
                 }
             }
+            // `run`'s own tracer cuts deltas too.
+            let what = format!("{name}/{seed} run deltas");
+            check(&m, &what, &base.traced().with_delta_interval(97));
+            let halfway = RunOptions {
+                max_steps: traced.steps / 2 + seed % 7,
+                ..base
+            };
             let variants = [
-                ("deltas", base.traced().with_delta_interval(97)),
-                ("faults", base.traced().with_trace_faults(faults)),
-                ("sequence", base.traced_with_sequence()),
+                (
+                    "deltas",
+                    base,
+                    Arming {
+                        delta_interval: 97,
+                        ..Arming::default()
+                    },
+                ),
+                (
+                    "faults",
+                    base,
+                    Arming {
+                        faults: Some(faults),
+                        ..Arming::default()
+                    },
+                ),
+                (
+                    "sequence",
+                    base,
+                    Arming {
+                        sequence: true,
+                        ..Arming::default()
+                    },
+                ),
                 (
                     "all",
-                    base.traced_with_sequence()
-                        .with_delta_interval(13)
-                        .with_trace_faults(faults),
+                    base,
+                    Arming {
+                        sequence: true,
+                        faults: Some(faults),
+                        delta_interval: 13,
+                    },
                 ),
                 (
                     "halfway",
-                    RunOptions {
-                        max_steps: traced.steps / 2 + seed % 7,
-                        ..base.traced_with_sequence().with_delta_interval(31)
+                    halfway,
+                    Arming {
+                        sequence: true,
+                        delta_interval: 31,
+                        ..Arming::default()
                     },
                 ),
             ];
-            for (label, opts) in variants {
-                check(&m, &format!("{name}/{seed} {label}"), &opts);
+            for (label, opts, arming) in variants {
+                check_traced(&m, &format!("{name}/{seed} {label}"), &opts, arming);
             }
             // PPP's counters and the tracer in one run.
             let ppp = instrument_module(&m, Some(edges), &ProfilerConfig::ppp());
-            check(
-                &ppp.module,
-                &format!("{name}/{seed} PPP traced"),
-                &base.traced_with_sequence().with_delta_interval(211),
-            );
+            let arming = Arming {
+                sequence: true,
+                delta_interval: 211,
+                ..Arming::default()
+            };
+            let what = format!("{name}/{seed} PPP traced");
+            check_traced(&ppp.module, &what, &base, arming);
         }
     }
 }
@@ -572,7 +651,8 @@ fn trie_paths_match_naive_recorder_on_suite() {
             let opts = RunOptions::default().with_seed(seed).traced();
             let got = run(&m, "main", &opts).expect("main exists");
             let mut naive = NaiveRecorder::new(&m);
-            run_reference(&m, &opts, Some(&mut naive));
+            let mut tracer = Tracer::new(&m);
+            run_reference(&m, &opts, Some(&mut tracer), Some(&mut naive));
             assert!(naive.open.is_empty(), "{name}/{seed}: run finished");
             let paths = got.path_profile.expect("traced");
             assert!(paths.total_unit_flow() > 0, "{name}/{seed}: paths ran");
@@ -717,11 +797,13 @@ fn plain_calls_module(depth: i64) -> Module {
 #[test]
 fn calls_match_reference_under_every_step_budget() {
     let m = calls_module(3);
-    let opts = RunOptions::default()
-        .with_seed(2)
-        .traced_with_sequence()
-        .with_delta_interval(5);
-    let full = check(&m, "calls full", &opts);
+    let opts = RunOptions::default().with_seed(2);
+    let arming = Arming {
+        sequence: true,
+        delta_interval: 5,
+        ..Arming::default()
+    };
+    let full = check_traced(&m, "calls full", &opts, arming).run;
     assert_eq!(full.halt, HaltReason::Finished);
     assert!(full.calls > 8 && full.prof_steps > 0);
     // Every arm of leaf's switch ran, the default included.
@@ -736,7 +818,8 @@ fn calls_match_reference_under_every_step_budget() {
     }
     for max_steps in 0..=full.steps {
         let limited = RunOptions { max_steps, ..opts };
-        let r = check(&m, &format!("calls max_steps={max_steps}"), &limited);
+        let what = format!("calls max_steps={max_steps}");
+        let r = check_traced(&m, &what, &limited, arming).run;
         let want = if max_steps < full.steps {
             HaltReason::StepLimit
         } else {
@@ -744,11 +827,11 @@ fn calls_match_reference_under_every_step_budget() {
         };
         assert_eq!(r.halt, want, "max_steps={max_steps}");
         // Untraced, too: the counters alone.
-        let plain = RunOptions {
-            max_steps,
-            ..RunOptions::default().with_seed(2)
-        };
-        check(&m, &format!("calls untraced max_steps={max_steps}"), &plain);
+        check(
+            &m,
+            &format!("calls untraced max_steps={max_steps}"),
+            &limited,
+        );
     }
 }
 
@@ -758,9 +841,19 @@ fn call_depth_limit_matches_reference() {
     for max_call_depth in 0..=9 {
         let opts = RunOptions {
             max_call_depth,
-            ..RunOptions::default().with_seed(4).traced_with_sequence()
+            ..RunOptions::default().with_seed(4)
         };
-        let r = check(&m, &format!("max_call_depth={max_call_depth}"), &opts);
+        let sequence = Arming {
+            sequence: true,
+            ..Arming::default()
+        };
+        let r = check_traced(
+            &m,
+            &format!("max_call_depth={max_call_depth}"),
+            &opts,
+            sequence,
+        )
+        .run;
         // main + rec(6) .. rec(0) is 8 frames deep.
         let want = if max_call_depth < 8 {
             HaltReason::CallDepthLimit

@@ -65,7 +65,7 @@ mod trace;
 
 pub use cost::CostModel;
 pub use host::{Checkout, VmHost};
-pub use machine::{run, run_func, run_with, HaltReason, RunOptions, RunResult, VmError};
+pub use machine::{run, run_with, HaltReason, RunOptions, RunResult, VmError};
 pub use rng::SplitMix64;
 pub use sink::{EdgeCounter, OpSite, PlanConsumers, Sink};
 pub use storage::{CounterTable, ProfileStore};

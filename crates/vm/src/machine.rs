@@ -10,7 +10,7 @@ use crate::cost::CostModel;
 use crate::rng::SplitMix64;
 use crate::sink::{exec_prof, Sink};
 use crate::storage::ProfileStore;
-use crate::trace::{TraceFaults, Tracer};
+use crate::trace::Tracer;
 use ppp_ir::{
     Block, BlockId, EdgeRef, FuncId, Function, Inst, Module, ModuleEdgeProfile, ModulePathProfile,
     Reg, Terminator,
@@ -63,23 +63,19 @@ pub struct RunOptions {
     pub max_steps: u64,
     /// Global memory size in 64-bit words; addresses wrap.
     pub mem_words: usize,
-    /// Collect edge and exact path profiles.
+    /// Have [`run`] trace the run with a [`Tracer`] of its own and return
+    /// its edge and exact path profiles. [`run_with`] ignores it: there
+    /// the caller's sink observes the run.
     pub trace: bool,
-    /// Additionally record the *ordered* stream of completed paths
-    /// (implies nothing unless `trace` is set; memory: one entry per
-    /// dynamic path). Consumed by online predictors such as NET.
-    pub trace_sequence: bool,
     /// Cost model.
     pub cost: CostModel,
     /// Maximum call-stack depth.
     pub max_call_depth: usize,
-    /// Deterministic trace-event dropping (fault injection; only
-    /// meaningful when `trace` is set).
-    pub trace_faults: Option<TraceFaults>,
-    /// Cut an incremental [`ProfileDelta`](crate::trace::ProfileDelta) every this many trace events
-    /// (0 = keep the whole profile until exit; only meaningful when
-    /// `trace` is set). Merging a run's deltas reproduces its cumulative
-    /// profiles exactly.
+    /// Have [`run`]'s tracer cut an incremental
+    /// [`ProfileDelta`](crate::trace::ProfileDelta) every this many trace
+    /// events (0 = keep the whole profile until exit; only meaningful
+    /// when `trace` is set). Merging a run's deltas reproduces its
+    /// cumulative profiles exactly.
     pub delta_interval: u64,
 }
 
@@ -90,10 +86,8 @@ impl Default for RunOptions {
             max_steps: 200_000_000,
             mem_words: 1 << 16,
             trace: false,
-            trace_sequence: false,
             cost: CostModel::default(),
             max_call_depth: 512,
-            trace_faults: None,
             delta_interval: 0,
         }
     }
@@ -106,23 +100,9 @@ impl RunOptions {
         self
     }
 
-    /// Returns options with tracing and path-sequence recording enabled.
-    pub fn traced_with_sequence(mut self) -> Self {
-        self.trace = true;
-        self.trace_sequence = true;
-        self
-    }
-
     /// Returns options with the given seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Returns options that drop trace events per `faults` (implies
-    /// nothing unless tracing is also enabled).
-    pub fn with_trace_faults(mut self, faults: TraceFaults) -> Self {
-        self.trace_faults = Some(faults);
         self
     }
 
@@ -155,18 +135,13 @@ pub struct RunResult {
     pub calls: u64,
     /// Runtime path-counter tables (instrumented runs).
     pub store: ProfileStore,
-    /// Exact edge profile (when tracing).
+    /// Exact edge profile ([`run`] with [`RunOptions::trace`] only).
     pub edge_profile: Option<ModuleEdgeProfile>,
-    /// Exact path profile (when tracing).
+    /// Exact path profile ([`run`] with [`RunOptions::trace`] only).
     pub path_profile: Option<ModulePathProfile>,
-    /// Ordered stream of completed paths (when `trace_sequence` was set).
-    pub path_sequence: Vec<(FuncId, ppp_ir::PathKey)>,
-    /// `(edge events, path completions)` dropped by injected trace faults
-    /// (always `(0, 0)` without [`RunOptions::trace_faults`]).
-    pub trace_events_dropped: (u64, u64),
-    /// Incremental profile deltas cut during the run (empty without
-    /// [`RunOptions::delta_interval`]); merging them reproduces
-    /// `edge_profile`/`path_profile` exactly.
+    /// Incremental profile deltas cut during the run ([`run`] with
+    /// [`RunOptions::trace`] and [`RunOptions::delta_interval`] only);
+    /// merging them reproduces `edge_profile`/`path_profile` exactly.
     pub deltas: Vec<crate::trace::ProfileDelta>,
 }
 
@@ -200,9 +175,6 @@ impl RunResult {
         reg.inc_by("ppp_vm_cost_units_total", labels, self.cost);
         reg.inc_by("ppp_vm_prof_cost_units_total", labels, self.prof_cost);
         reg.inc_by("ppp_vm_calls_total", labels, self.calls);
-        let (edges, paths) = self.trace_events_dropped;
-        reg.inc_by("ppp_vm_trace_edge_events_dropped_total", labels, edges);
-        reg.inc_by("ppp_vm_trace_path_events_dropped_total", labels, paths);
         reg.inc_by("ppp_vm_paths_lost_total", labels, self.store.total_lost());
         reg.inc_by("ppp_vm_paths_cold_total", labels, self.store.total_cold());
         reg.inc_by(
@@ -241,7 +213,11 @@ struct Frame<'m, C> {
     cursor: C,
 }
 
-/// Runs `module` starting at its function named `entry`.
+/// Runs `module` from its function named `entry` with no observer or,
+/// when [`RunOptions::trace`] is set, traced by a [`Tracer`] of its own
+/// whose edge and path profiles (and, with
+/// [`RunOptions::delta_interval`], deltas) come back in the result. To
+/// observe a run any other way, pass a sink to [`run_with`].
 ///
 /// # Errors
 ///
@@ -265,43 +241,23 @@ struct Frame<'m, C> {
 /// # Ok::<(), ppp_vm::VmError>(())
 /// ```
 pub fn run(module: &Module, entry: &str, options: &RunOptions) -> Result<RunResult, VmError> {
-    let entry_id = module
-        .function_by_name(entry)
-        .ok_or_else(|| VmError::NoSuchFunction {
-            name: entry.to_owned(),
-        })?;
-    Ok(run_func(module, entry_id, options))
-}
-
-/// Runs `module` starting at `entry` (which receives zeroed arguments).
-pub fn run_func(module: &Module, entry: FuncId, options: &RunOptions) -> RunResult {
     if !options.trace {
-        return Interp::new(module, options, &mut ()).run(entry);
+        return run_with(module, entry, options, &mut ());
     }
     let mut tracer = Tracer::new(module);
-    if options.trace_sequence {
-        tracer.record_sequence();
-    }
-    if let Some(f) = options.trace_faults {
-        tracer.inject_faults(f);
-    }
-    if options.delta_interval > 0 {
-        tracer.enable_deltas(module, options.delta_interval);
-    }
-    let mut r = Interp::new(module, options, &mut tracer).run(entry);
-    r.trace_events_dropped = tracer.dropped_events();
-    let (edges, paths, sequence, deltas) = tracer.finish_full(module);
+    tracer.enable_deltas(module, options.delta_interval);
+    let mut r = run_with(module, entry, options, &mut tracer)?;
+    r.deltas = tracer.take_deltas(module);
+    let (edges, paths) = tracer.finish(module);
     r.edge_profile = Some(edges);
     r.path_profile = Some(paths);
-    r.path_sequence = sequence;
-    r.deltas = deltas;
-    r
+    Ok(r)
 }
 
-/// Runs `module` from its function named `entry`, reporting every
-/// function entry, taken edge and return to `sink`. The options' tracing
-/// fields are ignored (the sink is the run's observer), so the result
-/// carries no profiles.
+/// Runs `module` from its function named `entry` (which receives zeroed
+/// arguments), reporting every function entry, taken edge and return to
+/// `sink`. The sink is the run's observer: the options' tracing fields
+/// are ignored, so the result carries no profiles.
 ///
 /// # Errors
 ///
@@ -399,8 +355,6 @@ impl<'m, 's, S: Sink + ?Sized> Interp<'m, 's, S> {
             store: self.store,
             edge_profile: None,
             path_profile: None,
-            path_sequence: Vec::new(),
-            trace_events_dropped: (0, 0),
             deltas: Vec::new(),
         }
     }

@@ -71,8 +71,9 @@ impl Sink for Tracer {
     }
 }
 
-/// Counts function entries, blocks and edges: the [`Tracer`]'s edge
-/// profile without its path trie, for callers that need edges only.
+/// Counts function entries, blocks and edges. The [`Tracer`] counts its
+/// cumulative and delta edge profiles with it; on its own it is the
+/// tracer without a path trie, for callers that need edges only.
 #[derive(Clone, Debug)]
 pub struct EdgeCounter {
     edges: ModuleEdgeProfile,
@@ -90,6 +91,16 @@ impl EdgeCounter {
     /// fault-free [`Tracer`] records over the same run.
     pub fn finish(self) -> ModuleEdgeProfile {
         self.edges
+    }
+
+    /// The edge profile counted since the last take; counting restarts
+    /// from zero.
+    pub(crate) fn take(&mut self) -> ModuleEdgeProfile {
+        let edges = self.edges.clone();
+        for f in &mut self.edges.funcs {
+            f.zero();
+        }
+        edges
     }
 }
 
@@ -357,8 +368,6 @@ impl PlanConsumers {
                 store,
                 edge_profile: None,
                 path_profile: None,
-                path_sequence: Vec::new(),
-                trace_events_dropped: (0, 0),
                 deltas: Vec::new(),
             })
             .collect()

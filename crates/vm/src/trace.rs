@@ -11,6 +11,7 @@
 //! instrumentation it has no hash-table losses and no truncation, so
 //! accuracy/coverage are measured against exact data (§6).
 
+use crate::sink::{EdgeCounter, Sink};
 use ppp_ir::{
     BlockId, Cfg, EdgeRef, FuncId, Function, Module, ModuleEdgeProfile, ModulePathProfile, PathKey,
 };
@@ -119,6 +120,7 @@ impl PathTrie {
         id
     }
 
+    #[inline]
     fn root(&mut self, start: BlockId) -> u32 {
         let s = self.roots[start.index()];
         if s != NONE {
@@ -150,6 +152,7 @@ impl PathTrie {
         id
     }
 
+    #[inline]
     fn end_path(&mut self, state: u32) {
         let c = &mut self.nodes[state as usize].count;
         *c = c.saturating_add(1);
@@ -207,7 +210,7 @@ pub struct ProfileDelta {
 ///
 /// Path completions are staged as `(trie state, count)` — states are
 /// only resolvable to [`PathKey`]s against the trie, so raw cuts are
-/// held until [`Tracer::finish`] sees the module.
+/// held until [`Tracer::take_deltas`] sees the module.
 #[derive(Clone, Debug)]
 struct DeltaState {
     /// Trace events (entries + edges + completions) per cut.
@@ -215,7 +218,7 @@ struct DeltaState {
     /// Events recorded since the last cut.
     tick: u64,
     /// Edge flow since the last cut.
-    edges: ModuleEdgeProfile,
+    edges: EdgeCounter,
     /// Per-function completed-path counts since the last cut, keyed by
     /// trie state.
     paths: Vec<HashMap<u32, u64>>,
@@ -228,7 +231,7 @@ impl DeltaState {
         Self {
             interval,
             tick: 0,
-            edges: ModuleEdgeProfile::zeroed(module),
+            edges: EdgeCounter::new(module),
             paths: vec![HashMap::new(); module.functions.len()],
             cuts: Vec::new(),
         }
@@ -240,10 +243,7 @@ impl DeltaState {
     }
 
     fn cut(&mut self) {
-        let edges = self.edges.clone();
-        for f in &mut self.edges.funcs {
-            f.zero();
-        }
+        let edges = self.edges.take();
         let n = self.paths.len();
         let paths = std::mem::replace(&mut self.paths, vec![HashMap::new(); n]);
         self.cuts.push((edges, paths));
@@ -251,6 +251,7 @@ impl DeltaState {
     }
 
     /// Counts one recorded event; cuts when the interval fills.
+    #[inline]
     fn tick(&mut self) {
         self.tick += 1;
         if self.tick >= self.interval {
@@ -284,7 +285,7 @@ pub struct TraceFaults {
 /// Collects edge and path profiles during a run.
 #[derive(Clone, Debug)]
 pub struct Tracer {
-    edges: ModuleEdgeProfile,
+    edges: EdgeCounter,
     classifiers: Vec<EdgeClassifier>,
     tries: Vec<PathTrie>,
     /// When enabled, the ordered stream of completed paths as
@@ -309,7 +310,7 @@ impl Tracer {
     /// Creates a tracer shaped for `module`.
     pub fn new(module: &Module) -> Self {
         Self {
-            edges: ModuleEdgeProfile::zeroed(module),
+            edges: EdgeCounter::new(module),
             classifiers: module.functions.iter().map(EdgeClassifier::new).collect(),
             tries: module.functions.iter().map(PathTrie::new).collect(),
             sequence: None,
@@ -330,8 +331,8 @@ impl Tracer {
 
     /// Arms incremental delta export: every `interval` recorded trace
     /// events (entries, edges, path completions) the accumulated flow is
-    /// cut into a [`ProfileDelta`], retrievable from
-    /// [`Tracer::finish_full`]. Fault-dropped events never reach a delta,
+    /// cut into a [`ProfileDelta`], retrievable with
+    /// [`Tracer::take_deltas`]. Fault-dropped events never reach a delta,
     /// so merged deltas always equal the cumulative profiles — damaged
     /// or not.
     pub fn enable_deltas(&mut self, module: &Module, interval: u64) {
@@ -359,6 +360,7 @@ impl Tracer {
     }
 
     /// Decides whether the next edge-profile update is dropped.
+    #[inline]
     fn drop_edge_event(&mut self) -> bool {
         let Some(f) = self.faults else { return false };
         if f.drop_edge_every == 0 {
@@ -375,6 +377,7 @@ impl Tracer {
     }
 
     /// Decides whether the next path completion is dropped.
+    #[inline]
     fn drop_path_event(&mut self) -> bool {
         let Some(f) = self.faults else { return false };
         if f.drop_path_every == 0 {
@@ -390,15 +393,16 @@ impl Tracer {
         }
     }
 
+    // The per-event methods are `#[inline]`: a caller that passes its
+    // tracer to `run_with` instantiates the interpreter loop in its own
+    // crate, and must still inline them there.
+
     /// Called when `func` is entered; returns the cursor for its first path.
+    #[inline]
     pub fn enter_function(&mut self, func: FuncId, entry: BlockId) -> PathCursor {
-        let p = self.edges.func_mut(func);
-        p.bump_entry();
-        p.bump_block(entry);
+        self.edges.enter(func, entry);
         if let Some(d) = &mut self.delta {
-            let p = d.edges.func_mut(func);
-            p.bump_entry();
-            p.bump_block(entry);
+            d.edges.enter(func, entry);
             d.tick();
         }
         PathCursor {
@@ -410,6 +414,7 @@ impl Tracer {
     /// edge leads to. Updates the edge profile and advances (or ends and
     /// restarts) the current path. `e` must leave the block `cursor`'s
     /// path currently ends at.
+    #[inline]
     pub fn take_edge(
         &mut self,
         func: FuncId,
@@ -420,13 +425,9 @@ impl Tracer {
         // A dropped edge event loses the *counts* only; the path cursor
         // still advances so the trie never sees a malformed edge chain.
         if !self.drop_edge_event() {
-            let prof = self.edges.func_mut(func);
-            prof.bump_edge(e);
-            prof.bump_block(target);
+            self.edges.edge(func, &mut (), e, target);
             if let Some(d) = &mut self.delta {
-                let prof = d.edges.func_mut(func);
-                prof.bump_edge(e);
-                prof.bump_block(target);
+                d.edges.edge(func, &mut (), e, target);
                 d.tick();
             }
         }
@@ -456,6 +457,7 @@ impl Tracer {
     }
 
     /// Called when the current activation of `func` returns.
+    #[inline]
     pub fn exit_function(&mut self, func: FuncId, cursor: PathCursor) {
         if self.drop_path_event() {
             return;
@@ -468,6 +470,7 @@ impl Tracer {
     }
 
     /// Stages one path completion into the current delta cut.
+    #[inline]
     fn delta_path(&mut self, func: FuncId, state: u32) {
         if let Some(d) = &mut self.delta {
             let c = d.paths[func.index()].entry(state).or_insert(0);
@@ -476,79 +479,66 @@ impl Tracer {
         }
     }
 
+    /// Takes the ordered path completions recorded so far (empty unless
+    /// [`Tracer::record_sequence`] was called).
+    pub fn take_sequence(&mut self) -> Vec<(FuncId, PathKey)> {
+        let Some(seq) = &mut self.sequence else {
+            return Vec::new();
+        };
+        let mut key = resolver(&self.tries);
+        std::mem::take(seq)
+            .into_iter()
+            .map(|(func, state)| (func, key(func.index(), state)))
+            .collect()
+    }
+
+    /// Takes the deltas cut so far, the partial one included (empty
+    /// unless [`Tracer::enable_deltas`] was called). Merging every delta
+    /// a tracer gives up reproduces its cumulative profiles exactly.
+    pub fn take_deltas(&mut self, module: &Module) -> Vec<ProfileDelta> {
+        let Some(d) = &mut self.delta else {
+            return Vec::new();
+        };
+        if d.dirty() {
+            d.cut();
+        }
+        let mut key = resolver(&self.tries);
+        std::mem::take(&mut d.cuts)
+            .into_iter()
+            .map(|(edges, raw_paths)| {
+                let mut paths = ModulePathProfile::with_capacity(module.functions.len());
+                for (fi, states) in raw_paths.into_iter().enumerate() {
+                    let f = module.function(FuncId::new(fi));
+                    for (state, count) in states {
+                        paths.funcs[fi].record(f, key(fi, state), count);
+                    }
+                }
+                ProfileDelta { edges, paths }
+            })
+            .collect()
+    }
+
     /// Finishes tracing, producing the edge profile and the exact path
     /// profile.
     pub fn finish(self, module: &Module) -> (ModuleEdgeProfile, ModulePathProfile) {
-        let (edges, paths, _) = self.finish_with_sequence(module);
-        (edges, paths)
-    }
-
-    /// Like [`Tracer::finish`], also resolving the recorded path stream
-    /// (empty unless [`Tracer::record_sequence`] was called).
-    pub fn finish_with_sequence(
-        self,
-        module: &Module,
-    ) -> (ModuleEdgeProfile, ModulePathProfile, Vec<(FuncId, PathKey)>) {
-        let (edges, paths, seq, _) = self.finish_full(module);
-        (edges, paths, seq)
-    }
-
-    /// Finishes tracing, returning everything the tracer accumulated:
-    /// cumulative profiles, the resolved path stream (empty unless
-    /// [`Tracer::record_sequence`] was called), and the delta stream
-    /// (empty unless [`Tracer::enable_deltas`] was called). Merging all
-    /// deltas reproduces the cumulative profiles exactly.
-    #[allow(clippy::type_complexity)]
-    pub fn finish_full(
-        mut self,
-        module: &Module,
-    ) -> (
-        ModuleEdgeProfile,
-        ModulePathProfile,
-        Vec<(FuncId, PathKey)>,
-        Vec<ProfileDelta>,
-    ) {
-        // Flush the tail of the delta stream before reconstructing.
-        if let Some(d) = &mut self.delta {
-            if d.dirty() {
-                d.cut();
-            }
-        }
         let mut paths = ModulePathProfile::with_capacity(module.functions.len());
         for (i, trie) in self.tries.iter().enumerate() {
             let func = FuncId::new(i);
             trie.reconstruct(module.function(func), paths.func_mut(func));
         }
-        // Cache state -> key resolution per function; shared by the
-        // sequence and the delta cuts.
-        let mut cache: Vec<HashMap<u32, PathKey>> = vec![HashMap::new(); self.tries.len()];
-        let mut resolve = |tries: &[PathTrie], fi: usize, state: u32| -> PathKey {
-            cache[fi]
-                .entry(state)
-                .or_insert_with(|| tries[fi].key_of(state))
-                .clone()
-        };
-        let mut resolved = Vec::new();
-        if let Some(seq) = self.sequence.take() {
-            for (func, state) in seq {
-                resolved.push((func, resolve(&self.tries, func.index(), state)));
-            }
-        }
-        let mut deltas = Vec::new();
-        if let Some(d) = self.delta.take() {
-            for (edges, raw_paths) in d.cuts {
-                let mut dp = ModulePathProfile::with_capacity(module.functions.len());
-                for (fi, states) in raw_paths.into_iter().enumerate() {
-                    let f = module.function(FuncId::new(fi));
-                    for (state, count) in states {
-                        let key = resolve(&self.tries, fi, state);
-                        dp.funcs[fi].record(f, key, count);
-                    }
-                }
-                deltas.push(ProfileDelta { edges, paths: dp });
-            }
-        }
-        (self.edges, paths, resolved, deltas)
+        (self.edges.finish(), paths)
+    }
+}
+
+/// Resolves `(function index, trie state)` pairs to path keys, walking
+/// each state's trie branch once.
+fn resolver(tries: &[PathTrie]) -> impl FnMut(usize, u32) -> PathKey + '_ {
+    let mut cache: Vec<HashMap<u32, PathKey>> = vec![HashMap::new(); tries.len()];
+    move |fi, state| {
+        cache[fi]
+            .entry(state)
+            .or_insert_with(|| tries[fi].key_of(state))
+            .clone()
     }
 }
 
@@ -690,7 +680,8 @@ mod tests {
             t.enable_deltas(&m, interval);
             run_looped_iters(&mut t, 10);
             run_looped_iters(&mut t, 2);
-            let (edges, paths, _, deltas) = t.finish_full(&m);
+            let deltas = t.take_deltas(&m);
+            let (edges, paths) = t.finish(&m);
             if interval == 1 {
                 assert!(deltas.len() > 10, "interval 1 cuts per event");
             }
@@ -719,7 +710,8 @@ mod tests {
         run_looped_iters(&mut t, 10);
         let (de, dp) = t.dropped_events();
         assert!(de > 0 && dp > 0);
-        let (edges, paths, _, deltas) = t.finish_full(&m);
+        let deltas = t.take_deltas(&m);
+        let (edges, paths) = t.finish(&m);
         let mut medges = ppp_ir::ModuleEdgeProfile::zeroed(&m);
         let mut mpaths = ppp_ir::ModulePathProfile::with_capacity(m.functions.len());
         for d in &deltas {
@@ -729,6 +721,33 @@ mod tests {
         // Dropped events are missing from *both* sides equally.
         assert_eq!(medges, edges);
         assert_eq!(mpaths, paths);
+    }
+
+    #[test]
+    fn sequence_lists_completions_in_run_order() {
+        let m = looped();
+        let mut t = Tracer::new(&m);
+        t.record_sequence();
+        run_looped_iters(&mut t, 2);
+        let f = FuncId(0);
+        let first = PathKey {
+            start: BlockId(0),
+            edges: vec![
+                EdgeRef::new(BlockId(0), 0),
+                EdgeRef::new(BlockId(1), 0),
+                EdgeRef::new(BlockId(2), 0),
+            ],
+        };
+        let again = PathKey {
+            start: BlockId(1),
+            edges: vec![EdgeRef::new(BlockId(1), 0), EdgeRef::new(BlockId(2), 0)],
+        };
+        let exit = PathKey {
+            start: BlockId(1),
+            edges: vec![EdgeRef::new(BlockId(1), 1)],
+        };
+        assert_eq!(t.take_sequence(), vec![(f, first), (f, again), (f, exit)]);
+        assert!(t.take_sequence().is_empty(), "taken once");
     }
 
     #[test]

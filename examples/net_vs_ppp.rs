@@ -20,7 +20,7 @@ use ppp::core::{
     accuracy, instrument_module, net_hot_flow_coverage, normalize_module, profiler_estimate,
     EstimateOptions, FlowMetric, NetConfig, NetPredictor, ProfilerConfig,
 };
-use ppp::vm::{run, RunOptions};
+use ppp::vm::{run, run_with, RunOptions, Tracer};
 use ppp::workloads::{generate, BenchmarkSpec};
 
 fn scenario(name: &str, correlation: f64, bias: f64) -> (f64, f64) {
@@ -35,19 +35,16 @@ fn scenario(name: &str, correlation: f64, bias: f64) -> (f64, f64) {
     let mut module = generate(&spec);
     normalize_module(&mut module);
 
-    // One traced run with the ordered path stream.
-    let traced = run(
-        &module,
-        "main",
-        &RunOptions::default().traced_with_sequence(),
-    )
-    .expect("runs");
-    let truth = traced.path_profile.clone().expect("traced");
-    let edges = traced.edge_profile.clone().expect("traced");
+    // One traced run that also records the ordered path stream.
+    let mut tracer = Tracer::new(&module);
+    tracer.record_sequence();
+    run_with(&module, "main", &RunOptions::default(), &mut tracer).expect("runs");
+    let sequence = tracer.take_sequence();
+    let (edges, truth) = tracer.finish(&module);
 
     // NET consumes the stream online.
     let mut net = NetPredictor::new(NetConfig { hot_threshold: 10 });
-    net.observe_stream(&traced.path_sequence);
+    net.observe_stream(&sequence);
     let net_cov = net_hot_flow_coverage(&net, &truth, FlowMetric::Branch, 0.00125);
 
     // PPP profiles, then its estimate is scored the usual way (§6.1).

@@ -151,15 +151,6 @@ fn ablations_cost_no_less_than_full_ppp() {
     }
 }
 
-/// The textual IR round-trips for generated modules (printer ↔ parser).
-#[test]
-fn generated_modules_roundtrip_through_text() {
-    let m = workload("roundtrip");
-    let text = ppp::ir::print_module(&m);
-    let parsed = ppp::ir::parse_module(&text).expect("printed module parses");
-    assert_eq!(m, parsed);
-}
-
 /// Real profiles persist and reload losslessly (the staged-optimizer
 /// save/load cycle).
 #[test]
