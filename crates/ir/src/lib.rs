@@ -74,9 +74,9 @@ pub use loops::{analyze_loops, LoopForest, NaturalLoop};
 pub use module::{Module, TableDecl, TableKind};
 pub use path::{FuncPathProfile, ModulePathProfile, PathKey, PathStats};
 pub use persist_v2::{
-    crc32, read_edge_profile_stale, read_edge_profile_v2, read_path_profile_v2,
-    salvage_edge_profile, salvage_path_profile, write_edge_profile_v2, write_path_profile_v2,
-    ProfileLoadError, ProfileParseError, Salvaged, SectionFault, StaleReport, PROFILE_MAGIC,
+    crc32, read_edge_profile_v2, read_path_profile_v2, salvage_edge_profile, salvage_path_profile,
+    write_edge_profile_v2, write_path_profile_v2, ProfileLoadError, ProfileParseError, Salvaged,
+    SectionFault, PROFILE_MAGIC,
 };
 pub use profile::{
     FlowViolation, FlowViolationKind, FuncEdgeProfile, ModuleEdgeProfile, ProfileStats,

@@ -23,7 +23,7 @@
 //!   records, its name, and a CRC-32 of the payload bytes;
 //! - an **`end` trailer** so silent tail truncation is detectable.
 //!
-//! Three loader strictness levels correspond to the degradation ladder's
+//! Two loader strictness levels correspond to the degradation ladder's
 //! rungs:
 //!
 //! 1. [`read_edge_profile_v2`] / [`read_path_profile_v2`] — strict: any
@@ -31,12 +31,11 @@
 //! 2. [`salvage_edge_profile`] / [`salvage_path_profile`] — per-section
 //!    salvage: a corrupted section quarantines *that function only*
 //!    (left zeroed / pathless); everything else loads normally.
-//! 3. [`read_edge_profile_stale`] — stale shape tolerance: sections are
-//!    matched to functions **by name** (indices are allowed to have
-//!    shifted), records that still fit the current CFG shape are kept,
-//!    and the rest are dropped and counted (Meta's Stale Profile Matching
-//!    shows salvaging beats discarding). `ppp-match` builds its
-//!    cross-version transfer on this loader.
+//!
+//! Both pair a section with the module function at its recorded index.
+//! Carrying a profile across program versions is `ppp-match`'s job: it
+//! salvage-loads the artifact against the module that wrote it, then
+//! transfers the profile.
 //!
 //! All loaders take raw bytes and never panic: corrupt input — including
 //! invalid UTF-8 from byte-level damage — yields a typed error or a
@@ -139,8 +138,7 @@ pub enum ProfileLoadError {
         found: usize,
     },
     /// A section's recorded name differs from the module's function name
-    /// at that index (strict loading only; the stale loader matches by
-    /// name instead).
+    /// at that index.
     NameMismatch {
         /// Section (function) index.
         func: usize,
@@ -250,36 +248,6 @@ impl<T> Salvaged<T> {
     /// `true` when nothing was quarantined: the artifact loaded clean.
     pub fn is_clean(&self) -> bool {
         self.faults.is_empty()
-    }
-}
-
-/// Outcome of a stale-shape load: what aligned, what was dropped.
-#[derive(Clone, Debug, Default)]
-pub struct StaleReport {
-    /// Sections matched to a module function by name.
-    pub matched_funcs: usize,
-    /// Matched sections whose index had shifted (renumbered functions).
-    pub renumbered_funcs: usize,
-    /// Section names with no function in the module.
-    pub unmatched_sections: Vec<String>,
-    /// Module functions with no section in the artifact.
-    pub unprofiled_funcs: Vec<String>,
-    /// Record lines (edge) or whole paths (path) dropped because they no
-    /// longer fit the matched function's CFG shape.
-    pub dropped_records: u64,
-    /// Sections skipped for integrity faults (CRC, truncation, UTF-8).
-    pub faults: Vec<SectionFault>,
-}
-
-impl StaleReport {
-    /// `true` when every section matched at its original index with no
-    /// drops: the artifact is not stale at all.
-    pub fn is_exact(&self) -> bool {
-        self.renumbered_funcs == 0
-            && self.unmatched_sections.is_empty()
-            && self.unprofiled_funcs.is_empty()
-            && self.dropped_records == 0
-            && self.faults.is_empty()
     }
 }
 
@@ -718,30 +686,20 @@ fn apply_edge_record(
     Ok(())
 }
 
-/// Parses an edge section payload into `p`. In lenient mode, records that
-/// fail are dropped and counted; in strict mode the first failure wins.
+/// Parses an edge section payload into `p`; the first bad record wins.
 fn parse_edge_section(
     f: &Function,
     text: &str,
-    lenient: bool,
     p: &mut FuncEdgeProfile,
-) -> Result<u64, ProfileParseError> {
-    let mut dropped = 0u64;
+) -> Result<(), ProfileParseError> {
     for (ln, raw) in text.lines().enumerate() {
         let line = raw.split(';').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
-        match apply_edge_record(f, p, line, ln + 1) {
-            Ok(()) => {}
-            Err(e) if lenient => {
-                let _ = e;
-                dropped += 1;
-            }
-            Err(e) => return Err(e),
-        }
+        apply_edge_record(f, p, line, ln + 1)?;
     }
-    Ok(dropped)
+    Ok(())
 }
 
 /// Parses one `path <start> <freq> : <edges>` record.
@@ -857,7 +815,7 @@ pub fn read_edge_profile_v2(
     let mut profile = ModuleEdgeProfile::zeroed(module);
     for (fid, text) in sections {
         let f = module.function(fid);
-        parse_edge_section(f, text, false, profile.func_mut(fid)).map_err(|error| {
+        parse_edge_section(f, text, profile.func_mut(fid)).map_err(|error| {
             ProfileLoadError::Record {
                 func: fid.index(),
                 name: f.name.clone(),
@@ -986,7 +944,7 @@ pub fn salvage_edge_profile(
             // leave half a function's counts behind.
             let f = module.function(fid);
             let mut scratch = FuncEdgeProfile::zeroed(f);
-            parse_edge_section(f, text, false, &mut scratch)?;
+            parse_edge_section(f, text, &mut scratch)?;
             *profile.func_mut(fid) = scratch;
             Ok(())
         },
@@ -1016,81 +974,6 @@ pub fn salvage_path_profile(
             Ok(())
         },
     )
-}
-
-// ---------------------------------------------------------------------------
-// Stale-shape loader
-// ---------------------------------------------------------------------------
-
-/// Loads a v2 edge profile written for a *different build* of the module:
-/// sections are matched to functions by name (indices may have shifted),
-/// and every record that still fits the current CFG shape is kept while
-/// the rest are dropped and counted — salvaging a stale profile instead
-/// of refusing it.
-///
-/// The result is generally *not* flow conservative (dropped records break
-/// Kirchhoff's law); callers are expected to push it through the
-/// degradation ladder, which quarantines or re-derives the functions that
-/// no longer balance.
-///
-/// # Errors
-///
-/// Only container-level damage is fatal.
-pub fn read_edge_profile_stale(
-    module: &Module,
-    bytes: &[u8],
-) -> Result<(ModuleEdgeProfile, StaleReport), ProfileLoadError> {
-    let (_, sections) = walk_sections(bytes, "edge")?;
-    let mut profile = ModuleEdgeProfile::zeroed(module);
-    let mut report = StaleReport::default();
-    let mut seen = vec![false; module.functions.len()];
-    for s in sections {
-        match s {
-            Ok(raw) => match module.function_by_name(&raw.name) {
-                Some(fid) => {
-                    seen[fid.index()] = true;
-                    report.matched_funcs += 1;
-                    if fid.index() != raw.index {
-                        report.renumbered_funcs += 1;
-                    }
-                    let f = module.function(fid);
-                    match section_text(&raw) {
-                        Ok(text) => {
-                            match parse_edge_section(f, text, true, profile.func_mut(fid)) {
-                                Ok(dropped) => report.dropped_records += dropped,
-                                // Lenient parsing never errors, but keep the
-                                // plumbing honest.
-                                Err(error) => report.faults.push(SectionFault {
-                                    func: raw.index,
-                                    name: raw.name,
-                                    error: ProfileLoadError::Record {
-                                        func: fid.index(),
-                                        name: f.name.clone(),
-                                        error,
-                                    },
-                                }),
-                            }
-                        }
-                        Err(error) => report.faults.push(SectionFault {
-                            func: raw.index,
-                            name: raw.name,
-                            error,
-                        }),
-                    }
-                }
-                None => report.unmatched_sections.push(raw.name),
-            },
-            Err(fault) => report.faults.push(fault),
-        }
-    }
-    for (i, s) in seen.iter().enumerate() {
-        if !s {
-            report
-                .unprofiled_funcs
-                .push(module.functions[i].name.clone());
-        }
-    }
-    Ok((profile, report))
 }
 
 #[cfg(test)]
@@ -1243,55 +1126,6 @@ mod tests {
         assert_eq!(s.faults.len(), 1);
         assert!(s.profile.func(FuncId(0)).is_zero());
         assert_eq!(s.profile.func(FuncId(1)).entries(), 4);
-    }
-
-    #[test]
-    fn stale_loader_matches_by_name_across_reordering() {
-        let m = sample();
-        let p = sample_edges(&m);
-        let text = write_edge_profile_v2(&m, &p);
-        // A "newer build" with the functions in the opposite order.
-        let mut m2 = Module::new();
-        let mut g = FunctionBuilder::new("g", 1);
-        let pr = g.param(0);
-        g.ret(Some(pr));
-        m2.add_function(g.finish());
-        let mut b = FunctionBuilder::new("main", 0);
-        let c = b.constant(1);
-        let (t, e, j) = (b.new_block(), b.new_block(), b.new_block());
-        b.branch(c, t, e);
-        b.switch_to(t);
-        b.jump(j);
-        b.switch_to(e);
-        b.jump(j);
-        b.switch_to(j);
-        b.ret(None);
-        m2.add_function(b.finish());
-        let (loaded, report) = read_edge_profile_stale(&m2, text.as_bytes()).expect("loads");
-        assert_eq!(report.matched_funcs, 2);
-        assert_eq!(report.renumbered_funcs, 2);
-        assert_eq!(report.dropped_records, 0);
-        let main2 = m2.function_by_name("main").unwrap();
-        assert_eq!(loaded.func(main2).entries(), 10);
-        assert_eq!(loaded.func(main2).edge(EdgeRef::new(BlockId(0), 0)), 7);
-        assert!(loaded.is_flow_conservative(&m2));
-    }
-
-    #[test]
-    fn stale_loader_drops_records_that_no_longer_fit() {
-        let m = sample();
-        let p = sample_edges(&m);
-        let text = write_edge_profile_v2(&m, &p);
-        // A build of "main" that lost its diamond: single block, ret.
-        let mut m2 = Module::new();
-        let mut b = FunctionBuilder::new("main", 0);
-        b.ret(None);
-        m2.add_function(b.finish());
-        let (loaded, report) = read_edge_profile_stale(&m2, text.as_bytes()).expect("loads");
-        assert_eq!(report.matched_funcs, 1);
-        assert!(report.dropped_records > 0);
-        assert_eq!(report.unmatched_sections, vec!["g".to_owned()]);
-        assert_eq!(loaded.func(FuncId(0)).entries(), 10);
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! clean parse or a typed [`ppp_ir::ProfileLoadError`] — it never
 //! panics. The sweep covers every truncation point of both v2 artifacts
 //! plus a seed-loop of multi-byte corruptions (including invalid UTF-8),
-//! through all three strictness levels (strict, salvage, stale).
+//! through both strictness levels (strict and salvage).
 
 use ppp_ir::{
-    read_edge_profile_stale, read_edge_profile_v2, read_path_profile_v2, salvage_edge_profile,
-    salvage_path_profile, write_edge_profile_v2, write_path_profile_v2, BlockId, EdgeRef, FuncId,
-    FunctionBuilder, Module, ModuleEdgeProfile, ModulePathProfile, PathKey, Reg,
+    read_edge_profile_v2, read_path_profile_v2, salvage_edge_profile, salvage_path_profile,
+    write_edge_profile_v2, write_path_profile_v2, BlockId, EdgeRef, FuncId, FunctionBuilder,
+    Module, ModuleEdgeProfile, ModulePathProfile, PathKey, Reg,
 };
 
 const SEEDS: u64 = 300;
@@ -103,7 +103,6 @@ fn sample_paths(m: &Module) -> ModulePathProfile {
 fn exercise_v2(m: &Module, edge_bytes: &[u8], path_bytes: &[u8]) {
     let _ = read_edge_profile_v2(m, edge_bytes);
     let _ = salvage_edge_profile(m, edge_bytes);
-    let _ = read_edge_profile_stale(m, edge_bytes);
     let _ = read_path_profile_v2(m, path_bytes);
     let _ = salvage_path_profile(m, path_bytes);
     // Kind confusion: each artifact through the other kind's loaders.

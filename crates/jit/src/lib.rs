@@ -205,7 +205,7 @@ mod tests {
             ppp_ir::write_edge_profile_v2(&new, &warm),
             ppp_ir::write_edge_profile_v2(&new, &loaded)
         );
-        assert!(msr.stale.is_exact());
+        assert!(msr.quarantined.is_empty());
         assert_eq!(msr.is_lossless(), in_memory.is_lossless());
     }
 

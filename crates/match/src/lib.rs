@@ -2,11 +2,10 @@
 //! versions.
 //!
 //! Production PGO's hardest problem is that profiles are collected on
-//! program version *N* and applied to version *N+k*. The persist-v2
-//! stale loaders match functions by name and drop whatever no longer
-//! fits; this crate adds the static analysis that lets a profile
-//! *survive* edits, in the spirit of Ayupov/Panchenko/Pupyrev's stale
-//! profile matching (see `PAPERS.md`):
+//! program version *N* and applied to version *N+k*. This crate holds
+//! the one rule that pairs functions across versions and the static
+//! analysis that lets a profile *survive* edits, in the spirit of
+//! Ayupov/Panchenko/Pupyrev's stale profile matching (see `PAPERS.md`):
 //!
 //! * [`anchor`] — hash-based block anchors: opcode/shape fingerprints,
 //!   call-site and branch-structure signatures, and a whole-function
@@ -25,7 +24,7 @@
 //!   never both;
 //! * [`stale`] — name- then anchor-identity function pairing across two
 //!   module versions, and the matched-stale loader
-//!   [`read_edge_profile_matched`]: a stale load, then
+//!   [`read_edge_profile_matched`]: a salvage load, then
 //!   [`transfer_module_edges`], with `ppp_stale_*`/`ppp_match_*`
 //!   observability metrics.
 //!
@@ -52,8 +51,8 @@ pub use transfer::{transfer_module_edges, TransferReport};
 mod tests {
     use super::*;
     use ppp_ir::{
-        read_edge_profile_stale, write_edge_profile_v2, BlockId, EdgeRef, FuncId, FunctionBuilder,
-        Inst, Module, ModuleEdgeProfile, Reg, Terminator,
+        write_edge_profile_v2, BlockId, EdgeRef, FuncId, FunctionBuilder, Inst, Module,
+        ModuleEdgeProfile, Reg, Terminator,
     };
     use ppp_lint::Code;
 
@@ -112,9 +111,8 @@ mod tests {
 
     #[test]
     fn renamed_identical_function_is_rescued_by_anchor_identity() {
-        // Regression test for the name-only stale loaders: a renamed but
-        // otherwise identical function loses its profile under the plain
-        // stale loader and keeps it under the matched loader.
+        // A renamed but otherwise identical function keeps its profile:
+        // the pairing falls back from names to anchor identity.
         let old = sample();
         let mut new = sample();
         new.functions[1].name = "work_v2".to_string();
@@ -126,10 +124,6 @@ mod tests {
             p
         };
         let bytes = write_edge_profile_v2(&old, &edges);
-
-        let (plain, plain_report) = read_edge_profile_stale(&new, bytes.as_bytes()).unwrap();
-        assert!(plain.func(FuncId(1)).is_zero(), "name-only load drops it");
-        assert_eq!(plain_report.unmatched_sections, vec!["work".to_string()]);
 
         let (matched, report) = read_edge_profile_matched(&old, &new, bytes.as_bytes()).unwrap();
         assert_eq!(report.transfer.anchor_paired, 1);
@@ -372,7 +366,10 @@ mod tests {
         let _ = read_edge_profile_matched(&m, &m, bytes.as_bytes()).unwrap();
         let metrics = ctx.metrics().render_prometheus();
         ppp_obs::install_global(previous);
-        assert!(metrics.contains("ppp_stale_sections_total"), "{metrics}");
+        assert!(
+            metrics.contains("ppp_stale_section_faults_total"),
+            "{metrics}"
+        );
         assert!(metrics.contains("ppp_match_funcs_total"), "{metrics}");
         assert!(metrics.contains("ppp_match_blocks_total"), "{metrics}");
     }

@@ -1,8 +1,7 @@
 //! Module-level matching and the matched-stale edge profile loader.
 //!
-//! The persist-v2 stale loader matches sections to functions by *name*
-//! and drops everything that no longer fits. The matched-stale mode
-//! layered here goes two steps further:
+//! [`match_modules`] is the one rule that pairs functions across program
+//! versions:
 //!
 //! 1. functions are paired by name first and by **anchor identity**
 //!    second — a renamed-but-identical function (equal whole-function
@@ -13,8 +12,11 @@
 //!    at matched-region boundaries, so edits *inside* a function no
 //!    longer void its profile.
 //!
-//! Every transferred edge profile satisfies PPP308 flow conservation;
-//! an identity transfer (same program) is lossless and byte-identical.
+//! [`read_edge_profile_matched`] salvage-loads an artifact against the
+//! module that wrote it and carries the result across with
+//! [`transfer_module_edges`]. Every transferred edge profile satisfies
+//! PPP308 flow conservation; an identity transfer (same program) is
+//! lossless and byte-identical.
 //!
 //! Loading emits `ppp_stale_*` / `ppp_match_*` metrics through the
 //! ambient [`ppp_obs`] context so silent profile drops are observable.
@@ -23,7 +25,7 @@ use crate::anchor::function_fingerprint;
 use crate::matcher::{match_functions, MatchReport};
 use crate::transfer::{transfer_module_edges, TransferReport};
 use ppp_ir::{
-    read_edge_profile_stale, FuncId, Module, ModuleEdgeProfile, ProfileLoadError, StaleReport,
+    salvage_edge_profile, FuncId, Module, ModuleEdgeProfile, ProfileLoadError, SectionFault,
 };
 use ppp_lint::Code;
 use std::collections::HashMap;
@@ -148,21 +150,24 @@ pub fn match_modules(old: &Module, new: &Module) -> ModuleMatch {
     }
 }
 
-/// The outcome of a matched-stale load: the section-level stale report
-/// and what the transfer onto the new module did.
+/// The outcome of a matched-stale load: what the salvage load of the
+/// artifact quarantined and what the transfer onto the new module did.
 #[derive(Clone, Debug)]
 pub struct MatchedStaleReport {
-    /// Section-level outcome from the underlying stale loader.
-    pub stale: StaleReport,
+    /// Old-module functions whose sections were quarantined (loaded as
+    /// zero) by the salvage load.
+    pub quarantined: Vec<FuncId>,
+    /// What was wrong with each quarantined section.
+    pub faults: Vec<SectionFault>,
     /// The cross-version transfer of the loaded profile.
     pub transfer: TransferReport,
 }
 
 impl MatchedStaleReport {
-    /// `true` when every section loaded exactly and the transfer was
+    /// `true` when the artifact loaded clean and the transfer was
     /// lossless: the transferred profile is the old profile, bit for bit.
     pub fn is_lossless(&self) -> bool {
-        self.stale.is_exact() && self.transfer.is_lossless()
+        self.quarantined.is_empty() && self.faults.is_empty() && self.transfer.is_lossless()
     }
 }
 
@@ -171,23 +176,8 @@ fn record_metrics(r: &MatchedStaleReport) {
     let m = obs.metrics();
     let kind = "edge";
     let k = [("kind", kind)];
-    let (stale, t) = (&r.stale, &r.transfer);
-    m.inc_by(
-        "ppp_stale_sections_total",
-        &[("kind", kind), ("outcome", "matched")],
-        stale.matched_funcs as u64,
-    );
-    m.inc_by(
-        "ppp_stale_sections_total",
-        &[("kind", kind), ("outcome", "unmatched")],
-        stale.unmatched_sections.len() as u64,
-    );
-    m.inc_by("ppp_stale_dropped_records_total", &k, stale.dropped_records);
-    m.inc_by(
-        "ppp_stale_section_faults_total",
-        &k,
-        stale.faults.len() as u64,
-    );
+    let t = &r.transfer;
+    m.inc_by("ppp_stale_section_faults_total", &k, r.faults.len() as u64);
     m.inc_by(
         "ppp_match_funcs_total",
         &[("kind", kind), ("method", "name")],
@@ -247,26 +237,31 @@ fn record_metrics(r: &MatchedStaleReport) {
 }
 
 /// Loads a v2 edge profile written for an *older version* of the program
-/// and transfers it onto `new`: the artifact is first stale-loaded
+/// and transfers it onto `new`: the artifact is first salvage-loaded
 /// against `old` (the module it was written for), then carried across
 /// by [`transfer_module_edges`].
 ///
 /// The returned profile always satisfies PPP308 flow conservation for
-/// every function. When `old` and `new` are the same program the load is
-/// lossless: the profile round-trips byte-identically.
+/// every function. When `old` and `new` are the same program and the
+/// artifact is intact the load is lossless: the profile round-trips
+/// byte-identically.
 ///
 /// # Errors
 ///
 /// Only container-level damage is fatal, as with
-/// [`read_edge_profile_stale`].
+/// [`salvage_edge_profile`].
 pub fn read_edge_profile_matched(
     old: &Module,
     new: &Module,
     bytes: &[u8],
 ) -> Result<(ModuleEdgeProfile, MatchedStaleReport), ProfileLoadError> {
-    let (old_p, stale) = read_edge_profile_stale(old, bytes)?;
-    let (out, transfer) = transfer_module_edges(old, new, &old_p);
-    let report = MatchedStaleReport { stale, transfer };
+    let salvaged = salvage_edge_profile(old, bytes)?;
+    let (out, transfer) = transfer_module_edges(old, new, &salvaged.profile);
+    let report = MatchedStaleReport {
+        quarantined: salvaged.quarantined,
+        faults: salvaged.faults,
+        transfer,
+    };
     record_metrics(&report);
     Ok((out, report))
 }

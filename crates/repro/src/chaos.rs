@@ -280,6 +280,17 @@ fn damage_bytes(plan: &FaultPlan, bytes: &mut Vec<u8>) -> String {
     }
 }
 
+/// The "newer build" the `stale-shape` site loads an old artifact
+/// against: `module` with its function order rotated by one and up to
+/// two blocks per function split in half, both chosen by `seed`.
+pub fn stale_shape_module(module: &Module, seed: u64) -> Module {
+    let mut stale = module.clone();
+    stale.functions.rotate_left(1);
+    let mut rng = SplitMix64::new(seed ^ 0x57A1_E5AA);
+    crate::drift::split_blocks(&mut stale, &mut rng);
+    stale
+}
+
 /// The `Hello` one healthy worker opens its stream with.
 fn hello(prep: &PreparedBenchmark) -> Hello {
     Hello {
@@ -730,10 +741,7 @@ pub fn chaos_scenario(
             // and the ladder must land on (at least) the matched-stale
             // rung — never silently on full-profile.
             let bytes = write_edge_profile_v2(module, &prep.edges).into_bytes();
-            let mut stale = module.clone();
-            stale.functions.rotate_left(1);
-            let mut rng = SplitMix64::new(seed ^ 0x57A1_E5AA);
-            crate::drift::split_blocks(&mut stale, &mut rng);
+            let stale = stale_shape_module(module, seed);
             let detail = format!(
                 "rotated and block-split the {}-function module under a persisted profile",
                 stale.functions.len()
@@ -757,7 +765,7 @@ pub fn chaos_scenario(
                         ..Injection::on(Cow::Owned(stale), detail)
                     }
                     .damage("stale-shape", transferred);
-                    inj.events.extend(load_faults(&msr.stale.faults));
+                    inj.events.extend(load_faults(&msr.faults));
                     inj
                 }
                 Err(e) => Injection::on(Cow::Owned(stale), detail).event("load-error", e),

@@ -1,13 +1,15 @@
 //! End-to-end fixtures for the profile-ingestion degradation ladder:
-//! one fixture per rung, a stale-shape remap, counter saturation, and a
-//! fixed-seed chaos smoke over a real prepared benchmark. Every salvaged
+//! one fixture per rung, a stale-shape remap, matched loads of damaged
+//! artifacts, counter saturation, and a fixed-seed chaos smoke over a real prepared benchmark. Every salvaged
 //! profile must still pass the `ppp-lint` flow-conservation checks
 //! (PPP308) on its surviving functions.
 
 use ppp_ir::{
-    read_edge_profile_stale, salvage_edge_profile, write_edge_profile_v2, EdgeRef, FuncId,
-    ModuleEdgeProfile,
+    salvage_edge_profile, write_edge_profile_v2, EdgeRef, FuncId, ModuleEdgeProfile,
+    ProfileLoadError,
 };
+use ppp_match::read_edge_profile_matched;
+use ppp_repro::chaos::stale_shape_module;
 use ppp_repro::{
     chaos_prepared, ingest_guidance, prepare_benchmark, run_prepared, ChaosVerdict, FaultPlan,
     FaultSite, LadderRung, PipelineOptions, PreparedBenchmark,
@@ -122,16 +124,75 @@ fn saturated_counters_are_quarantined_and_rebuilt() {
 fn stale_shape_load_remaps_by_name() {
     let (prep, _) = prep_mcf();
     let bytes = write_edge_profile_v2(&prep.module, &prep.edges).into_bytes();
-    let mut stale = prep.module.clone();
-    stale.functions.rotate_left(1);
-    let (profile, report) = read_edge_profile_stale(&stale, &bytes).expect("loads");
-    assert_eq!(report.matched_funcs, stale.functions.len());
-    assert!(report.renumbered_funcs > 0, "rotation renumbers functions");
-    assert!(report.faults.is_empty());
-    // Matched counts land on the right function: every function's profile
-    // is still flow conservative against the *new* shape.
-    assert!(profile.shape_matches(&stale));
-    assert!(profile.is_flow_conservative(&stale));
+    let mut rotated = prep.module.clone();
+    rotated.functions.rotate_left(1);
+    let (profile, report) =
+        read_edge_profile_matched(&prep.module, &rotated, &bytes).expect("loads");
+    assert_eq!(
+        report.transfer.anchor_paired, 0,
+        "every function pairs by name"
+    );
+    assert!(report.is_lossless(), "{report:?}");
+    // Each function's counts follow it to its new index.
+    for (old, f) in prep.module.functions.iter().enumerate() {
+        let new = rotated.function_by_name(&f.name).expect("same names");
+        assert_ne!(new.index(), old, "rotation renumbers {}", f.name);
+        assert_eq!(
+            profile.func(new),
+            prep.edges.func(FuncId::new(old)),
+            "{}",
+            f.name
+        );
+    }
+}
+
+#[test]
+fn matched_loader_degrades_damaged_artifacts() {
+    let (prep, _) = prep_mcf();
+    let clean = write_edge_profile_v2(&prep.module, &prep.edges).into_bytes();
+    let header_len = clean.iter().position(|&b| b == b'\n').expect("header") + 1;
+    let newer = stale_shape_module(&prep.module, 701);
+    let (_, report) = read_edge_profile_matched(&prep.module, &newer, &clean).expect("loads");
+    assert!(report.quarantined.is_empty() && report.faults.is_empty());
+    for site in [FaultSite::CorruptEdgeBytes, FaultSite::TruncateEdgeBytes] {
+        for seed in 0..64 {
+            let plan = FaultPlan::new(site, seed);
+            let mut bytes = clean.clone();
+            let header_hit = if site == FaultSite::TruncateEdgeBytes {
+                plan.truncate_bytes(&mut bytes) < header_len
+            } else {
+                let hits = plan.corrupt_bytes(&mut bytes, 4);
+                hits.iter().any(|&at| at < header_len)
+            };
+            let (profile, report) = match read_edge_profile_matched(&prep.module, &newer, &bytes) {
+                Ok(loaded) => loaded,
+                Err(e) => {
+                    let container = matches!(
+                        e,
+                        ProfileLoadError::BadMagic
+                            | ProfileLoadError::UnsupportedVersion { .. }
+                            | ProfileLoadError::WrongKind { .. }
+                            | ProfileLoadError::MalformedHeader { .. }
+                    );
+                    assert!(container && header_hit, "{site} seed {seed}: {e}");
+                    continue;
+                }
+            };
+            assert!(profile.shape_matches(&newer), "{site} seed {seed}");
+            let lint = ppp_lint::check_profile(&newer, &profile);
+            assert!(lint.is_empty(), "{site} seed {seed} fails PPP308:\n{lint}");
+            if !report.quarantined.is_empty() {
+                assert!(!report.is_lossless(), "{site} seed {seed}: {report:?}");
+            }
+            // Against the module that wrote it, a lossless load is the
+            // original profile: damage never passes as intact counts.
+            let (same, r) =
+                read_edge_profile_matched(&prep.module, &prep.module, &bytes).expect("loads");
+            if r.is_lossless() {
+                assert_eq!(same, prep.edges, "{site} seed {seed}");
+            }
+        }
+    }
 }
 
 #[test]
