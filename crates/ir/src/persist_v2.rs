@@ -32,8 +32,10 @@
 //!    salvage: a corrupted section quarantines *that function only*
 //!    (left zeroed / pathless); everything else loads normally.
 //!
-//! Both pair a section with the module function at its recorded index.
-//! Carrying a profile across program versions is `ppp-match`'s job: it
+//! Both pair a section with the module function at its recorded index,
+//! and only when the recorded name agrees: section headers carry no
+//! checksum, so a damaged index is caught by its name. Carrying a
+//! profile across program versions is `ppp-match`'s job: it
 //! salvage-loads the artifact against the module that wrote it, then
 //! transfers the profile.
 //!
@@ -882,6 +884,20 @@ fn salvage_load<T>(
                 }
                 let fid = FuncId::new(index);
                 let f = module.function(fid);
+                if f.name != raw.name {
+                    // Section headers carry no checksum: a damaged index
+                    // must not pour one function's counts into another.
+                    faults.push(SectionFault {
+                        func: index,
+                        name: raw.name.clone(),
+                        error: ProfileLoadError::NameMismatch {
+                            func: index,
+                            expected: f.name.clone(),
+                            found: raw.name,
+                        },
+                    });
+                    continue;
+                }
                 seen[index] = true;
                 let outcome = section_text(&raw).and_then(|text| {
                     apply(&mut profile, fid, text).map_err(|error| ProfileLoadError::Record {
@@ -1126,6 +1142,34 @@ mod tests {
         assert_eq!(s.faults.len(), 1);
         assert!(s.profile.func(FuncId(0)).is_zero());
         assert_eq!(s.profile.func(FuncId(1)).entries(), 4);
+    }
+
+    #[test]
+    fn salvage_refuses_a_section_whose_name_disagrees_with_its_index() {
+        // Two same-shape functions; a damaged header index sends `b`'s
+        // section to index 0, where its counts would fit `a`.
+        let mut m = Module::new();
+        for name in ["a", "b"] {
+            let mut f = FunctionBuilder::new(name, 0);
+            f.ret(None);
+            m.add_function(f.finish());
+        }
+        let mut p = ModuleEdgeProfile::zeroed(&m);
+        p.func_mut(FuncId(0)).set_entries(3);
+        p.func_mut(FuncId(1)).set_entries(5);
+        let text = write_edge_profile_v2(&m, &p).replace("func 1 ", "func 0 ");
+        let s = salvage_edge_profile(&m, text.as_bytes()).expect("container ok");
+        assert_eq!(s.profile.func(FuncId(0)), p.func(FuncId(0)));
+        assert_eq!(s.quarantined, vec![FuncId(1)]);
+        assert!(s.profile.func(FuncId(1)).is_zero());
+        assert_eq!(
+            s.faults.iter().map(|f| &f.error).collect::<Vec<_>>(),
+            [&ProfileLoadError::NameMismatch {
+                func: 0,
+                expected: "a".to_owned(),
+                found: "b".to_owned(),
+            }]
+        );
     }
 
     #[test]
