@@ -14,8 +14,6 @@ struct Inner<T> {
     closed: bool,
     /// Producer blocks caused by a full queue (backpressure events).
     stalls: u64,
-    /// High-water mark of the queue depth.
-    peak_depth: usize,
 }
 
 /// A bounded blocking FIFO queue.
@@ -37,7 +35,6 @@ impl<T> BoundedQueue<T> {
                 items: VecDeque::new(),
                 closed: false,
                 stalls: 0,
-                peak_depth: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -58,7 +55,6 @@ impl<T> BoundedQueue<T> {
             return false;
         }
         g.items.push_back(item);
-        g.peak_depth = g.peak_depth.max(g.items.len());
         drop(g);
         self.not_empty.notify_one();
         true
@@ -100,11 +96,6 @@ impl<T> BoundedQueue<T> {
     pub fn stalls(&self) -> u64 {
         self.inner.lock().expect("queue lock").stalls
     }
-
-    /// Highest queue depth observed so far.
-    pub fn peak_depth(&self) -> usize {
-        self.inner.lock().expect("queue lock").peak_depth
-    }
 }
 
 #[cfg(test)]
@@ -121,7 +112,6 @@ mod tests {
         assert_eq!(q.depth(), 2);
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.peak_depth(), 2);
     }
 
     #[test]

@@ -43,17 +43,6 @@ pub fn bench<R>(group: &str, name: &str, mut f: impl FnMut() -> R) {
     );
 }
 
-/// Runs `f` once and prints the elapsed time (for heavyweight setups
-/// where repeated measurement would take too long).
-pub fn bench_once<R>(group: &str, name: &str, f: impl FnOnce() -> R) {
-    let start = Instant::now();
-    black_box(f());
-    println!(
-        "{group}/{name:<24} {:>12}  (1 iter)",
-        format_ns(start.elapsed())
-    );
-}
-
 fn format_ns(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 10_000 {

@@ -47,16 +47,6 @@ pub enum DagEdgeKind {
     },
 }
 
-impl DagEdgeKind {
-    /// Returns the CFG back edge for dummy edges.
-    pub fn back_edge(self) -> Option<EdgeRef> {
-        match self {
-            DagEdgeKind::Real(_) => None,
-            DagEdgeKind::EntryDummy { back } | DagEdgeKind::ExitDummy { back } => Some(back),
-        }
-    }
-}
-
 /// One DAG edge.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct DagEdge {

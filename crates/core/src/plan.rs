@@ -38,11 +38,6 @@ impl PlanOp {
             PlanOp::Count | PlanOp::CountPlus(_) | PlanOp::CountConst(_)
         )
     }
-
-    /// Returns `true` for counting forms that read the path register.
-    pub fn reads_r(self) -> bool {
-        matches!(self, PlanOp::Count | PlanOp::CountPlus(_))
-    }
 }
 
 /// Symbolic path-register state relative to the list's entry value.

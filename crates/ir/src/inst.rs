@@ -107,29 +107,6 @@ impl BinOp {
             BinOp::Max => "max",
         }
     }
-
-    /// Parses a mnemonic produced by [`BinOp::mnemonic`].
-    pub fn from_mnemonic(s: &str) -> Option<Self> {
-        Some(match s {
-            "add" => BinOp::Add,
-            "sub" => BinOp::Sub,
-            "mul" => BinOp::Mul,
-            "div" => BinOp::Div,
-            "rem" => BinOp::Rem,
-            "and" => BinOp::And,
-            "or" => BinOp::Or,
-            "xor" => BinOp::Xor,
-            "shl" => BinOp::Shl,
-            "shr" => BinOp::Shr,
-            "lt" => BinOp::Lt,
-            "le" => BinOp::Le,
-            "eq" => BinOp::Eq,
-            "ne" => BinOp::Ne,
-            "min" => BinOp::Min,
-            "max" => BinOp::Max,
-            _ => return None,
-        })
-    }
 }
 
 /// Unary operators.
@@ -156,15 +133,6 @@ impl UnOp {
             UnOp::Neg => "neg",
             UnOp::Not => "not",
         }
-    }
-
-    /// Parses a mnemonic produced by [`UnOp::mnemonic`].
-    pub fn from_mnemonic(s: &str) -> Option<Self> {
-        Some(match s {
-            "neg" => UnOp::Neg,
-            "not" => UnOp::Not,
-            _ => return None,
-        })
     }
 }
 
@@ -247,14 +215,6 @@ impl ProfOp {
     /// Returns `true` if this op only touches the path register.
     pub fn is_register_only(self) -> bool {
         !self.is_count()
-    }
-
-    /// Returns `true` for the checked (poison-testing) counting forms.
-    pub fn is_checked(self) -> bool {
-        matches!(
-            self,
-            ProfOp::CountRChecked { .. } | ProfOp::CountRPlusChecked { .. }
-        )
     }
 }
 
@@ -586,34 +546,6 @@ mod tests {
         assert_eq!(BinOp::Shl.eval(1, 64), 1);
         assert_eq!(BinOp::Shl.eval(1, 3), 8);
         assert_eq!(BinOp::Shr.eval(-8, 1), -4);
-    }
-
-    #[test]
-    fn mnemonic_roundtrip() {
-        for op in [
-            BinOp::Add,
-            BinOp::Sub,
-            BinOp::Mul,
-            BinOp::Div,
-            BinOp::Rem,
-            BinOp::And,
-            BinOp::Or,
-            BinOp::Xor,
-            BinOp::Shl,
-            BinOp::Shr,
-            BinOp::Lt,
-            BinOp::Le,
-            BinOp::Eq,
-            BinOp::Ne,
-            BinOp::Min,
-            BinOp::Max,
-        ] {
-            assert_eq!(BinOp::from_mnemonic(op.mnemonic()), Some(op));
-        }
-        assert_eq!(BinOp::from_mnemonic("bogus"), None);
-        for op in [UnOp::Neg, UnOp::Not] {
-            assert_eq!(UnOp::from_mnemonic(op.mnemonic()), Some(op));
-        }
     }
 
     #[test]

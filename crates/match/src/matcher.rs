@@ -77,15 +77,6 @@ impl MatchReport {
             _ => Some(EdgeRef::new(nb, e.succ as usize)),
         }
     }
-
-    /// Mean confidence over matched old blocks (0 when nothing matched).
-    pub fn mean_confidence(&self) -> f64 {
-        let matched = self.matched_blocks();
-        if matched == 0 {
-            return 0.0;
-        }
-        self.confidence.iter().sum::<f64>() / matched as f64
-    }
 }
 
 struct MatchCtx<'a> {
