@@ -157,7 +157,7 @@ pub struct MatchedStaleReport {
     /// Old-module functions whose sections were quarantined (loaded as
     /// zero) by the salvage load.
     pub quarantined: Vec<FuncId>,
-    /// What was wrong with each quarantined section.
+    /// The salvage load's section faults.
     pub faults: Vec<SectionFault>,
     /// The cross-version transfer of the loaded profile.
     pub transfer: TransferReport,

@@ -32,7 +32,7 @@
 //!
 //! [`transfer_module_edges`] is the one way a module's edge profile
 //! crosses program versions: the matched-stale loader runs it after its
-//! stale load, the JIT loop runs it on every promotion.
+//! salvage load, the JIT loop runs it on every promotion.
 
 use crate::matcher::MatchReport;
 use crate::stale::match_modules;
